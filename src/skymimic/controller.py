@@ -18,7 +18,7 @@ from .geometry import (Intrinsics, OffscreenError, Pose6D, VisibilityError,
                        render_motion_field, wrap_angle)
 from .imitation import make_action, predict_action
 from .nn import NumericError
-from .pipeline import ModelBundle
+from .pipeline import ModelBundle, demo_conditioning
 from .scene import DT, FrameSample, SubjectPath
 
 MAX_SPEED = 10.0          # m/s step clamp
@@ -242,10 +242,8 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
             bge = embed_batch(w_bg[None], bundle.bg_encoder)[0]
             obs = np.concatenate([fge, bge])
             if demo_actions is not None:
-                frac = (t - WINDOW + 1) / max(n_exec - 1, 1)
-                j = min(int(round(frac * (demo_actions.shape[0] - 1))),
-                        demo_actions.shape[0] - 1)
-                conditioning = demo_actions[j]
+                conditioning = demo_conditioning(demo_actions,
+                                                 t - WINDOW + 1, n_exec)
             else:
                 conditioning = prev_action
             action = predict_action(style_feature, obs, conditioning,

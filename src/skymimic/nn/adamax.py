@@ -25,13 +25,21 @@ class AdamaxState:
 def adamax_update(params: ParamSet, grads: ParamSet,
                   state: AdamaxState) -> None:
     """In-place Adamax step: m <- b1 m + (1-b1) g, u <- max(b2 u, |g|),
-    p <- p - lr/(1-b1^t) * m/(u+eps)."""
+    p <- p - lr/(1-b1^t) * m/(u+eps).
+
+    m, u and the parameter arrays are updated in place, in the same
+    operation order as the formula, so arrays shared with another
+    ParamSet change too (ParamSet.copy() gives an independent one).
+    """
     params.check_mirror(grads)
     state.step += 1
-    bias = 1.0 - state.beta1 ** state.step
-    for k in params:
-        g = grads[k]
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.u[k] = np.maximum(state.beta2 * state.u[k], np.abs(g))
-        params[k] = params[k] - (state.lr / bias) * state.m[k] / (
-            state.u[k] + state.eps)
+    rate = state.lr / (1.0 - state.beta1 ** state.step)
+    for k, p in params.items():
+        g, m, u = grads[k], state.m[k], state.u[k]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        u *= state.beta2
+        np.maximum(u, np.abs(g), out=u)
+        step = rate * m
+        step /= u + state.eps
+        p -= step

@@ -1,10 +1,33 @@
 """Forward passes and hand-derived backward passes for the fixed
-architectures used here: affine layers, tanh MLPs, LSTM cells and
-sequences, and softmax. Everything is float64 and batched over the
-leading axis.
+architectures used here: affine layers, tanh MLPs, LSTM sequences, and
+softmax. Everything is float64 and batched over the leading axis.
+
+The LSTM runs a whole sequence as one fused kernel, after Appleyard,
+Kočiský and Blunsom, "Optimizing Performance of Recurrent Neural
+Networks on GPUs" (2016), because a NumPy step loop costs mostly per
+call, not per flop:
+
+- One-tanh gates. With sigmoid(z) = 0.5 * (1 + tanh(z / 2)), all four
+  gates of a step are one tanh over the 4H pre-activation block: the
+  block is scaled by s = [1/2, 1/2, 1, 1/2] (per gate i|f|g|o, folded
+  into Wx, Wh and b), passed through tanh, then mapped back by
+  s * y + (1 - s).
+- Forward. xs @ Wx + b for all T steps is one GEMM before the
+  recurrence; each step adds h_{t-1} @ Wh and finishes its gate block
+  in place.
+- Cache layout (LSTMCache), N being the product of the batch axes:
+  the input xs (T, ..., D) as given; hidden and cell states hs, cs
+  (T+1, N, H) with row 0 the initial state; gate activations
+  (T, N, 4H) in i|f|g|o order; tanh(c_t) as tcs (T, N, H).
+- Backward. BPTT writes each step's pre-activation gradient into one
+  (T, N, 4H) array; dWx, dWh, db and dxs are then one GEMM (or sum)
+  each over the stacked steps.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,12 +39,9 @@ class NumericError(ArithmeticError):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function as 0.5 * (1 + tanh(z / 2)): one ufunc chain
+    with no overflow branch, the same form the LSTM gates use."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, float)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +83,26 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell; gate order i, f, g, o in the stacked weight matrices.
+# LSTM; gate order i, f, g, o in the stacked weight matrices.
+
+class LSTMCache(NamedTuple):
+    """What lstm_backward needs from lstm_forward; N is the product of
+    the batch axes (1 when there are none)."""
+    xs: np.ndarray     # (T, ..., D) the input as given
+    hs: np.ndarray     # (T+1, N, H) hidden states, row 0 the initial one
+    cs: np.ndarray     # (T+1, N, H) cell states, row 0 the initial one
+    gates: np.ndarray  # (T, N, 4H) gate activations i|f|g|o
+    tcs: np.ndarray    # (T, N, H) tanh(c_t)
+
+
+def _gate_scale(H: int) -> np.ndarray:
+    """s over the 4H gate block: 1/2 on i, f, o and 1 on g, so that
+    s * tanh(s * z) + (1 - s) is sigmoid(z) on i, f, o and tanh(z) on g.
+    Scaling by 1/2 is exact, so it is folded into the weights."""
+    s = np.full(4 * H, 0.5)
+    s[2 * H:3 * H] = 1.0
+    return s
+
 
 def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
               prefix: str = "") -> ParamSet:
@@ -74,103 +113,116 @@ def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
     return p
 
 
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, p: ParamSet,
-              prefix: str = ""):
-    """One LSTM cell update. Returns (h', c', cache) for backward."""
-    Wx, Wh, b = p[prefix + "Wx"], p[prefix + "Wh"], p[prefix + "b"]
-    x = np.asarray(x, float)
-    h = np.asarray(h, float)
-    c = np.asarray(c, float)
-    if x.shape[-1] != Wx.shape[0]:
-        raise DimensionError(
-            f"lstm_step: input shape {x.shape} vs Wx shape {Wx.shape}")
-    H = Wh.shape[0]
-    if h.shape[-1] != H or c.shape[-1] != H:
-        raise DimensionError(
-            f"lstm_step: state shapes {h.shape}/{c.shape} vs hidden {H}")
-    z = x @ Wx + h @ Wh + b
-    i = sigmoid(z[..., :H])
-    f = sigmoid(z[..., H:2 * H])
-    g = np.tanh(z[..., 2 * H:3 * H])
-    o = sigmoid(z[..., 3 * H:])
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-    cache = (x, h, c, i, f, g, o, tc)
-    return h_new, c_new, cache
-
-
-def lstm_step_backward(dh: np.ndarray, dc: np.ndarray, cache, p: ParamSet,
-                       grads: ParamSet, prefix: str = ""):
-    """Backward of one cell step.
-
-    dh, dc are gradients w.r.t. h', c'. Accumulates weight gradients
-    into `grads` and returns (dx, dh_prev, dc_prev).
-    """
-    x, h, c, i, f, g, o, tc = cache
-    Wx, Wh = p[prefix + "Wx"], p[prefix + "Wh"]
-    H = Wh.shape[0]
-    do = dh * tc
-    dct = dc + dh * o * (1.0 - tc * tc)
-    df = dct * c
-    dc_prev = dct * f
-    di = dct * g
-    dg = dct * i
-    dz = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        dg * (1.0 - g * g),
-        do * o * (1.0 - o),
-    ], axis=-1)
-    x2 = x if x.ndim == 2 else x[None, :]
-    h2 = h if h.ndim == 2 else h[None, :]
-    dz2 = dz if dz.ndim == 2 else dz[None, :]
-    grads[prefix + "Wx"] = grads[prefix + "Wx"] + x2.T @ dz2
-    grads[prefix + "Wh"] = grads[prefix + "Wh"] + h2.T @ dz2
-    grads[prefix + "b"] = grads[prefix + "b"] + dz2.sum(axis=0)
-    dx = (dz2 @ Wx.T).reshape(x.shape)
-    dh_prev = (dz2 @ Wh.T).reshape(h.shape)
-    return dx, dh_prev, dc_prev
-
-
 def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
                  h0: np.ndarray | None = None,
                  c0: np.ndarray | None = None):
     """Run the cell over time axis 0 of xs (T, ..., D).
 
-    Returns (hs stacked over time, final h, final c, caches).
+    Returns (hs (T, ..., H), final h, final c, cache). hs and the final
+    states are views into the cache and must not be written to.
     """
-    H = p[prefix + "Wh"].shape[0]
-    lead = xs.shape[1:-1]
-    h = np.zeros(lead + (H,)) if h0 is None else h0
-    c = np.zeros(lead + (H,)) if c0 is None else c0
-    hs, caches = [], []
-    for t in range(xs.shape[0]):
-        h, c, cache = lstm_step(xs[t], h, c, p, prefix)
-        hs.append(h)
-        caches.append(cache)
-    return np.stack(hs), h, c, caches
+    Wx, Wh, b = p[prefix + "Wx"], p[prefix + "Wh"], p[prefix + "b"]
+    xs = np.asarray(xs, float)
+    if xs.ndim < 2 or xs.shape[-1] != Wx.shape[0]:
+        raise DimensionError(
+            f"lstm_forward: input shape {xs.shape} vs Wx shape {Wx.shape}")
+    T, lead, H = xs.shape[0], xs.shape[1:-1], Wh.shape[0]
+    N = math.prod(lead)
+    hs = np.zeros((T + 1, N, H))
+    cs = np.zeros((T + 1, N, H))
+    for state, init in ((hs, h0), (cs, c0)):
+        if init is not None:
+            init = np.asarray(init, float)
+            if init.shape[-1] != H:
+                raise DimensionError(
+                    f"lstm_forward: initial state shape {init.shape} vs "
+                    f"hidden {H}")
+            state[0].reshape(lead + (H,))[...] = init
+    s = _gate_scale(H)
+    off = 1.0 - s
+    Whs = Wh * s
+    # input projection of every step in one GEMM; each step's gate block
+    # is then finished in place
+    gates = xs.reshape(T, N, -1) @ (Wx * s)
+    gates += b * s
+    tcs = np.empty((T, N, H))
+    for t in range(T):
+        a = gates[t]
+        a += hs[t] @ Whs
+        np.tanh(a, out=a)
+        a *= s
+        a += off
+        c = cs[t + 1]
+        np.multiply(a[:, H:2 * H], cs[t], out=c)
+        c += a[:, :H] * a[:, 2 * H:3 * H]
+        np.tanh(c, out=tcs[t])
+        np.multiply(a[:, 3 * H:], tcs[t], out=hs[t + 1])
+    hs_out = hs[1:].reshape((T,) + lead + (H,))
+    return (hs_out, hs_out[-1], cs[T].reshape(lead + (H,)),
+            LSTMCache(xs, hs, cs, gates, tcs))
 
 
-def lstm_backward(dhs, caches, p: ParamSet, grads: ParamSet,
+def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, p: ParamSet,
+              prefix: str = ""):
+    """One cell update, as a length-1 lstm_forward. Returns (h', c',
+    cache)."""
+    _, h_new, c_new, cache = lstm_forward(np.asarray(x, float)[None], p,
+                                          prefix, h, c)
+    return h_new, c_new, cache
+
+
+def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
                   prefix: str = "", dh_final=None, dc_final=None):
     """BPTT over a sequence run by lstm_forward.
 
     dhs: per-step gradients w.r.t. each h_t (array over time, or None).
     dh_final/dc_final: extra gradient flowing into the last state.
-    Returns (dxs stacked over time, dh0, dc0).
+    Adds the weight gradients into `grads` and returns (dxs shaped like
+    xs, dh0, dc0).
     """
-    T = len(caches)
-    sample = caches[-1][1]
-    dh = np.zeros_like(sample) if dh_final is None else dh_final.copy()
-    dc = np.zeros_like(sample) if dc_final is None else dc_final.copy()
-    dxs = [None] * T
+    xs, hs, cs, gates, tcs = cache
+    Wx, Wh = p[prefix + "Wx"], p[prefix + "Wh"]
+    T, N, H = tcs.shape
+    lead = xs.shape[1:-1]
+    if dhs is not None:
+        dhs = np.asarray(dhs, float).reshape(T, N, H)
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    # dz_t = [dct, dct, dct, dh] * coef_t, with dct the gradient w.r.t.
+    # c_t; coef holds each gate's derivative times its partner in
+    # c_t = f c_{t-1} + i g and h_t = o tanh(c_t)
+    coef = gates * (1.0 - gates)
+    coef[..., 2 * H:3 * H] = 1.0 - g * g
+    coef[..., :H] *= g
+    coef[..., H:2 * H] *= cs[:-1]
+    coef[..., 2 * H:3 * H] *= i
+    coef[..., 3 * H:] *= tcs
+    coef = coef.reshape(T, N, 4, H)
+    o_dtc = o * (1.0 - tcs * tcs)
+    WhT = Wh.T
+    dz = np.empty((T, N, 4 * H))
+    dz4 = dz.reshape(T, N, 4, H)
+    dh = np.zeros((N, H)) if dh_final is None \
+        else np.reshape(dh_final, (N, H))
+    dc = np.zeros((N, H)) if dc_final is None \
+        else np.reshape(dc_final, (N, H))
     for t in range(T - 1, -1, -1):
         if dhs is not None:
             dh = dh + dhs[t]
-        dx, dh, dc = lstm_step_backward(dh, dc, caches[t], p, grads, prefix)
-        dxs[t] = dx
-    return np.stack(dxs), dh, dc
+        dct = dh * o_dtc[t]
+        dct += dc
+        np.multiply(coef[t, :, :3], dct[:, None, :], out=dz4[t, :, :3])
+        np.multiply(coef[t, :, 3], dh, out=dz4[t, :, 3])
+        dc = dct * f[t]
+        dh = dz[t] @ WhT
+    # weight gradients and dxs: one GEMM each over the stacked steps
+    dz2 = dz.reshape(T * N, 4 * H)
+    grads[prefix + "Wx"] = grads[prefix + "Wx"] \
+        + xs.reshape(T * N, -1).T @ dz2
+    grads[prefix + "Wh"] = grads[prefix + "Wh"] \
+        + hs[:T].reshape(T * N, H).T @ dz2
+    grads[prefix + "b"] = grads[prefix + "b"] + dz2.sum(axis=0)
+    dxs = (dz2 @ Wx.T).reshape(xs.shape)
+    return dxs, dh.reshape(lead + (H,)), dc.reshape(lead + (H,))
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +260,3 @@ def mlp_backward(dy: np.ndarray, acts, p: ParamSet, n_layers: int,
         grads[f"{prefix}b{li}"] = grads[f"{prefix}b{li}"] + db
         d = dx
     return d
-
-
-def check_finite(name: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"{name}: non-finite values encountered")

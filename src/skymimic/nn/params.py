@@ -83,20 +83,6 @@ class ParamSet:
                 raise DimensionError(
                     f"parameter {k!r}: shape {other[k].shape} vs {v.shape}")
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.values()]) \
-            if self._arrays else np.zeros(0)
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        off = 0
-        for k, v in self.items():
-            n = v.size
-            self._arrays[k] = np.asarray(vec[off:off + n], dtype=np.float64) \
-                .reshape(v.shape).copy()
-            off += n
-        if off != len(vec):
-            raise DimensionError(f"flat vector length {len(vec)}, need {off}")
-
     def save(self, path: str | Path) -> None:
         path = Path(path)
         with open(path, "wb") as f:

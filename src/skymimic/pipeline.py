@@ -94,6 +94,15 @@ class ModelBundle:
                    style, cfg, imitation, seg)
 
 
+def demo_conditioning(demo_actions: np.ndarray, step: int,
+                      n_steps: int) -> np.ndarray:
+    """Demo action that conditions executed step `step` of `n_steps`:
+    the one at the same fraction of elapsed time, nearest index."""
+    frac = step / max(n_steps - 1, 1)
+    last = demo_actions.shape[0] - 1
+    return demo_actions[min(int(round(frac * last)), last)]
+
+
 def snippet_action_labels(record: VideoRecord) -> np.ndarray:
     """Action at each snippet's final frame, per snippet index."""
     starts = window_starts(record.n_frames)

@@ -4,7 +4,8 @@ import pytest
 from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax_update,
                          affine, affine_backward, grad_check, lstm_backward,
                          lstm_forward, lstm_init, lstm_step, mlp_backward,
-                         mlp_forward, mlp_init, softmax, uniform_init)
+                         mlp_forward, mlp_init, sigmoid, softmax,
+                         uniform_init)
 
 
 def test_affine_identity():
@@ -105,6 +106,107 @@ def test_layer_gradients_randomized(seed):
     assert grad_check(f, p, eps=1e-5) <= 1e-4
 
 
+def _ref_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _ref_lstm(xs, p, h0, c0, dhs, dh_final, dc_final):
+    """Plain per-step LSTM forward and BPTT: the reference for the fused
+    kernel. Returns (hs, h, c, dxs, dh0, dc0, {name: gradient})."""
+    Wx, Wh, b = p["Wx"], p["Wh"], p["b"]
+    H = Wh.shape[0]
+    h, c, steps, hs = h0, c0, [], []
+    for x in xs:
+        z = x @ Wx + h @ Wh + b
+        i, f = _ref_sigmoid(z[..., :H]), _ref_sigmoid(z[..., H:2 * H])
+        g, o = np.tanh(z[..., 2 * H:3 * H]), _ref_sigmoid(z[..., 3 * H:])
+        c_new = f * c + i * g
+        steps.append((x, h, c, i, f, g, o, np.tanh(c_new)))
+        h, c = o * np.tanh(c_new), c_new
+        hs.append(h)
+    gW = {"Wx": np.zeros_like(Wx), "Wh": np.zeros_like(Wh),
+          "b": np.zeros_like(b)}
+    dh, dc, dxs = dh_final, dc_final, []
+    for t in range(len(xs) - 1, -1, -1):
+        x, h_prev, c_prev, i, f, g, o, tc = steps[t]
+        if dhs is not None:
+            dh = dh + dhs[t]
+        dct = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dct * g * i * (1.0 - i),
+                             dct * c_prev * f * (1.0 - f),
+                             dct * i * (1.0 - g * g),
+                             dh * tc * o * (1.0 - o)], axis=-1)
+        gW["Wx"] += np.atleast_2d(x).T @ np.atleast_2d(dz)
+        gW["Wh"] += np.atleast_2d(h_prev).T @ np.atleast_2d(dz)
+        gW["b"] += np.atleast_2d(dz).sum(axis=0)
+        dxs.insert(0, dz @ Wx.T)
+        dh, dc = dz @ Wh.T, dct * f
+    return np.stack(hs), h, c, np.stack(dxs), dh, dc, gW
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("lead,given_state,with_dhs,with_final", [
+    ((64,), True, True, True),     # autoencoder decoder shape
+    ((64,), False, False, True),   # autoencoder encoder shape
+    ((), False, True, False),      # batch-1 style net, no batch axis
+    ((), True, False, True),
+])
+def test_lstm_fused_matches_per_step_reference(lead, given_state, with_dhs,
+                                               with_final):
+    rng = np.random.default_rng(17)
+    T, D, H = 8, 6, 5
+    p = lstm_init(rng, D, H)
+    p["b"] = rng.normal(size=4 * H)
+    xs = rng.normal(size=(T,) + lead + (D,))
+
+    def draw(shape, wanted):
+        return rng.normal(size=shape) if wanted else None
+
+    state = lead + (H,)
+    zero = np.zeros(state)
+    h0, c0 = draw(state, given_state), draw(state, given_state)
+    dhs = draw((T,) + state, with_dhs)
+    dh_f, dc_f = draw(state, with_final), draw(state, with_final)
+    snap = {"xs": xs.copy(), "params": p.copy(),
+            "rest": [None if a is None else a.copy()
+                     for a in (h0, c0, dhs, dh_f, dc_f)]}
+
+    hs, h, c, cache = lstm_forward(xs, p, h0=h0, c0=c0)
+    grads = p.zeros_like()
+    dxs, dh0, dc0 = lstm_backward(dhs, cache, p, grads, dh_final=dh_f,
+                                  dc_final=dc_f)
+    ref = _ref_lstm(xs, p, zero if h0 is None else h0,
+                    zero if c0 is None else c0, dhs,
+                    zero if dh_f is None else dh_f,
+                    zero if dc_f is None else dc_f)
+    # hs is (T, ..., H) and dxs is shaped like xs: the bench's .rows and
+    # .steps counters read these shapes
+    assert hs.shape == (T,) + state
+    assert dxs.shape == xs.shape
+    assert h.shape == c.shape == dh0.shape == dc0.shape == state
+    for got, want in zip((hs, h, c, dxs, dh0, dc0), ref[:6]):
+        assert _rel(got, want) <= 1e-12
+    for k in ("Wx", "Wh", "b"):
+        assert _rel(grads[k], ref[6][k]) <= 1e-12
+    # neither inputs nor params are mutated
+    assert np.array_equal(xs, snap["xs"])
+    for k in p:
+        assert np.array_equal(p[k], snap["params"][k])
+    for a, s in zip((h0, c0, dhs, dh_f, dc_f), snap["rest"]):
+        assert (a is None and s is None) or np.array_equal(a, s)
+
+
+def test_sigmoid_matches_logistic_without_overflow():
+    z = np.linspace(-30.0, 30.0, 601)
+    assert np.max(np.abs(sigmoid(z) - _ref_sigmoid(z))) <= 1e-15
+    with np.errstate(all="raise"):
+        out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+    assert np.array_equal(out, [0.0, 0.5, 1.0])
+
+
 def test_softmax_uniform():
     assert np.allclose(softmax(np.zeros(5)), 0.2)
 
@@ -180,6 +282,30 @@ def test_adamax_shape_mismatch():
     st = AdamaxState(p)
     with pytest.raises(DimensionError):
         adamax_update(p, ParamSet({"w": np.zeros(2)}), st)
+
+
+def test_adamax_in_place_bit_identical_to_formula():
+    rng = np.random.default_rng(21)
+    shapes = {"W": (4, 3), "b": (3,)}
+    p = ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
+    st = AdamaxState(p, lr=0.01)
+    ref_p, ref_m, ref_u = p.copy(), p.zeros_like(), p.zeros_like()
+    b1, b2, eps = st.beta1, st.beta2, st.eps
+    for step in range(1, 4):
+        g = ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
+        snapshot = p.copy()
+        adamax_update(p, g, st)
+        bias = 1.0 - b1 ** step
+        for k in p:
+            # the snapshot still holds the values from before the update
+            assert np.array_equal(snapshot[k], ref_p[k])
+            ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g[k]
+            ref_u[k] = np.maximum(b2 * ref_u[k], np.abs(g[k]))
+            ref_p[k] = ref_p[k] - (st.lr / bias) * ref_m[k] / (
+                ref_u[k] + eps)
+            assert np.array_equal(p[k], ref_p[k])
+            assert np.array_equal(st.m[k], ref_m[k])
+            assert np.array_equal(st.u[k], ref_u[k])
 
 
 def test_grad_check_sum_of_squares():

@@ -6,7 +6,7 @@ from skymimic.features import autoencoder_init
 from skymimic.geometry import Intrinsics
 from skymimic.imitation import init_imitation_net
 from skymimic.pipeline import (DependencyError, ModelBundle,
-                               snippet_action_labels)
+                               demo_conditioning, snippet_action_labels)
 from skymimic.stylenet import VARIANTS, init_style_net
 
 
@@ -62,3 +62,12 @@ def test_snippet_action_labels_shape():
     emb_rows = (rec.n_frames - 8) // 4 + 1
     assert labels.shape == (emb_rows, 7)
     assert np.array_equal(labels[0], rec.actions[7])
+
+
+def test_demo_conditioning_elapsed_fraction():
+    # 8 demo actions over 5 steps: fractions 0, 1/4, ... land on indices
+    # 0, 1.75, 3.5, 5.25, 7 and round to the nearest
+    demo = np.arange(8.0)[:, None] * np.ones(7)
+    picks = [demo_conditioning(demo, s, 5)[0] for s in range(5)]
+    assert picks == [0.0, 2.0, 4.0, 5.0, 7.0]
+    assert demo_conditioning(demo, 0, 1)[0] == 0.0
