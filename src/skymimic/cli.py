@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import features as features_mod
 from . import imitation as imitation_mod
 from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
@@ -29,7 +28,7 @@ from .controller import SubjectLostError, closed_loop_run
 from .dataset import CorpusConfig, load_corpus, load_video
 from .nn import NumericError, ParamSet
 from .pipeline import DependencyError, ModelBundle
-from .scene import STYLES, check_style_contract
+from .scene import DT, STYLES, check_style_contract
 from .segmenter import prob_curve, segment as segment_video
 from .stylenet import VARIANTS
 from .training import (build_snippet_corpus, make_live_scene,
@@ -248,11 +247,10 @@ def cmd_imitate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fps = 4
     rng = np.random.default_rng(cfg.seed + 17)
     verdicts = []
     for i, s in enumerate(segs):
-        lo, hi = int(s.start * fps), int(s.end * fps)
+        lo, hi = int(round(s.start / DT)), int(round(s.end / DT))
         v, _, _ = bundle.style_feature(rec.fg[lo:hi], rec.bg[lo:hi])
         scene, duration = make_live_scene(s.style, rng, cfg)
         try:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import (Intrinsics, Pose6D, flip_bg, flip_fg, project_foreground,
                        render_motion_field)
-from .scene import (STYLES, FrameSample, ShotScript, action_labels,
+from .scene import (STYLES, FrameSample, action_labels,
                     generate_style_trajectory, make_point_cloud, random_script)
 
 TABLE_MAGIC = b"SMT1"

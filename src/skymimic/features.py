@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, affine,
-                 affine_backward, lstm_backward, lstm_forward, lstm_init,
-                 mlp_init)
+                 affine_backward, lstm_backward, lstm_forward, lstm_init)
 from .nn.params import uniform_init
 
 WINDOW = 8

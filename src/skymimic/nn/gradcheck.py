@@ -8,34 +8,35 @@ from .layers import NumericError
 from .params import ParamSet
 
 
-def grad_check(f, params: ParamSet, eps: float = 1e-5) -> float:
-    """f(params) -> (scalar loss, ParamSet gradients).
+def grad_check(loss, params: ParamSet, analytic: ParamSet,
+               eps: float = 1e-5) -> float:
+    """loss(params) -> scalar loss; analytic: its gradients at params.
 
     Perturbs every component of every parameter by +-eps and compares the
-    central difference against the analytic gradient. Returns the maximum
-    of |analytic - fd| / max(1, |analytic|).
+    central difference against the analytic gradient. Only the loss is
+    evaluated per probe, so pass a forward-only callable. Returns the
+    maximum of |analytic - fd| / max(1, |analytic|).
     """
-    _, analytic = f(params)
     worst = 0.0
     work = params.copy()
     for k in params:
         base = params[k]
-        flat = base.ravel()
         ga = analytic[k].ravel()
+        pert = base.copy()
+        flat = pert.ravel()
+        work[k] = pert
         for idx in range(flat.size):
             orig = flat[idx]
-            pert = base.copy()
-            pert.ravel()[idx] = orig + eps
-            work[k] = pert
-            lp, _ = f(work)
-            pert.ravel()[idx] = orig - eps
-            work[k] = pert
-            lm, _ = f(work)
-            work[k] = base
+            flat[idx] = orig + eps
+            lp = loss(work)
+            flat[idx] = orig - eps
+            lm = loss(work)
+            flat[idx] = orig
             if not (np.isfinite(lp) and np.isfinite(lm)):
                 raise NumericError(
                     f"grad_check: non-finite loss probing {k}[{idx}]")
             fd = (lp - lm) / (2.0 * eps)
             err = abs(ga[idx] - fd) / max(1.0, abs(ga[idx]))
             worst = max(worst, err)
+        work[k] = base
     return worst

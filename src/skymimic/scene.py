@@ -11,7 +11,7 @@ leading the subject, flying backwards, aimed at subject).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

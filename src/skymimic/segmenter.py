@@ -12,6 +12,12 @@ styles.  The best-scoring candidate becomes the cut when its weaker
 side clears the confidence threshold; otherwise the video is one
 segment.
 
+The style net is causal and pools with per-step weights, so one forward
+pass over the video scores every prefix span at once
+(`stylenet.prefix_probs`): it gives the running probability curve of
+`prob_curve`, and in `segment` the whole video and the left side of
+every candidate cut.  Only the right sides need a pass of their own.
+
 Threshold semantics (default relative): the weaker side's peak
 probability must reach threshold * the stronger side's.  The absolute
 reading (weaker side's probability above threshold outright) is
@@ -27,7 +33,7 @@ import numpy as np
 from .features import STRIDE, WINDOW, TooShortError
 from .pipeline import ModelBundle
 from .scene import DT, STYLES
-from .stylenet import PROB_FLOOR, style_forward
+from .stylenet import PROB_FLOOR, prefix_probs, style_forward
 
 MIN_SEGMENT_SECONDS = 2.0
 N_CANDIDATES = 3   # discontinuity peaks scored per video
@@ -48,32 +54,17 @@ class Segment:
     peak_prob: float
 
 
-def _prefix_probs(emb: np.ndarray, bundle: ModelBundle) -> np.ndarray:
-    out = np.zeros((emb.shape[0], len(STYLES)))
-    for k in range(emb.shape[0]):
-        _, probs, _, _ = style_forward(emb[:k + 1], bundle.style_params,
-                                       bundle.style_cfg)
-        out[k] = probs
-    return out
-
-
 def prob_curve(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
                start_frame: int = 0) -> ProbCurve:
-    """Classifier probabilities over the growing prefix from start_frame."""
+    """Classifier probabilities over the growing prefix from start_frame,
+    all from one causal pass of the style net."""
     if fg.shape[0] - start_frame < WINDOW:
         raise TooShortError(
             f"need at least {WINDOW} frames after frame {start_frame}")
     emb = bundle.embed(fg[start_frame:], bg[start_frame:])
-    probs = _prefix_probs(emb, bundle)
+    probs = prefix_probs(emb, bundle.style_params, bundle.style_cfg)
     ends = start_frame + np.arange(emb.shape[0]) * STRIDE + WINDOW
     return ProbCurve(ends * DT, probs)
-
-
-def _span_probs(emb: np.ndarray, bundle: ModelBundle,
-                lo: int, hi: int) -> np.ndarray:
-    _, probs, _, _ = style_forward(emb[lo:hi], bundle.span_classifier(),
-                                   bundle.style_cfg)
-    return probs
 
 
 def _discontinuity(fg: np.ndarray) -> np.ndarray:
@@ -109,7 +100,9 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
     n = emb.shape[0]
     n_frames = fg.shape[0]
     duration = n_frames * DT
-    full = _span_probs(emb, bundle, 0, n)
+    net, cfg = bundle.span_classifier(), bundle.style_cfg
+    prefix = prefix_probs(emb, net, cfg)   # row k labels the span [0, k]
+    full = prefix[n - 1]
     whole = [Segment(0.0, duration, STYLES[int(np.argmax(full))],
                      float(np.max(full)))]
     min_part = max(1, int(round(min_len / DT)))
@@ -120,8 +113,8 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
     best = None
     for fcut in _candidate_cuts(d, min_part, n_frames - min_part):
         jc = min(max(int(round(fcut / STRIDE)), 2), n - 2)
-        p1 = _span_probs(emb, bundle, 0, jc)
-        p2 = _span_probs(emb, bundle, jc, n)
+        p1 = prefix[jc - 1]
+        _, p2, _, _ = style_forward(emb[jc:], net, cfg)
         if int(np.argmax(p1)) == int(np.argmax(p2)):
             continue
         weak, strong = sorted([float(p1.max()), float(p2.max())])

@@ -13,7 +13,7 @@ branch variants double the hidden width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,23 +94,38 @@ def init_style_net(cfg: StyleNetConfig, seed: int) -> ParamSet:
     return p
 
 
-def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
-    """seq (T, fg_dim+bg_dim) -> (v, probs, trace, cache)."""
+def _branch(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig, name: str):
+    """One branch's causal LSTM over seq and its pooling weights.
+
+    Returns (xs, cs, caches, a1, gate, count): the span [0, k] pools to
+    (gate[:k+1] @ cs[:k+1]) / count[k].  With attention, gate is the
+    sigmoid score beta_t and count is 1; mean pooling has gate 1 and
+    count k + 1.  a1 is the attention scorer's hidden layer (or None).
+    """
+    xs = seq[:, cfg.branch_input(name)]
+    cs, _, _, caches = lstm_forward(xs, p, prefix=f"{name}_")
+    T = cs.shape[0]
+    if cfg.use_attention:
+        a1 = np.tanh(affine(cs, p[f"a{name}_W0"], p[f"a{name}_b0"]))
+        s = affine(a1, p[f"a{name}_W1"], p[f"a{name}_b1"])[:, 0]
+        return xs, cs, caches, a1, sigmoid(s), np.ones(T)
+    return xs, cs, caches, None, np.ones(T), np.arange(1.0, T + 1.0)
+
+
+def _check_seq(seq: np.ndarray, who: str) -> np.ndarray:
     seq = np.asarray(seq, float)
     if seq.ndim != 2 or seq.shape[0] < 1:
-        raise ValueError("style_forward: need a nonempty (T, D) sequence")
-    T = seq.shape[0]
+        raise ValueError(f"{who}: need a nonempty (T, D) sequence")
+    return seq
+
+
+def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
+    """seq (T, fg_dim+bg_dim) -> (v, probs, trace, cache)."""
+    seq = _check_seq(seq, "style_forward")
     parts, trace_beta, trace_c, cache = [], {}, {}, {}
     for name in cfg.branches:
-        xs = seq[:, cfg.branch_input(name)]
-        cs, _, _, caches = lstm_forward(xs, p, prefix=f"{name}_")
-        if cfg.use_attention:
-            a1 = np.tanh(affine(cs, p[f"a{name}_W0"], p[f"a{name}_b0"]))
-            s = affine(a1, p[f"a{name}_W1"], p[f"a{name}_b1"])[:, 0]
-            beta = sigmoid(s)
-        else:
-            a1 = None
-            beta = np.full(T, 1.0 / T)
+        xs, cs, caches, a1, gate, count = _branch(seq, p, cfg, name)
+        beta = gate / count[-1]
         v_part = beta @ cs
         parts.append(v_part)
         trace_beta[name] = beta
@@ -121,6 +136,22 @@ def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
     probs = softmax(logits)
     cache["v"] = v
     return v, probs, AttentionTrace(trace_beta, trace_c), cache
+
+
+def prefix_probs(seq: np.ndarray, p: ParamSet,
+                 cfg: StyleNetConfig) -> np.ndarray:
+    """seq (T, D) -> (T, 5): row k is style_forward(seq[:k+1])'s probs.
+
+    The LSTM is causal and each pooling weight depends only on its own
+    step, so one pass gives every prefix's feature as a running sum.
+    """
+    seq = _check_seq(seq, "prefix_probs")
+    parts = []
+    for name in cfg.branches:
+        _, cs, _, _, gate, count = _branch(seq, p, cfg, name)
+        parts.append(np.cumsum(gate[:, None] * cs, axis=0) / count[:, None])
+    return softmax(affine(np.concatenate(parts, axis=1),
+                          p["cls_W0"], p["cls_b0"]))
 
 
 def style_loss(probs: np.ndarray, label: int, trace: AttentionTrace,

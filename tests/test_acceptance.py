@@ -26,14 +26,15 @@ from skymimic.geometry import Intrinsics, Pose6D, look_at, \
     project_foreground
 from skymimic.controller import localize_subject
 from skymimic.imitation import (dtw_align, dtw_brute_force,
-                                evaluate_imitation, imitation_loss_and_grad,
-                                init_imitation_net, make_action)
+                                evaluate_imitation, imitation_loss,
+                                imitation_loss_and_grad, init_imitation_net,
+                                make_action, predict_action)
 from skymimic.nn import grad_check
 from skymimic.scene import DT, STYLES, check_style_contract
 from skymimic.pipeline import demo_conditioning
 from skymimic.segmenter import segment
 from skymimic.stylenet import (StyleNetConfig, accuracy, init_style_net,
-                               style_loss_and_grad)
+                               style_forward, style_loss, style_loss_and_grad)
 from skymimic.training import build_snippet_corpus, make_live_scene, \
     style_examples
 
@@ -53,8 +54,13 @@ def test_criterion_1_gradient_correctness(capsys):
         p = init_style_net(cfg, seed)
         seq = rng.normal(0, 1, (3, 4))
         label = int(rng.integers(5))
-        err = grad_check(
-            lambda q: style_loss_and_grad(seq, label, q, cfg), p)
+
+        def style_loss_only(q):
+            _, probs, trace, _ = style_forward(seq, q, cfg)
+            return style_loss(probs, label, trace, cfg)[0]
+
+        _, g = style_loss_and_grad(seq, label, p, cfg)
+        err = grad_check(style_loss_only, p, g)
         worst = max(worst, err)
 
         p2 = init_imitation_net(2, 2, seed, hidden1=4, hidden2=3)
@@ -66,9 +72,14 @@ def test_criterion_1_gradient_correctness(capsys):
                             rng.uniform(0.1, 0.9))
         lab_s = make_action(rng.normal(0, 0.3, 3), rng.normal(0, 1, 3),
                             rng.uniform(0.1, 0.9))
-        err = grad_check(
-            lambda q: imitation_loss_and_grad(
-                v, o, a_prev, lab_c, a_prev, lab_s, lam=0.7, p=q), p2)
+
+        def imitation_loss_only(q):
+            pred = predict_action(v, o, a_prev, q)
+            return imitation_loss(pred, lab_c, pred, lab_s, lam=0.7)
+
+        _, g2 = imitation_loss_and_grad(v, o, a_prev, lab_c, a_prev, lab_s,
+                                        lam=0.7, p=p2)
+        err = grad_check(imitation_loss_only, p2, g2)
         worst = max(worst, err)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-4 and dt < 60

@@ -36,11 +36,11 @@ def test_autoencoder_gradients():
     p = autoencoder_init("fg", seed=8)
     batch = rng.normal(size=(2, 4, 5))
 
-    def f(ps):
-        mse, _, cache = _ae_forward(batch, ps)
-        return mse, _ae_backward(ps, cache)
+    def loss(ps):
+        return _ae_forward(batch, ps)[0]
 
-    assert grad_check(f, p, eps=1e-5) <= 1e-6
+    g = _ae_backward(p, _ae_forward(batch, p)[2])
+    assert grad_check(loss, p, g, eps=1e-5) <= 1e-6
 
 
 def test_autoencoder_memorizes_single_snippet():

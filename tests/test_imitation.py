@@ -108,10 +108,12 @@ def test_imitation_gradient(seed):
     l_c = make_action(rng.normal(size=3), rng.normal(size=3), 0.5)
     l_s = make_action(rng.normal(size=3), rng.normal(size=3), 0.2)
 
-    def f(ps):
-        return imitation_loss_and_grad(v, o, a_c, l_c, a_s, l_s, p=ps)
+    def loss(ps):
+        return imitation_loss(predict_action(v, o, a_c, ps), l_c,
+                              predict_action(v, o, a_s, ps), l_s)
 
-    assert grad_check(f, p, eps=1e-5) <= 1e-4
+    _, g = imitation_loss_and_grad(v, o, a_c, l_c, a_s, l_s, p=p)
+    assert grad_check(loss, p, g, eps=1e-5) <= 1e-4
 
 
 def _toy_corpus(rng, n_videos=4, T=6, obs_dim=5):

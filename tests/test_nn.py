@@ -33,14 +33,12 @@ def test_affine_gradients_vs_finite_differences():
         "b": rng.normal(size=4),
     })
 
-    def f(ps):
-        y = affine(ps["x"], ps["W"], ps["b"])
-        g = ps.zeros_like()
-        dx, dW, db = affine_backward(R, ps["x"], ps["W"])
-        g["x"], g["W"], g["b"] = dx, dW, db
-        return float(np.sum(y * R)), g
+    def loss(ps):
+        return float(np.sum(affine(ps["x"], ps["W"], ps["b"]) * R))
 
-    assert grad_check(f, p, eps=1e-5) <= 1e-6
+    g = p.zeros_like()
+    g["x"], g["W"], g["b"] = affine_backward(R, p["x"], p["W"])
+    assert grad_check(loss, p, g, eps=1e-5) <= 1e-6
 
 
 def test_lstm_zero_everything():
@@ -71,14 +69,12 @@ def test_lstm_bptt_vs_finite_differences():
     xs = rng.normal(size=(3, 3))
     R = rng.normal(size=(3, 4))
 
-    def f(ps):
-        hs, _, _, caches = lstm_forward(xs, ps)
-        loss = float(np.sum(hs * R))
-        g = ps.zeros_like()
-        lstm_backward(list(R), caches, ps, g)
-        return loss, g
+    def loss(ps):
+        return float(np.sum(lstm_forward(xs, ps)[0] * R))
 
-    assert grad_check(f, p, eps=1e-5) <= 1e-5
+    g = p.zeros_like()
+    lstm_backward(list(R), lstm_forward(xs, p)[3], p, g)
+    assert grad_check(loss, p, g, eps=1e-5) <= 1e-5
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -94,16 +90,17 @@ def test_layer_gradients_randomized(seed):
     xs = rng.normal(size=(4, 2))
     R = rng.normal(size=2)
 
-    def f(ps):
-        hs, h, c, caches = lstm_forward(xs, ps)
-        y, acts = mlp_forward(h, ps, 2, prefix="m_")
-        loss = float(np.sum(y * R))
-        g = ps.zeros_like()
-        dh = mlp_backward(R, acts, ps, 2, g, prefix="m_")
-        lstm_backward(None, caches, ps, g, dh_final=dh)
-        return loss, g
+    def loss(ps):
+        _, h, _, _ = lstm_forward(xs, ps)
+        y, _ = mlp_forward(h, ps, 2, prefix="m_")
+        return float(np.sum(y * R))
 
-    assert grad_check(f, p, eps=1e-5) <= 1e-4
+    _, h, _, caches = lstm_forward(xs, p)
+    _, acts = mlp_forward(h, p, 2, prefix="m_")
+    g = p.zeros_like()
+    dh = mlp_backward(R, acts, p, 2, g, prefix="m_")
+    lstm_backward(None, caches, p, g, dh_final=dh)
+    assert grad_check(loss, p, g, eps=1e-5) <= 1e-4
 
 
 def _ref_sigmoid(z):
@@ -311,12 +308,11 @@ def test_adamax_in_place_bit_identical_to_formula():
 def test_grad_check_sum_of_squares():
     p = ParamSet({"a": np.array([1.0, -2.0, 3.0]), "b": np.array([[0.5]])})
 
-    def f(ps):
-        loss = sum(float(np.sum(v ** 2)) for v in ps.values())
-        g = ParamSet({k: 2.0 * v for k, v in ps.items()})
-        return loss, g
+    def loss(ps):
+        return sum(float(np.sum(v ** 2)) for v in ps.values())
 
-    assert grad_check(f, p, eps=1e-5) <= 1e-8
+    g = ParamSet({k: 2.0 * v for k, v in p.items()})
+    assert grad_check(loss, p, g, eps=1e-5) <= 1e-8
 
 
 def test_paramset_serialization_roundtrip(tmp_path):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from skymimic.dataset import build_video
-from skymimic.features import TooShortError, autoencoder_init
+from skymimic.features import STRIDE, TooShortError, autoencoder_init
 from skymimic.geometry import Intrinsics
 from skymimic.pipeline import ModelBundle
 from skymimic.scene import DT, STYLES
-from skymimic.segmenter import MIN_SEGMENT_SECONDS, prob_curve, segment
-from skymimic.stylenet import VARIANTS, init_style_net
+from skymimic.segmenter import (MIN_SEGMENT_SECONDS, _candidate_cuts,
+                                _discontinuity, prob_curve, segment)
+from skymimic.stylenet import PROB_FLOOR, VARIANTS, init_style_net, \
+    style_forward
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +21,68 @@ def bundle():
 
 
 @pytest.fixture(scope="module")
+def seg_bundle():
+    """Bundle whose span classifier differs from its style net."""
+    cfg = VARIANTS["fg+bg+att"]
+    return ModelBundle(autoencoder_init("fg", 40),
+                       autoencoder_init("bg", 41),
+                       init_style_net(cfg, 42), cfg,
+                       segment_params=init_style_net(cfg, 43))
+
+
+@pytest.fixture(scope="module")
 def record():
     return build_video("seg0", "fly-by", "train", 50, Intrinsics())
+
+
+@pytest.fixture(scope="module")
+def two_style(record):
+    other = build_video("seg1", "orbiting", "train", 51, Intrinsics())
+    return (np.concatenate([record.fg, other.fg]),
+            np.concatenate([record.bg, other.bg]))
+
+
+def _span_probs(emb, net, cfg, lo, hi):
+    return style_forward(emb[lo:hi], net, cfg)[1]
+
+
+def _reference_curve(fg, bg, bundle):
+    """Per-prefix loop: one style-net pass for every prefix."""
+    emb = bundle.embed(fg, bg)
+    return np.array([_span_probs(emb, bundle.style_params, bundle.style_cfg,
+                                 0, k + 1) for k in range(emb.shape[0])])
+
+
+def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative"):
+    """segment() with one style-net pass per span: (cut frame or None,
+    [(style index, peak prob) per segment])."""
+    emb = bundle.embed(fg, bg)
+    net, cfg = bundle.span_classifier(), bundle.style_cfg
+    n, n_frames = emb.shape[0], fg.shape[0]
+    full = _span_probs(emb, net, cfg, 0, n)
+    whole = (None, [(int(np.argmax(full)), float(np.max(full)))])
+    min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
+    if n < 4 or n_frames < 2 * min_part:
+        return whole
+    d = _discontinuity(fg)
+    best = None
+    for fcut in _candidate_cuts(d, min_part, n_frames - min_part):
+        jc = min(max(int(round(fcut / STRIDE)), 2), n - 2)
+        p1 = _span_probs(emb, net, cfg, 0, jc)
+        p2 = _span_probs(emb, net, cfg, jc, n)
+        if int(np.argmax(p1)) == int(np.argmax(p2)):
+            continue
+        weak, strong = sorted([float(p1.max()), float(p2.max())])
+        if weak < (threshold * strong if mode == "relative" else threshold):
+            continue
+        score = (np.log(p1.max() + PROB_FLOOR) + np.log(p2.max() + PROB_FLOOR)
+                 + 0.5 * np.log(d[fcut - 1] + 1e-12))
+        if best is None or score > best[0]:
+            best = (score, fcut, p1, p2)
+    if best is None:
+        return whole
+    _, fcut, p1, p2 = best
+    return fcut, [(int(np.argmax(p)), float(np.max(p))) for p in (p1, p2)]
 
 
 def test_prob_curve_shape(bundle, record):
@@ -64,3 +126,33 @@ def test_segment_absolute_mode(bundle, record):
 def test_segment_rejects_bad_mode(bundle, record):
     with pytest.raises(ValueError):
         segment(record.fg, record.bg, bundle, mode="sideways")
+
+
+@pytest.mark.parametrize("which", ["record", "two_style"])
+def test_prob_curve_matches_per_prefix_reference(bundle, record, two_style,
+                                                 which):
+    fg, bg = (record.fg, record.bg) if which == "record" else two_style
+    curve = prob_curve(fg, bg, bundle)
+    want = _reference_curve(fg, bg, bundle)
+    assert curve.probs.shape == want.shape
+    assert np.max(np.abs(curve.probs - want)) <= 1e-12
+
+
+def test_segment_matches_per_span_reference(bundle, seg_bundle, record,
+                                            two_style):
+    cuts = 0
+    for b in (bundle, seg_bundle):
+        for fg, bg in ((record.fg, record.bg), two_style):
+            for kw in ({}, {"threshold": 0.95},
+                       {"threshold": 0.05, "mode": "absolute"}):
+                segs = segment(fg, bg, b, **kw)
+                fcut, want = _reference_segment(fg, bg, b, **kw)
+                assert len(segs) == len(want)
+                if fcut is not None:
+                    cuts += 1
+                    assert segs[0].end == fcut * DT == segs[1].start
+                for s, (style, peak) in zip(segs, want):
+                    assert s.style == STYLES[style]
+                    assert abs(s.peak_prob - peak) <= 1e-12
+    # the left-side rows of the prefix pass must have been exercised
+    assert cuts >= 4

@@ -3,8 +3,8 @@ import pytest
 
 from skymimic.nn import ParamSet, grad_check
 from skymimic.stylenet import (VARIANTS, AttentionTrace, StyleNetConfig,
-                               confusion_matrix, init_style_net, style_forward,
-                               style_loss, style_loss_and_grad,
+                               confusion_matrix, init_style_net, prefix_probs,
+                               style_forward, style_loss, style_loss_and_grad,
                                train_style_net)
 
 TINY = StyleNetConfig(hidden=6, attn_hidden=4, fg_dim=3, bg_dim=4)
@@ -51,6 +51,25 @@ def test_forward_empty_sequence():
         style_forward(np.zeros((0, 7)), p, TINY)
 
 
+@pytest.mark.parametrize("T", [1, 2, 13])
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_prefix_probs_match_per_prefix_forward(name, T):
+    cfg = VARIANTS[name]
+    p = init_style_net(cfg, seed=6)
+    seq = np.random.default_rng(6).uniform(-1, 1, size=(T, 96))
+    got = prefix_probs(seq, p, cfg)
+    assert got.shape == (T, 5)
+    for k in range(T):
+        _, want, _, _ = style_forward(seq[:k + 1], p, cfg)
+        assert np.max(np.abs(got[k] - want)) <= 1e-12
+
+
+def test_prefix_probs_empty_sequence():
+    p = init_style_net(TINY, seed=4)
+    with pytest.raises(ValueError):
+        prefix_probs(np.zeros((0, 7)), p, TINY)
+
+
 def test_beta_in_unit_interval():
     p = init_style_net(TINY, seed=5)
     seq = np.random.default_rng(5).normal(scale=5, size=(20, 7))
@@ -85,16 +104,21 @@ def test_loss_zero_probability_clamped():
     assert clamped and np.isfinite(loss)
 
 
+def _check_style_gradient(seq, label, p, cfg):
+    def loss(ps):
+        _, probs, trace, _ = style_forward(seq, ps, cfg)
+        return style_loss(probs, label, trace, cfg)[0]
+
+    _, g = style_loss_and_grad(seq, label, p, cfg)
+    return grad_check(loss, p, g, eps=1e-5)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_full_loss_gradient(seed):
     cfg = TINY
     p = init_style_net(cfg, seed=seed)
     seq = np.random.default_rng(100 + seed).normal(size=(4, 7))
-
-    def f(ps):
-        return style_loss_and_grad(seq, seed % 5, ps, cfg)
-
-    assert grad_check(f, p, eps=1e-5) <= 1e-4
+    assert _check_style_gradient(seq, seed % 5, p, cfg) <= 1e-4
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
@@ -105,11 +129,7 @@ def test_variant_gradients(name):
                          hidden=6, attn_hidden=4, fg_dim=3, bg_dim=4)
     p = init_style_net(cfg, seed=7)
     seq = np.random.default_rng(7).normal(size=(3, 7))
-
-    def f(ps):
-        return style_loss_and_grad(seq, 1, ps, cfg)
-
-    assert grad_check(f, p, eps=1e-5) <= 1e-4
+    assert _check_style_gradient(seq, 1, p, cfg) <= 1e-4
 
 
 def _toy_corpus(rng, n_per_class=8, T=6):
