@@ -26,9 +26,11 @@ from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
 from .dataset import CorpusConfig, load_corpus, load_video
+from .geometry import Intrinsics
 from .nn import NumericError, ParamSet
 from .pipeline import DependencyError, ModelBundle
-from .scene import DT, STYLES, check_style_contract
+from .scene import (DT, DURATION_MAX, DURATION_MIN, STYLES, GeneratorError,
+                    check_style_contract)
 from .segmenter import prob_curve, segment as segment_video
 from .stylenet import VARIANTS
 from .training import (build_snippet_corpus, make_live_scene,
@@ -50,6 +52,16 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.load(args.config)
     if getattr(args, "set", None):
         cfg = cfg.updated(parse_overrides(args.set))
+    if not (DURATION_MIN <= cfg.duration_min <= cfg.duration_max
+            <= DURATION_MAX):
+        raise ConfigError(
+            f"duration_min={cfg.duration_min}, duration_max="
+            f"{cfg.duration_max}: shots must last {DURATION_MIN} to "
+            f"{DURATION_MAX} s, with duration_min <= duration_max")
+    try:
+        Intrinsics(focal=cfg.focal)
+    except ValueError as e:
+        raise ConfigError(f"focal={cfg.focal}: {e}") from e
     return cfg
 
 
@@ -339,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, GeneratorError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARGS
     except DependencyError as e:

@@ -20,13 +20,14 @@ the demo schedule is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .features import WINDOW, embed_batch
 from .geometry import (Intrinsics, OffscreenError, Pose6D, VisibilityError,
                        FgFeature, pixel_to_world, project_foreground,
-                       render_motion_field, wrap_angle)
+                       project_points, render_motion_field, wrap_angle)
 from .imitation import DIR_EPS, make_action, predict_action
 from .nn import NumericError
 from .pipeline import ModelBundle, demo_conditioning
@@ -73,18 +74,30 @@ class SubjectTrack:
         return np.concatenate([self.position, self.velocity])
 
 
+@lru_cache(maxsize=8)
+def _kalman_model(dt: float, process_noise: float,
+                  measurement_noise: float):
+    """Read-only (F, Q, H, R) of the constant-velocity model, built once
+    per (dt, process_noise, measurement_noise)."""
+    I3 = np.eye(3)
+    F = np.block([[I3, dt * I3], [np.zeros((3, 3)), I3]])
+    q = process_noise ** 2
+    Q = q * np.block([[dt ** 4 / 4 * I3, dt ** 3 / 2 * I3],
+                      [dt ** 3 / 2 * I3, dt ** 2 * I3]])
+    H = np.hstack([I3, np.zeros((3, 3))])
+    R = measurement_noise ** 2 * I3
+    for m in (F, Q, H, R):
+        m.setflags(write=False)
+    return F, Q, H, R
+
+
 def kalman_step(track: SubjectTrack, measurement: np.ndarray,
                 dt: float = DT):
     """Predict/update cycle. Returns (updated track, dt-ahead position)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    I3 = np.eye(3)
-    F = np.block([[I3, dt * I3], [np.zeros((3, 3)), I3]])
-    q = track.process_noise ** 2
-    Q = q * np.block([[dt ** 4 / 4 * I3, dt ** 3 / 2 * I3],
-                      [dt ** 3 / 2 * I3, dt ** 2 * I3]])
-    H = np.hstack([I3, np.zeros((3, 3))])
-    R = track.measurement_noise ** 2 * I3
+    F, Q, H, R = _kalman_model(dt, track.process_noise,
+                               track.measurement_noise)
     x = F @ track.state
     P = F @ track.covariance @ F.T + Q
     y = np.asarray(measurement, float) - H @ x
@@ -283,6 +296,9 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     live shot and picks the straight or spherical step of
     `next_waypoint`.  Warm-up frames are calibration and are excluded
     from the returned log, which starts after the first flown step.
+    Each pose the camera reaches projects the scene's static cloud once;
+    the motion field of a step pairs that projection with the one kept
+    from the step before.
 
     When the demo's per-frame actions are given, each prediction is
     conditioned on the demo action at the same fraction of elapsed
@@ -326,11 +342,12 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
                 ) from e
             fg = None
         frames.append(FrameSample(now, drone, subj, scene.subject_height))
+        proj = project_points(drone, K, scene.cloud)
         if t > 0:
-            field_prev = render_motion_field(frames[t - 1].camera, drone, K,
-                                             scene.cloud)
+            field_prev = render_motion_field(proj_prev, proj, K)
             bg_rows.append(np.concatenate([field_prev.vector(),
                                            field_prev.mask_vector()]))
+        proj_prev = proj
         fg_rows.append(fg.vector() if fg is not None
                        else (fg_rows[-1] if fg_rows else np.zeros(5)))
         if t == n_total - 1:

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (Intrinsics, Pose6D, flip_bg, flip_fg, project_foreground,
-                       render_motion_field)
+from .geometry import (Intrinsics, flip_bg, flip_fg, project_foreground,
+                       project_points, render_motion_field)
 from .scene import (STYLES, FrameSample, action_labels,
                     generate_style_trajectory, make_point_cloud, random_script)
 
@@ -72,18 +72,6 @@ class VideoRecord:
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
-    def camera_pose(self, t: int) -> Pose6D:
-        r = self.frames[t]
-        return Pose6D(r[1:4], r[4], r[5], r[6])
-
-    def subject_pose(self, t: int) -> Pose6D:
-        r = self.frames[t]
-        return Pose6D(r[7:10], r[10], r[11], r[12])
-
-    def feature_stream(self) -> np.ndarray:
-        """(T, 133) per-frame concatenation of FG and BG observations."""
-        return np.concatenate([self.fg, self.bg], axis=1)
-
     def flipped(self) -> "VideoRecord":
         """Horizontal mirror of the observation streams (labels keep)."""
         fg = flip_fg(self.fg)
@@ -99,19 +87,22 @@ def features_for_frames(frames: list[FrameSample], K: Intrinsics,
     """FG/BG observation streams for a trajectory.
 
     BG at frame t is the motion field between poses t and t+1; the last
-    frame repeats the previous field.
+    frame repeats the previous field.  Each pose's cloud projection is
+    made once and serves both fields it takes part in.
     """
     n = len(frames)
     fg = np.zeros((n, 5))
     bg = np.zeros((n, 128))
     mask = np.zeros((n, 64))
+    proj = project_points(frames[0].camera, K, cloud) if n else None
     for t in range(n):
         f = project_foreground(frames[t].camera, K, frames[t].subject,
                                frames[t].subject_height)
         fg[t] = f.vector()
         if t < n - 1:
-            field = render_motion_field(frames[t].camera,
-                                        frames[t + 1].camera, K, cloud)
+            proj_next = project_points(frames[t + 1].camera, K, cloud)
+            field = render_motion_field(proj, proj_next, K)
+            proj = proj_next
             bg[t] = field.vector()
             mask[t] = field.mask_vector()
         else:

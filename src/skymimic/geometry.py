@@ -11,6 +11,7 @@ down. Image axes: u right, v down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,22 +50,28 @@ class Pose6D:
         return np.array([self.roll, self.yaw, self.pitch])
 
     def rotation(self) -> np.ndarray:
-        """Body-to-world rotation matrix."""
+        """Body-to-world rotation matrix (read-only, built once)."""
+        return self._frame[0]
+
+    def camera_axes(self):
+        """(right, down, forward) unit vectors in world coordinates,
+        read-only and built once: no pose field changes after
+        `__post_init__`."""
+        return self._frame[1]
+
+    @cached_property
+    def _frame(self):
         cr, sr = np.cos(self.roll), np.sin(self.roll)
         cy, sy = np.cos(self.yaw), np.sin(self.yaw)
         cp, sp = np.cos(self.pitch), np.sin(self.pitch)
         Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
         Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
         Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-        return Rz @ Ry @ Rx
-
-    def camera_axes(self):
-        """(right, down, forward) unit vectors in world coordinates."""
-        R = self.rotation()
-        forward = R[:, 0]
-        right = -R[:, 1]
-        down = -R[:, 2]
-        return right, down, forward
+        R = Rz @ Ry @ Rx
+        axes = (-R[:, 1], -R[:, 2], R[:, 0])
+        for a in (R,) + axes:
+            a.setflags(write=False)
+        return R, axes
 
 
 @dataclass
@@ -165,20 +172,20 @@ class BgFeature:
         return self.valid.ravel().astype(float)
 
 
-def render_motion_field(cam_t: Pose6D, cam_t1: Pose6D, K: Intrinsics,
-                        background: np.ndarray) -> BgFeature:
-    """Mean per-cell pixel displacement of static points between the two
-    poses; displacement normalized by image size. Cells without points
-    are zero with valid=False."""
-    px0, z0 = project_points(cam_t, K, background)
-    px1, z1 = project_points(cam_t1, K, background)
+def render_motion_field(proj_t, proj_t1, K: Intrinsics) -> BgFeature:
+    """Mean per-cell pixel displacement of static points between two
+    poses, from each pose's `project_points` result for the same points;
+    displacement normalized by image size.  A point counts when it is in
+    front of both cameras and inside the first image.  Cells without
+    points are zero with valid=False."""
+    (px0, z0), (px1, z1) = proj_t, proj_t1
     ok = ((z0 > 1e-6) & (z1 > 1e-6)
           & (px0[:, 0] >= 0) & (px0[:, 0] < K.width)
           & (px0[:, 1] >= 0) & (px0[:, 1] < K.height))
     feature = BgFeature()
     if not np.any(ok):
         return feature
-    p0, p1 = px0[ok], px1[ok]
+    p0, p1 = np.compress(ok, px0, axis=0), np.compress(ok, px1, axis=0)
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
         raise ArithmeticError("render_motion_field: non-finite projection")
     disp = (p1 - p0) / np.array([K.width, K.height])
@@ -186,8 +193,10 @@ def render_motion_field(cam_t: Pose6D, cam_t1: Pose6D, K: Intrinsics,
     gy = np.minimum((p0[:, 1] / K.height * GRID).astype(int), GRID - 1)
     cell = gy * GRID + gx
     counts = np.bincount(cell, minlength=GRID * GRID).astype(float)
-    sums = np.zeros((GRID * GRID, 2))
-    np.add.at(sums, cell, disp)
+    # bincount adds each cell's weights in point order, as np.add.at does
+    sums = np.stack([np.bincount(cell, weights=disp[:, k],
+                                 minlength=GRID * GRID) for k in (0, 1)],
+                    axis=1)
     nonzero = counts > 0
     sums[nonzero] /= counts[nonzero, None]
     feature.velocity = sums.reshape(GRID, GRID, 2)

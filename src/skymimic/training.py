@@ -14,7 +14,7 @@ from .imitation import SnippetCorpus, train_imitation_net
 from .pipeline import ModelBundle, snippet_action_labels
 from .scene import STYLES, generate_style_trajectory, make_point_cloud, \
     random_script
-from .stylenet import VARIANTS, train_ablation_variants, \
+from .stylenet import VARIANTS, style_forward, train_ablation_variants, \
     train_segment_net, train_style_net
 from .controller import LiveScene
 
@@ -102,7 +102,7 @@ def build_snippet_corpus(records: list[VideoRecord],
     ids, styles, embs, acts, feats = [], [], [], [], []
     for rec in records:
         emb = bundle.embed(rec.fg, rec.bg)
-        v, _, _ = bundle.style_feature(rec.fg, rec.bg)
+        v, _, _, _ = style_forward(emb, bundle.style_params, bundle.style_cfg)
         ids.append(rec.video_id)
         styles.append(rec.style)
         embs.append(emb)

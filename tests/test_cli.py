@@ -28,6 +28,14 @@ def test_gen_data_rejects_unknown_style(tmp_path):
                  "--styles", "sideways"]) == 2
 
 
+@pytest.mark.parametrize("override", ["duration_min=1", "focal=-1"])
+def test_gen_data_rejects_bad_config_value(tmp_path, capsys, override):
+    out = tmp_path / "d"
+    assert main(["gen-data", "--out", str(out), "--set", override]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_gen_data_manifest(workspace):
     lines = (workspace / "data" / "manifest.txt").read_text().splitlines()
     assert lines[0].startswith("# skymimic corpus")

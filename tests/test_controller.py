@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from skymimic.controller import (FRAME_KEEP, Executor, SubjectTrack,
-                                 kalman_step, localize_subject,
-                                 next_waypoint)
+                                 closed_loop_run, kalman_step,
+                                 localize_subject, next_waypoint)
+from skymimic.dataset import build_video
+from skymimic.features import autoencoder_init
 from skymimic.geometry import (Intrinsics, Pose6D, look_at,
-                               project_foreground)
-from skymimic.imitation import make_action
+                               project_foreground, project_points,
+                               render_motion_field)
+from skymimic.imitation import init_imitation_net, make_action
+from skymimic.pipeline import ModelBundle
+from skymimic.stylenet import VARIANTS, init_style_net
+from skymimic.training import make_live_scene
 from skymimic.scene import (DT, STYLES, FrameSample, action_labels,
                             check_style_contract, generate_style_trajectory,
                             random_script)
@@ -83,6 +89,47 @@ def test_kalman_covariance_psd_sweep():
         P = track.covariance
         assert np.allclose(P, P.T)
         assert np.min(np.linalg.eigvalsh(P)) >= -1e-9
+
+
+def _reference_kalman_step(track, measurement, dt):
+    """kalman_step as first written: the model rebuilt on every call."""
+    I3 = np.eye(3)
+    F = np.block([[I3, dt * I3], [np.zeros((3, 3)), I3]])
+    q = track.process_noise ** 2
+    Q = q * np.block([[dt ** 4 / 4 * I3, dt ** 3 / 2 * I3],
+                      [dt ** 3 / 2 * I3, dt ** 2 * I3]])
+    H = np.hstack([I3, np.zeros((3, 3))])
+    R = track.measurement_noise ** 2 * I3
+    x = F @ track.state
+    P = F @ track.covariance @ F.T + Q
+    y = np.asarray(measurement, float) - H @ x
+    S = H @ P @ H.T + R
+    G = P @ H.T @ np.linalg.inv(S)
+    x = x + G @ y
+    P = (np.eye(6) - G @ H) @ P
+    P = 0.5 * (P + P.T)
+    return SubjectTrack(x[:3], x[3:], P, track.process_noise,
+                        track.measurement_noise), (F @ x)[:3]
+
+
+def test_kalman_matches_block_reference():
+    # two filters with different models, stepped in turn, so a model
+    # built for one is never used by the other
+    rng = np.random.default_rng(31)
+    tracks = [SubjectTrack(np.zeros(3)),
+              SubjectTrack(np.ones(3), process_noise=1.5,
+                           measurement_noise=0.3)]
+    refs = list(tracks)
+    dts = [DT, 0.1]
+    for k in range(50):
+        for i in range(2):
+            z = np.array([0.5, -0.2, 0.0]) * k * dts[i] \
+                + rng.normal(0, 0.1, 3)
+            tracks[i], pred = kalman_step(tracks[i], z, dts[i])
+            refs[i], ref_pred = _reference_kalman_step(refs[i], z, dts[i])
+            assert np.array_equal(pred, ref_pred)
+            assert np.array_equal(tracks[i].state, refs[i].state)
+            assert np.array_equal(tracks[i].covariance, refs[i].covariance)
 
 
 def test_kalman_rejects_bad_dt():
@@ -260,3 +307,26 @@ def test_executor_replays_scripted_shot(style, seed):
                                  shot[t + 1].subject_height))
     ok, metrics = check_style_contract(style, flown, strict=False)
     assert ok, metrics
+
+
+@pytest.mark.parametrize("style", ["fly-by", "orbiting"])
+def test_closed_loop_fields_match_per_pair_reference(style):
+    # the loop keeps each pose's projection for the next step; its fields
+    # must equal ones built from both poses of each logged pair
+    cfg = VARIANTS["fg+bg+att"]
+    bundle = ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
+                         init_style_net(cfg, 9), cfg,
+                         init_imitation_net(128, 96, 10))
+    demo = build_video("demo", style, "test", 3, Intrinsics(),
+                       duration_range=(8.0, 8.0))
+    v, _, _ = bundle.style_feature(demo.fg, demo.bg)
+    scene, _ = make_live_scene(style, np.random.default_rng(5))
+    run = closed_loop_run(v, scene, bundle, 4.0, demo.actions)
+    K, n = scene.intrinsics, len(run.frames)
+    for j in range(n):
+        a, b = run.frames[j:j + 2] if j < n - 1 else run.frames[j - 1:]
+        field = render_motion_field(project_points(a.camera, K, scene.cloud),
+                                    project_points(b.camera, K, scene.cloud),
+                                    K)
+        assert np.array_equal(run.bg[j], field.vector())
+        assert np.array_equal(run.mask[j], field.mask_vector())

@@ -78,7 +78,8 @@ def test_motion_field_static_camera_zero():
     rng = np.random.default_rng(1)
     cloud = rng.uniform(-20, 20, size=(500, 3)) + [30, 0, 0]
     cam = Pose6D(np.zeros(3))
-    f = render_motion_field(cam, cam, Intrinsics(), cloud)
+    proj = project_points(cam, Intrinsics(), cloud)
+    f = render_motion_field(proj, proj, Intrinsics())
     assert np.allclose(f.velocity, 0.0)
     assert f.valid.any()
 
@@ -94,7 +95,8 @@ def test_motion_field_translation_expands():
     K = Intrinsics()
     cam0 = Pose6D(np.zeros(3))
     cam1 = Pose6D(np.array([1.0, 0.0, 0.0]))
-    f = render_motion_field(cam0, cam1, K, cloud)
+    f = render_motion_field(project_points(cam0, K, cloud),
+                            project_points(cam1, K, cloud), K)
     centers = (np.arange(8) + 0.5) / 8.0 - 0.5
     gy, gx = np.meshgrid(centers, centers, indexing="ij")
     radial = np.stack([gx, gy], axis=-1)
@@ -113,7 +115,8 @@ def test_motion_field_pure_yaw_magnitude():
     omega = 0.05
     cam0 = Pose6D(np.zeros(3), yaw=0.0)
     cam1 = Pose6D(np.zeros(3), yaw=omega)
-    f = render_motion_field(cam0, cam1, K, cloud)
+    f = render_motion_field(project_points(cam0, K, cloud),
+                            project_points(cam1, K, cloud), K)
     # near the image center the horizontal shift is ~ focal * omega px
     center_cells = f.velocity[3:5, 3:5, 0] * K.width
     assert f.valid[3:5, 3:5].all()
@@ -153,3 +156,83 @@ def test_flip_bg_involution_and_sign():
     fgrid = fv.reshape(8, 8, 2)
     assert np.allclose(fgrid[:, ::-1, 0], -grid[..., 0])
     assert np.allclose(fgrid[:, ::-1, 1], grid[..., 1])
+
+
+def _reference_field(cam_t, cam_t1, K, cloud):
+    """Motion field as first written: both poses projected here, cells
+    filled with np.add.at."""
+    px0, z0 = project_points(cam_t, K, cloud)
+    px1, z1 = project_points(cam_t1, K, cloud)
+    ok = ((z0 > 1e-6) & (z1 > 1e-6)
+          & (px0[:, 0] >= 0) & (px0[:, 0] < K.width)
+          & (px0[:, 1] >= 0) & (px0[:, 1] < K.height))
+    velocity, valid = np.zeros((8, 8, 2)), np.zeros((8, 8), dtype=bool)
+    if not np.any(ok):
+        return velocity, valid
+    p0, p1 = px0[ok], px1[ok]
+    disp = (p1 - p0) / np.array([K.width, K.height])
+    gx = np.minimum((p0[:, 0] / K.width * 8).astype(int), 7)
+    gy = np.minimum((p0[:, 1] / K.height * 8).astype(int), 7)
+    cell = gy * 8 + gx
+    counts = np.bincount(cell, minlength=64).astype(float)
+    sums = np.zeros((64, 2))
+    np.add.at(sums, cell, disp)
+    nonzero = counts > 0
+    sums[nonzero] /= counts[nonzero, None]
+    return sums.reshape(8, 8, 2), nonzero.reshape(8, 8)
+
+
+@pytest.mark.parametrize("n_points", [0, 3, 40, 3000])
+def test_motion_field_from_projections_matches_reference(n_points):
+    # few points leave most cells empty; many fill nearly all of them
+    rng = np.random.default_rng(40 + n_points)
+    K = Intrinsics()
+    for _ in range(20):
+        cloud = rng.uniform(-30, 30, size=(n_points, 3)) + [40.0, 0, 0]
+        cam0 = Pose6D(rng.normal(0, 2, 3), rng.uniform(-0.2, 0.2),
+                      rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3))
+        cam1 = Pose6D(cam0.position + rng.normal(0, 0.5, 3),
+                      cam0.roll + rng.normal(0, 0.05),
+                      cam0.yaw + rng.normal(0, 0.05),
+                      cam0.pitch + rng.normal(0, 0.05))
+        f = render_motion_field(project_points(cam0, K, cloud),
+                                project_points(cam1, K, cloud), K)
+        velocity, valid = _reference_field(cam0, cam1, K, cloud)
+        assert np.array_equal(f.velocity, velocity)
+        assert np.array_equal(f.valid, valid)
+        if 0 < n_points <= 40:
+            assert not f.valid.all()
+
+
+def test_motion_field_no_valid_point():
+    # the whole cloud lies behind the first camera
+    rng = np.random.default_rng(41)
+    K = Intrinsics()
+    cloud = rng.uniform(-30, 30, size=(500, 3)) - [40.0, 0, 0]
+    cam0, cam1 = Pose6D(np.zeros(3)), Pose6D(np.array([0.5, 0.0, 0.0]))
+    f = render_motion_field(project_points(cam0, K, cloud),
+                            project_points(cam1, K, cloud), K)
+    velocity, valid = _reference_field(cam0, cam1, K, cloud)
+    assert np.array_equal(f.velocity, velocity) and not f.velocity.any()
+    assert np.array_equal(f.valid, valid) and not f.valid.any()
+
+
+def test_pose_axes_cached_and_read_only():
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        cam = Pose6D(rng.normal(0, 5, 3), *rng.uniform(-np.pi, np.pi, 3))
+        cr, sr = np.cos(cam.roll), np.sin(cam.roll)
+        cy, sy = np.cos(cam.yaw), np.sin(cam.yaw)
+        cp, sp = np.cos(cam.pitch), np.sin(cam.pitch)
+        R = (np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
+             @ np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
+             @ np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]]))
+        assert np.array_equal(cam.rotation(), R)
+        right, down, forward = cam.camera_axes()
+        assert np.array_equal(right, -R[:, 1])
+        assert np.array_equal(down, -R[:, 2])
+        assert np.array_equal(forward, R[:, 0])
+        assert cam.camera_axes()[0] is right
+    for a in (cam.rotation(),) + cam.camera_axes():
+        with pytest.raises(ValueError):
+            a[0] = 1.0

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from skymimic.dataset import (CorpusConfig, build_video, load_corpus,
+from skymimic.dataset import (CorpusConfig, build_video,
+                              features_for_frames, load_corpus,
                               make_dataset, read_table, write_table)
-from skymimic.geometry import Intrinsics, wrap_angle
+from skymimic.geometry import (Intrinsics, project_foreground,
+                               project_points, render_motion_field,
+                               wrap_angle)
 from skymimic.scene import (DT, STYLES, GeneratorError, ShotScript,
                             SubjectPath, action_labels,
                             check_style_contract, generate_style_trajectory,
-                            random_script)
+                            make_point_cloud, random_script)
 
 
 def _script(style, seed):
@@ -175,3 +178,21 @@ def test_determinism_of_build():
     assert a.frames.tobytes() == b.frames.tobytes()
     assert a.bg.tobytes() == b.bg.tobytes()
     assert a.actions.tobytes() == b.actions.tobytes()
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_features_for_frames_match_per_pair_reference(style):
+    rng = np.random.default_rng(STYLES.index(style) + 60)
+    K = Intrinsics()
+    frames = generate_style_trajectory(random_script(style, rng, (8.0, 9.0)))
+    cloud = make_point_cloud(rng, center=tuple(frames[0].subject.position[:2]))
+    fg, bg, mask = features_for_frames(frames, K, cloud)
+    for t, fr in enumerate(frames):
+        box = project_foreground(fr.camera, K, fr.subject, fr.subject_height)
+        assert np.array_equal(fg[t], box.vector())
+        pair = frames[t:t + 2] if t < len(frames) - 1 else frames[t - 1:]
+        field = render_motion_field(project_points(pair[0].camera, K, cloud),
+                                    project_points(pair[1].camera, K, cloud),
+                                    K)
+        assert np.array_equal(bg[t], field.vector())
+        assert np.array_equal(mask[t], field.mask_vector())
