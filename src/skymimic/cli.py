@@ -62,6 +62,9 @@ def _load_config(args) -> ExperimentConfig:
         Intrinsics(focal=cfg.focal)
     except ValueError as e:
         raise ConfigError(f"focal={cfg.focal}: {e}") from e
+    if not cfg.subject_height > 0:
+        raise ConfigError(f"subject_height={cfg.subject_height}: the "
+                          f"subject's height must be positive")
     return cfg
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, affine,
-                 affine_backward, lstm_backward, lstm_forward, lstm_init)
+from .nn import (AdamaxState, NumericError, ParamSet, TrainingError,
+                 adamax_update, affine, affine_backward, lstm_backward,
+                 lstm_forward, lstm_init)
 from .nn.params import uniform_init
 
 WINDOW = 8
@@ -30,10 +31,6 @@ CHANNEL_DIMS = {"fg": (FG_DIM, FG_EMBED), "bg": (BG_DIM, BG_EMBED)}
 
 
 class TooShortError(ValueError):
-    pass
-
-
-class TrainingError(RuntimeError):
     pass
 
 

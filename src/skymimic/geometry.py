@@ -100,7 +100,12 @@ def look_at(position: np.ndarray, target: np.ndarray) -> Pose6D:
 def project_points(cam: Pose6D, K: Intrinsics, points: np.ndarray):
     """Project world points (N,3). Returns (pixels (N,2), depths (N,))."""
     right, down, forward = cam.camera_axes()
-    d = np.atleast_2d(points) - cam.position
+    points = np.atleast_2d(points)
+    # column by column: broadcasting the (3,) position over (N, 3) rows
+    # costs about half the projection
+    d = np.empty(points.shape)
+    for col, p, out in zip(points.T, cam.position, d.T):
+        np.subtract(col, p, out=out)
     x = d @ right
     y = d @ down
     z = d @ forward

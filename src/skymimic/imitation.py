@@ -22,18 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (AdamaxState, NumericError, ParamSet, adamax_update,
-                 mlp_backward, mlp_forward, mlp_init, sigmoid)
+from .nn import (AdamaxState, NumericError, ParamSet, TrainingError,
+                 adamax_update, mlp_backward, mlp_forward, mlp_init, sigmoid)
 from .scene import STYLES
 
 ACTION_DIM = 7
 DIR_EPS = 1e-8
 SCALE_EPS = 1e-3  # clamp before the logit of the current scale
 CONTEXT_DIM = 64
-
-
-class TrainingError(RuntimeError):
-    pass
 
 
 class SamplingError(ValueError):

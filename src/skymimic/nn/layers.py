@@ -14,7 +14,8 @@ call, not per flop:
   s * y + (1 - s).
 - Forward. xs @ Wx + b for all T steps is one GEMM before the
   recurrence; each step adds h_{t-1} @ Wh and finishes its gate block
-  in place.
+  in place, with no per-step allocation (batch-1 calls are dominated
+  by per-call overhead).
 - Cache layout (LSTMCache), N being the product of the batch axes:
   the input xs (T, ..., D) as given; hidden and cell states hs, cs
   (T+1, N, H) with row 0 the initial state; gate activations
@@ -27,6 +28,7 @@ call, not per flop:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +38,10 @@ from .params import DimensionError, ParamSet, uniform_init
 
 class NumericError(ArithmeticError):
     """Raised when a computation produces non-finite values."""
+
+
+class TrainingError(NumericError):
+    """Raised when a training loop's loss turns non-finite."""
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -95,13 +101,17 @@ class LSTMCache(NamedTuple):
     tcs: np.ndarray    # (T, N, H) tanh(c_t)
 
 
-def _gate_scale(H: int) -> np.ndarray:
-    """s over the 4H gate block: 1/2 on i, f, o and 1 on g, so that
-    s * tanh(s * z) + (1 - s) is sigmoid(z) on i, f, o and tanh(z) on g.
-    Scaling by 1/2 is exact, so it is folded into the weights."""
+@lru_cache(maxsize=8)
+def _gate_scale(H: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, 1 - s) over the 4H gate block, s being 1/2 on i, f, o and 1
+    on g, so that s * tanh(s * z) + (1 - s) is sigmoid(z) on i, f, o
+    and tanh(z) on g. Scaling by 1/2 is exact, so it is folded into the
+    weights. Built once per hidden size; both arrays are read-only."""
     s = np.full(4 * H, 0.5)
     s[2 * H:3 * H] = 1.0
-    return s
+    off = 1.0 - s
+    s.flags.writeable = off.flags.writeable = False
+    return s, off
 
 
 def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
@@ -138,25 +148,30 @@ def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
                     f"lstm_forward: initial state shape {init.shape} vs "
                     f"hidden {H}")
             state[0].reshape(lead + (H,))[...] = init
-    s = _gate_scale(H)
-    off = 1.0 - s
+    s, off = _gate_scale(H)
     Whs = Wh * s
     # input projection of every step in one GEMM; each step's gate block
     # is then finished in place
     gates = xs.reshape(T, N, -1) @ (Wx * s)
     gates += b * s
     tcs = np.empty((T, N, H))
-    for t in range(T):
-        a = gates[t]
-        a += hs[t] @ Whs
+    # the step loop allocates nothing: h_{t-1} @ Whs and i * g go into
+    # two buffers, and every per-step operand is a view of the cache
+    rec = np.empty((N, 4 * H))
+    ig = np.empty((N, H))
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    for a, i_t, f_t, g_t, o_t, h_prev, c_prev, c, tc, h in zip(
+            gates, i, f, g, o, hs[:-1], cs[:-1], cs[1:], tcs, hs[1:]):
+        np.matmul(h_prev, Whs, out=rec)
+        a += rec
         np.tanh(a, out=a)
         a *= s
         a += off
-        c = cs[t + 1]
-        np.multiply(a[:, H:2 * H], cs[t], out=c)
-        c += a[:, :H] * a[:, 2 * H:3 * H]
-        np.tanh(c, out=tcs[t])
-        np.multiply(a[:, 3 * H:], tcs[t], out=hs[t + 1])
+        np.multiply(f_t, c_prev, out=c)
+        np.multiply(i_t, g_t, out=ig)
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(o_t, tc, out=h)
     hs_out = hs[1:].reshape((T,) + lead + (H,))
     return (hs_out, hs_out[-1], cs[T].reshape(lead + (H,)),
             LSTMCache(xs, hs, cs, gates, tcs))

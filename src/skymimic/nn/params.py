@@ -9,6 +9,7 @@ descriptor and free-form metadata (e.g. channel tags).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -105,21 +106,36 @@ class ParamSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "ParamSet":
+        """Read a container written by save(). Raises OSError when the
+        file is not a container, ends inside a record, or has bytes
+        after the last record."""
         path = Path(path)
+        buf = path.read_bytes()
+        pos = 0
+
+        def take(n: int) -> bytes:
+            nonlocal pos
+            if pos + n > len(buf):
+                raise OSError(f"{path}: truncated at byte {len(buf)} "
+                              f"(record needs {pos + n})")
+            pos += n
+            return buf[pos - n:pos]
+
+        if take(4) != MAGIC:
+            raise OSError(f"{path}: not a parameter container")
         ps = cls()
-        with open(path, "rb") as f:
-            if f.read(4) != MAGIC:
-                raise IOError(f"{path}: not a parameter container")
-            (count,) = struct.unpack("<I", f.read(4))
-            for _ in range(count):
-                (nlen,) = struct.unpack("<H", f.read(2))
-                name = f.read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<B", f.read(1))
-                shape = tuple(struct.unpack("<I", f.read(4))[0]
-                              for _ in range(ndim))
-                n = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(f.read(8 * n), dtype="<f8")
-                ps[name] = data.reshape(shape).copy()
+        (count,) = struct.unpack("<I", take(4))
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", take(2))
+            name = take(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            n = math.prod(shape)
+            data = np.frombuffer(take(8 * n), dtype="<f8")
+            ps[name] = data.reshape(shape).copy()
+        if pos != len(buf):
+            raise OSError(f"{path}: {len(buf) - pos} trailing bytes after "
+                          f"{count} records")
         sidecar = path.with_suffix(path.suffix + ".json")
         if sidecar.exists():
             with open(sidecar) as f:

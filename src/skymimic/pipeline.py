@@ -4,7 +4,7 @@ with save/load against a directory of parameter containers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,32 @@ class ModelBundle:
     imitation_params: ParamSet | None = None
     segment_params: ParamSet | None = None
 
+    # (fg encoder, bg encoder, fg copy, bg copy, embedding) of the
+    # last embed call
+    _memo: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
+
     def embed(self, fg: np.ndarray, bg: np.ndarray) -> np.ndarray:
-        return embed_video(fg, bg, self.fg_encoder, self.bg_encoder)
+        """(T_snippets, EMBED_DIM) embedding of a video, read-only.
+
+        The last call is memoised, so a demo that is cut by `segment`
+        and then scored by `prob_curve` is embedded once. The memo's key
+        is the two encoder ParamSets, compared by identity, and the
+        fg/bg content, compared with np.array_equal against copies taken
+        on the call that filled it. Encoders therefore must not be
+        written in place once they are in a bundle: assign new ParamSets
+        to `fg_encoder`/`bg_encoder` instead.
+        """
+        m = self._memo
+        if (m is not None and m[0] is self.fg_encoder
+                and m[1] is self.bg_encoder
+                and np.array_equal(m[2], fg) and np.array_equal(m[3], bg)):
+            return m[4]
+        emb = embed_video(fg, bg, self.fg_encoder, self.bg_encoder)
+        emb.flags.writeable = False
+        self._memo = (self.fg_encoder, self.bg_encoder, np.array(fg),
+                      np.array(bg), emb)
+        return emb
 
     def span_classifier(self) -> ParamSet:
         """Net used to label sub-spans: the crop-trained segment net

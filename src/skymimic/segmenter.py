@@ -17,6 +17,10 @@ pass over the video scores every prefix span at once
 (`stylenet.prefix_probs`): it gives the running probability curve of
 `prob_curve`, and in `segment` the whole video and the left side of
 every candidate cut.  Only the right sides need a pass of their own.
+Both functions take the snippet embedding from `ModelBundle.embed`,
+whose memo holds the last video's embedding, so `segment` followed by
+`prob_curve` on the same demo (`skymimic segment --curve`) embeds it
+once.
 
 Threshold semantics (default relative): the weaker side's peak
 probability must reach threshold * the stronger side's.  The absolute

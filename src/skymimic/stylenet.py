@@ -18,17 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import BG_EMBED, FG_EMBED
-from .nn import (AdamaxState, ParamSet, adamax_update, affine,
-                 affine_backward, lstm_backward, lstm_forward, lstm_init,
-                 mlp_init, sigmoid, softmax)
+from .nn import (AdamaxState, ParamSet, TrainingError, adamax_update,
+                 affine, affine_backward, lstm_backward, lstm_forward,
+                 lstm_init, mlp_init, sigmoid, softmax)
 from .scene import STYLES
 
 N_CLASSES = len(STYLES)
 PROB_FLOOR = 1e-12
-
-
-class TrainingError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

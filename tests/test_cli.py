@@ -1,6 +1,9 @@
+import shutil
+
 import numpy as np
 import pytest
 
+from skymimic import features
 from skymimic.cli import main
 
 
@@ -28,7 +31,9 @@ def test_gen_data_rejects_unknown_style(tmp_path):
                  "--styles", "sideways"]) == 2
 
 
-@pytest.mark.parametrize("override", ["duration_min=1", "focal=-1"])
+@pytest.mark.parametrize("override", ["duration_min=1", "focal=-1",
+                                      "subject_height=-1",
+                                      "subject_height=0"])
 def test_gen_data_rejects_bad_config_value(tmp_path, capsys, override):
     out = tmp_path / "d"
     assert main(["gen-data", "--out", str(out), "--set", override]) == 2
@@ -53,6 +58,30 @@ def test_train_unknown_config_key(workspace, tmp_path):
                "--out", str(tmp_path / "art"), "--stage", "autoencoder",
                "--set", "bogus=1"])
     assert rc == 2
+
+
+def test_train_divergence_exits_4(workspace, tmp_path, monkeypatch, capsys):
+    def diverged(batch, p):
+        return float("nan"), None, None
+
+    monkeypatch.setattr(features, "_ae_forward", diverged)
+    out = tmp_path / "art"
+    rc = main(["train", "--data", str(workspace / "data"), "--out",
+               str(out), "--stage", "autoencoder"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: autoencoder (fg)")
+    assert not (out / "fg_encoder.bin").exists()
+
+
+def test_segment_truncated_artifact_exits_5(workspace, tmp_path, capsys):
+    art = tmp_path / "art"
+    shutil.copytree(workspace / "art", art)
+    blob = (art / "style_net.bin").read_bytes()
+    (art / "style_net.bin").write_bytes(blob[:len(blob) // 2])
+    rc = main(["segment", "--data", str(workspace / "data"),
+               "--artifacts", str(art), "--video", "fly-by_000"])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_eval_outputs(workspace):

@@ -236,3 +236,23 @@ def test_pose_axes_cached_and_read_only():
     for a in (cam.rotation(),) + cam.camera_axes():
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 6880])
+def test_project_points_matches_broadcast_subtract(n_points):
+    rng = np.random.default_rng(43 + n_points)
+    K = Intrinsics()
+    for _ in range(10):
+        cam = Pose6D(rng.normal(0, 5, 3), *rng.uniform(-np.pi, np.pi, 3))
+        points = rng.uniform(-40, 40, size=(n_points, 3))
+        inputs = [points] + ([points[0]] if n_points == 1 else [])
+        for pts in inputs:   # a single (3,) point is one row
+            right, down, forward = cam.camera_axes()
+            d = np.atleast_2d(pts) - cam.position
+            x, y, z = d @ right, d @ down, d @ forward
+            with np.errstate(divide="ignore", invalid="ignore"):
+                px_ref = np.stack([K.focal * x / z + K.cx,
+                                   K.focal * y / z + K.cy], axis=-1)
+            px, depth = project_points(cam, K, pts)
+            assert px.shape == (n_points, 2) and depth.shape == (n_points,)
+            assert np.array_equal(px, px_ref) and np.array_equal(depth, z)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,62 @@ def test_lstm_fused_matches_per_step_reference(lead, given_state, with_dhs,
         assert (a is None and s is None) or np.array_equal(a, s)
 
 
+def _loop_lstm_forward(xs, p, h0, c0):
+    """lstm_forward's step loop as first fused, with a fresh gate scale
+    per call and two temporaries per step: the reference the loop that
+    allocates nothing must equal bit for bit. Returns (hs, cs, gates,
+    tcs) as laid out in LSTMCache."""
+    Wx, Wh, b = p["Wx"], p["Wh"], p["b"]
+    T, lead, H = xs.shape[0], xs.shape[1:-1], Wh.shape[0]
+    N = math.prod(lead)
+    hs, cs = np.zeros((T + 1, N, H)), np.zeros((T + 1, N, H))
+    for state, init in ((hs, h0), (cs, c0)):
+        if init is not None:
+            state[0] = np.reshape(init, (N, H))
+    s = np.full(4 * H, 0.5)
+    s[2 * H:3 * H] = 1.0
+    off = 1.0 - s
+    Whs = Wh * s
+    gates = xs.reshape(T, N, -1) @ (Wx * s)
+    gates += b * s
+    tcs = np.empty((T, N, H))
+    for t in range(T):
+        a = gates[t]
+        a += hs[t] @ Whs
+        np.tanh(a, out=a)
+        a *= s
+        a += off
+        c = cs[t + 1]
+        np.multiply(a[:, H:2 * H], cs[t], out=c)
+        c += a[:, :H] * a[:, 2 * H:3 * H]
+        np.tanh(c, out=tcs[t])
+        np.multiply(a[:, 3 * H:], tcs[t], out=hs[t + 1])
+    return hs, cs, gates, tcs
+
+
+@pytest.mark.parametrize("given_state", [False, True])
+@pytest.mark.parametrize("T,lead,D", [
+    (1, (), 32), (8, (), 32), (40, (), 64),   # batch-1 style net shapes
+    (8, (1,), 5),                             # one-window embedding
+    (8, (64,), 128),                          # autoencoder batch shape
+])
+def test_lstm_forward_loop_bit_identical_to_reference(T, lead, D,
+                                                      given_state):
+    rng = np.random.default_rng(T * 1000 + D)
+    H = 64 if D != 5 else 32
+    p = lstm_init(rng, D, H)
+    p["b"] = rng.normal(size=4 * H)
+    xs = rng.normal(size=(T,) + lead + (D,))
+    h0 = rng.normal(size=lead + (H,)) if given_state else None
+    c0 = rng.normal(size=lead + (H,)) if given_state else None
+    want = _loop_lstm_forward(xs, p, h0, c0)
+    for _ in range(2):   # the second call reuses the cached gate scale
+        _, _, _, cache = lstm_forward(xs, p, h0=h0, c0=c0)
+        got = (cache.hs, cache.cs, cache.gates, cache.tcs)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
 def test_sigmoid_matches_logistic_without_overflow():
     z = np.linspace(-30.0, 30.0, 601)
     assert np.max(np.abs(sigmoid(z) - _ref_sigmoid(z))) <= 1e-15
@@ -331,6 +389,25 @@ def test_paramset_serialization_roundtrip(tmp_path):
     p.save(tmp_path / "params2.bin")
     assert (tmp_path / "params.bin").read_bytes() == \
         (tmp_path / "params2.bin").read_bytes()
+
+
+def test_paramset_load_rejects_truncated_and_trailing(tmp_path):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "params.bin"
+    ParamSet({"Wx": rng.normal(size=(3, 8)), "b": rng.normal(size=8),
+              "s": rng.normal(size=())}).save(path)
+    blob = path.read_bytes()
+    # every proper prefix: inside the magic, the count, a name, a shape
+    # or a payload, and on a record boundary
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(OSError):
+            ParamSet.load(path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(OSError, match="trailing"):
+        ParamSet.load(path)
+    path.write_bytes(blob)
+    assert list(ParamSet.load(path).keys()) == ["Wx", "b", "s"]
 
 
 def test_uniform_init_bounds_and_determinism():

@@ -4,6 +4,7 @@ import pytest
 from skymimic.dataset import build_video
 from skymimic.features import STRIDE, TooShortError, autoencoder_init
 from skymimic.geometry import Intrinsics
+from skymimic import pipeline
 from skymimic.pipeline import ModelBundle
 from skymimic.scene import DT, STYLES
 from skymimic.segmenter import (MIN_SEGMENT_SECONDS, _candidate_cuts,
@@ -12,12 +13,16 @@ from skymimic.stylenet import PROB_FLOOR, VARIANTS, init_style_net, \
     style_forward
 
 
-@pytest.fixture(scope="module")
-def bundle():
+def _new_bundle():
     cfg = VARIANTS["fg+bg+att"]
     return ModelBundle(autoencoder_init("fg", 40),
                        autoencoder_init("bg", 41),
                        init_style_net(cfg, 42), cfg)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    return _new_bundle()
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +161,49 @@ def test_segment_matches_per_span_reference(bundle, seg_bundle, record,
                     assert abs(s.peak_prob - peak) <= 1e-12
     # the left-side rows of the prefix pass must have been exercised
     assert cuts >= 4
+
+
+def test_segment_then_curve_embed_once(two_style, record, monkeypatch):
+    calls, real = [], pipeline.embed_video
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "embed_video", counting)
+    fg, bg = two_style
+    b = _new_bundle()
+    segs = segment(fg, bg, b)
+    curve = prob_curve(fg, bg, b)
+    assert len(calls) == 1
+    # equal to what bundles that never saw the demo give
+    assert segs == segment(fg, bg, _new_bundle())
+    fresh = prob_curve(fg, bg, _new_bundle())
+    assert np.array_equal(curve.probs, fresh.probs)
+    assert np.array_equal(curve.times, fresh.times)
+    calls.clear()
+
+    emb = b.embed(fg.copy(), bg.copy())   # equal content, new arrays: hit
+    assert not calls and not emb.flags.writeable
+    with pytest.raises(ValueError):
+        emb[0, 0] = 1.0
+    b.embed(record.fg, record.bg)          # new content
+    assert len(calls) == 1
+    b.embed(record.fg, record.bg)
+    assert len(calls) == 1
+    fg2 = record.fg.copy()
+    fg2[3, 0] += 1.0                       # new fg content
+    b.embed(fg2, record.bg)
+    assert len(calls) == 2
+    fg2[3, 0] += 1.0                       # the memo's source written in place
+    b.embed(fg2, record.bg)
+    assert len(calls) == 3
+    b.embed(fg2, record.bg + 1.0)          # new bg content
+    assert len(calls) == 4
+    b.fg_encoder = b.fg_encoder.copy()     # a replaced encoder
+    b.embed(fg2, record.bg + 1.0)
+    assert len(calls) == 5
+    b.bg_encoder = b.bg_encoder.copy()
+    got = b.embed(fg2, record.bg + 1.0)
+    assert len(calls) == 6
+    assert np.array_equal(got, _new_bundle().embed(fg2, record.bg + 1.0))
