@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import (Intrinsics, flip_bg, flip_fg, project_foreground,
                        project_points, render_motion_field)
+from .nn.params import ByteReader
 from .scene import (STYLES, FrameSample, action_labels,
                     generate_style_trajectory, make_point_cloud, random_script)
 
@@ -45,12 +46,15 @@ def write_table(path: Path, data: np.ndarray) -> None:
 
 
 def read_table(path: Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        if f.read(4) != TABLE_MAGIC:
-            raise IOError(f"{path}: not a table file")
-        rows, cols = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(8 * rows * cols), dtype="<f8")
-    return data.reshape(rows, cols).copy()
+    """Read a table written by write_table. Raises OSError when the
+    file is not a table, ends inside it, or has bytes after it."""
+    r = ByteReader(path)
+    if r.take(4) != TABLE_MAGIC:
+        raise OSError(f"{path}: not a table file")
+    rows, cols = r.unpack("<II")
+    data = r.floats((rows, cols)).astype(np.float64)
+    r.finish(f"a {rows}x{cols} table")
+    return data
 
 
 @dataclass

@@ -98,8 +98,8 @@ def _ae_backward(p: ParamSet, cache) -> ParamSet:
     dhs = np.empty_like(dec_hs)
     for t in range(n):
         dh, dW, db = affine_backward(derr[t], dec_hs[t], p["out_W"])
-        grads["out_W"] = grads["out_W"] + dW
-        grads["out_b"] = grads["out_b"] + db
+        grads["out_W"] += dW
+        grads["out_b"] += db
         dhs[t] = dh
     _, dh0, dc0 = lstm_backward(dhs, dec_caches, p, grads, prefix="dec_")
     lstm_backward(None, enc_caches, p, grads, prefix="enc_",

@@ -18,7 +18,8 @@ shots that do, whose direction looks alike in the camera frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,10 +59,12 @@ class WarpingPath:
 
 
 def dtw_align(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
-    """Minimal-cost monotone alignment under Euclidean distance.
+    """Minimal-cost monotone alignment under Euclidean distance (Sakoe &
+    Chiba, IEEE TASSP 1978).
 
     Ties during traceback prefer the diagonal step, then the (1,0)
-    step (advancing the first sequence).
+    step (advancing the first sequence). The cost table is filled with
+    Python floats, which add and compare as float64 does.
     """
     a = np.asarray(seq_a, float)
     b = np.asarray(seq_b, float)
@@ -72,13 +75,15 @@ def dtw_align(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
     n, m = a.shape[0], b.shape[0]
     if n == 0 or m == 0:
         raise ValueError("dtw_align: empty sequence")
-    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    D = np.full((n + 1, m + 1), np.inf)  # padded accumulated-cost matrix
-    D[0, 0] = 0.0
-    for i in range(1, n + 1):
-        D[i, 1:] = dist[i - 1]
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2).tolist()
+    # padded accumulated-cost table: row and column 0 are the border
+    D = [[0.0] + [math.inf] * m]
+    for d in dist:
+        up = D[-1]
+        row = [math.inf] * (m + 1)
         for j in range(1, m + 1):
-            D[i, j] += min(D[i - 1, j - 1], D[i - 1, j], D[i, j - 1])
+            row[j] = d[j - 1] + min(up[j - 1], up[j], row[j - 1])
+        D.append(row)
     pairs = []
     i, j = n - 1, m - 1
     while True:
@@ -87,15 +92,15 @@ def dtw_align(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
             break
         # predecessors of padded cell (i+1, j+1), preference order:
         # diagonal, then (1,0) (advance i), then (0,1)
-        cand = [(D[i, j], i - 1, j - 1), (D[i, j + 1], i - 1, j),
-                (D[i + 1, j], i, j - 1)]
+        cand = [(D[i][j], i - 1, j - 1), (D[i][j + 1], i - 1, j),
+                (D[i + 1][j], i, j - 1)]
         mn = min(val for val, _, _ in cand)
         for val, pi, pj in cand:
             if val == mn:
                 i, j = pi, pj
                 break
     pairs.reverse()
-    return WarpingPath(pairs, float(D[n, m]))
+    return WarpingPath(pairs, float(D[n][m]))
 
 
 def dtw_brute_force(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
@@ -268,20 +273,48 @@ class SnippetCorpus:
     actions[i][t] is the ground-truth action at snippet t's final
     frame; the label for "next action after snippet t" is
     actions[i][t + 1].
+
+    Each (content, style) video pair is DTW-aligned once, on its first
+    draw, and its matches are kept for later draws; so fill the lists
+    before sampling and do not change them afterwards.
     """
     video_ids: list[str]
     styles: list[str]
     embeddings: list[np.ndarray]   # (T_i, obs_dim)
     actions: list[np.ndarray]      # (T_i, 7)
     style_features: list[np.ndarray]  # (style_dim,) per video
+    # (ci, si) -> aligned(ci, si)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def by_style(self, style: str) -> list[int]:
         return [i for i, s in enumerate(self.styles) if s == style]
 
+    def aligned(self, ci: int, si: int) -> tuple[list[int], dict[int, int]]:
+        """(usable, median) for content video ci against style video si:
+        median[t] is the median style snippet DTW matches to content
+        snippet t, and usable lists, once per path pair, the content
+        snippets whose match and own index both have a next-action
+        label."""
+        hit = self._pairs.get((ci, si))
+        if hit is None:
+            path = dtw_align(self.embeddings[ci], self.embeddings[si])
+            median = median_matches(path)
+            t_max = self.embeddings[ci].shape[0] - 2
+            s_max = self.embeddings[si].shape[0] - 2
+            usable = [i for i, _ in path.pairs
+                      if i <= t_max and median[i] <= s_max]
+            hit = self._pairs[ci, si] = (usable, median)
+        return hit
 
-def median_match(path: WarpingPath, i: int) -> int:
-    js = sorted(path.matches_for(i))
-    return js[(len(js) - 1) // 2]
+
+def median_matches(path: WarpingPath) -> dict[int, int]:
+    """For every first-sequence index on the path, the median (lower of
+    the middle two) of the second-sequence indices it is matched to."""
+    js: dict[int, list[int]] = {}
+    for i, j in path.pairs:
+        js.setdefault(i, []).append(j)
+    return {i: sorted(v)[(len(v) - 1) // 2] for i, v in js.items()}
 
 
 def sample_training_pair(corpus: SnippetCorpus, style: str,
@@ -293,15 +326,11 @@ def sample_training_pair(corpus: SnippetCorpus, style: str,
         raise SamplingError(
             f"style {style!r} has {len(idxs)} videos; need at least 2")
     ci, si = rng.choice(idxs, size=2, replace=False)
-    path = dtw_align(corpus.embeddings[ci], corpus.embeddings[si])
-    t_max = corpus.embeddings[ci].shape[0] - 2
-    s_max = corpus.embeddings[si].shape[0] - 2
-    usable = [i for i, _ in path.pairs
-              if i <= t_max and median_match(path, i) <= s_max]
+    usable, median = corpus.aligned(int(ci), int(si))
     if not usable:
         raise SamplingError(f"no usable matched snippets for {style!r}")
     t = int(usable[rng.integers(len(usable))])
-    t2 = median_match(path, t)
+    t2 = median[t]
     return {
         "content_video": ci,
         "style_video": si,

@@ -1,4 +1,5 @@
-"""Adamax optimizer (infinity-norm variant of Adam)."""
+"""Adamax optimizer (infinity-norm variant of Adam; Kingma & Ba, "Adam",
+ICLR 2015)."""
 
 from __future__ import annotations
 
@@ -6,9 +7,12 @@ import numpy as np
 
 from .params import ParamSet
 
+CHUNK = 16384  # elements per pass over the flat vectors: 128 KiB each
+
 
 class AdamaxState:
-    """Per-parameter first-moment and infinity-norm accumulators."""
+    """Per-parameter first-moment and infinity-norm accumulators, plus
+    two chunk-sized scratch buffers for the update."""
 
     def __init__(self, params: ParamSet, lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999,
@@ -20,6 +24,8 @@ class AdamaxState:
         self.step = 0
         self.m = params.zeros_like()
         self.u = params.zeros_like()
+        n = min(params.flat.size, CHUNK)
+        self._scratch = (np.empty(n), np.empty(n))
 
 
 def adamax_update(params: ParamSet, grads: ParamSet,
@@ -27,19 +33,29 @@ def adamax_update(params: ParamSet, grads: ParamSet,
     """In-place Adamax step: m <- b1 m + (1-b1) g, u <- max(b2 u, |g|),
     p <- p - lr/(1-b1^t) * m/(u+eps).
 
-    m, u and the parameter arrays are updated in place, in the same
-    operation order as the formula, so arrays shared with another
-    ParamSet change too (ParamSet.copy() gives an independent one).
+    Runs over the flat vectors of params, grads, m and u in chunks of
+    CHUNK elements, with the elementwise operations of the formula in
+    its order, so every element gets the same bits as a whole-array
+    update; the only temporaries are the state's two scratch buffers.
     """
     params.check_mirror(grads)
+    params.check_mirror(state.m)
     state.step += 1
-    rate = state.lr / (1.0 - state.beta1 ** state.step)
-    for k, p in params.items():
-        g, m, u = grads[k], state.m[k], state.u[k]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        u *= state.beta2
-        np.maximum(u, np.abs(g), out=u)
-        step = rate * m
-        step /= u + state.eps
-        p -= step
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    rate = state.lr / (1.0 - b1 ** state.step)
+    p, g, m, u = params.flat, grads.flat, state.m.flat, state.u.flat
+    s1, s2 = state._scratch
+    for lo in range(0, p.size, CHUNK):
+        hi = min(lo + CHUNK, p.size)
+        pc, gc, mc, uc = p[lo:hi], g[lo:hi], m[lo:hi], u[lo:hi]
+        t1, t2 = s1[:hi - lo], s2[:hi - lo]
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=t1)
+        mc += t1
+        uc *= b2
+        np.abs(gc, out=t1)
+        np.maximum(uc, t1, out=uc)
+        np.multiply(mc, rate, out=t1)
+        np.add(uc, eps, out=t2)
+        t1 /= t2
+        pc -= t1

@@ -15,16 +15,15 @@ def grad_check(loss, params: ParamSet, analytic: ParamSet,
     Perturbs every component of every parameter by +-eps and compares the
     central difference against the analytic gradient. Only the loss is
     evaluated per probe, so pass a forward-only callable. Returns the
-    maximum of |analytic - fd| / max(1, |analytic|).
+    maximum of |analytic - fd| / max(1, |analytic|). The probes perturb
+    a copy of params, element by element in place; params is not
+    written.
     """
     worst = 0.0
     work = params.copy()
     for k in params:
-        base = params[k]
         ga = analytic[k].ravel()
-        pert = base.copy()
-        flat = pert.ravel()
-        work[k] = pert
+        flat = work[k].reshape(-1)  # a view: probes perturb work in place
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
@@ -38,5 +37,4 @@ def grad_check(loss, params: ParamSet, analytic: ParamSet,
             fd = (lp - lm) / (2.0 * eps)
             err = abs(ga[idx] - fd) / max(1.0, abs(ga[idx]))
             worst = max(worst, err)
-        work[k] = base
     return worst

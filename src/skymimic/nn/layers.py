@@ -21,8 +21,9 @@ call, not per flop:
   (T+1, N, H) with row 0 the initial state; gate activations
   (T, N, 4H) in i|f|g|o order; tanh(c_t) as tcs (T, N, H).
 - Backward. BPTT writes each step's pre-activation gradient into one
-  (T, N, 4H) array; dWx, dWh, db and dxs are then one GEMM (or sum)
-  each over the stacked steps.
+  (T, N, 4H) array, again with no per-step allocation; dWx, dWh, db and
+  dxs are then one GEMM (or sum) each over the stacked steps, and the
+  weight gradients are added into the gradient set's views in place.
 """
 
 from __future__ import annotations
@@ -216,26 +217,32 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     WhT = Wh.T
     dz = np.empty((T, N, 4 * H))
     dz4 = dz.reshape(T, N, 4, H)
-    dh = np.zeros((N, H)) if dh_final is None \
-        else np.reshape(dh_final, (N, H))
-    dc = np.zeros((N, H)) if dc_final is None \
-        else np.reshape(dc_final, (N, H))
-    for t in range(T - 1, -1, -1):
-        if dhs is not None:
-            dh = dh + dhs[t]
-        dct = dh * o_dtc[t]
+    # the step loop allocates nothing: dh, dc and dct are buffers of
+    # this call (the caller's dh_final and dc_final are copied in, never
+    # written), and every per-step operand is a view built up front
+    dh, dc, dct = np.zeros((N, H)), np.zeros((N, H)), np.empty((N, H))
+    if dh_final is not None:
+        dh[...] = np.reshape(dh_final, (N, H))
+    if dc_final is not None:
+        dc[...] = np.reshape(dc_final, (N, H))
+    steps = zip(dz[::-1], dz4[::-1, :, :3], dz4[::-1, :, 3],
+                coef[::-1, :, :3], coef[::-1, :, 3], o_dtc[::-1], f[::-1],
+                dhs[::-1] if dhs is not None else [None] * T)
+    for dz_t, dz_c, dz_o, coef_c, coef_o, o_dtc_t, f_t, dh_t in steps:
+        if dh_t is not None:
+            dh += dh_t
+        np.multiply(dh, o_dtc_t, out=dct)
         dct += dc
-        np.multiply(coef[t, :, :3], dct[:, None, :], out=dz4[t, :, :3])
-        np.multiply(coef[t, :, 3], dh, out=dz4[t, :, 3])
-        dc = dct * f[t]
-        dh = dz[t] @ WhT
-    # weight gradients and dxs: one GEMM each over the stacked steps
+        np.multiply(coef_c, dct[:, None, :], out=dz_c)
+        np.multiply(coef_o, dh, out=dz_o)
+        np.multiply(dct, f_t, out=dc)
+        np.matmul(dz_t, WhT, out=dh)
+    # weight gradients and dxs: one GEMM each over the stacked steps,
+    # added into the gradient views in place
     dz2 = dz.reshape(T * N, 4 * H)
-    grads[prefix + "Wx"] = grads[prefix + "Wx"] \
-        + xs.reshape(T * N, -1).T @ dz2
-    grads[prefix + "Wh"] = grads[prefix + "Wh"] \
-        + hs[:T].reshape(T * N, H).T @ dz2
-    grads[prefix + "b"] = grads[prefix + "b"] + dz2.sum(axis=0)
+    grads[prefix + "Wx"] += xs.reshape(T * N, -1).T @ dz2
+    grads[prefix + "Wh"] += hs[:T].reshape(T * N, H).T @ dz2
+    grads[prefix + "b"] += dz2.sum(axis=0)
     dxs = (dz2 @ Wx.T).reshape(xs.shape)
     return dxs, dh.reshape(lead + (H,)), dc.reshape(lead + (H,))
 
@@ -271,7 +278,7 @@ def mlp_backward(dy: np.ndarray, acts, p: ParamSet, n_layers: int,
             a = acts[li + 1]
             d = d * (1.0 - a * a)
         dx, dW, db = affine_backward(d, acts[li], p[f"{prefix}W{li}"])
-        grads[f"{prefix}W{li}"] = grads[f"{prefix}W{li}"] + dW
-        grads[f"{prefix}b{li}"] = grads[f"{prefix}b{li}"] + db
+        grads[f"{prefix}W{li}"] += dW
+        grads[f"{prefix}b{li}"] += db
         d = dx
     return d

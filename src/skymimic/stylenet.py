@@ -173,8 +173,8 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
     dlogits = probs.copy()
     dlogits[label] -= 1.0
     dv, dW, db = affine_backward(dlogits, v, p["cls_W0"])
-    grads["cls_W0"] = grads["cls_W0"] + dW
-    grads["cls_b0"] = grads["cls_b0"] + db
+    grads["cls_W0"] += dW
+    grads["cls_b0"] += db
     ofs = 0
     T = seq.shape[0]
     for name in cfg.branches:
@@ -188,12 +188,12 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
             ds = dbeta * beta * (1.0 - beta)
             da1, dW1, db1 = affine_backward(ds[:, None], a1,
                                             p[f"a{name}_W1"])
-            grads[f"a{name}_W1"] = grads[f"a{name}_W1"] + dW1
-            grads[f"a{name}_b1"] = grads[f"a{name}_b1"] + db1
+            grads[f"a{name}_W1"] += dW1
+            grads[f"a{name}_b1"] += db1
             dz0 = da1 * (1.0 - a1 * a1)
             dc_att, dW0, db0 = affine_backward(dz0, cs, p[f"a{name}_W0"])
-            grads[f"a{name}_W0"] = grads[f"a{name}_W0"] + dW0
-            grads[f"a{name}_b0"] = grads[f"a{name}_b0"] + db0
+            grads[f"a{name}_W0"] += dW0
+            grads[f"a{name}_b0"] += db0
             dc = dc + dc_att
         lstm_backward(dc, caches, p, grads, prefix=f"{name}_")
     return loss, grads

@@ -4,6 +4,8 @@ run with the same config and corpus produces identical artifacts."""
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .config import ExperimentConfig
@@ -111,10 +113,36 @@ def build_snippet_corpus(records: list[VideoRecord],
     return SnippetCorpus(ids, styles, embs, acts, feats)
 
 
+def _imitation_corpus(records: list[VideoRecord],
+                      bundle: ModelBundle) -> SnippetCorpus:
+    """build_snippet_corpus of the train split, memoised on the bundle.
+
+    The dual and the baseline imitation stages train on one bundle and
+    record list, so the second one reuses the first one's corpus, and
+    with it every DTW alignment already made. The key is the identity of
+    the encoders, style_params, style_cfg and each train record; a
+    corpus is rebuilt when any of them is replaced, not when one is
+    written in place. Records are held by weak reference, so the memo
+    does not keep a caller's records alive, and one that is gone never
+    matches.
+    """
+    train_recs = [r for r in records if r.split == "train"]
+    nets = (bundle.fg_encoder, bundle.bg_encoder, bundle.style_params,
+            bundle.style_cfg)
+    m = bundle._corpus_memo
+    if (m is not None and all(a is b for a, b in zip(m[0], nets))
+            and len(m[1]) == len(train_recs)
+            and all(ref() is r for ref, r in zip(m[1], train_recs))):
+        return m[2]
+    corpus = build_snippet_corpus(train_recs, bundle)
+    bundle._corpus_memo = (nets, [weakref.ref(r) for r in train_recs],
+                           corpus)
+    return corpus
+
+
 def train_imitation_stage(records: list[VideoRecord], bundle: ModelBundle,
                           cfg: ExperimentConfig, dual: bool = True):
-    train_recs = [r for r in records if r.split == "train"]
-    corpus = build_snippet_corpus(train_recs, bundle)
+    corpus = _imitation_corpus(records, bundle)
     params, log = train_imitation_net(
         corpus, epochs=cfg.imitation_epochs,
         steps_per_epoch=cfg.imitation_steps,

@@ -84,6 +84,23 @@ def test_segment_truncated_artifact_exits_5(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("damage,why", [
+    (lambda blob: blob[:len(blob) // 2], "truncated"),
+    (lambda blob: blob + bytes(8), "trailing"),
+])
+def test_segment_damaged_corpus_table_exits_5(workspace, tmp_path, capsys,
+                                              damage, why):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    table = data / "fly-by_000" / "features.bin"
+    table.write_bytes(damage(table.read_bytes()))
+    rc = main(["segment", "--data", str(data),
+               "--artifacts", str(workspace / "art"), "--video", "fly-by_000"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
+
+
 def test_eval_outputs(workspace):
     out = workspace / "report"
     rc = main(["eval", "--data", str(workspace / "data"),

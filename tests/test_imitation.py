@@ -4,7 +4,7 @@ import pytest
 from skymimic.imitation import (SamplingError, SnippetCorpus, dtw_align,
                                 dtw_brute_force, direction_angle,
                                 imitation_loss, imitation_loss_and_grad,
-                                init_imitation_net, make_action, median_match,
+                                init_imitation_net, make_action, median_matches,
                                 predict_action, sample_training_pair,
                                 train_imitation_net)
 from skymimic.nn import grad_check
@@ -53,10 +53,64 @@ def test_dtw_matches_brute_force():
         assert fast.pairs == slow.pairs
 
 
+def _table_dtw_align(seq_a, seq_b):
+    """dtw_align as it was with a NumPy cost table: the reference the
+    Python-float table must equal in path and cost bit for bit."""
+    a = np.asarray(seq_a, float)
+    b = np.asarray(seq_b, float)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if b.ndim == 1:
+        b = b.reshape(-1, 1)
+    n, m = a.shape[0], b.shape[0]
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    D = np.full((n + 1, m + 1), np.inf)
+    D[0, 0] = 0.0
+    for i in range(1, n + 1):
+        D[i, 1:] = dist[i - 1]
+        for j in range(1, m + 1):
+            D[i, j] += min(D[i - 1, j - 1], D[i - 1, j], D[i, j - 1])
+    pairs = []
+    i, j = n - 1, m - 1
+    while True:
+        pairs.append((i, j))
+        if i == 0 and j == 0:
+            break
+        cand = [(D[i, j], i - 1, j - 1), (D[i, j + 1], i - 1, j),
+                (D[i + 1, j], i, j - 1)]
+        mn = min(val for val, _, _ in cand)
+        for val, pi, pj in cand:
+            if val == mn:
+                i, j = pi, pj
+                break
+    pairs.reverse()
+    return pairs, float(D[n, m])
+
+
+def test_dtw_align_bit_identical_to_numpy_table():
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(30):   # random: embedding-like widths and lengths
+        n, m = rng.integers(1, 45, size=2)
+        d = int(rng.choice([1, 5, 96]))
+        cases.append((rng.normal(size=(n, d)), rng.normal(size=(m, d))))
+    for _ in range(60):   # small integers: many equal costs and ties
+        n, m = rng.integers(1, 12, size=2)
+        d = int(rng.integers(1, 3))
+        cases.append((rng.integers(0, 3, size=(n, d)).astype(float),
+                      rng.integers(0, 3, size=(m, d)).astype(float)))
+    cases.append((np.zeros((7, 2)), np.zeros((4, 2))))   # all ties
+    for a, b in cases:
+        path = dtw_align(a, b)
+        pairs, cost = _table_dtw_align(a, b)
+        assert path.pairs == pairs
+        assert path.cost == cost and type(path.cost) is float
+
+
 def test_median_match_rule():
     path = dtw_align(np.array([0.0, 5.0]), np.array([0.0, 5.0, 5.0, 5.0]))
     assert sorted(path.matches_for(1)) == [1, 2, 3]
-    assert median_match(path, 1) == 2
+    assert median_matches(path) == {0: 0, 1: 2}
 
 
 def test_make_action_normalizes():
@@ -152,8 +206,59 @@ def test_sample_training_pair_self_alignment_diagonal():
     corpus = _toy_corpus(rng)
     emb = corpus.embeddings[0]
     path = dtw_align(emb, emb)
-    for i, _ in enumerate(emb):
-        assert median_match(path, i) == i
+    assert median_matches(path) == {i: i for i in range(len(emb))}
+
+
+def _rescan_sample(corpus, style, rng):
+    """sample_training_pair as it was: align the drawn pair and rescan
+    its path for every match, on every draw."""
+    idxs = corpus.by_style(style)
+    ci, si = rng.choice(idxs, size=2, replace=False)
+    path = dtw_align(corpus.embeddings[ci], corpus.embeddings[si])
+    t_max = corpus.embeddings[ci].shape[0] - 2
+    s_max = corpus.embeddings[si].shape[0] - 2
+
+    def median(i):
+        js = sorted(path.matches_for(i))
+        return js[(len(js) - 1) // 2]
+
+    usable = [i for i, _ in path.pairs
+              if i <= t_max and median(i) <= s_max]
+    t = int(usable[rng.integers(len(usable))])
+    return ci, si, t, median(t)
+
+
+def test_sample_training_pair_aligns_each_pair_once(monkeypatch):
+    from skymimic import imitation
+    from skymimic.scene import STYLES
+    rng = np.random.default_rng(9)
+    corpus = _toy_corpus(rng, n_videos=4)
+    for i, T in enumerate([5, 9, 12, 7] * 5):   # unequal lengths
+        corpus.embeddings[i] = rng.normal(size=(T, 5))
+        corpus.actions[i] = np.tile(corpus.actions[i][:1], (T, 1))
+    draws_ref, draws = np.random.default_rng(10), np.random.default_rng(10)
+    want = []
+    for k in range(300):
+        style = STYLES[k % len(STYLES)]
+        ci, si, t, t2 = _rescan_sample(corpus, style, draws_ref)
+        want.append((ci, si, t, t2))
+    aligned = []
+    real = imitation.dtw_align
+    monkeypatch.setattr(imitation, "dtw_align",
+                        lambda a, b: aligned.append(1) or real(a, b))
+    for k in range(300):
+        pair = sample_training_pair(corpus, STYLES[k % len(STYLES)], draws)
+        assert (pair["content_video"], pair["style_video"], pair["t"],
+                pair["t_style"]) == want[k]
+        t, t2 = pair["t"], pair["t_style"]
+        ci, si = pair["content_video"], pair["style_video"]
+        assert np.array_equal(pair["obs"], corpus.embeddings[ci][t])
+        assert np.array_equal(pair["label_c"], corpus.actions[ci][t + 1])
+        assert np.array_equal(pair["label_s"], corpus.actions[si][t2 + 1])
+    # the same rng calls in the same order, and each ordered pair of
+    # same-style videos aligned at most once
+    assert draws.bit_generator.state == draws_ref.bit_generator.state
+    assert len(aligned) == len(corpus._pairs) <= 5 * 4 * 3
 
 
 def test_sample_training_pair_needs_two_videos():

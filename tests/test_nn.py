@@ -254,6 +254,88 @@ def test_lstm_forward_loop_bit_identical_to_reference(T, lead, D,
             assert g.shape == w.shape and np.array_equal(g, w)
 
 
+def _loop_lstm_backward(dhs, cache, p, grads, dh_final=None,
+                        dc_final=None):
+    """lstm_backward as first fused, with fresh dh, dc and dct arrays
+    each step and gradients added by rebinding: the reference the loop
+    that allocates nothing must equal bit for bit."""
+    xs, hs, cs, gates, tcs = cache
+    Wx, Wh = p["Wx"], p["Wh"]
+    T, N, H = tcs.shape
+    lead = xs.shape[1:-1]
+    if dhs is not None:
+        dhs = np.asarray(dhs, float).reshape(T, N, H)
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    coef = gates * (1.0 - gates)
+    coef[..., 2 * H:3 * H] = 1.0 - g * g
+    coef[..., :H] *= g
+    coef[..., H:2 * H] *= cs[:-1]
+    coef[..., 2 * H:3 * H] *= i
+    coef[..., 3 * H:] *= tcs
+    coef = coef.reshape(T, N, 4, H)
+    o_dtc = o * (1.0 - tcs * tcs)
+    WhT = Wh.T
+    dz = np.empty((T, N, 4 * H))
+    dz4 = dz.reshape(T, N, 4, H)
+    dh = np.zeros((N, H)) if dh_final is None \
+        else np.reshape(dh_final, (N, H))
+    dc = np.zeros((N, H)) if dc_final is None \
+        else np.reshape(dc_final, (N, H))
+    for t in range(T - 1, -1, -1):
+        if dhs is not None:
+            dh = dh + dhs[t]
+        dct = dh * o_dtc[t]
+        dct += dc
+        np.multiply(coef[t, :, :3], dct[:, None, :], out=dz4[t, :, :3])
+        np.multiply(coef[t, :, 3], dh, out=dz4[t, :, 3])
+        dc = dct * f[t]
+        dh = dz[t] @ WhT
+    dz2 = dz.reshape(T * N, 4 * H)
+    grads["Wx"] = grads["Wx"] + xs.reshape(T * N, -1).T @ dz2
+    grads["Wh"] = grads["Wh"] + hs[:T].reshape(T * N, H).T @ dz2
+    grads["b"] = grads["b"] + dz2.sum(axis=0)
+    dxs = (dz2 @ Wx.T).reshape(xs.shape)
+    return dxs, dh.reshape(lead + (H,)), dc.reshape(lead + (H,))
+
+
+@pytest.mark.parametrize("with_dhs", [False, True])
+@pytest.mark.parametrize("with_dh_final", [False, True])
+@pytest.mark.parametrize("with_dc_final", [False, True])
+@pytest.mark.parametrize("T,lead,D", [
+    (1, (), 32), (8, (), 32), (40, (), 64),          # batch-1 style net
+    (1, (64,), 128), (8, (64,), 128), (40, (64,), 5),  # batch 64
+])
+def test_lstm_backward_loop_bit_identical_to_reference(
+        T, lead, D, with_dhs, with_dh_final, with_dc_final):
+    rng = np.random.default_rng(T * 1000 + D)
+    H = 64 if D != 5 else 32
+    p = lstm_init(rng, D, H)
+    p["b"] = rng.normal(size=4 * H)
+    xs = rng.normal(size=(T,) + lead + (D,))
+    state = lead + (H,)
+    _, _, _, cache = lstm_forward(xs, p, h0=rng.normal(size=state),
+                                  c0=rng.normal(size=state))
+    dhs = rng.normal(size=(T,) + state) if with_dhs else None
+    dh_f = rng.normal(size=state) if with_dh_final else None
+    dc_f = rng.normal(size=state) if with_dc_final else None
+    given = [None if a is None else a.copy() for a in (dhs, dh_f, dc_f)]
+    g_ref = p.zeros_like()
+    g_ref.flat[:] = rng.normal(size=g_ref.flat.size)  # accumulation
+    grads = g_ref.copy()
+    want = _loop_lstm_backward(dhs, cache, p, g_ref, dh_f, dc_f)
+    got = lstm_backward(dhs, cache, p, grads, dh_final=dh_f, dc_final=dc_f)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    for k in p:
+        assert np.array_equal(grads[k], g_ref[k])
+    # the caller's arrays are read, never written or returned
+    for a, s in zip((dhs, dh_f, dc_f), given):
+        assert (a is None and s is None) or np.array_equal(a, s)
+    for a in (dh_f, dc_f):
+        if a is not None:
+            assert not any(np.shares_memory(a, r) for r in got)
+
+
 def test_sigmoid_matches_logistic_without_overflow():
     z = np.linspace(-30.0, 30.0, 601)
     assert np.max(np.abs(sigmoid(z) - _ref_sigmoid(z))) <= 1e-15
@@ -339,28 +421,52 @@ def test_adamax_shape_mismatch():
         adamax_update(p, ParamSet({"w": np.zeros(2)}), st)
 
 
+def _toy_layout(seed):
+    rng = np.random.default_rng(seed)
+    return ParamSet({"W": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+
+
+def _bg_autoencoder(seed):
+    from skymimic.features import autoencoder_init
+    return autoencoder_init("bg", seed)
+
+
+def _style_net(seed):
+    from skymimic.stylenet import VARIANTS, init_style_net
+    return init_style_net(VARIANTS["fg+bg+att"], seed)
+
+
+def _imitation_net(seed):
+    from skymimic.imitation import init_imitation_net
+    return init_imitation_net(128, 96, seed)
+
+
 def test_adamax_in_place_bit_identical_to_formula():
-    rng = np.random.default_rng(21)
-    shapes = {"W": (4, 3), "b": (3,)}
-    p = ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
-    st = AdamaxState(p, lr=0.01)
-    ref_p, ref_m, ref_u = p.copy(), p.zeros_like(), p.zeros_like()
-    b1, b2, eps = st.beta1, st.beta2, st.eps
-    for step in range(1, 4):
-        g = ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
-        snapshot = p.copy()
-        adamax_update(p, g, st)
-        bias = 1.0 - b1 ** step
-        for k in p:
-            # the snapshot still holds the values from before the update
-            assert np.array_equal(snapshot[k], ref_p[k])
-            ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g[k]
-            ref_u[k] = np.maximum(b2 * ref_u[k], np.abs(g[k]))
-            ref_p[k] = ref_p[k] - (st.lr / bias) * ref_m[k] / (
-                ref_u[k] + eps)
-            assert np.array_equal(p[k], ref_p[k])
-            assert np.array_equal(st.m[k], ref_m[k])
-            assert np.array_equal(st.u[k], ref_u[k])
+    """The chunked flat update equals the per-array formula bit for bit,
+    on a toy layout and on the bg autoencoder (more than one chunk, the
+    last one partial), style-net and imitation-net layouts."""
+    for make in (_toy_layout, _bg_autoencoder, _style_net, _imitation_net):
+        rng = np.random.default_rng(21)
+        p = make(21)
+        st = AdamaxState(p, lr=0.01)
+        ref_p, ref_m, ref_u = p.copy(), p.zeros_like(), p.zeros_like()
+        b1, b2, eps = st.beta1, st.beta2, st.eps
+        for step in range(1, 5):
+            g = ParamSet({k: rng.normal(size=v.shape) for k, v in p.items()})
+            snapshot = p.copy()
+            adamax_update(p, g, st)
+            bias = 1.0 - b1 ** step
+            for k in p:
+                # the snapshot still holds the values from before the
+                # update
+                assert np.array_equal(snapshot[k], ref_p[k])
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g[k]
+                ref_u[k] = np.maximum(b2 * ref_u[k], np.abs(g[k]))
+                ref_p[k] = ref_p[k] - (st.lr / bias) * ref_m[k] / (
+                    ref_u[k] + eps)
+                assert np.array_equal(p[k], ref_p[k])
+                assert np.array_equal(st.m[k], ref_m[k])
+                assert np.array_equal(st.u[k], ref_u[k])
 
 
 def test_grad_check_sum_of_squares():
@@ -371,6 +477,107 @@ def test_grad_check_sum_of_squares():
 
     g = ParamSet({k: 2.0 * v for k, v in p.items()})
     assert grad_check(loss, p, g, eps=1e-5) <= 1e-8
+
+
+def test_grad_check_leaves_params_unchanged():
+    rng = np.random.default_rng(12)
+    p = lstm_init(rng, 3, 4)
+    xs = rng.normal(size=(3, 3))
+    before = p.copy()
+
+    def loss(ps):
+        return float(np.sum(lstm_forward(xs, ps)[0]))
+
+    g = p.zeros_like()
+    lstm_backward(np.ones((3, 4)), lstm_forward(xs, p)[3], p, g)
+    assert grad_check(loss, p, g, eps=1e-5) <= 1e-5
+    for k in p:
+        assert np.array_equal(p[k], before[k])
+
+
+def test_paramset_is_one_flat_vector():
+    rng = np.random.default_rng(13)
+    p = ParamSet({"W": rng.normal(size=(3, 2)), "b": rng.normal(size=2),
+                  "s": rng.normal(size=())})
+    assert p.flat.shape == (9,)
+    for k in p:
+        assert np.shares_memory(p[k], p.flat)
+    # copies and zero sets are independent of the source, in one layout
+    for other in (p.copy(), p.zeros_like()):
+        assert not np.shares_memory(other.flat, p.flat)
+        for k in p:
+            assert not np.shares_memory(other[k], p[k])
+        assert other.layout is p.layout
+        p.check_mirror(other)
+    assert np.array_equal(p.copy().flat, p.flat)
+    assert not np.any(p.zeros_like().flat)
+
+
+def test_paramset_assignment_copies_into_view():
+    p = ParamSet({"W": np.zeros((2, 2)), "b": np.zeros(2)})
+    src = np.arange(4.0).reshape(2, 2)
+    view = p["W"]
+    p["W"] = src
+    assert p["W"] is view and np.array_equal(p.flat[:4], [0, 1, 2, 3])
+    src[...] = -1.0   # writing the source afterwards leaves the set alone
+    assert np.array_equal(p["W"], [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(DimensionError):
+        p["W"] = np.zeros((2, 3))
+    with pytest.raises(DimensionError):
+        p["b"] = np.zeros(3)
+    assert np.array_equal(p["b"], [0.0, 0.0])
+    # in-place accumulation writes the set
+    p["b"] += np.array([1.0, 2.0])
+    assert np.array_equal(p.flat[4:], [1.0, 2.0])
+    # a set built from arrays does not alias them either
+    a = np.ones(3)
+    q = ParamSet({"a": a})
+    a[0] = 5.0
+    assert np.array_equal(q["a"], [1.0, 1.0, 1.0])
+
+
+def test_check_mirror_rejects_other_names_shapes_and_order():
+    base = ParamSet({"W": np.zeros((2, 3)), "b": np.zeros(3)})
+    base.check_mirror(ParamSet({"W": np.ones((2, 3)), "b": np.ones(3)}))
+    for other, what in [
+            (ParamSet({"W": np.zeros((2, 3))}), "names"),
+            (ParamSet({"W": np.zeros((2, 3)), "c": np.zeros(3)}), "names"),
+            (ParamSet({"W": np.zeros((3, 2)), "b": np.zeros(3)}), "shape"),
+            (ParamSet({"W": np.zeros((2, 3)), "b": np.zeros((1, 3))}),
+             "shape"),
+            (ParamSet({"b": np.zeros(3), "W": np.zeros((2, 3))}), "order")]:
+        with pytest.raises(DimensionError, match=what):
+            base.check_mirror(other)
+
+
+def _per_record_save(p, path):
+    """ParamSet.save's container writer as it was before the flat
+    vector: one record per name, written from that name's array."""
+    import struct
+    with open(path, "wb") as f:
+        f.write(b"CMN1")
+        f.write(struct.pack("<I", len(p)))
+        for name, arr in p.items():
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<B", arr.ndim))
+            for d in arr.shape:
+                f.write(struct.pack("<I", d))
+            f.write(arr.astype("<f8").tobytes(order="C"))
+
+
+@pytest.mark.parametrize("make", [_toy_layout, _bg_autoencoder, _style_net,
+                                  _imitation_net])
+def test_paramset_save_bytes_equal_per_record_writer(make, tmp_path):
+    p = make(5)
+    p["s"] = np.array(2.5)   # a 0-d record too
+    p.save(tmp_path / "flat.bin")
+    _per_record_save(p, tmp_path / "ref.bin")
+    assert (tmp_path / "flat.bin").read_bytes() == \
+        (tmp_path / "ref.bin").read_bytes()
+    q = ParamSet.load(tmp_path / "flat.bin")
+    assert q.layout == p.layout and np.array_equal(q.flat, p.flat)
 
 
 def test_paramset_serialization_roundtrip(tmp_path):

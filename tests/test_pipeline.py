@@ -71,3 +71,63 @@ def test_demo_conditioning_elapsed_fraction():
     picks = [demo_conditioning(demo, s, 5)[0] for s in range(5)]
     assert picks == [0.0, 2.0, 4.0, 5.0, 7.0]
     assert demo_conditioning(demo, 0, 1)[0] == 0.0
+
+
+def test_imitation_stages_share_one_corpus(monkeypatch):
+    """The dual and baseline stages on one bundle build the train
+    corpus once; replacing an encoder, the style net or the records
+    rebuilds it; the trained nets equal those from fresh bundles."""
+    import dataclasses
+    import gc
+    import weakref
+
+    from skymimic import training
+    from skymimic.config import ExperimentConfig
+
+    records = [build_video(f"{style}_{k}", style, "train", 40 + 3 * i + k,
+                           Intrinsics(), duration_range=(8.0, 9.0))
+               for i, style in enumerate(("fly-by", "orbiting"))
+               for k in range(3)]
+    records.append(build_video("held", "fly-by", "test", 60, Intrinsics(),
+                               duration_range=(8.0, 8.0)))
+    cfg = ExperimentConfig(imitation_epochs=2, imitation_steps=15)
+    built = []
+    real = training.build_snippet_corpus
+    monkeypatch.setattr(training, "build_snippet_corpus",
+                        lambda recs, b: built.append(len(recs))
+                        or real(recs, b))
+
+    bundle = _fresh_bundle()
+    shared = {dual: training.train_imitation_stage(records, bundle, cfg,
+                                                   dual=dual)
+              for dual in (True, False)}
+    assert built == [6]   # the train split, once for both stages
+    for dual, (params, log) in shared.items():
+        want, want_log = training.train_imitation_stage(
+            records, _fresh_bundle(), cfg, dual=dual)
+        assert log == want_log
+        assert params.layout == want.layout
+        assert np.array_equal(params.flat, want.flat)
+    assert built == [6, 6, 6]
+
+    def stage(recs):
+        training.train_imitation_stage(recs, bundle, cfg, dual=False)
+        return len(built)
+
+    assert stage(records) == 3               # same key: a hit
+    assert stage(list(records)) == 3         # a new list, same records
+    bundle.fg_encoder = bundle.fg_encoder.copy()
+    assert stage(records) == 4
+    bundle.bg_encoder = bundle.bg_encoder.copy()
+    assert stage(records) == 5
+    bundle.style_params = bundle.style_params.copy()
+    assert stage(records) == 6
+    assert stage([dataclasses.replace(r) for r in records]) == 7
+    extra = build_video("extra", "orbiting", "train", 61, Intrinsics(),
+                        duration_range=(8.0, 8.0))
+    assert stage(records + [extra]) == 8 and built[-1] == 7
+    # the memo holds records weakly: a dropped record is freed
+    gone = weakref.ref(extra)
+    del extra
+    gc.collect()
+    assert gone() is None
