@@ -25,7 +25,8 @@ from . import imitation as imitation_mod
 from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
-from .dataset import CorpusConfig, load_corpus, load_video
+from .dataset import CorpusConfig, load_corpus, load_video, \
+    write_text_atomic
 from .geometry import Intrinsics
 from .nn import NumericError, ParamSet
 from .pipeline import DependencyError, ModelBundle
@@ -75,7 +76,7 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, lines: list[str]):
     body = [f"config_hash {_config_hash(cfg)}", f"seed {cfg.seed}"] + lines
-    (out / "manifest.txt").write_text("\n".join(body) + "\n")
+    write_text_atomic(out / "manifest.txt", "\n".join(body) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):

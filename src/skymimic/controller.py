@@ -24,10 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .features import WINDOW, embed_batch
-from .geometry import (Intrinsics, OffscreenError, Pose6D, VisibilityError,
-                       FgFeature, pixel_to_world, project_foreground,
-                       project_points, render_motion_field, wrap_angle)
+from .features import WINDOW, EncoderStream, embed_batch
+from .geometry import (GRID, Intrinsics, OffscreenError, Pose6D,
+                       VisibilityError, FgFeature, pixel_to_world,
+                       project_foreground, project_points,
+                       render_motion_field, wrap_angle)
 from .imitation import DIR_EPS, make_action, predict_action
 from .nn import NumericError
 from .pipeline import ModelBundle, demo_conditioning
@@ -300,6 +301,15 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     the motion field of a step pairs that projection with the one kept
     from the step before.
 
+    The fg rows and bg field rows are kept in arrays of WINDOW +
+    duration / DT rows (`EncoderStream`), and each row is projected
+    through its encoder's input weights once, when it is stored. A step
+    embeds the two WINDOW-row windows that end at it from those
+    projections, through `embed_batch`; the bg window's last field
+    repeats, as in the dataset, so it reuses that row's projection. The
+    embeddings equal, to the bit, ones computed from the windows' rows.
+    The returned log's fg, bg and mask are views of these arrays.
+
     When the demo's per-frame actions are given, each prediction is
     conditioned on the demo action at the same fraction of elapsed
     time — the one-shot analogue of the demo-action conditioning the
@@ -317,8 +327,9 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     n_total = WINDOW + n_exec
     drone = scene.drone_start
     frames: list[FrameSample] = []
-    fg_rows: list[np.ndarray] = []
-    bg_rows: list[np.ndarray] = []
+    fg_obs = EncoderStream(bundle.fg_encoder, n_total)
+    bg_obs = EncoderStream(bundle.bg_encoder, n_total)
+    mask = np.zeros((n_total, GRID * GRID))
     prev_action = None
     track = None
     lost = 0.0
@@ -344,12 +355,20 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
         frames.append(FrameSample(now, drone, subj, scene.subject_height))
         proj = project_points(drone, K, scene.cloud)
         if t > 0:
-            field_prev = render_motion_field(proj_prev, proj, K)
-            bg_rows.append(np.concatenate([field_prev.vector(),
-                                           field_prev.mask_vector()]))
+            # field t-1 pairs the last pose with this one; until the
+            # next pose comes, it also stands in for field t, as the
+            # last field of a clip does
+            field = render_motion_field(proj_prev, proj, K)
+            bg_obs.put(t - 1, field.vector())
+            bg_obs.repeat(t)
+            mask[t - 1] = field.mask_vector()
         proj_prev = proj
-        fg_rows.append(fg.vector() if fg is not None
-                       else (fg_rows[-1] if fg_rows else np.zeros(5)))
+        if fg is not None:
+            fg_obs.put(t, fg.vector())
+        elif t > 0:
+            fg_obs.repeat(t)  # hold the last box while the subject is lost
+        else:
+            fg_obs.put(t, 0.0)
         if t == n_total - 1:
             break
 
@@ -372,12 +391,10 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
                 np.zeros(3), drone.camera_axes()[2], fg.h)
 
         if t >= WINDOW - 1 and prev_action is not None:
-            w_fg = np.stack(fg_rows[t - WINDOW + 1:t + 1])
-            bgm = bg_rows[t - WINDOW + 1:t]
-            bgm = bgm + [bgm[-1]]  # last row repeats, as in the dataset
-            w_bg = np.stack([row[:128] for row in bgm])
-            fge = embed_batch(w_fg[None], bundle.fg_encoder)[0]
-            bge = embed_batch(w_bg[None], bundle.bg_encoder)[0]
+            w, pre = fg_obs.window(t)
+            fge = embed_batch(w, bundle.fg_encoder, pre)[0]
+            w, pre = bg_obs.window(t)
+            bge = embed_batch(w, bundle.bg_encoder, pre)[0]
             obs = np.concatenate([fge, bge])
             if demo_actions is not None:
                 conditioning = demo_conditioning(demo_actions,
@@ -389,7 +406,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
             actions[t - WINDOW + 1] = action
             prev_action = action
             if executor is None:
-                executor = Executor(fg_rows[-1][3], kappa)
+                executor = Executor(fg_obs.rows[t, 3], kappa)
             drone = executor.step(drone, action, subj_now, subj_next, K,
                                   scene.subject_height)
         else:
@@ -397,10 +414,8 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
             target = subj_next + offset0
             drone = Pose6D(target, drone.roll, drone.yaw, drone.pitch)
 
-    # assemble the post-warm-up observation streams gathered during the
-    # run; re-projecting would fail on briefly-lost frames
-    fg_arr = np.stack(fg_rows[WINDOW:])
-    bg_full = bg_rows[WINDOW:] + [bg_rows[-1]]  # last field repeats
-    bg_arr = np.stack([row[:128] for row in bg_full])
-    mask_arr = np.stack([row[128:] for row in bg_full])
-    return RunLog(frames[WINDOW:], actions, fg_arr, bg_arr, mask_arr)
+    # the post-warm-up observation streams gathered during the run;
+    # re-projecting would fail on briefly-lost frames
+    mask[-1] = mask[-2]  # the last field repeats
+    return RunLog(frames[WINDOW:], actions, fg_obs.rows[WINDOW:],
+                  bg_obs.rows[WINDOW:], mask[WINDOW:])

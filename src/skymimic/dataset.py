@@ -15,6 +15,7 @@ actions.bin  rows x 7: omega 3 (roll, yaw, pitch rates), direction 3
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,20 @@ def write_table(path: Path, data: np.ndarray) -> None:
         f.write(TABLE_MAGIC)
         f.write(struct.pack("<II", data.shape[0], data.shape[1]))
         f.write(data.astype("<f8").tobytes(order="C"))
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file in path's directory, then move it
+    onto path, so path holds the old text or the new, never a part. The
+    temporary file is removed when either step fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_table(path: Path) -> np.ndarray:
@@ -170,10 +185,10 @@ def make_dataset(config: CorpusConfig, out_dir: str | Path,
             save_video(out, rec)
             records.append(rec)
             manifest_lines.append(f"{vid} {style} {split} {rec.seed}")
-    with open(out / "manifest.txt", "w") as f:
-        f.write(f"# skymimic corpus seed={config.seed} "
-                f"videos={len(records)}\n")
-        f.write("\n".join(manifest_lines) + ("\n" if manifest_lines else ""))
+    write_text_atomic(
+        out / "manifest.txt",
+        f"# skymimic corpus seed={config.seed} videos={len(records)}\n"
+        + "".join(line + "\n" for line in manifest_lines))
     return records
 
 

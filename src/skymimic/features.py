@@ -15,7 +15,7 @@ import numpy as np
 
 from .nn import (AdamaxState, NumericError, ParamSet, TrainingError,
                  adamax_update, affine, affine_backward, lstm_backward,
-                 lstm_forward, lstm_init)
+                 lstm_forward, lstm_init, lstm_input_weights)
 from .nn.params import uniform_init
 
 WINDOW = 8
@@ -140,13 +140,54 @@ def train_autoencoder(snippets: list[np.ndarray] | np.ndarray, channel: str,
     return p, history
 
 
-def embed_batch(batch: np.ndarray, p: ParamSet) -> np.ndarray:
-    """Encoder-only pass: (B, N, D) -> (B, H) final hidden states."""
+def embed_batch(batch: np.ndarray, p: ParamSet,
+                pre: np.ndarray | None = None) -> np.ndarray:
+    """Encoder-only pass: (B, N, D) -> (B, H) final hidden states.
+
+    pre, when given, is the encoder's input pre-activation block
+    (N, B, 4H), as `EncoderStream.window` builds it; see lstm_forward.
+    """
     xs = np.transpose(np.asarray(batch, float), (1, 0, 2))
-    _, h_enc, _, _ = lstm_forward(xs, p, prefix="enc_")
+    _, h_enc, _, _ = lstm_forward(xs, p, prefix="enc_", pre=pre)
     if not np.all(np.isfinite(h_enc)):
         raise NumericError("embedding produced non-finite values")
     return h_enc
+
+
+class EncoderStream:
+    """One channel's observation rows over a run, with each row's
+    encoder input projection, in arrays of n rows.
+
+    put(t, row) stores row t and projects it once, with the (1, D) @
+    (D, 4H) matmul a batch-1 lstm_forward runs for each step, so
+    window(t) hands embed_batch the pre-activation block it would
+    compute from the window's rows, to the bit. A stream fed one row per
+    step thus projects each row once, not once per window it is in.
+    """
+
+    def __init__(self, p: ParamSet, n: int):
+        self.Wxs, self.bs = lstm_input_weights(p, "enc_")
+        self.rows = np.zeros((n, self.Wxs.shape[0]))
+        self.proj = np.zeros((n, self.Wxs.shape[1]))
+
+    def put(self, t: int, row: np.ndarray) -> None:
+        self.rows[t] = row
+        np.matmul(self.rows[t:t + 1], self.Wxs, out=self.proj[t:t + 1])
+
+    def repeat(self, t: int) -> None:
+        """Row t and its projection become copies of row t-1's."""
+        self.rows[t] = self.rows[t - 1]
+        self.proj[t] = self.proj[t - 1]
+
+    def window(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(batch (1, WINDOW, D), pre (WINDOW, 1, 4H)) of the window
+        that ends at row t, for embed_batch."""
+        lo = t - WINDOW + 1
+        if lo < 0:
+            raise TooShortError(f"no window of {WINDOW} rows ends at row "
+                                f"{t}")
+        return (self.rows[None, lo:t + 1],
+                (self.proj[lo:t + 1] + self.bs)[:, None])
 
 
 def embed_snippet(snippet: Snippet, fg_params: ParamSet,

@@ -15,7 +15,9 @@ call, not per flop:
 - Forward. xs @ Wx + b for all T steps is one GEMM before the
   recurrence; each step adds h_{t-1} @ Wh and finishes its gate block
   in place, with no per-step allocation (batch-1 calls are dominated
-  by per-call overhead).
+  by per-call overhead). A caller that slides a window over a stream
+  can project each row once with `lstm_input_weights` and pass the
+  window's pre-activation block instead (see `lstm_forward`).
 - Cache layout (LSTMCache), N being the product of the batch axes:
   the input xs (T, ..., D) as given; hidden and cell states hs, cs
   (T+1, N, H) with row 0 the initial state; gate activations
@@ -124,15 +126,37 @@ def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
     return p
 
 
+def lstm_input_weights(p: ParamSet,
+                       prefix: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """(Wx·s, b·s): the input weights and bias with the gate scale
+    folded in, as lstm_forward applies them.
+
+    A batch-1 lstm_forward projects step t as x_t[None] @ (Wx·s), a
+    (1, D) @ (D, 4H) matmul, and adds b·s. A caller that projects each
+    row of a stream that way, once, and adds b·s to a window of those
+    rows gets the bits lstm_forward would compute for that window, and
+    can pass them as its `pre` argument. One (T, D) GEMM over the rows
+    does not give the same bits.
+    """
+    s, _ = _gate_scale(p[prefix + "Wh"].shape[0])
+    return p[prefix + "Wx"] * s, p[prefix + "b"] * s
+
+
 def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
                  h0: np.ndarray | None = None,
-                 c0: np.ndarray | None = None):
+                 c0: np.ndarray | None = None,
+                 pre: np.ndarray | None = None):
     """Run the cell over time axis 0 of xs (T, ..., D).
+
+    pre, when given, is the input pre-activation block (T, ..., 4H),
+    xs @ (Wx·s) + b·s with the factors of `lstm_input_weights`; it
+    replaces the input GEMM, and the call finishes its gates in place,
+    so it must be an array the caller gives up.
 
     Returns (hs (T, ..., H), final h, final c, cache). hs and the final
     states are views into the cache and must not be written to.
     """
-    Wx, Wh, b = p[prefix + "Wx"], p[prefix + "Wh"], p[prefix + "b"]
+    Wx, Wh = p[prefix + "Wx"], p[prefix + "Wh"]
     xs = np.asarray(xs, float)
     if xs.ndim < 2 or xs.shape[-1] != Wx.shape[0]:
         raise DimensionError(
@@ -151,10 +175,19 @@ def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
             state[0].reshape(lead + (H,))[...] = init
     s, off = _gate_scale(H)
     Whs = Wh * s
-    # input projection of every step in one GEMM; each step's gate block
-    # is then finished in place
-    gates = xs.reshape(T, N, -1) @ (Wx * s)
-    gates += b * s
+    # input projection of every step in one GEMM, unless the caller has
+    # made it; each step's gate block is then finished in place
+    if pre is None:
+        Wxs, bs = lstm_input_weights(p, prefix)
+        gates = xs.reshape(T, N, -1) @ Wxs
+        gates += bs
+        del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
+    elif pre.shape != xs.shape[:-1] + (4 * H,):
+        raise DimensionError(
+            f"lstm_forward: pre-activation shape {pre.shape} vs input "
+            f"shape {xs.shape} and hidden {H}")
+    else:
+        gates = pre.reshape(T, N, 4 * H)
     tcs = np.empty((T, N, H))
     # the step loop allocates nothing: h_{t-1} @ Whs and i * g go into
     # two buffers, and every per-step operand is a view of the cache

@@ -147,19 +147,17 @@ def _frame_count(duration: float) -> int:
     return int(round(duration * FPS))
 
 
-def generate_style_trajectory(script: ShotScript) -> list[FrameSample]:
-    """Ground-truth camera/subject trajectory for one shot."""
+def _camera_rule(script: ShotScript):
+    """Make the style's random draws, all from one generator seeded by
+    the script, and return the camera rule: (t, subject pose at t) ->
+    camera pose."""
     rng = np.random.default_rng(script.seed)
-    n = _frame_count(script.duration)
-    ts = np.arange(n) * DT
-    subj = [script.subject.pose_at(t) for t in ts]
     h = script.subject.body_height
     p = script.params
     style = script.style
-    frames = []
 
     if style == "fly-through":
-        target = subj[0].position
+        target = script.subject.pose_at(0.0).position
         bearing = rng.uniform(-np.pi, np.pi)
         approach = np.array([np.cos(bearing), np.sin(bearing), 0.0])
         perp = np.array([-approach[1], approach[0], 0.0])
@@ -170,13 +168,11 @@ def generate_style_trajectory(script: ShotScript) -> list[FrameSample]:
         d0 = p["end_dist"] + p["speed"] * script.duration
         start = end - approach * d0
         aim = look_at(start, target)
-        for k, t in enumerate(ts):
-            pos = start + approach * (p["speed"] * t)
-            cam = Pose6D(pos, aim.roll, aim.yaw, aim.pitch)
-            frames.append(FrameSample(float(t), cam, subj[k], h))
+        return lambda t, sp: Pose6D(start + approach * (p["speed"] * t),
+                                    aim.roll, aim.yaw, aim.pitch)
 
-    elif style == "fly-by":
-        target = subj[0].position
+    if style == "fly-by":
+        target = script.subject.pose_at(0.0).position
         bearing = rng.uniform(-np.pi, np.pi)
         direction = np.array([np.cos(bearing), np.sin(bearing), 0.0])
         perp = np.array([-direction[1], direction[0], 0.0])
@@ -184,22 +180,17 @@ def generate_style_trajectory(script: ShotScript) -> list[FrameSample]:
         half = p["speed"] * script.duration / 2.0
         base = (target + perp * (side * p["offset"])
                 + np.array([0.0, 0.0, p["altitude"] - h / 2.0]))
-        for k, t in enumerate(ts):
-            pos = base + direction * (p["speed"] * t - half)
-            cam = look_at(pos, subj[k].position)
-            frames.append(FrameSample(float(t), cam, subj[k], h))
+        return lambda t, sp: look_at(
+            base + direction * (p["speed"] * t - half), sp.position)
 
-    elif style == "follow":
-        h0 = subj[0].yaw
+    if style == "follow":
+        h0 = script.subject.pose_at(0.0).yaw
         back = -np.array([np.cos(h0), np.sin(h0), 0.0])
         offset = back * p["distance"] + np.array(
             [0.0, 0.0, p["altitude"] - h / 2.0])
-        for k, t in enumerate(ts):
-            pos = subj[k].position + offset
-            cam = look_at(pos, subj[k].position)
-            frames.append(FrameSample(float(t), cam, subj[k], h))
+        return lambda t, sp: look_at(sp.position + offset, sp.position)
 
-    elif style == "orbiting":
+    if style == "orbiting":
         radius = p["radius"]
         dz = p["altitude"]
         if dz >= radius:
@@ -208,23 +199,37 @@ def generate_style_trajectory(script: ShotScript) -> list[FrameSample]:
         rh = np.sqrt(radius ** 2 - dz ** 2)
         rate = p["rate"] * (1 if rng.random() < 0.5 else -1)
         theta0 = rng.uniform(-np.pi, np.pi)
-        for k, t in enumerate(ts):
+
+        def orbit(t, sp):
             th = theta0 + rate * t
-            pos = subj[k].position + np.array(
-                [rh * np.cos(th), rh * np.sin(th), dz])
-            cam = look_at(pos, subj[k].position)
-            frames.append(FrameSample(float(t), cam, subj[k], h))
+            return look_at(sp.position + np.array(
+                [rh * np.cos(th), rh * np.sin(th), dz]), sp.position)
+        return orbit
 
-    elif style == "super-dolly":
-        for k, t in enumerate(ts):
-            sp = subj[k]
-            ahead = np.array([np.cos(sp.yaw), np.sin(sp.yaw), 0.0])
-            lead = p["lead"] - p["closing"] * t
-            pos = sp.position + ahead * lead + np.array(
-                [0.0, 0.0, p["altitude"]])
-            cam = look_at(pos, sp.position)
-            frames.append(FrameSample(float(t), cam, sp, h))
+    # super-dolly
+    def dolly(t, sp):
+        ahead = np.array([np.cos(sp.yaw), np.sin(sp.yaw), 0.0])
+        lead = p["lead"] - p["closing"] * t
+        return look_at(sp.position + ahead * lead
+                       + np.array([0.0, 0.0, p["altitude"]]), sp.position)
+    return dolly
 
+
+def generate_style_trajectory(script: ShotScript,
+                              n_frames: int | None = None
+                              ) -> list[FrameSample]:
+    """Ground-truth camera/subject trajectory for one shot, or its
+    first n_frames frames: the style's random draws all come before the
+    first frame, so a prefix equals the whole trajectory's."""
+    camera = _camera_rule(script)
+    n = _frame_count(script.duration)
+    if n_frames is not None:
+        n = min(n, n_frames)
+    h = script.subject.body_height
+    frames = []
+    for t in np.arange(n) * DT:
+        sp = script.subject.pose_at(t)
+        frames.append(FrameSample(float(t), camera(t, sp), sp, h))
     return frames
 
 
@@ -277,25 +282,24 @@ def make_point_cloud(rng: np.random.Generator, center=(0.0, 0.0),
                      extent: float = 90.0, n_ground: int = 4000,
                      n_structures: int = 160) -> np.ndarray:
     """Static scene points: ground-plane scatter plus vertical
-    structures so cells above the horizon get coverage."""
+    structures of 18 points each, so cells above the horizon get
+    coverage. Filled into one array, in the order of the draws: ground
+    x, ground y, then per structure its base x, base y and height, the
+    jitter of its points' x and y, and their heights."""
     cx, cy = center
-    ground = np.column_stack([
-        rng.uniform(cx - extent, cx + extent, n_ground),
-        rng.uniform(cy - extent, cy + extent, n_ground),
-        np.zeros(n_ground),
-    ])
-    pts = [ground]
-    for _ in range(n_structures):
+    m = 18
+    pts = np.empty((n_ground + m * n_structures, 3))
+    pts[:n_ground, 0] = rng.uniform(cx - extent, cx + extent, n_ground)
+    pts[:n_ground, 1] = rng.uniform(cy - extent, cy + extent, n_ground)
+    pts[:n_ground, 2] = 0.0
+    for block in pts[n_ground:].reshape(n_structures, m, 3):
         bx = rng.uniform(cx - extent, cx + extent)
         by = rng.uniform(cy - extent, cy + extent)
         height = rng.uniform(2.0, 12.0)
-        m = 18
-        pts.append(np.column_stack([
-            np.full(m, bx) + rng.normal(0, 0.3, m),
-            np.full(m, by) + rng.normal(0, 0.3, m),
-            rng.uniform(0, height, m),
-        ]))
-    return np.vstack(pts)
+        block[:, 0] = bx + rng.normal(0, 0.3, m)
+        block[:, 1] = by + rng.normal(0, 0.3, m)
+        block[:, 2] = rng.uniform(0, height, m)
+    return pts
 
 
 # ---------------------------------------------------------------------------

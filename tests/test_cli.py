@@ -1,3 +1,4 @@
+import os
 import shutil
 
 import numpy as np
@@ -150,3 +151,33 @@ def test_manifest_reproducible(workspace, tmp_path):
     # the module fixture trained with the identical settings
     b = (art2 / "fg_encoder.bin").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_manifest_write_is_atomic(workspace, tmp_path, monkeypatch, capsys,
+                                  command):
+    # a manifest is moved into place whole: when the move fails, the
+    # command exits 5, the old manifest is intact and no temporary
+    # file is left behind
+    if command == "gen-data":
+        out = tmp_path / "data"
+        shutil.copytree(workspace / "data", out)
+        argv = ["gen-data", "--out", str(out), "--force", "--styles",
+                "orbiting", "--set", "seed=5"]
+    else:
+        out = tmp_path / "art"
+        shutil.copytree(workspace / "art", out)
+        argv = ["train", "--data", str(workspace / "data"), "--out",
+                str(out), "--stage", "autoencoder",
+                "--set", "autoencoder_epochs=1"]
+    before = (out / "manifest.txt").read_bytes()
+    listing = sorted(os.listdir(out))
+
+    def refuse(src, dst):
+        raise OSError(f"cannot move {src} onto {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(argv) == 5
+    assert capsys.readouterr().err.startswith("error: cannot move")
+    assert (out / "manifest.txt").read_bytes() == before
+    assert sorted(os.listdir(out)) == listing

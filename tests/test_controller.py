@@ -15,7 +15,7 @@ from skymimic.stylenet import VARIANTS, init_style_net
 from skymimic.training import make_live_scene
 from skymimic.scene import (DT, STYLES, FrameSample, action_labels,
                             check_style_contract, generate_style_trajectory,
-                            random_script)
+                            make_point_cloud, random_script)
 
 
 def test_localize_depth_oracle():
@@ -330,3 +330,61 @@ def test_closed_loop_fields_match_per_pair_reference(style):
                                     K)
         assert np.array_equal(run.bg[j], field.vector())
         assert np.array_equal(run.mask[j], field.mask_vector())
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("seed", range(3))
+def test_live_scene_matches_first_frame_of_whole_trajectory(style, seed):
+    # the live scene builds only frame 0 of its scripted shot; its start
+    # pose and cloud, and the rng after it, equal the whole shot's
+    rng, ref_rng = (np.random.default_rng(900 + seed) for _ in range(2))
+    scene, duration = make_live_scene(style, rng)
+    script = random_script(style, ref_rng, (10.0, 14.0), 1.7)
+    first = generate_style_trajectory(script)[0]
+    cloud = make_point_cloud(ref_rng,
+                             center=tuple(first.subject.position[:2]))
+    assert duration == script.duration
+    assert np.array_equal(scene.drone_start.position, first.camera.position)
+    assert np.array_equal(scene.drone_start.angles, first.camera.angles)
+    assert np.array_equal(scene.cloud, cloud)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("style", ["fly-by", "orbiting"])
+@pytest.mark.parametrize("with_demo", [True, False])
+def test_closed_loop_bit_identical_to_raw_row_windows(monkeypatch, style,
+                                                      with_demo):
+    # the loop projects each row once and hands embed_batch the window's
+    # pre-activations; dropping them, so each window is projected from
+    # its raw rows, must not change a bit of the run
+    from skymimic import controller, features
+    cfg = VARIANTS["fg+bg+att"]
+    bundle = ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
+                         init_style_net(cfg, 9), cfg,
+                         init_imitation_net(128, 96, 10))
+    demo = build_video("demo", style, "test", 3, Intrinsics(),
+                       duration_range=(8.0, 8.0))
+    v, _, _ = bundle.style_feature(demo.fg, demo.bg)
+    actions = demo.actions if with_demo else None
+
+    def run():
+        scene, _ = make_live_scene(style, np.random.default_rng(5))
+        return closed_loop_run(v, scene, bundle, 6.0, actions)
+
+    calls = []
+
+    def raw_rows(batch, p, pre=None):
+        calls.append(pre is not None)
+        return features.embed_batch(np.array(batch), p)
+
+    fast = run()
+    monkeypatch.setattr(controller, "embed_batch", raw_rows)
+    slow = run()
+    assert calls and all(calls)  # every window came with its projections
+    assert len(calls) == 2 * len(fast.actions)
+    for name in ("actions", "fg", "bg", "mask"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    assert len(fast.frames) == len(slow.frames) == len(fast.actions)
+    for a, b in zip(fast.frames, slow.frames):
+        assert np.array_equal(a.camera.position, b.camera.position)
+        assert np.array_equal(a.camera.angles, b.camera.angles)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from skymimic.features import (ChannelError, Snippet, TooShortError,
-                               autoencoder_init, embed_batch, embed_snippet,
-                               embed_video, train_autoencoder, window,
-                               window_starts, _ae_backward, _ae_forward)
-from skymimic.nn import ParamSet, grad_check
+from skymimic.features import (WINDOW, ChannelError, EncoderStream,
+                               Snippet, TooShortError, autoencoder_init,
+                               embed_batch, embed_snippet, embed_video,
+                               train_autoencoder, window, window_starts,
+                               _ae_backward, _ae_forward)
+from skymimic.nn import DimensionError, ParamSet, grad_check
 
 
 def test_window_counts():
@@ -112,3 +113,49 @@ def test_embed_video_shape():
     emb = embed_video(rng.normal(size=(20, 5)), rng.normal(size=(20, 128)),
                       fgp, bgp)
     assert emb.shape == (4, 96)
+
+
+@pytest.mark.parametrize("channel", ["fg", "bg"])
+def test_stream_windows_bit_identical_to_embed_batch(channel):
+    # rows stored and projected one at a time, as the closed loop does;
+    # each window's embedding must equal the one computed from its rows
+    p = autoencoder_init(channel, 3)
+    d = p["enc_Wx"].shape[0]
+    rng = np.random.default_rng(4)
+    n = 30
+    rows = rng.normal(scale=0.5, size=(n, d))
+    stream = EncoderStream(p, n)
+    checked = []
+    for t in range(n):
+        stream.put(t, rows[t])
+        if t >= WINDOW - 1 and t in (WINDOW - 1, 17, n - 1):
+            w, pre = stream.window(t)
+            want = embed_batch(np.stack(list(rows[t - WINDOW + 1:t + 1]))
+                               [None], p)
+            assert np.array_equal(embed_batch(w, p, pre), want)
+            checked.append(t)
+    assert checked == [WINDOW - 1, 17, n - 1]
+    # a window whose last row repeats the one before, as the closed
+    # loop's bg window does: the repeat reuses that row's projection
+    for t in (WINDOW - 1, 17):
+        stream.repeat(t)
+        window_rows = list(rows[t - WINDOW + 1:t]) + [rows[t - 1]]
+        w, pre = stream.window(t)
+        assert np.array_equal(stream.rows[t], rows[t - 1])
+        assert np.array_equal(embed_batch(w, p, pre),
+                              embed_batch(np.stack(window_rows)[None], p))
+
+
+def test_stream_window_needs_full_window():
+    stream = EncoderStream(autoencoder_init("fg", 0), 10)
+    with pytest.raises(TooShortError):
+        stream.window(WINDOW - 2)
+
+
+def test_embed_batch_rejects_misshapen_pre_activations():
+    p = autoencoder_init("fg", 0)
+    batch = np.zeros((1, WINDOW, 5))
+    with pytest.raises(DimensionError):
+        embed_batch(batch, p, np.zeros((WINDOW, 1, 4 * 32 + 1)))
+    with pytest.raises(DimensionError):
+        embed_batch(batch, p, np.zeros((WINDOW - 1, 1, 4 * 32)))

@@ -131,3 +131,68 @@ def test_imitation_stages_share_one_corpus(monkeypatch):
     del extra
     gc.collect()
     assert gone() is None
+
+
+def test_style_and_segment_stages_share_one_embedding(monkeypatch):
+    """The segment stage reuses the style stage's embeddings of the
+    augmented train split and then frees them; replacing an encoder or
+    the records embeds again; the trained nets equal those from calls
+    that embed afresh."""
+    import dataclasses
+    import gc
+    import weakref
+
+    from skymimic import features, training
+    from skymimic.config import ExperimentConfig
+
+    records = [build_video(f"{style}_{k}", style, "train", 70 + 3 * i + k,
+                           Intrinsics(), duration_range=(8.0, 9.0))
+               for i, style in enumerate(("fly-by", "orbiting"))
+               for k in range(2)]
+    records.append(build_video("held", "fly-by", "test", 80, Intrinsics(),
+                               duration_range=(8.0, 8.0)))
+    cfg = ExperimentConfig(style_epochs=2, seg_epochs=2)
+    fg_p, bg_p = autoencoder_init("fg", 5), autoencoder_init("bg", 6)
+    embedded = []
+    real = features.embed_video
+    monkeypatch.setattr(features, "embed_video",
+                        lambda *a: embedded.append(a[0].shape[0])
+                        or real(*a))
+
+    monkeypatch.setattr(training, "_train_examples_memo", None)
+    style, _, _ = training.train_style_stage(records, fg_p, bg_p, cfg,
+                                             variants=False)
+    assert len(embedded) == 8 + 1   # 4 train videos and mirrors, 1 test
+    seg, _ = training.train_segment_stage(records, fg_p, bg_p, cfg)
+    assert len(embedded) == 9       # the second stage embeds nothing
+    assert training._train_examples_memo is None   # and frees the entry
+
+    want_style, _, _ = training.train_style_stage(records, fg_p, bg_p, cfg,
+                                                  variants=False)
+    monkeypatch.setattr(training, "_train_examples_memo", None)
+    want_seg, _ = training.train_segment_stage(records, fg_p, bg_p, cfg)
+    assert len(embedded) == 9 + 9 + 8
+    for got, want in ((style, want_style), (seg, want_seg)):
+        assert got.layout == want.layout
+        assert np.array_equal(got.flat, want.flat)
+
+    def embeds(recs, fg, bg):
+        n = len(embedded)
+        training._train_examples(recs, fg, bg)
+        return len(embedded) - n
+
+    assert embeds(records, fg_p, bg_p) == 8
+    assert embeds(records, fg_p, bg_p) == 0
+    assert embeds(list(records), fg_p, bg_p) == 0   # same records
+    assert embeds(records, fg_p.copy(), bg_p) == 8
+    assert embeds(records, fg_p, bg_p.copy()) == 8
+    assert embeds([dataclasses.replace(r) for r in records], fg_p, bg_p) == 8
+    assert embeds(records[1:], fg_p, bg_p) == 6
+    # the memo holds its keys weakly: a dropped record is freed
+    extra = build_video("extra", "orbiting", "train", 81, Intrinsics(),
+                        duration_range=(8.0, 8.0))
+    assert embeds(records + [extra], fg_p, bg_p) == 10
+    gone = weakref.ref(extra)
+    del extra
+    gc.collect()
+    assert gone() is None

@@ -196,3 +196,54 @@ def test_features_for_frames_match_per_pair_reference(style):
                                     K)
         assert np.array_equal(bg[t], field.vector())
         assert np.array_equal(mask[t], field.mask_vector())
+
+
+def _reference_point_cloud(rng, center=(0.0, 0.0), extent=90.0,
+                           n_ground=4000, n_structures=160):
+    """make_point_cloud as first written: per-structure column stacks."""
+    cx, cy = center
+    ground = np.column_stack([
+        rng.uniform(cx - extent, cx + extent, n_ground),
+        rng.uniform(cy - extent, cy + extent, n_ground),
+        np.zeros(n_ground),
+    ])
+    pts = [ground]
+    for _ in range(n_structures):
+        bx = rng.uniform(cx - extent, cx + extent)
+        by = rng.uniform(cy - extent, cy + extent)
+        height = rng.uniform(2.0, 12.0)
+        m = 18
+        pts.append(np.column_stack([
+            np.full(m, bx) + rng.normal(0, 0.3, m),
+            np.full(m, by) + rng.normal(0, 0.3, m),
+            rng.uniform(0, height, m),
+        ]))
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"n_structures": 0}, {"center": (3.7, -12.25)},
+    {"center": (-41.0, 18.5), "n_ground": 10, "n_structures": 7}])
+def test_point_cloud_bit_identical_to_reference(kwargs):
+    for seed in range(3):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        cloud = make_point_cloud(rng, **kwargs)
+        assert np.array_equal(cloud, _reference_point_cloud(ref_rng,
+                                                            **kwargs))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_trajectory_prefix_equals_whole(style):
+    script = _script(style, 8)
+    whole = generate_style_trajectory(script)
+    for n in (1, 5):
+        part = generate_style_trajectory(script, n_frames=n)
+        assert len(part) == n
+        for a, b in zip(part, whole):
+            assert a.timestamp == b.timestamp
+            for pa, pb in ((a.camera, b.camera), (a.subject, b.subject)):
+                assert np.array_equal(pa.position, pb.position)
+                assert np.array_equal(pa.angles, pb.angles)
+    assert len(generate_style_trajectory(script, n_frames=10 ** 6)) \
+        == len(whole)
