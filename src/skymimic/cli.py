@@ -79,6 +79,12 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, lines: list[str]):
     write_text_atomic(out / "manifest.txt", "\n".join(body) + "\n")
 
 
+def _need_data(path: Path) -> None:
+    """Report an absent corpus file or video before any output is made."""
+    if not path.exists():
+        raise DependencyError(f"no {path.name} in {path.parent}")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]):
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
@@ -117,9 +123,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    _need_data(Path(args.data) / "manifest.txt")
+    records = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = load_corpus(args.data)
     train_recs = [r for r in records if r.split == "train"]
 
     if args.stage == "autoencoder":
@@ -172,10 +179,11 @@ def _need_encoders(art: Path):
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    bundle = ModelBundle.load(args.artifacts)
+    _need_data(Path(args.data) / "manifest.txt")
+    records = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = ModelBundle.load(args.artifacts)
-    records = load_corpus(args.data)
     test_recs = [r for r in records if r.split == "test"]
 
     # confusion matrices, one per classifier variant
@@ -236,6 +244,7 @@ def cmd_eval(args) -> int:
 
 def cmd_segment(args) -> int:
     bundle = ModelBundle.load(args.artifacts)
+    _need_data(Path(args.data) / args.video)
     rec = load_video(Path(args.data), args.video)
     segs = segment_video(rec.fg, rec.bg, bundle, threshold=args.threshold,
                          mode=args.mode)
@@ -253,6 +262,7 @@ def cmd_segment(args) -> int:
 def cmd_imitate(args) -> int:
     cfg = _load_config(args)
     bundle = ModelBundle.load(args.artifacts, need_imitation=True)
+    _need_data(Path(args.data) / args.video)
     rec = load_video(Path(args.data), args.video)
     segs = segment_video(rec.fg, rec.bg, bundle)
     print(f"demo {rec.video_id}: {len(segs)} segment(s)")

@@ -1,13 +1,14 @@
 """Flat key=value experiment configuration.
 
-Every tunable of the pipeline lives here with its default, so a run is
-fully described by one small text file.  The format is intentionally
-plain: one `key = value` pair per line, `#` comments, no sections.
+Every tunable a run may change lives here with its default, and every
+key is read, so a run is fully described by one small text file.  The
+format is intentionally plain: one `key = value` pair per line, `#`
+comments, no sections.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 
@@ -24,20 +25,13 @@ class ExperimentConfig:
     subject_height: float = 1.7
     focal: float = 600.0
 
-    # feature windows and encoders
-    window: int = 8
-    stride: int = 4
-    fg_embed: int = 32
-    bg_embed: int = 64
+    # encoders
     autoencoder_epochs: int = 60
     autoencoder_lr: float = 0.001
 
     # style classifier
-    style_hidden: int = 64
     style_epochs: int = 30
     style_lr: float = 0.001
-    attn_penalty_fg: float = 0.01
-    attn_penalty_bg: float = 0.01
 
     # imitation network
     imitation_epochs: int = 20
@@ -45,18 +39,10 @@ class ExperimentConfig:
     imitation_lr: float = 0.001
     loss_mix: float = 0.7
 
-    # segmentation
-    seg_threshold: float = 0.6
-    seg_mode: str = "relative"
-    seg_min_len: float = 2.0
+    # segment net (the segmenter's span classifier)
     seg_epochs: int = 60
     seg_crop_prob: float = 0.7
     seg_min_crop: int = 5
-
-    # control
-    max_speed: float = 10.0
-    process_noise: float = 0.5
-    measurement_noise: float = 0.1
 
     def save(self, path: str | Path) -> None:
         lines = [f"{k} = {v}" for k, v in asdict(self).items()]
@@ -69,7 +55,6 @@ class ExperimentConfig:
 
     def updated(self, overrides: dict[str, str]) -> "ExperimentConfig":
         """A copy with string overrides coerced to each field's type."""
-        types = {f.name: f.type for f in fields(self)}
         values = asdict(self)
         for key, raw in overrides.items():
             if key not in values:
@@ -83,11 +68,7 @@ def _coerce(key: str, raw, target: type):
         return raw
     text = str(raw).strip()
     try:
-        if target is int:
-            return int(text)
-        if target is float:
-            return float(text)
-        return text
+        return target(text)
     except ValueError as exc:
         raise ConfigError(
             f"config key {key!r} expects {target.__name__}, "

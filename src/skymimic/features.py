@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (AdamaxState, NumericError, ParamSet, TrainingError,
-                 adamax_update, affine, affine_backward, lstm_backward,
-                 lstm_forward, lstm_init, lstm_input_weights)
+from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, affine,
+                 affine_backward, fit, lstm_backward, lstm_forward,
+                 lstm_init, lstm_input_weights)
 from .nn.params import uniform_init
 
 WINDOW = 8
@@ -109,8 +109,9 @@ def _ae_backward(p: ParamSet, cache) -> ParamSet:
 
 def train_autoencoder(snippets: list[np.ndarray] | np.ndarray, channel: str,
                       epochs: int = 60, seed: int = 0, lr: float = 0.001,
-                      batch_size: int = 64) -> tuple[ParamSet, list[float]]:
-    """Train one channel's autoencoder. Returns (params, per-epoch MSE)."""
+                      batch_size: int = 64) -> tuple[ParamSet, list[dict]]:
+    """Train one channel's autoencoder. Returns (params, per-epoch log
+    of mean MSE, as nn.fit writes it)."""
     batch_all = np.asarray(snippets, dtype=float)
     if batch_all.ndim != 3 or batch_all.shape[0] == 0:
         raise ValueError("need a nonempty (B, N, D) snippet array")
@@ -122,22 +123,17 @@ def train_autoencoder(snippets: list[np.ndarray] | np.ndarray, channel: str,
     p = autoencoder_init(channel, seed)
     state = AdamaxState(p, lr=lr)
     rng = np.random.default_rng(seed + 1)
-    n = batch_all.shape[0]
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        losses = []
-        for ofs in range(0, n, batch_size):
-            idx = order[ofs:ofs + batch_size]
-            mse, _, cache = _ae_forward(batch_all[idx], p)
-            if not np.isfinite(mse):
-                raise TrainingError(
-                    f"autoencoder ({channel}) diverged at epoch {epoch}")
-            grads = _ae_backward(p, cache)
-            adamax_update(p, grads, state)
-            losses.append(mse)
-        history.append(float(np.mean(losses)))
-    return p, history
+
+    def batches():
+        order = rng.permutation(batch_all.shape[0])
+        for ofs in range(0, order.size, batch_size):
+            yield batch_all[order[ofs:ofs + batch_size]]
+
+    # fit gets (mse, cache); the backward runs in update, once fit has
+    # found the loss finite
+    return fit(p, batches, lambda batch: _ae_forward(batch, p)[::2],
+               lambda cache: adamax_update(p, _ae_backward(p, cache), state),
+               epochs, f"autoencoder ({channel})")
 
 
 def embed_batch(batch: np.ndarray, p: ParamSet,

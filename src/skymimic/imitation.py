@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (AdamaxState, NumericError, ParamSet, TrainingError,
-                 adamax_update, mlp_backward, mlp_forward, mlp_init, sigmoid)
+from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, fit,
+                 mlp_backward, mlp_forward, mlp_init, sigmoid)
 from .scene import STYLES
 
 ACTION_DIM = 7
@@ -349,41 +349,35 @@ def train_imitation_net(corpus: SnippetCorpus, epochs: int = 20,
                         steps_per_epoch: int = 200, seed: int = 0,
                         lr: float = 0.001, lam: float = 0.7,
                         dual: bool = True):
-    """Returns (params, per-epoch mean loss log).
+    """Returns (params, per-epoch log of mean loss, as nn.fit writes it).
 
     dual=False drops the DTW-matched style term, the single-task
-    baseline used for the loss comparison.
+    baseline used for the loss comparison. A step whose style has no
+    usable pair is skipped; an epoch with none raises TrainingError.
     """
-    style_dim = corpus.style_features[0].shape[0]
-    obs_dim = corpus.embeddings[0].shape[1]
-    p = init_imitation_net(style_dim, obs_dim, seed)
+    p = init_imitation_net(corpus.style_features[0].shape[0],
+                           corpus.embeddings[0].shape[1], seed)
     state = AdamaxState(p, lr=lr)
     rng = np.random.default_rng(seed + 1)
-    log = []
-    for epoch in range(epochs):
-        losses = []
+
+    def pairs():
         for _ in range(steps_per_epoch):
             style = STYLES[int(rng.integers(len(STYLES)))]
             try:
                 pair = sample_training_pair(corpus, style, rng)
             except SamplingError:
                 continue
-            if dual:
-                loss, grads = imitation_loss_and_grad(
-                    pair["style_feature"], pair["obs"], pair["action_c"],
-                    pair["label_c"], pair["action_s"], pair["label_s"],
-                    lam=lam, p=p)
-            else:
-                loss, grads = imitation_loss_and_grad(
-                    pair["style_feature"], pair["obs"], pair["action_c"],
-                    pair["label_c"], p=p)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"imitation net diverged at epoch {epoch}")
-            adamax_update(p, grads, state)
-            losses.append(loss)
-        log.append(float(np.mean(losses)))
-    return p, log
+            yield pair
+
+    def loss_and_grad(pair):  # a_s=None drops the style term
+        return imitation_loss_and_grad(
+            pair["style_feature"], pair["obs"], pair["action_c"],
+            pair["label_c"], pair["action_s"] if dual else None,
+            pair["label_s"], lam=lam, p=p)
+
+    return fit(p, pairs, loss_and_grad,
+               lambda grads: adamax_update(p, grads, state), epochs,
+               "imitation net")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Adamax optimizer (infinity-norm variant of Adam; Kingma & Ba, "Adam",
-ICLR 2015)."""
+ICLR 2015) and the epoch loop every net of the pipeline trains with."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .layers import TrainingError
 from .params import ParamSet
 
 CHUNK = 16384  # elements per pass over the flat vectors: 128 KiB each
@@ -59,3 +60,38 @@ def adamax_update(params: ParamSet, grads: ParamSet,
         np.add(uc, eps, out=t2)
         t1 /= t2
         pc -= t1
+
+
+def fit(p: ParamSet, examples, loss_and_grad, update, epochs: int,
+        what: str, validate=None):
+    """Train p for `epochs` epochs; returns (params, log).
+
+    Each epoch iterates a fresh examples(); loss_and_grad(example) gives
+    (loss, grads), and the loss is checked before update(grads) runs, so
+    a trainer may pass a forward cache as grads and run its backward in
+    update. A non-finite loss, or an epoch with no example, raises
+    TrainingError naming `what`. log has one dict per epoch: epoch, mean
+    train_loss and, with validate, val_accuracy = validate(p); then the
+    params are a copy of p from the first epoch of best accuracy, and
+    otherwise p itself.
+    """
+    best_acc, best_p = -1.0, p
+    log = []
+    for epoch in range(epochs):
+        losses = []
+        for example in examples():
+            loss, grads = loss_and_grad(example)
+            if not np.isfinite(loss):
+                raise TrainingError(f"{what} diverged at epoch {epoch}")
+            update(grads)
+            losses.append(loss)
+        if not losses:
+            raise TrainingError(
+                f"{what} had no training example at epoch {epoch}")
+        entry = {"epoch": epoch, "train_loss": float(np.mean(losses))}
+        if validate is not None:
+            acc = entry["val_accuracy"] = validate(p)
+            if acc > best_acc:
+                best_acc, best_p = acc, p.copy()
+        log.append(entry)
+    return best_p, log

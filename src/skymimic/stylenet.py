@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import BG_EMBED, FG_EMBED
-from .nn import (AdamaxState, ParamSet, TrainingError, adamax_update,
-                 affine, affine_backward, lstm_backward, lstm_forward,
+from .nn import (AdamaxState, ParamSet, adamax_update, affine,
+                 affine_backward, fit, lstm_backward, lstm_forward,
                  lstm_init, mlp_init, sigmoid, softmax)
 from .scene import STYLES
 
@@ -226,27 +226,7 @@ def train_style_net(train, val, cfg: StyleNetConfig, epochs: int = 30,
     Returns (params of the best-validation-accuracy epoch, log), where
     log is a list of dicts with epoch, mean train loss and val accuracy.
     """
-    p = init_style_net(cfg, seed)
-    state = AdamaxState(p, lr=lr)
-    rng = np.random.default_rng(seed + 1)
-    best_acc, best_p = -1.0, p.copy()
-    log = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        losses = []
-        for i in order:
-            seq, label = train[i]
-            loss, grads = style_loss_and_grad(seq, label, p, cfg)
-            if not np.isfinite(loss):
-                raise TrainingError(f"style net diverged at epoch {epoch}")
-            adamax_update(p, grads, state)
-            losses.append(loss)
-        acc = accuracy(val, p, cfg)
-        log.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                    "val_accuracy": acc})
-        if acc > best_acc:
-            best_acc, best_p = acc, p.copy()
-    return best_p, log
+    return _train_classifier(train, val, cfg, epochs, seed, lr, "style net")
 
 
 def train_segment_net(train, val, cfg: StyleNetConfig, epochs: int = 60,
@@ -261,33 +241,32 @@ def train_segment_net(train, val, cfg: StyleNetConfig, epochs: int = 60,
     cut.  The whole-video classifier is trained separately and is not
     affected.  Returns (params of the best-validation epoch, log).
     """
+    return _train_classifier(train, val, cfg, epochs, seed, lr,
+                             "segment net", crop=(crop_prob, min_crop))
+
+
+def _train_classifier(train, val, cfg: StyleNetConfig, epochs: int,
+                      seed: int, lr: float, what: str, crop=None):
+    """train_style_net, or with crop = (crop_prob, min_crop) the
+    segment net."""
     p = init_style_net(cfg, seed)
     state = AdamaxState(p, lr=lr)
     rng = np.random.default_rng(seed + 1)
-    best_acc, best_p = -1.0, p.copy()
-    log = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        losses = []
-        for i in order:
+
+    def examples():
+        for i in rng.permutation(len(train)):
             seq, label = train[i]
             t = seq.shape[0]
-            if rng.random() < crop_prob and t > min_crop:
-                w = int(rng.integers(min_crop, t + 1))
+            if crop and rng.random() < crop[0] and t > crop[1]:
+                w = int(rng.integers(crop[1], t + 1))
                 lo = int(rng.integers(t - w + 1))
                 seq = seq[lo:lo + w]
-            loss, grads = style_loss_and_grad(seq, label, p, cfg)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"segment net diverged at epoch {epoch}")
-            adamax_update(p, grads, state)
-            losses.append(loss)
-        acc = accuracy(val, p, cfg)
-        log.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                    "val_accuracy": acc})
-        if acc > best_acc:
-            best_acc, best_p = acc, p.copy()
-    return best_p, log
+            yield seq, label
+
+    return fit(p, examples,
+               lambda ex: style_loss_and_grad(ex[0], ex[1], p, cfg),
+               lambda grads: adamax_update(p, grads, state), epochs, what,
+               validate=lambda q: accuracy(val, q, cfg))
 
 
 def train_ablation_variants(train, val, test, epochs: int = 30,

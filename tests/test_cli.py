@@ -54,6 +54,27 @@ def test_train_missing_dependency(workspace, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "segment",
+                                     "imitate"])
+def test_missing_corpus_exits_3_and_writes_nothing(workspace, tmp_path,
+                                                   capsys, command):
+    data, art = workspace / "data", str(workspace / "art")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["--data", str(tmp_path / "nodata"), "--out", str(out),
+                  "--stage", "autoencoder"],
+        "eval": ["--data", str(tmp_path / "nodata"), "--artifacts", art,
+                 "--out", str(out)],
+        "segment": ["--data", str(data), "--artifacts", art,
+                    "--video", "fly-by_999"],
+        "imitate": ["--data", str(data), "--artifacts", art,
+                    "--video", "fly-by_999", "--out", str(out)],
+    }[command]
+    assert main([command] + argv) == 3
+    assert capsys.readouterr().err.startswith("error: no ")
+    assert not out.exists()
+
+
 def test_train_unknown_config_key(workspace, tmp_path):
     rc = main(["train", "--data", str(workspace / "data"),
                "--out", str(tmp_path / "art"), "--stage", "autoencoder",

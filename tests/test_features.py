@@ -48,7 +48,7 @@ def test_autoencoder_memorizes_single_snippet():
     rng = np.random.default_rng(3)
     sn = rng.uniform(-0.5, 0.5, size=(1, 8, 5))
     p, hist = train_autoencoder(sn, "fg", epochs=1500, seed=5, lr=0.01)
-    assert hist[-1] <= 1e-5
+    assert hist[-1]["train_loss"] <= 1e-5
 
 
 def test_autoencoder_constant_sequences():
@@ -56,8 +56,8 @@ def test_autoencoder_constant_sequences():
     vals = rng.uniform(-0.5, 0.5, size=(20, 1, 5))
     sns = np.repeat(vals, 8, axis=1)
     p, hist = train_autoencoder(sns, "fg", epochs=400, seed=6, lr=0.01)
-    assert hist[-1] <= 1e-3
-    assert hist[-1] <= 0.2 * hist[0]
+    assert hist[-1]["train_loss"] <= 1e-3
+    assert hist[-1]["train_loss"] <= 0.2 * hist[0]["train_loss"]
 
 
 def test_autoencoder_determinism():

@@ -7,7 +7,7 @@ from skymimic.imitation import (SamplingError, SnippetCorpus, dtw_align,
                                 init_imitation_net, make_action, median_matches,
                                 predict_action, sample_training_pair,
                                 train_imitation_net)
-from skymimic.nn import grad_check
+from skymimic.nn import TrainingError, grad_check
 
 
 def test_dtw_self_alignment():
@@ -268,6 +268,13 @@ def test_sample_training_pair_needs_two_videos():
         sample_training_pair(corpus, "follow", rng)
 
 
+def test_training_without_a_usable_pair_raises():
+    corpus = _toy_corpus(np.random.default_rng(5), n_videos=1)
+    with pytest.raises(TrainingError, match="imitation net had no "
+                                            "training example at epoch 0"):
+        train_imitation_net(corpus, epochs=2, steps_per_epoch=10, seed=7)
+
+
 def test_training_reduces_loss_and_is_deterministic():
     rng = np.random.default_rng(6)
     corpus = _toy_corpus(rng, n_videos=3)
@@ -278,7 +285,7 @@ def test_training_reduces_loss_and_is_deterministic():
     assert log1 == log2
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
-    assert log1[-1] < log1[0]
+    assert log1[-1]["train_loss"] < log1[0]["train_loss"]
 
 
 def test_direction_angle():
