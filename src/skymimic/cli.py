@@ -178,9 +178,17 @@ def _need_encoders(art: Path):
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
     bundle = ModelBundle.load(args.artifacts)
     _need_data(Path(args.data) / "manifest.txt")
+    # every artifact is checked before the report directory is made
+    var_dir = Path(args.artifacts) / "variants"
+    if not var_dir.is_dir():
+        raise DependencyError(
+            "missing variants directory; run the style stage first")
+    var_paths = {name: var_dir / f"{_slug(name)}.bin" for name in VARIANTS}
+    for path in var_paths.values():
+        if not path.exists():
+            raise DependencyError(f"missing variant artifact {path.name}")
     records = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -190,15 +198,8 @@ def cmd_eval(args) -> int:
     from .training import style_examples
     test_ex = style_examples(test_recs, bundle.fg_encoder,
                              bundle.bg_encoder)
-    var_dir = Path(args.artifacts) / "variants"
-    if not var_dir.is_dir():
-        raise DependencyError(
-            "missing variants directory; run the style stage first")
     accuracies = []
-    for name in VARIANTS:
-        path = var_dir / f"{_slug(name)}.bin"
-        if not path.exists():
-            raise DependencyError(f"missing variant artifact {path.name}")
+    for name, path in var_paths.items():
         vp = ParamSet.load(path)
         vcfg = VARIANTS[name]
         cm = stylenet_mod.confusion_matrix(test_ex, vp, vcfg)
@@ -329,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="write evaluation tables")
-    common(e)
     e.add_argument("--data", required=True)
     e.add_argument("--artifacts", required=True)
     e.add_argument("--out", required=True)

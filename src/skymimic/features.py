@@ -4,7 +4,12 @@ the foreground (5-dim) and background (128-dim) channels.
 
 The encoder consumes the N frames of a window and its final hidden
 state is the embedding; the decoder, seeded with the encoder's final
-state, reconstructs the window in reverse order from zero inputs.
+state, reconstructs the window in reverse order. The decoder is
+input-free, the "unconditioned decoder" of Srivastava, Mansimov and
+Salakhutdinov, "Unsupervised Learning of Video Representations using
+LSTMs" (ICML 2015): its gates see only the bias and the recurrence, so
+no input GEMM runs forward and no Wx gradient backward (`dec_Wx` stays
+in the parameter set, at its initial draw).
 """
 
 from __future__ import annotations
@@ -79,19 +84,21 @@ def _ae_forward(batch: np.ndarray, p: ParamSet):
     """batch (B, N, D) -> (mse, embeddings (B, H), caches)."""
     xs = np.transpose(batch, (1, 0, 2))  # (N, B, D)
     _, h_enc, c_enc, enc_caches = lstm_forward(xs, p, prefix="enc_")
-    n, b, d = xs.shape
-    zeros_in = np.zeros((n, b, d))
-    dec_hs, _, _, dec_caches = lstm_forward(zeros_in, p, prefix="dec_",
-                                            h0=h_enc, c0=c_enc)
+    # the decoder's pre-activation block is its scaled bias at every
+    # step; the scaled Wx is dropped at once, not held through the pass
+    bs = lstm_input_weights(p, "dec_")[1]
+    pre = np.broadcast_to(bs, xs.shape[:2] + bs.shape).copy()
+    dec_hs, _, _, dec_caches = lstm_forward(None, p, prefix="dec_",
+                                            h0=h_enc, c0=c_enc, pre=pre)
     recon = affine(dec_hs, p["out_W"], p["out_b"])
     target = xs[::-1]
     err = recon - target
     mse = float(np.mean(err ** 2))
-    return mse, h_enc, (xs, err, dec_hs, enc_caches, dec_caches)
+    return mse, h_enc, (err, dec_hs, enc_caches, dec_caches)
 
 
 def _ae_backward(p: ParamSet, cache) -> ParamSet:
-    xs, err, dec_hs, enc_caches, dec_caches = cache
+    err, dec_hs, enc_caches, dec_caches = cache
     grads = p.zeros_like()
     derr = 2.0 * err / err.size
     n, b, h = dec_hs.shape

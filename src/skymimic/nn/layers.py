@@ -18,14 +18,19 @@ call, not per flop:
   by per-call overhead). A caller that slides a window over a stream
   can project each row once with `lstm_input_weights` and pass the
   window's pre-activation block instead (see `lstm_forward`).
+  A cell that reads no input, such as the autoencoder's decoder, passes
+  xs=None and a block of b·s alone.
 - Cache layout (LSTMCache), N being the product of the batch axes:
-  the input xs (T, ..., D) as given; hidden and cell states hs, cs
-  (T+1, N, H) with row 0 the initial state; gate activations
-  (T, N, 4H) in i|f|g|o order; tanh(c_t) as tcs (T, N, H).
-- Backward. BPTT writes each step's pre-activation gradient into one
-  (T, N, 4H) array, again with no per-step allocation; dWx, dWh, db and
-  dxs are then one GEMM (or sum) each over the stacked steps, and the
-  weight gradients are added into the gradient set's views in place.
+  the input xs (T, ..., D) as given, or None for an input-free run;
+  hidden and cell states hs, cs (T+1, N, H) with row 0 the initial
+  state; gate activations (T, N, 4H) in i|f|g|o order; tanh(c_t) as
+  tcs (T, N, H); the batch axes.
+- Backward. BPTT writes each step's pre-activation gradient dz into one
+  (T, N, 4H) array, again with no per-step allocation; dWx (none for an
+  input-free run), dWh and db are then one GEMM (or sum) each over the
+  stacked steps, added into the gradient set's views in place. The
+  input gradient is not formed: dz is returned, and a caller that needs
+  it computes dz @ Wx.T.
 """
 
 from __future__ import annotations
@@ -97,11 +102,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
 class LSTMCache(NamedTuple):
     """What lstm_backward needs from lstm_forward; N is the product of
     the batch axes (1 when there are none)."""
-    xs: np.ndarray     # (T, ..., D) the input as given
+    xs: np.ndarray | None  # (T, ..., D) the input as given; None if none
     hs: np.ndarray     # (T+1, N, H) hidden states, row 0 the initial one
     cs: np.ndarray     # (T+1, N, H) cell states, row 0 the initial one
     gates: np.ndarray  # (T, N, 4H) gate activations i|f|g|o
     tcs: np.ndarray    # (T, N, H) tanh(c_t)
+    lead: tuple        # the batch axes (...), whose product is N
 
 
 @lru_cache(maxsize=8)
@@ -142,7 +148,7 @@ def lstm_input_weights(p: ParamSet,
     return p[prefix + "Wx"] * s, p[prefix + "b"] * s
 
 
-def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
+def lstm_forward(xs: np.ndarray | None, p: ParamSet, prefix: str = "",
                  h0: np.ndarray | None = None,
                  c0: np.ndarray | None = None,
                  pre: np.ndarray | None = None):
@@ -151,17 +157,34 @@ def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
     pre, when given, is the input pre-activation block (T, ..., 4H),
     xs @ (Wx·s) + b·s with the factors of `lstm_input_weights`; it
     replaces the input GEMM, and the call finishes its gates in place,
-    so it must be an array the caller gives up.
+    so it must be an array the caller gives up. A cell that reads no
+    input passes xs=None and b·s broadcast over (T, ..., 4H) as pre:
+    that is the block a zero input gives, and lstm_backward then forms
+    no Wx gradient, which would be zero.
 
     Returns (hs (T, ..., H), final h, final c, cache). hs and the final
     states are views into the cache and must not be written to.
     """
     Wx, Wh = p[prefix + "Wx"], p[prefix + "Wh"]
-    xs = np.asarray(xs, float)
-    if xs.ndim < 2 or xs.shape[-1] != Wx.shape[0]:
-        raise DimensionError(
-            f"lstm_forward: input shape {xs.shape} vs Wx shape {Wx.shape}")
-    T, lead, H = xs.shape[0], xs.shape[1:-1], Wh.shape[0]
+    H = Wh.shape[0]
+    if xs is None:
+        if pre is None or pre.ndim < 2 or pre.shape[-1] != 4 * H:
+            raise DimensionError(
+                f"lstm_forward: an input-free run needs a pre-activation "
+                f"block (T, ..., {4 * H}), got "
+                f"{None if pre is None else pre.shape}")
+    else:
+        xs = np.asarray(xs, float)
+        if xs.ndim < 2 or xs.shape[-1] != Wx.shape[0]:
+            raise DimensionError(
+                f"lstm_forward: input shape {xs.shape} vs Wx shape "
+                f"{Wx.shape}")
+        if pre is not None and pre.shape != xs.shape[:-1] + (4 * H,):
+            raise DimensionError(
+                f"lstm_forward: pre-activation shape {pre.shape} vs input "
+                f"shape {xs.shape} and hidden {H}")
+    steps = (xs if pre is None else pre).shape[:-1]
+    T, lead = steps[0], steps[1:]
     N = math.prod(lead)
     hs = np.zeros((T + 1, N, H))
     cs = np.zeros((T + 1, N, H))
@@ -182,10 +205,6 @@ def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
         gates = xs.reshape(T, N, -1) @ Wxs
         gates += bs
         del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
-    elif pre.shape != xs.shape[:-1] + (4 * H,):
-        raise DimensionError(
-            f"lstm_forward: pre-activation shape {pre.shape} vs input "
-            f"shape {xs.shape} and hidden {H}")
     else:
         gates = pre.reshape(T, N, 4 * H)
     tcs = np.empty((T, N, H))
@@ -208,7 +227,7 @@ def lstm_forward(xs: np.ndarray, p: ParamSet, prefix: str = "",
         np.multiply(o_t, tc, out=h)
     hs_out = hs[1:].reshape((T,) + lead + (H,))
     return (hs_out, hs_out[-1], cs[T].reshape(lead + (H,)),
-            LSTMCache(xs, hs, cs, gates, tcs))
+            LSTMCache(xs, hs, cs, gates, tcs, lead))
 
 
 def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, p: ParamSet,
@@ -226,27 +245,34 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
 
     dhs: per-step gradients w.r.t. each h_t (array over time, or None).
     dh_final/dc_final: extra gradient flowing into the last state.
-    Adds the weight gradients into `grads` and returns (dxs shaped like
-    xs, dh0, dc0).
+    Adds the weight gradients into `grads` (no Wx gradient for an
+    input-free run) and returns (dz, dh0, dc0). dz (T, ..., 4H) is the
+    gradient w.r.t. each step's gate pre-activation x_t·Wx + h_{t-1}·Wh
+    + b; the input gradient is dz @ Wx.T, which no caller here needs.
     """
-    xs, hs, cs, gates, tcs = cache
-    Wx, Wh = p[prefix + "Wx"], p[prefix + "Wh"]
+    xs, hs, cs, gates, tcs, lead = cache
+    Wh = p[prefix + "Wh"]
     T, N, H = tcs.shape
-    lead = xs.shape[1:-1]
     if dhs is not None:
         dhs = np.asarray(dhs, float).reshape(T, N, H)
     i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
     # dz_t = [dct, dct, dct, dh] * coef_t, with dct the gradient w.r.t.
     # c_t; coef holds each gate's derivative times its partner in
-    # c_t = f c_{t-1} + i g and h_t = o tanh(c_t)
-    coef = gates * (1.0 - gates)
-    coef[..., 2 * H:3 * H] = 1.0 - g * g
+    # c_t = f c_{t-1} + i g and h_t = o tanh(c_t). Both factors are
+    # formed in the arrays that hold them, with no temporaries.
+    coef = np.subtract(1.0, gates)
+    coef *= gates
+    coef_g = coef[..., 2 * H:3 * H]
+    np.multiply(g, g, out=coef_g)
+    np.subtract(1.0, coef_g, out=coef_g)
+    coef_g *= i
     coef[..., :H] *= g
     coef[..., H:2 * H] *= cs[:-1]
-    coef[..., 2 * H:3 * H] *= i
     coef[..., 3 * H:] *= tcs
     coef = coef.reshape(T, N, 4, H)
-    o_dtc = o * (1.0 - tcs * tcs)
+    o_dtc = np.multiply(tcs, tcs)
+    np.subtract(1.0, o_dtc, out=o_dtc)
+    o_dtc *= o
     WhT = Wh.T
     dz = np.empty((T, N, 4 * H))
     dz4 = dz.reshape(T, N, 4, H)
@@ -270,14 +296,15 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
         np.multiply(coef_o, dh, out=dz_o)
         np.multiply(dct, f_t, out=dc)
         np.matmul(dz_t, WhT, out=dh)
-    # weight gradients and dxs: one GEMM each over the stacked steps,
-    # added into the gradient views in place
+    # weight gradients: one GEMM each over the stacked steps, added into
+    # the gradient views in place
     dz2 = dz.reshape(T * N, 4 * H)
-    grads[prefix + "Wx"] += xs.reshape(T * N, -1).T @ dz2
+    if xs is not None:
+        grads[prefix + "Wx"] += xs.reshape(T * N, -1).T @ dz2
     grads[prefix + "Wh"] += hs[:T].reshape(T * N, H).T @ dz2
     grads[prefix + "b"] += dz2.sum(axis=0)
-    dxs = (dz2 @ Wx.T).reshape(xs.shape)
-    return dxs, dh.reshape(lead + (H,)), dc.reshape(lead + (H,))
+    return (dz.reshape((T,) + lead + (4 * H,)), dh.reshape(lead + (H,)),
+            dc.reshape(lead + (H,)))
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def init_style_net(cfg: StyleNetConfig, seed: int) -> ParamSet:
 def _branch(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig, name: str):
     """One branch's causal LSTM over seq and its pooling weights.
 
-    Returns (xs, cs, caches, a1, gate, count): the span [0, k] pools to
+    Returns (cs, caches, a1, gate, count): the span [0, k] pools to
     (gate[:k+1] @ cs[:k+1]) / count[k].  With attention, gate is the
     sigmoid score beta_t and count is 1; mean pooling has gate 1 and
     count k + 1.  a1 is the attention scorer's hidden layer (or None).
@@ -104,8 +104,8 @@ def _branch(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig, name: str):
     if cfg.use_attention:
         a1 = np.tanh(affine(cs, p[f"a{name}_W0"], p[f"a{name}_b0"]))
         s = affine(a1, p[f"a{name}_W1"], p[f"a{name}_b1"])[:, 0]
-        return xs, cs, caches, a1, sigmoid(s), np.ones(T)
-    return xs, cs, caches, None, np.ones(T), np.arange(1.0, T + 1.0)
+        return cs, caches, a1, sigmoid(s), np.ones(T)
+    return cs, caches, None, np.ones(T), np.arange(1.0, T + 1.0)
 
 
 def _check_seq(seq: np.ndarray, who: str) -> np.ndarray:
@@ -120,13 +120,13 @@ def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
     seq = _check_seq(seq, "style_forward")
     parts, trace_beta, trace_c, cache = [], {}, {}, {}
     for name in cfg.branches:
-        xs, cs, caches, a1, gate, count = _branch(seq, p, cfg, name)
+        cs, caches, a1, gate, count = _branch(seq, p, cfg, name)
         beta = gate / count[-1]
         v_part = beta @ cs
         parts.append(v_part)
         trace_beta[name] = beta
         trace_c[name] = cs
-        cache[name] = (xs, cs, caches, a1, beta)
+        cache[name] = (cs, caches, a1, beta)
     v = np.concatenate(parts)
     logits = affine(v, p["cls_W0"], p["cls_b0"])
     probs = softmax(logits)
@@ -144,7 +144,7 @@ def prefix_probs(seq: np.ndarray, p: ParamSet,
     seq = _check_seq(seq, "prefix_probs")
     parts = []
     for name in cfg.branches:
-        _, cs, _, _, gate, count = _branch(seq, p, cfg, name)
+        cs, _, _, gate, count = _branch(seq, p, cfg, name)
         parts.append(np.cumsum(gate[:, None] * cs, axis=0) / count[:, None])
     return softmax(affine(np.concatenate(parts, axis=1),
                           p["cls_W0"], p["cls_b0"]))
@@ -178,7 +178,7 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
     ofs = 0
     T = seq.shape[0]
     for name in cfg.branches:
-        xs, cs, caches, a1, beta = cache[name]
+        cs, caches, a1, beta = cache[name]
         dv_part = dv[ofs:ofs + cfg.hidden]
         ofs += cfg.hidden
         dc = beta[:, None] * dv_part[None, :]

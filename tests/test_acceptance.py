@@ -251,7 +251,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
             assert cli_main(["train", "--data", str(data), "--out",
                              str(art), "--stage", stage] + fast) == 0
         assert cli_main(["eval", "--data", str(data), "--artifacts",
-                         str(art), "--out", str(report)] + fast) == 0
+                         str(art), "--out", str(report)]) == 0
         outputs.append(root)
     differing: list[str] = []
     for path in sorted(outputs[0].rglob("*")):

@@ -139,6 +139,36 @@ def test_eval_outputs(workspace):
     assert len(traces) > 1
 
 
+
+@pytest.mark.parametrize("missing", ["variants", "variants/fg_bg_att.bin"])
+def test_eval_missing_variant_exits_3_and_writes_nothing(workspace, tmp_path,
+                                                         capsys, missing):
+    art, out = tmp_path / "art", tmp_path / "report"
+    shutil.copytree(workspace / "art", art)
+    target = art / missing
+    if target.is_dir():
+        shutil.rmtree(target)
+    else:
+        target.unlink()
+    rc = main(["eval", "--data", str(workspace / "data"),
+               "--artifacts", str(art), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: missing variant")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--set", "seed=1"],
+                                    ["--config", "experiment.cfg"]])
+def test_eval_takes_no_config(workspace, tmp_path, option):
+    # eval reads no config value, so it offers no way to set one
+    out = tmp_path / "report"
+    rc = main(["eval", "--data", str(workspace / "data"),
+               "--artifacts", str(workspace / "art"), "--out", str(out)]
+              + option)
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_segment_command(workspace, capsys):
     rc = main(["segment", "--data", str(workspace / "data"),
                "--artifacts", str(workspace / "art"),

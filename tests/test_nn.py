@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from skymimic.features import (CHANNEL_DIMS, WINDOW, _ae_backward, _ae_forward,
+                               autoencoder_init)
 from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax_update,
                          affine, affine_backward, grad_check, lstm_backward,
-                         lstm_forward, lstm_init, lstm_step, mlp_backward,
-                         mlp_forward, mlp_init, sigmoid, softmax,
-                         uniform_init)
+                         lstm_forward, lstm_init, lstm_input_weights,
+                         lstm_step, mlp_backward, mlp_forward, mlp_init,
+                         sigmoid, softmax, uniform_init)
 
 
 def test_affine_identity():
@@ -175,17 +177,20 @@ def test_lstm_fused_matches_per_step_reference(lead, given_state, with_dhs,
 
     hs, h, c, cache = lstm_forward(xs, p, h0=h0, c0=c0)
     grads = p.zeros_like()
-    dxs, dh0, dc0 = lstm_backward(dhs, cache, p, grads, dh_final=dh_f,
-                                  dc_final=dc_f)
+    dz, dh0, dc0 = lstm_backward(dhs, cache, p, grads, dh_final=dh_f,
+                                 dc_final=dc_f)
     ref = _ref_lstm(xs, p, zero if h0 is None else h0,
                     zero if c0 is None else c0, dhs,
                     zero if dh_f is None else dh_f,
                     zero if dc_f is None else dc_f)
-    # hs is (T, ..., H) and dxs is shaped like xs: the bench's .rows and
-    # .steps counters read these shapes
+    # hs is (T, ..., H) and dz is (T, ..., 4H): the bench's .rows and
+    # .steps counters read their leading axes
     assert hs.shape == (T,) + state
-    assert dxs.shape == xs.shape
+    assert dz.shape == xs.shape[:-1] + (4 * H,)
+    assert dz.shape[:-1] == xs.shape[:-1]
     assert h.shape == c.shape == dh0.shape == dc0.shape == state
+    # the input gradient, which lstm_backward leaves to a caller
+    dxs = dz @ p["Wx"].T
     for got, want in zip((hs, h, c, dxs, dh0, dc0), ref[:6]):
         assert _rel(got, want) <= 1e-12
     for k in ("Wx", "Wh", "b"):
@@ -255,12 +260,14 @@ def test_lstm_forward_loop_bit_identical_to_reference(T, lead, D,
 
 
 def _loop_lstm_backward(dhs, cache, p, grads, dh_final=None,
-                        dc_final=None):
+                        dc_final=None, prefix=""):
     """lstm_backward as first fused, with fresh dh, dc and dct arrays
-    each step and gradients added by rebinding: the reference the loop
-    that allocates nothing must equal bit for bit."""
-    xs, hs, cs, gates, tcs = cache
-    Wx, Wh = p["Wx"], p["Wh"]
+    each step, temporaries for the gate derivatives, a Wx gradient
+    whatever the input and gradients added by rebinding: the reference
+    the loop that allocates nothing must equal bit for bit. Returns
+    (dz, dh0, dc0)."""
+    xs, hs, cs, gates, tcs = cache[:5]
+    Wh = p[prefix + "Wh"]
     T, N, H = tcs.shape
     lead = xs.shape[1:-1]
     if dhs is not None:
@@ -291,11 +298,12 @@ def _loop_lstm_backward(dhs, cache, p, grads, dh_final=None,
         dc = dct * f[t]
         dh = dz[t] @ WhT
     dz2 = dz.reshape(T * N, 4 * H)
-    grads["Wx"] = grads["Wx"] + xs.reshape(T * N, -1).T @ dz2
-    grads["Wh"] = grads["Wh"] + hs[:T].reshape(T * N, H).T @ dz2
-    grads["b"] = grads["b"] + dz2.sum(axis=0)
-    dxs = (dz2 @ Wx.T).reshape(xs.shape)
-    return dxs, dh.reshape(lead + (H,)), dc.reshape(lead + (H,))
+    for k, dW in (("Wx", xs.reshape(T * N, -1).T @ dz2),
+                  ("Wh", hs[:T].reshape(T * N, H).T @ dz2),
+                  ("b", dz2.sum(axis=0))):
+        grads[prefix + k] = grads[prefix + k] + dW
+    return (dz.reshape((T,) + lead + (4 * H,)), dh.reshape(lead + (H,)),
+            dc.reshape(lead + (H,)))
 
 
 @pytest.mark.parametrize("with_dhs", [False, True])
@@ -334,6 +342,78 @@ def test_lstm_backward_loop_bit_identical_to_reference(
     for a in (dh_f, dc_f):
         if a is not None:
             assert not any(np.shares_memory(a, r) for r in got)
+
+
+@pytest.mark.parametrize("T,lead", [(8, (64,)), (8, ()), (1, (1,))])
+def test_lstm_input_free_run_equals_zero_input(T, lead):
+    # xs=None with pre = b·s is the run on an all-zero input, to the bit,
+    # and its backward adds the same Wh and b gradients and no Wx one
+    rng = np.random.default_rng(T * 100 + len(lead))
+    D, H = 6, 5
+    p = lstm_init(rng, D, H)
+    p["b"] = rng.normal(size=4 * H)
+    state = lead + (H,)
+    h0, c0 = rng.normal(size=state), rng.normal(size=state)
+    _, bs = lstm_input_weights(p)
+    pre = np.broadcast_to(bs, (T,) + lead + (4 * H,)).copy()
+    got = lstm_forward(None, p, h0=h0, c0=c0, pre=pre)
+    want = lstm_forward(np.zeros((T,) + lead + (D,)), p, h0=h0, c0=c0)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert got[3].xs is None
+    dhs = rng.normal(size=(T,) + state)
+    grads, g_ref = p.zeros_like(), p.zeros_like()
+    back = lstm_backward(dhs, got[3], p, grads, dh_final=h0)
+    ref = _loop_lstm_backward(dhs, want[3], p, g_ref, dh_final=h0)
+    for g, w in zip(back, ref):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert np.array_equal(grads["Wh"], g_ref["Wh"])
+    assert np.array_equal(grads["b"], g_ref["b"])
+    assert not grads["Wx"].any()
+
+
+def test_lstm_input_free_run_needs_a_pre_activation_block():
+    p = lstm_init(np.random.default_rng(0), 3, 4)
+    with pytest.raises(DimensionError):
+        lstm_forward(None, p)
+    with pytest.raises(DimensionError):
+        lstm_forward(None, p, pre=np.zeros((2, 5, 15)))
+
+
+def _zero_input_ae_grads(batch, p):
+    """The autoencoder's loss gradient with the decoder run on an
+    all-zero input and each LSTM through the full reference backward:
+    the reference the input-free decoder must equal bit for bit."""
+    xs = np.transpose(batch, (1, 0, 2))
+    _, h, c, enc = lstm_forward(xs, p, prefix="enc_")
+    dec_hs, _, _, dec = lstm_forward(np.zeros_like(xs), p, prefix="dec_",
+                                     h0=h, c0=c)
+    err = affine(dec_hs, p["out_W"], p["out_b"]) - xs[::-1]
+    derr = 2.0 * err / err.size
+    grads = p.zeros_like()
+    dhs = np.empty_like(dec_hs)
+    for t in range(xs.shape[0]):
+        dhs[t], dW, db = affine_backward(derr[t], dec_hs[t], p["out_W"])
+        grads["out_W"] = grads["out_W"] + dW
+        grads["out_b"] = grads["out_b"] + db
+    _, dh0, dc0 = _loop_lstm_backward(dhs, dec, p, grads, prefix="dec_")
+    _loop_lstm_backward(None, enc, p, grads, dh0, dc0, prefix="enc_")
+    return float(np.mean(err ** 2)), grads
+
+
+@pytest.mark.parametrize("channel", ["fg", "bg"])
+def test_ae_backward_bit_identical_to_zero_input_reference(channel):
+    rng = np.random.default_rng(21)
+    p = autoencoder_init(channel, seed=4)
+    p.flat[:] = rng.normal(scale=0.3, size=p.flat.size)
+    batch = rng.normal(size=(64, WINDOW, CHANNEL_DIMS[channel][0]))
+    mse, _, cache = _ae_forward(batch, p)
+    grads = _ae_backward(p, cache)
+    want_mse, want = _zero_input_ae_grads(batch, p)
+    assert mse == want_mse
+    for k in p:
+        assert np.array_equal(grads[k], want[k]), k
+    assert not grads["dec_Wx"].any()
 
 
 def test_sigmoid_matches_logistic_without_overflow():
