@@ -25,11 +25,12 @@ from . import imitation as imitation_mod
 from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
-from .dataset import CorpusConfig, load_corpus, load_video, \
-    write_text_atomic
+from .dataset import (CorpusConfig, load_corpus, load_video, video_path,
+                      write_text_atomic)
 from .geometry import Intrinsics
 from .nn import NumericError, ParamSet
-from .pipeline import DependencyError, ModelBundle
+from .pipeline import (DependencyError, ModelBundle, load_style_net,
+                       save_style_net)
 from .scene import (DT, DURATION_MAX, DURATION_MIN, STYLES, GeneratorError,
                     check_style_contract)
 from .segmenter import prob_curve, segment as segment_video
@@ -137,16 +138,14 @@ def cmd_train(args) -> int:
     elif args.stage == "style":
         fg_p, bg_p = _need_encoders(out)
         params, net_cfg, table = train_style_stage(records, fg_p, bg_p, cfg)
-        params.meta["hidden"] = net_cfg.hidden
-        params.save(out / "style_net.bin")
+        save_style_net(out / "style_net.bin", params, net_cfg)
         (out / "variants").mkdir(exist_ok=True)
         for name, (vp, vcfg, cm) in table.items():
-            vp.meta["variant"] = name
-            vp.save(out / "variants" / f"{_slug(name)}.bin")
+            save_style_net(out / "variants" / f"{_slug(name)}.bin", vp, vcfg)
             np.savetxt(out / "variants" / f"{_slug(name)}_confusion.csv",
                        cm, delimiter=",", fmt="%.6f")
-        seg_params, _ = train_segment_stage(records, fg_p, bg_p, cfg)
-        seg_params.save(out / "segment_net.bin")
+        seg_params, seg_cfg = train_segment_stage(records, fg_p, bg_p, cfg)
+        save_style_net(out / "segment_net.bin", seg_params, seg_cfg)
         lines = ["stage style", "segment net"] \
             + [f"variant {n}" for n in table]
     elif args.stage in ("imitation", "baseline"):
@@ -194,16 +193,16 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     test_recs = [r for r in records if r.split == "test"]
 
-    # confusion matrices, one per classifier variant
+    # each test video is embedded once, for every table below
     from .training import style_examples
     test_ex = style_examples(test_recs, bundle.fg_encoder,
                              bundle.bg_encoder)
+
+    # confusion matrices and accuracies, one per classifier variant
     accuracies = []
     for name, path in var_paths.items():
-        vp = ParamSet.load(path)
-        vcfg = VARIANTS[name]
-        cm = stylenet_mod.confusion_matrix(test_ex, vp, vcfg)
-        acc = stylenet_mod.accuracy(test_ex, vp, vcfg)
+        vp, vcfg = load_style_net(path)
+        cm, acc = stylenet_mod.confusion_and_accuracy(test_ex, vp, vcfg)
         accuracies.append([name, f"{acc:.4f}"])
         np.savetxt(out / f"confusion_{_slug(name)}.csv", cm,
                    delimiter=",", fmt="%.6f")
@@ -215,7 +214,8 @@ def cmd_eval(args) -> int:
     imit = Path(args.artifacts) / "imitation_net.bin"
     base = Path(args.artifacts) / "imitation_baseline.bin"
     if imit.exists():
-        corpus = build_snippet_corpus(test_recs, bundle)
+        corpus = build_snippet_corpus(test_recs, bundle,
+                                      [emb for emb, _ in test_ex])
         trained = {"dual": ParamSet.load(imit)}
         if base.exists():
             trained["baseline"] = ParamSet.load(base)
@@ -230,8 +230,9 @@ def cmd_eval(args) -> int:
 
     # attention traces on the test split
     trace_rows = []
-    for rec in test_recs:
-        _, _, trace = bundle.style_feature(rec.fg, rec.bg)
+    for rec, (emb, _) in zip(test_recs, test_ex):
+        _, _, trace, _ = stylenet_mod.style_forward(
+            emb, bundle.style_params, bundle.style_cfg)
         for branch, beta in trace.beta.items():
             for t, b in enumerate(beta):
                 trace_rows.append([rec.video_id, rec.style, branch, t,
@@ -245,7 +246,7 @@ def cmd_eval(args) -> int:
 
 def cmd_segment(args) -> int:
     bundle = ModelBundle.load(args.artifacts)
-    _need_data(Path(args.data) / args.video)
+    _need_data(video_path(args.data, args.video))
     rec = load_video(Path(args.data), args.video)
     segs = segment_video(rec.fg, rec.bg, bundle, threshold=args.threshold,
                          mode=args.mode)
@@ -263,7 +264,7 @@ def cmd_segment(args) -> int:
 def cmd_imitate(args) -> int:
     cfg = _load_config(args)
     bundle = ModelBundle.load(args.artifacts, need_imitation=True)
-    _need_data(Path(args.data) / args.video)
+    _need_data(video_path(args.data, args.video))
     rec = load_video(Path(args.data), args.video)
     segs = segment_video(rec.fg, rec.bg, bundle)
     print(f"demo {rec.video_id}: {len(segs)} segment(s)")

@@ -1,34 +1,34 @@
 """On-disk corpus of synthetic shots.
 
-Layout: <root>/manifest.txt plus one directory per video containing
-meta.json and three binary tables (frames, features, actions). Tables
-are little-endian float64 with an 12-byte header: magic b"SMT1",
-uint32 rows, uint32 cols.
+Layout: <root>/manifest.txt plus one file per video, <video_id>.bin,
+in the ParamSet container format of `nn.params` (a JSON header, then
+one float64 block). Its meta holds the video's id, style, split, seed,
+duration, subject height and camera intrinsics; its three records are
+T-row tables:
 
-frames.bin   rows x 13: t, camera (x y z roll yaw pitch), subject (same)
-features.bin rows x 197: fg 5, bg 128, validity mask 64
-actions.bin  rows x 7: omega 3 (roll, yaw, pitch rates), direction 3
-             (unit translation to the next frame in the camera frame
-             of this frame: right, down, forward), scale 1
+frames    T x 13: t, camera (x y z roll yaw pitch), subject (same)
+features  T x 197: fg 5, bg 128, validity mask 64
+actions   T x 7: omega 3 (roll, yaw, pitch rates), direction 3 (unit
+          translation to the next frame in the camera frame of this
+          frame: right, down, forward), scale 1
+
+Corpora written in the earlier per-video directory layout are not read;
+regenerate them with `skymimic gen-data`.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import (Intrinsics, flip_bg, flip_fg, project_foreground,
                        project_points, render_motion_field)
-from .nn.params import ByteReader
+from .nn import ParamSet
 from .scene import (STYLES, FrameSample, action_labels,
                     generate_style_trajectory, make_point_cloud, random_script)
-
-TABLE_MAGIC = b"SMT1"
 
 # Tab.1-proportioned default corpus, scaled to 150 videos (the four
 # extras go to the first four styles), with a fixed 49-video test split.
@@ -36,14 +36,6 @@ DEFAULT_COUNTS = {"fly-by": 22, "fly-through": 43, "follow": 31,
                   "orbiting": 29, "super-dolly": 25}
 DEFAULT_TEST_COUNTS = {"fly-by": 7, "fly-through": 14, "follow": 10,
                        "orbiting": 10, "super-dolly": 8}
-
-
-def write_table(path: Path, data: np.ndarray) -> None:
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    with open(path, "wb") as f:
-        f.write(TABLE_MAGIC)
-        f.write(struct.pack("<II", data.shape[0], data.shape[1]))
-        f.write(data.astype("<f8").tobytes(order="C"))
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -58,18 +50,6 @@ def write_text_atomic(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def read_table(path: Path) -> np.ndarray:
-    """Read a table written by write_table. Raises OSError when the
-    file is not a table, ends inside it, or has bytes after it."""
-    r = ByteReader(path)
-    if r.take(4) != TABLE_MAGIC:
-        raise OSError(f"{path}: not a table file")
-    rows, cols = r.unpack("<II")
-    data = r.floats((rows, cols)).astype(np.float64)
-    r.finish(f"a {rows}x{cols} table")
-    return data
 
 
 @dataclass
@@ -192,46 +172,40 @@ def make_dataset(config: CorpusConfig, out_dir: str | Path,
     return records
 
 
+# the VideoRecord fields a video file keeps in its meta, with intrinsics
+META_FIELDS = ("video_id", "style", "split", "seed", "duration",
+               "subject_height")
+
+
+def video_path(root: str | Path, video_id: str) -> Path:
+    return Path(root) / f"{video_id}.bin"
+
+
 def save_video(root: Path, rec: VideoRecord) -> None:
-    d = Path(root) / rec.video_id
-    d.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "video_id": rec.video_id,
-        "style": rec.style,
-        "split": rec.split,
-        "seed": rec.seed,
-        "duration": rec.duration,
-        "subject_height": rec.subject_height,
-        "intrinsics": {"focal": rec.intrinsics.focal,
-                       "width": rec.intrinsics.width,
-                       "height": rec.intrinsics.height,
-                       "cx": rec.intrinsics.cx, "cy": rec.intrinsics.cy},
-    }
-    with open(d / "meta.json", "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-    write_table(d / "frames.bin", rec.frames)
-    write_table(d / "features.bin",
-                np.concatenate([rec.fg, rec.bg, rec.mask], axis=1))
-    write_table(d / "actions.bin", rec.actions)
+    meta = {k: getattr(rec, k) for k in META_FIELDS}
+    meta["intrinsics"] = asdict(rec.intrinsics)
+    ParamSet({"frames": rec.frames,
+              "features": np.concatenate([rec.fg, rec.bg, rec.mask], axis=1),
+              "actions": rec.actions},
+             meta).save(video_path(root, rec.video_id))
 
 
 def load_video(root: Path, video_id: str) -> VideoRecord:
-    d = Path(root) / video_id
+    """Read one video file; fg, bg and mask are column views of its
+    features table. Raises OSError when the file is damaged or lacks a
+    field."""
+    path = video_path(root, video_id)
     try:
-        with open(d / "meta.json") as f:
-            meta = json.load(f)
-        frames = read_table(d / "frames.bin")
-        feats = read_table(d / "features.bin")
-        actions = read_table(d / "actions.bin")
-    except OSError as e:
-        raise IOError(f"cannot load video {video_id!r} from {d}: {e}") from e
-    ki = meta["intrinsics"]
-    return VideoRecord(
-        meta["video_id"], meta["style"], meta["split"], meta["seed"],
-        meta["duration"], meta["subject_height"],
-        Intrinsics(ki["focal"], ki["width"], ki["height"], ki["cx"],
-                   ki["cy"]),
-        frames, feats[:, :5], feats[:, 5:133], feats[:, 133:197], actions)
+        v = ParamSet.load(path)
+        feats = v["features"]
+        return VideoRecord(
+            **{k: v.meta[k] for k in META_FIELDS},
+            intrinsics=Intrinsics(**v.meta["intrinsics"]),
+            frames=v["frames"], fg=feats[:, :5], bg=feats[:, 5:133],
+            mask=feats[:, 133:197], actions=v["actions"])
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise OSError(f"cannot load video {video_id!r} from {path}: {e}") \
+            from e
 
 
 def load_corpus(root: str | Path) -> list[VideoRecord]:

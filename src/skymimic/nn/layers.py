@@ -230,15 +230,6 @@ def lstm_forward(xs: np.ndarray | None, p: ParamSet, prefix: str = "",
             LSTMCache(xs, hs, cs, gates, tcs, lead))
 
 
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, p: ParamSet,
-              prefix: str = ""):
-    """One cell update, as a length-1 lstm_forward. Returns (h', c',
-    cache)."""
-    _, h_new, c_new, cache = lstm_forward(np.asarray(x, float)[None], p,
-                                          prefix, h, c)
-    return h_new, c_new, cache
-
-
 def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
                   prefix: str = "", dh_final=None, dc_final=None):
     """BPTT over a sequence run by lstm_forward.

@@ -12,10 +12,11 @@ layout is one allocation. Two consequences for callers:
 - adding a new name reallocates the vector, so views taken before that
   no longer alias the set.
 
-Container layout (little-endian): magic b"CMN1", uint32 record count, then
-per record uint16 name length, utf-8 name, uint8 ndim, uint32 dims,
-float64 payload. A JSON sidecar (<path>.json) carries the layout
-descriptor and free-form metadata (e.g. channel tags).
+A ParamSet file is the one on-disk format: each trained net and each
+corpus video is one. Layout, little-endian: magic b"SMC1"; uint32 n and
+an n-byte JSON header, written with sorted keys, holding "meta" and the
+ordered [name, shape] "layout"; the flat float64 vector as one block.
+Files in the earlier formats are not read: regenerate them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"CMN1"
+MAGIC = b"SMC1"
 
 
 class DimensionError(ValueError):
@@ -54,15 +55,6 @@ class ByteReader:
                           f"(record needs {self.pos + n})")
         self.pos += n
         return self.buf[self.pos - n:self.pos]
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next payload as a read-only little-endian float64 array
-        of `shape` over the file's bytes (copy it to keep it)."""
-        data = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8")
-        return data.reshape(shape)
 
     def finish(self, what: str) -> None:
         if self.pos != len(self.buf):
@@ -167,46 +159,48 @@ class ParamSet:
         raise DimensionError(f"parameter order differs: {list(self.keys())} "
                              f"vs {list(other.keys())}")
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
+    def save(self, path: str | Path, meta: dict | None = None) -> None:
+        """Write the set as one file; `meta`, when given, is written in
+        place of self.meta, which is left as it is."""
+        header = json.dumps(
+            {"layout": [[k, list(shape)] for k, shape in self.layout],
+             "meta": self.meta if meta is None else meta},
+            sort_keys=True, separators=(",", ":")).encode("utf-8")
         with open(path, "wb") as f:
             f.write(MAGIC)
-            f.write(struct.pack("<I", len(self._arrays)))
-            for name, arr in self._arrays.items():
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<H", len(nb)))
-                f.write(nb)
-                f.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-                f.write(arr.astype("<f8").tobytes(order="C"))
-        sidecar = {
-            "layout": {k: list(v.shape) for k, v in self._arrays.items()},
-            "meta": self.meta,
-        }
-        with open(path.with_suffix(path.suffix + ".json"), "w") as f:
-            json.dump(sidecar, f, indent=1, sort_keys=True)
+            f.write(struct.pack("<I", len(header)))
+            f.write(header)
+            f.write(self.flat.astype("<f8").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "ParamSet":
-        """Read a container written by save(). Raises OSError when the
-        file is not a container, ends inside a record, or has bytes
-        after the last record."""
+        """Read a file written by save(). Raises OSError when the file
+        has another magic, ends early, has a malformed header, or has
+        bytes after the vector."""
         r = ByteReader(path)
         if r.take(4) != MAGIC:
-            raise OSError(f"{r.path}: not a parameter container")
-        arrays = {}
-        (count,) = r.unpack("<I")
-        for _ in range(count):
-            (nlen,) = r.unpack("<H")
-            name = bytes(r.take(nlen)).decode("utf-8")
-            (ndim,) = r.unpack("<B")
-            arrays[name] = r.floats(r.unpack(f"<{ndim}I"))
-        r.finish(f"{count} records")
-        ps = cls(arrays)   # copies every payload into the flat vector
-        sidecar = r.path.with_suffix(r.path.suffix + ".json")
-        if sidecar.exists():
-            with open(sidecar) as f:
-                ps.meta = json.load(f).get("meta", {})
-        return ps
+            raise OSError(f"{r.path}: not a skymimic container")
+        (n,) = struct.unpack("<I", r.take(4))
+        try:
+            header = json.loads(bytes(r.take(n)))
+            meta = header["meta"]
+            layout = tuple((name, tuple(shape))
+                           for name, shape in header["layout"])
+            if not (isinstance(meta, dict)
+                    and len({name for name, _ in layout}) == len(layout)
+                    and all(isinstance(name, str)
+                            and all(type(d) is int and d >= 0 for d in shape)
+                            for name, shape in layout)):
+                raise ValueError("bad layout or meta")
+        except (ValueError, KeyError, TypeError) as e:
+            raise OSError(f"{r.path}: malformed header: {e}") from e
+        size = sum(math.prod(shape) for _, shape in layout)
+        flat = np.frombuffer(r.take(8 * size), "<f8").astype(np.float64)
+        r.finish(f"{len(layout)} records")
+        out = cls.__new__(cls)
+        out.meta = meta
+        out._adopt(layout, flat)
+        return out
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int,

@@ -1,10 +1,13 @@
 """Trained-artifact bundle shared by the segmenter, the closed-loop
 controller, and the CLI: feature encoders, style net, imitation net,
-with save/load against a directory of parameter containers."""
+with save/load against a directory of ParamSet files. A style-type net
+(the style net, the segment net, an ablation variant) carries its full
+StyleNetConfig in its file's meta, so it is rebuilt from the file
+alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +15,34 @@ import numpy as np
 from .dataset import VideoRecord
 from .features import WINDOW, embed_video, window_starts
 from .nn import ParamSet
-from .stylenet import StyleNetConfig, style_forward
+from .stylenet import StyleNetConfig, init_style_net, style_forward
 
 
 class DependencyError(RuntimeError):
     """A required trained artifact is missing."""
+
+
+def save_style_net(path: str | Path, params: ParamSet,
+                   cfg: StyleNetConfig) -> None:
+    """Write a style-type net with `cfg` in its file's meta; the
+    caller's params.meta is not changed."""
+    params.save(path, meta={**params.meta, "config": asdict(cfg)})
+
+
+def load_style_net(path: str | Path) -> tuple[ParamSet, StyleNetConfig]:
+    """Read a file written by save_style_net. Raises OSError when its
+    config is missing or unusable, or when its layout is not the one
+    init_style_net builds from that config."""
+    params = ParamSet.load(path)
+    try:
+        cfg = StyleNetConfig(**params.meta["config"])
+        want = init_style_net(cfg, 0).layout
+    except (KeyError, TypeError, ValueError) as e:
+        raise OSError(f"{path}: no usable style-net config ({e})") from e
+    if params.layout != want:
+        raise OSError(f"{path}: parameter layout does not match its "
+                      f"config {cfg}")
+    return params, cfg
 
 
 @dataclass
@@ -84,12 +110,13 @@ class ModelBundle:
         out.mkdir(parents=True, exist_ok=True)
         self.fg_encoder.save(out / "fg_encoder.bin")
         self.bg_encoder.save(out / "bg_encoder.bin")
-        self.style_params.meta["hidden"] = self.style_cfg.hidden
-        self.style_params.save(out / "style_net.bin")
+        save_style_net(out / "style_net.bin", self.style_params,
+                       self.style_cfg)
         if self.imitation_params is not None:
             self.imitation_params.save(out / "imitation_net.bin")
         if self.segment_params is not None:
-            self.segment_params.save(out / "segment_net.bin")
+            save_style_net(out / "segment_net.bin", self.segment_params,
+                           self.style_cfg)
 
     @classmethod
     def load(cls, art_dir: str | Path,
@@ -105,8 +132,7 @@ class ModelBundle:
                 raise DependencyError(
                     f"missing artifact {path.name}; run the "
                     f"prerequisite training stage first")
-        style = ParamSet.load(paths["style_net"])
-        cfg = StyleNetConfig(hidden=int(style.meta.get("hidden", 64)))
+        style, cfg = load_style_net(paths["style_net"])
         imitation = None
         imit_path = art / "imitation_net.bin"
         if imit_path.exists():
@@ -116,7 +142,13 @@ class ModelBundle:
                 "missing artifact imitation_net.bin; run the imitation "
                 "training stage first")
         seg_path = art / "segment_net.bin"
-        seg = ParamSet.load(seg_path) if seg_path.exists() else None
+        seg = None
+        if seg_path.exists():
+            # the segmenter runs the segment net with the style net's config
+            seg, seg_cfg = load_style_net(seg_path)
+            if seg_cfg != cfg:
+                raise OSError(f"{seg_path}: config {seg_cfg} differs from "
+                              f"the style net's {cfg}")
         return cls(ParamSet.load(paths["fg_encoder"]),
                    ParamSet.load(paths["bg_encoder"]),
                    style, cfg, imitation, seg)

@@ -75,7 +75,7 @@ class AttentionTrace:
 
 def init_style_net(cfg: StyleNetConfig, seed: int) -> ParamSet:
     rng = np.random.default_rng(seed)
-    p = ParamSet(meta={"kind": "style-net", "variant_hidden": cfg.hidden})
+    p = ParamSet(meta={"kind": "style-net"})
     for name in cfg.branches:
         d_in = cfg.fg_dim if name == "fg" else cfg.bg_dim
         for k, v in lstm_init(rng, d_in, cfg.hidden, f"{name}_").items():
@@ -205,18 +205,20 @@ def predict_style(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig) -> int:
 
 
 def accuracy(videos, p: ParamSet, cfg: StyleNetConfig) -> float:
-    hits = sum(predict_style(seq, p, cfg) == label for seq, label in videos)
-    return hits / max(len(videos), 1)
+    return confusion_and_accuracy(videos, p, cfg)[1]
 
 
-def confusion_matrix(videos, p: ParamSet, cfg: StyleNetConfig) -> np.ndarray:
-    """Row-stochastic 5x5 matrix, rows = true style."""
+def confusion_and_accuracy(videos, p: ParamSet,
+                           cfg: StyleNetConfig) -> tuple[np.ndarray, float]:
+    """Row-stochastic 5x5 confusion matrix (rows = true style) and the
+    accuracy, both from one prediction per video."""
     counts = np.zeros((N_CLASSES, N_CLASSES))
     for seq, label in videos:
         counts[label, predict_style(seq, p, cfg)] += 1
+    acc = np.trace(counts) / max(len(videos), 1)
     rows = counts.sum(axis=1, keepdims=True)
     rows[rows == 0] = 1.0
-    return counts / rows
+    return counts / rows, float(acc)
 
 
 def train_style_net(train, val, cfg: StyleNetConfig, epochs: int = 30,
@@ -279,5 +281,5 @@ def train_ablation_variants(train, val, test, epochs: int = 30,
     for name, cfg in VARIANTS.items():
         p, _ = train_style_net(train, val, cfg, epochs=epochs, seed=seed,
                                lr=lr)
-        out[name] = (p, cfg, confusion_matrix(test, p, cfg))
+        out[name] = (p, cfg, confusion_and_accuracy(test, p, cfg)[0])
     return out

@@ -134,11 +134,15 @@ def train_segment_stage(records: list[VideoRecord], fg_p, bg_p,
     return params, net_cfg
 
 
-def build_snippet_corpus(records: list[VideoRecord],
-                         bundle: ModelBundle) -> SnippetCorpus:
+def build_snippet_corpus(records: list[VideoRecord], bundle: ModelBundle,
+                         embeddings: list[np.ndarray] | None = None
+                         ) -> SnippetCorpus:
+    """The imitation corpus of records; `embeddings`, when given, are
+    the records' bundle embeddings, which are then not made again."""
     ids, styles, embs, acts, feats = [], [], [], [], []
-    for rec in records:
-        emb = bundle.embed(rec.fg, rec.bg)
+    for i, rec in enumerate(records):
+        emb = embeddings[i] if embeddings is not None \
+            else bundle.embed(rec.fg, rec.bg)
         v, _, _, _ = style_forward(emb, bundle.style_params, bundle.style_cfg)
         ids.append(rec.video_id)
         styles.append(rec.style)

@@ -6,6 +6,7 @@ import pytest
 
 from skymimic import features
 from skymimic.cli import main
+from skymimic.nn import ParamSet
 
 
 @pytest.fixture(scope="module")
@@ -106,16 +107,35 @@ def test_segment_truncated_artifact_exits_5(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("net", ["style_net", "segment_net"])
+def test_segment_layout_not_matching_config_exits_5(workspace, tmp_path,
+                                                    capsys, net):
+    # the stored config says hidden=32; the stored vectors are hidden=64
+    art = tmp_path / "art"
+    shutil.copytree(workspace / "art", art)
+    params = ParamSet.load(art / f"{net}.bin")
+    params.save(art / f"{net}.bin",
+                meta={**params.meta, "config": {**params.meta["config"],
+                                                "hidden": 32}})
+    rc = main(["segment", "--data", str(workspace / "data"),
+               "--artifacts", str(art), "--video", "fly-by_000"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not match its config" in err
+
+
 @pytest.mark.parametrize("damage,why", [
     (lambda blob: blob[:len(blob) // 2], "truncated"),
     (lambda blob: blob + bytes(8), "trailing"),
+    (lambda blob: b"SMT1" + blob[4:], "not a skymimic container"),
 ])
 def test_segment_damaged_corpus_table_exits_5(workspace, tmp_path, capsys,
                                               damage, why):
+    # a video is one file holding its frames, features and actions
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
-    table = data / "fly-by_000" / "features.bin"
-    table.write_bytes(damage(table.read_bytes()))
+    video = data / "fly-by_000.bin"
+    video.write_bytes(damage(video.read_bytes()))
     rc = main(["segment", "--data", str(data),
                "--artifacts", str(workspace / "art"), "--video", "fly-by_000"])
     assert rc == 5
@@ -138,6 +158,29 @@ def test_eval_outputs(workspace):
     assert traces[0] == "video_id,style,branch,snippet,beta"
     assert len(traces) > 1
 
+
+
+def test_eval_embeds_and_predicts_each_test_video_once(workspace, tmp_path,
+                                                       monkeypatch):
+    from skymimic import pipeline, stylenet
+    calls = {"embed": 0, "predict": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(features, "embed_video",
+                        counted("embed", features.embed_video))
+    monkeypatch.setattr(pipeline, "embed_video",
+                        counted("embed", pipeline.embed_video))
+    monkeypatch.setattr(stylenet, "predict_style",
+                        counted("predict", stylenet.predict_style))
+    assert main(["eval", "--data", str(workspace / "data"), "--artifacts",
+                 str(workspace / "art"), "--out", str(tmp_path / "r")]) == 0
+    n_test = 7 + 10   # fly-by and orbiting test videos
+    assert calls == {"embed": n_test, "predict": 4 * n_test}
 
 
 @pytest.mark.parametrize("missing", ["variants", "variants/fg_bg_att.bin"])

@@ -8,8 +8,8 @@ from skymimic.features import (CHANNEL_DIMS, WINDOW, _ae_backward, _ae_forward,
 from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax_update,
                          affine, affine_backward, grad_check, lstm_backward,
                          lstm_forward, lstm_init, lstm_input_weights,
-                         lstm_step, mlp_backward, mlp_forward, mlp_init,
-                         sigmoid, softmax, uniform_init)
+                         mlp_backward, mlp_forward, mlp_init, sigmoid,
+                         softmax, uniform_init)
 
 
 def test_affine_identity():
@@ -48,7 +48,8 @@ def test_affine_gradients_vs_finite_differences():
 def test_lstm_zero_everything():
     p = ParamSet({"Wx": np.zeros((3, 8)), "Wh": np.zeros((2, 8)),
                   "b": np.zeros(8)})
-    h, c, _ = lstm_step(np.zeros(3), np.zeros(2), np.zeros(2), p)
+    _, h, c, _ = lstm_forward(np.zeros((1, 3)), p, "", np.zeros(2),
+                              np.zeros(2))
     assert np.allclose(h, 0) and np.allclose(c, 0)
 
 
@@ -56,15 +57,15 @@ def test_lstm_purity():
     rng = np.random.default_rng(3)
     p = lstm_init(rng, 3, 4)
     x, h, c = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
-    h1, c1, _ = lstm_step(x, h, c, p)
-    h2, c2, _ = lstm_step(x, h, c, p)
+    _, h1, c1, _ = lstm_forward(x[None], p, "", h, c)
+    _, h2, c2, _ = lstm_forward(x[None], p, "", h, c)
     assert np.array_equal(h1, h2) and np.array_equal(c1, c2)
 
 
 def test_lstm_shape_error():
     p = lstm_init(np.random.default_rng(0), 3, 4)
     with pytest.raises(DimensionError):
-        lstm_step(np.zeros(5), np.zeros(4), np.zeros(4), p)
+        lstm_forward(np.zeros((1, 5)), p, "", np.zeros(4), np.zeros(4))
 
 
 def test_lstm_bptt_vs_finite_differences():
@@ -631,19 +632,19 @@ def test_check_mirror_rejects_other_names_shapes_and_order():
 
 
 def _per_record_save(p, path):
-    """ParamSet.save's container writer as it was before the flat
-    vector: one record per name, written from that name's array."""
+    """The container layout written from the module's description, one
+    record at a time: magic, uint32 header length, the sorted-key JSON
+    header, then each record's payload in layout order."""
+    import json
     import struct
+    header = json.dumps({"meta": p.meta,
+                         "layout": [[k, list(v.shape)] for k, v in p.items()]},
+                        sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
-        f.write(b"CMN1")
-        f.write(struct.pack("<I", len(p)))
-        for name, arr in p.items():
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
+        f.write(b"SMC1")
+        f.write(struct.pack("<I", len(header)))
+        f.write(header)
+        for arr in p.values():
             f.write(arr.astype("<f8").tobytes(order="C"))
 
 
@@ -658,34 +659,44 @@ def test_paramset_save_bytes_equal_per_record_writer(make, tmp_path):
         (tmp_path / "ref.bin").read_bytes()
     q = ParamSet.load(tmp_path / "flat.bin")
     assert q.layout == p.layout and np.array_equal(q.flat, p.flat)
+    assert q.meta == p.meta
 
 
 def test_paramset_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
+    meta = {"channel": "fg", "config": {"hidden": 7, "lam": 0.1,
+                                        "use_fg": False}}
     p = ParamSet({"Wx": rng.normal(size=(3, 8)), "b": rng.normal(size=8),
-                  "scalarish": rng.normal(size=(1,))},
-                 meta={"channel": "fg"})
+                  "scalarish": rng.normal(size=(1,)),
+                  "s": rng.normal(size=())}, meta=meta)
     path = tmp_path / "params.bin"
     p.save(path)
+    assert not list(tmp_path.glob("*.json"))   # no sidecar
     q = ParamSet.load(path)
     assert list(q.keys()) == list(p.keys())
+    assert q.layout == p.layout and q["s"].shape == ()
     for k in p:
         assert q[k].tobytes() == p[k].tobytes()
-    assert q.meta == {"channel": "fg"}
+    assert q.meta == meta
     # saving again is byte-identical
     p.save(tmp_path / "params2.bin")
     assert (tmp_path / "params.bin").read_bytes() == \
         (tmp_path / "params2.bin").read_bytes()
+    # a meta given to save is written in place of p.meta, which keeps
+    p.save(tmp_path / "params3.bin", meta={"kind": "other"})
+    assert ParamSet.load(tmp_path / "params3.bin").meta == {"kind": "other"}
+    assert p.meta == meta
 
 
 def test_paramset_load_rejects_truncated_and_trailing(tmp_path):
+    import struct
     rng = np.random.default_rng(3)
     path = tmp_path / "params.bin"
     ParamSet({"Wx": rng.normal(size=(3, 8)), "b": rng.normal(size=8),
-              "s": rng.normal(size=())}).save(path)
+              "s": rng.normal(size=())}, meta={"channel": "bg"}).save(path)
     blob = path.read_bytes()
-    # every proper prefix: inside the magic, the count, a name, a shape
-    # or a payload, and on a record boundary
+    # every proper prefix: inside the magic, the header length, the
+    # header or the vector
     for cut in range(len(blob)):
         path.write_bytes(blob[:cut])
         with pytest.raises(OSError):
@@ -693,8 +704,31 @@ def test_paramset_load_rejects_truncated_and_trailing(tmp_path):
     path.write_bytes(blob + b"\x00")
     with pytest.raises(OSError, match="trailing"):
         ParamSet.load(path)
+    path.write_bytes(b"CMN1" + blob[4:])
+    with pytest.raises(OSError, match="not a skymimic container"):
+        ParamSet.load(path)
+    # a header length that runs past the end of the file
+    path.write_bytes(blob[:4] + struct.pack("<I", len(blob)) + blob[8:])
+    with pytest.raises(OSError, match="truncated"):
+        ParamSet.load(path)
     path.write_bytes(blob)
     assert list(ParamSet.load(path).keys()) == ["Wx", "b", "s"]
+
+
+@pytest.mark.parametrize("header", [
+    b"not json", b"[]", b'{"layout":[]}', b'{"meta":{}}',
+    b'{"layout":[["W",[-1]]],"meta":{}}', b'{"layout":[["W",2]],"meta":{}}',
+    b'{"layout":[["W",[1.5]]],"meta":{}}',
+    b'{"layout":[["W",[1]],["W",[1]]],"meta":{}}',
+    b'{"layout":[[3,[1]]],"meta":{}}', b'{"layout":[],"meta":[]}',
+    b"\xff\xfe"])
+def test_paramset_load_rejects_malformed_header(tmp_path, header):
+    import struct
+    path = tmp_path / "params.bin"
+    path.write_bytes(b"SMC1" + struct.pack("<I", len(header)) + header
+                     + bytes(16))
+    with pytest.raises(OSError, match="malformed header"):
+        ParamSet.load(path)
 
 
 def test_uniform_init_bounds_and_determinism():

@@ -5,9 +5,10 @@ from skymimic.dataset import build_video
 from skymimic.features import autoencoder_init
 from skymimic.geometry import Intrinsics
 from skymimic.imitation import init_imitation_net
+from skymimic.nn import ParamSet
 from skymimic.pipeline import (DependencyError, ModelBundle,
                                demo_conditioning, snippet_action_labels)
-from skymimic.stylenet import VARIANTS, init_style_net
+from skymimic.stylenet import VARIANTS, StyleNetConfig, init_style_net
 
 
 def _fresh_bundle(seed=7, with_imitation=False):
@@ -30,6 +31,54 @@ def test_bundle_save_load_roundtrip(tmp_path):
     v1, p1, _ = loaded.style_feature(rec.fg, rec.bg)
     assert np.array_equal(v0, v1) and np.array_equal(p0, p1)
     assert loaded.style_cfg.hidden == bundle.style_cfg.hidden
+
+
+def test_bundle_restores_a_non_default_style_config(tmp_path):
+    cfg = StyleNetConfig(use_fg=False, use_attention=False, hidden=12,
+                         attn_hidden=5, lambda_fg=0.25, lambda_bg=0.03)
+    bundle = ModelBundle(autoencoder_init("fg", 1), autoencoder_init("bg", 2),
+                         init_style_net(cfg, 3), cfg,
+                         segment_params=init_style_net(cfg, 4))
+    metas = [dict(bundle.style_params.meta),
+             dict(bundle.segment_params.meta)]
+    bundle.save(tmp_path)
+    # save writes the config into the files, not into the caller's sets
+    assert [bundle.style_params.meta, bundle.segment_params.meta] == metas
+    loaded = ModelBundle.load(tmp_path)
+    assert loaded.style_cfg == cfg
+    for got, want in ((loaded.style_params, bundle.style_params),
+                      (loaded.segment_params, bundle.segment_params)):
+        assert got.layout == want.layout
+        assert np.array_equal(got.flat, want.flat)
+
+
+@pytest.mark.parametrize("net,config", [
+    ("style_net", {"hidden": 32}),            # layout does not match
+    ("style_net", {"use_fg": False}),
+    ("style_net", {"bogus": 1}),              # not a config field
+    ("style_net", {"use_fg": False, "use_bg": False}),   # no branch
+    ("segment_net", {"hidden": 32}),
+    ("segment_net", {"lambda_fg": 0.5}),      # differs from the style net
+])
+def test_bundle_load_rejects_a_config_that_does_not_fit(tmp_path, net,
+                                                        config):
+    cfg = VARIANTS["fg+bg+att"]
+    ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
+                init_style_net(cfg, 9), cfg,
+                segment_params=init_style_net(cfg, 10)).save(tmp_path)
+    path = tmp_path / f"{net}.bin"
+    p = ParamSet.load(path)
+    p.save(path, meta={**p.meta, "config": {**p.meta["config"], **config}})
+    with pytest.raises(OSError):
+        ModelBundle.load(tmp_path)
+
+
+def test_bundle_load_rejects_a_style_net_without_config(tmp_path):
+    bundle = _fresh_bundle()
+    bundle.save(tmp_path)
+    bundle.style_params.save(tmp_path / "style_net.bin")
+    with pytest.raises(OSError, match="no usable style-net config"):
+        ModelBundle.load(tmp_path)
 
 
 def test_bundle_load_missing_artifact(tmp_path):

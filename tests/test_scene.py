@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from skymimic.dataset import (CorpusConfig, build_video,
-                              features_for_frames, load_corpus,
-                              make_dataset, read_table, write_table)
+                              features_for_frames, load_corpus, load_video,
+                              make_dataset, save_video)
 from skymimic.geometry import (Intrinsics, project_foreground,
                                project_points, render_motion_field,
                                wrap_angle)
@@ -94,12 +94,23 @@ def test_script_validation():
         ShotScript("sideways", 20.0, 0, {}, subj)
 
 
-def test_table_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=(7, 13))
-    write_table(tmp_path / "t.bin", data)
-    back = read_table(tmp_path / "t.bin")
-    assert back.tobytes() == data.tobytes()
+def test_video_file_roundtrip(tmp_path):
+    rec = build_video("fly-by_007", "fly-by", "test", 42,
+                      Intrinsics(focal=512.5), duration_range=(8.0, 9.0),
+                      subject_height=1.83)
+    save_video(tmp_path, rec)
+    assert [p.name for p in tmp_path.iterdir()] == ["fly-by_007.bin"]
+    back = load_video(tmp_path, "fly-by_007")
+    for name in ("video_id", "style", "split", "seed", "duration",
+                 "subject_height", "intrinsics"):
+        assert getattr(back, name) == getattr(rec, name), name
+    for name in ("frames", "fg", "bg", "mask", "actions"):
+        a, b = getattr(rec, name), getattr(back, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # fg, bg and mask are column views of one features table
+    assert back.fg.base is back.bg.base is back.mask.base
+    for part in (back.fg, back.bg, back.mask):
+        assert part.strides == (197 * 8, 8)
 
 
 def test_build_video_feature_shapes():

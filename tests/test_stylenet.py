@@ -3,8 +3,9 @@ import pytest
 
 from skymimic.nn import ParamSet, grad_check
 from skymimic.stylenet import (VARIANTS, AttentionTrace, StyleNetConfig,
-                               confusion_matrix, init_style_net, prefix_probs,
-                               style_forward, style_loss, style_loss_and_grad,
+                               confusion_and_accuracy, init_style_net,
+                               predict_style, prefix_probs, style_forward,
+                               style_loss, style_loss_and_grad,
                                train_style_net)
 
 TINY = StyleNetConfig(hidden=6, attn_hidden=4, fg_dim=3, bg_dim=4)
@@ -162,9 +163,13 @@ def test_confusion_matrix_row_stochastic():
     rng = np.random.default_rng(12)
     data = _toy_corpus(rng, n_per_class=4)
     p = init_style_net(TINY, seed=0)
-    cm = confusion_matrix(data, p, TINY)
+    cm, acc = confusion_and_accuracy(data, p, TINY)
     assert cm.shape == (5, 5)
     assert np.allclose(cm.sum(axis=1), 1.0)
+    # the accuracy is the hit rate of the predictions the matrix counts
+    hits = sum(predict_style(seq, p, TINY) == label for seq, label in data)
+    assert acc == hits / len(data)
+    assert acc == pytest.approx(np.mean(np.diag(cm)))   # 4 per class
 
 
 def test_increasing_lambda_decreases_mean_beta():
