@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import imitation as imitation_mod
 from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
@@ -28,9 +29,8 @@ from .controller import SubjectLostError, closed_loop_run
 from .dataset import (CorpusConfig, load_corpus, load_video, video_path,
                       write_text_atomic)
 from .geometry import Intrinsics
-from .nn import NumericError, ParamSet
-from .pipeline import (DependencyError, ModelBundle, load_style_net,
-                       save_style_net)
+from .nn import NumericError
+from .pipeline import DependencyError, ModelBundle, load_encoders, load_net
 from .scene import (DT, DURATION_MAX, DURATION_MIN, STYLES, GeneratorError,
                     check_style_contract)
 from .segmenter import prob_curve, segment as segment_video
@@ -75,9 +75,18 @@ def _config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_manifest(out: Path, cfg: ExperimentConfig, lines: list[str]):
-    body = [f"config_hash {_config_hash(cfg)}", f"seed {cfg.seed}"] + lines
-    write_text_atomic(out / "manifest.txt", "\n".join(body) + "\n")
+def _write_manifest(out: Path, cfg: ExperimentConfig, stage: str):
+    """Replace `stage`'s line in out's manifest, keeping the lines of
+    the other stages already there."""
+    path = out / "manifest.txt"
+    lines = {stage: f"{stage} config_hash={_config_hash(cfg)} "
+                    f"seed={cfg.seed}"}
+    if path.exists():
+        for line in path.read_text().splitlines():
+            lines.setdefault(line.split(" ", 1)[0], line)
+    body = [f"# skymimic artifacts version={__version__}"] \
+        + [lines[s] for s in TRAIN_STAGES if s in lines]
+    write_text_atomic(path, "\n".join(body) + "\n")
 
 
 def _need_data(path: Path) -> None:
@@ -134,31 +143,27 @@ def cmd_train(args) -> int:
         fg_p, bg_p = train_encoders(train_recs, cfg)
         fg_p.save(out / "fg_encoder.bin")
         bg_p.save(out / "bg_encoder.bin")
-        lines = ["stage autoencoder"]
     elif args.stage == "style":
-        fg_p, bg_p = _need_encoders(out)
-        params, net_cfg, table = train_style_stage(records, fg_p, bg_p, cfg)
-        save_style_net(out / "style_net.bin", params, net_cfg)
+        fg_p, bg_p = load_encoders(out)
+        params, _, table = train_style_stage(records, fg_p, bg_p, cfg)
+        params.save(out / "style_net.bin")
         (out / "variants").mkdir(exist_ok=True)
-        for name, (vp, vcfg, cm) in table.items():
-            save_style_net(out / "variants" / f"{_slug(name)}.bin", vp, vcfg)
+        for name, (vp, _, cm) in table.items():
+            vp.save(out / "variants" / f"{_slug(name)}.bin")
             np.savetxt(out / "variants" / f"{_slug(name)}_confusion.csv",
                        cm, delimiter=",", fmt="%.6f")
-        seg_params, seg_cfg = train_segment_stage(records, fg_p, bg_p, cfg)
-        save_style_net(out / "segment_net.bin", seg_params, seg_cfg)
-        lines = ["stage style", "segment net"] \
-            + [f"variant {n}" for n in table]
+        seg_params, _ = train_segment_stage(records, fg_p, bg_p, cfg)
+        seg_params.save(out / "segment_net.bin")
     elif args.stage in ("imitation", "baseline"):
         bundle = ModelBundle.load(out)
         dual = args.stage == "imitation"
         params, _ = train_imitation_stage(records, bundle, cfg, dual=dual)
         name = "imitation_net.bin" if dual else "imitation_baseline.bin"
         params.save(out / name)
-        lines = [f"stage {args.stage}"]
     else:  # pragma: no cover - argparse restricts choices
         return EXIT_ARGS
 
-    _write_manifest(out, cfg, lines)
+    _write_manifest(out, cfg, args.stage)
     print(f"stage {args.stage}: artifacts written to {out}")
     return EXIT_OK
 
@@ -167,27 +172,21 @@ def _slug(name: str) -> str:
     return name.replace("+", "_")
 
 
-def _need_encoders(art: Path):
-    for fname in ("fg_encoder.bin", "bg_encoder.bin"):
-        if not (art / fname).exists():
-            raise DependencyError(
-                f"missing artifact {fname}; run the autoencoder stage first")
-    return ParamSet.load(art / "fg_encoder.bin"), \
-        ParamSet.load(art / "bg_encoder.bin")
-
-
 def cmd_eval(args) -> int:
     bundle = ModelBundle.load(args.artifacts)
     _need_data(Path(args.data) / "manifest.txt")
-    # every artifact is checked before the report directory is made
-    var_dir = Path(args.artifacts) / "variants"
-    if not var_dir.is_dir():
-        raise DependencyError(
-            "missing variants directory; run the style stage first")
-    var_paths = {name: var_dir / f"{_slug(name)}.bin" for name in VARIANTS}
-    for path in var_paths.values():
-        if not path.exists():
-            raise DependencyError(f"missing variant artifact {path.name}")
+    # every net is loaded before the report directory is made
+    art = Path(args.artifacts)
+    variants = {
+        name: load_net(art / "variants" / f"{_slug(name)}.bin",
+                       lambda _, c=c: stylenet_mod.init_style_net(c, 0))
+        for name, c in VARIANTS.items()}
+    trained = {}
+    if bundle.imitation_params is not None:
+        trained["dual"] = bundle.imitation_params
+        if (art / "imitation_baseline.bin").exists():
+            trained["baseline"] = bundle.load_imitation_net(
+                art / "imitation_baseline.bin")
     records = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,9 +199,9 @@ def cmd_eval(args) -> int:
 
     # confusion matrices and accuracies, one per classifier variant
     accuracies = []
-    for name, path in var_paths.items():
-        vp, vcfg = load_style_net(path)
-        cm, acc = stylenet_mod.confusion_and_accuracy(test_ex, vp, vcfg)
+    for name, vp in variants.items():
+        cm, acc = stylenet_mod.confusion_and_accuracy(test_ex, vp,
+                                                      VARIANTS[name])
         accuracies.append([name, f"{acc:.4f}"])
         np.savetxt(out / f"confusion_{_slug(name)}.csv", cm,
                    delimiter=",", fmt="%.6f")
@@ -210,15 +209,10 @@ def cmd_eval(args) -> int:
                accuracies)
 
     # imitation loss table: dual-objective net vs single-term baseline
-    rows = []
-    imit = Path(args.artifacts) / "imitation_net.bin"
-    base = Path(args.artifacts) / "imitation_baseline.bin"
-    if imit.exists():
+    if trained:
+        rows = []
         corpus = build_snippet_corpus(test_recs, bundle,
                                       [emb for emb, _ in test_ex])
-        trained = {"dual": ParamSet.load(imit)}
-        if base.exists():
-            trained["baseline"] = ParamSet.load(base)
         for label, params in trained.items():
             table = imitation_mod.evaluate_imitation(corpus, params)
             for style, errs in table.items():

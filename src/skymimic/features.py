@@ -193,20 +193,6 @@ class EncoderStream:
                 (self.proj[lo:t + 1] + self.bs)[:, None])
 
 
-def embed_snippet(snippet: Snippet, fg_params: ParamSet,
-                  bg_params: ParamSet) -> np.ndarray:
-    """(EMBED_DIM,) concatenated FG and BG embedding of one snippet."""
-    if fg_params.meta.get("channel") != "fg" \
-            or bg_params.meta.get("channel") != "bg":
-        raise ChannelError(
-            f"encoder channels are "
-            f"{fg_params.meta.get('channel')!r}/"
-            f"{bg_params.meta.get('channel')!r}, need 'fg'/'bg'")
-    fg = embed_batch(snippet.fg[None], fg_params)[0]
-    bg = embed_batch(snippet.bg[None], bg_params)[0]
-    return np.concatenate([fg, bg])
-
-
 def embed_video(fg: np.ndarray, bg: np.ndarray, fg_params: ParamSet,
                 bg_params: ParamSet) -> np.ndarray:
     """(T_snippets, EMBED_DIM) embeddings of all windows of a video."""

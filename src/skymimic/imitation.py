@@ -54,9 +54,6 @@ class WarpingPath:
     pairs: list[tuple[int, int]]
     cost: float
 
-    def matches_for(self, i: int) -> list[int]:
-        return [j for a, b in self.pairs if a == i for j in [b]]
-
 
 def dtw_align(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
     """Minimal-cost monotone alignment under Euclidean distance (Sakoe &

@@ -159,12 +159,11 @@ class ParamSet:
         raise DimensionError(f"parameter order differs: {list(self.keys())} "
                              f"vs {list(other.keys())}")
 
-    def save(self, path: str | Path, meta: dict | None = None) -> None:
-        """Write the set as one file; `meta`, when given, is written in
-        place of self.meta, which is left as it is."""
+    def save(self, path: str | Path) -> None:
+        """Write the set, with its meta, as one file."""
         header = json.dumps(
             {"layout": [[k, list(shape)] for k, shape in self.layout],
-             "meta": self.meta if meta is None else meta},
+             "meta": self.meta},
             sort_keys=True, separators=(",", ":")).encode("utf-8")
         with open(path, "wb") as f:
             f.write(MAGIC)

@@ -1,19 +1,27 @@
 """Trained-artifact bundle shared by the segmenter, the closed-loop
 controller, and the CLI: feature encoders, style net, imitation net,
-with save/load against a directory of ParamSet files. A style-type net
-(the style net, the segment net, an ablation variant) carries its full
-StyleNetConfig in its file's meta, so it is rebuilt from the file
-alone."""
+with save/load against a directory of ParamSet files.
+
+Every net file is read through `load_net`, which checks it against the
+net its user runs: the encoders against `autoencoder_init` of their
+channel, the style net against `init_style_net` of the StyleNetConfig
+in its meta, the segment net against the style net's, and an imitation
+net against `init_imitation_net` of the bundle's style feature size.
+`skymimic eval` checks each ablation variant against its own config in
+`stylenet.VARIANTS`."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .dataset import VideoRecord
-from .features import WINDOW, embed_video, window_starts
+from .features import (EMBED_DIM, WINDOW, autoencoder_init, embed_video,
+                       window_starts)
+from .imitation import init_imitation_net
 from .nn import ParamSet
 from .stylenet import StyleNetConfig, init_style_net, style_forward
 
@@ -22,27 +30,36 @@ class DependencyError(RuntimeError):
     """A required trained artifact is missing."""
 
 
-def save_style_net(path: str | Path, params: ParamSet,
-                   cfg: StyleNetConfig) -> None:
-    """Write a style-type net with `cfg` in its file's meta; the
-    caller's params.meta is not changed."""
-    params.save(path, meta={**params.meta, "config": asdict(cfg)})
+def load_net(path: str | Path,
+             build: Callable[[dict], ParamSet]) -> ParamSet:
+    """Read the net file at `path` and check it against `build(meta)`,
+    a fresh net of the kind its user runs, built from the file's meta.
 
-
-def load_style_net(path: str | Path) -> tuple[ParamSet, StyleNetConfig]:
-    """Read a file written by save_style_net. Raises OSError when its
-    config is missing or unusable, or when its layout is not the one
-    init_style_net builds from that config."""
+    Raises DependencyError when the file is missing, and OSError when
+    it is damaged, when its meta builds no net, or when its meta or
+    parameter layout differ from the built net's."""
+    path = Path(path)
+    if not path.exists():
+        raise DependencyError(f"missing artifact {path}; run the training "
+                              f"stage that writes it first")
     params = ParamSet.load(path)
     try:
-        cfg = StyleNetConfig(**params.meta["config"])
-        want = init_style_net(cfg, 0).layout
+        want = build(params.meta)
     except (KeyError, TypeError, ValueError) as e:
-        raise OSError(f"{path}: no usable style-net config ({e})") from e
-    if params.layout != want:
-        raise OSError(f"{path}: parameter layout does not match its "
-                      f"config {cfg}")
-    return params, cfg
+        raise OSError(f"{path}: meta {params.meta} builds no net "
+                      f"({e!r})") from e
+    if params.meta != want.meta or params.layout != want.layout:
+        raise OSError(f"{path}: meta or parameter layout does not match "
+                      f"the net it is loaded as ({want.meta})")
+    return params
+
+
+def load_encoders(art_dir: str | Path) -> tuple[ParamSet, ParamSet]:
+    """The fg and bg encoders of an artifact directory, each checked
+    against its channel's net, so a swapped pair fails on load."""
+    return tuple(load_net(Path(art_dir) / f"{ch}_encoder.bin",
+                          lambda _, ch=ch: autoencoder_init(ch, 0))
+                 for ch in ("fg", "bg"))
 
 
 @dataclass
@@ -98,60 +115,44 @@ class ModelBundle:
                                            self.style_cfg)
         return v, probs, trace
 
-    def classify(self, record: VideoRecord) -> int:
-        return self.classify_features(record.fg, record.bg)
-
     def classify_features(self, fg: np.ndarray, bg: np.ndarray) -> int:
         _, probs, _ = self.style_feature(fg, bg)
         return int(np.argmax(probs))
+
+    def load_imitation_net(self, path: str | Path) -> ParamSet:
+        """An imitation net file (dual or baseline), checked against
+        the net this bundle's style feature feeds."""
+        return load_net(path, lambda _: init_imitation_net(
+            self.style_cfg.feature_dim, EMBED_DIM, 0))
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         self.fg_encoder.save(out / "fg_encoder.bin")
         self.bg_encoder.save(out / "bg_encoder.bin")
-        save_style_net(out / "style_net.bin", self.style_params,
-                       self.style_cfg)
+        self.style_params.save(out / "style_net.bin")
         if self.imitation_params is not None:
             self.imitation_params.save(out / "imitation_net.bin")
         if self.segment_params is not None:
-            save_style_net(out / "segment_net.bin", self.segment_params,
-                           self.style_cfg)
+            self.segment_params.save(out / "segment_net.bin")
 
     @classmethod
     def load(cls, art_dir: str | Path,
              need_imitation: bool = False) -> "ModelBundle":
         art = Path(art_dir)
-        paths = {
-            "fg_encoder": art / "fg_encoder.bin",
-            "bg_encoder": art / "bg_encoder.bin",
-            "style_net": art / "style_net.bin",
-        }
-        for stage, path in paths.items():
-            if not path.exists():
-                raise DependencyError(
-                    f"missing artifact {path.name}; run the "
-                    f"prerequisite training stage first")
-        style, cfg = load_style_net(paths["style_net"])
-        imitation = None
-        imit_path = art / "imitation_net.bin"
-        if imit_path.exists():
-            imitation = ParamSet.load(imit_path)
-        elif need_imitation:
-            raise DependencyError(
-                "missing artifact imitation_net.bin; run the imitation "
-                "training stage first")
-        seg_path = art / "segment_net.bin"
-        seg = None
-        if seg_path.exists():
+        fg, bg = load_encoders(art)
+        style = load_net(art / "style_net.bin", lambda meta: init_style_net(
+            StyleNetConfig(**meta["config"]), 0))
+        cfg = StyleNetConfig(**style.meta["config"])
+        bundle = cls(fg, bg, style, cfg)
+        if need_imitation or (art / "imitation_net.bin").exists():
+            bundle.imitation_params = bundle.load_imitation_net(
+                art / "imitation_net.bin")
+        if (art / "segment_net.bin").exists():
             # the segmenter runs the segment net with the style net's config
-            seg, seg_cfg = load_style_net(seg_path)
-            if seg_cfg != cfg:
-                raise OSError(f"{seg_path}: config {seg_cfg} differs from "
-                              f"the style net's {cfg}")
-        return cls(ParamSet.load(paths["fg_encoder"]),
-                   ParamSet.load(paths["bg_encoder"]),
-                   style, cfg, imitation, seg)
+            bundle.segment_params = load_net(art / "segment_net.bin",
+                                             lambda _: init_style_net(cfg, 0))
+        return bundle
 
 
 def demo_conditioning(demo_actions: np.ndarray, step: int,

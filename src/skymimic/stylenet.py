@@ -13,7 +13,7 @@ branch variants double the hidden width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class AttentionTrace:
 
 def init_style_net(cfg: StyleNetConfig, seed: int) -> ParamSet:
     rng = np.random.default_rng(seed)
-    p = ParamSet(meta={"kind": "style-net"})
+    p = ParamSet(meta={"kind": "style-net", "config": asdict(cfg)})
     for name in cfg.branches:
         d_in = cfg.fg_dim if name == "fg" else cfg.bg_dim
         for k, v in lstm_init(rng, d_in, cfg.hidden, f"{name}_").items():

@@ -4,8 +4,11 @@ import shutil
 import numpy as np
 import pytest
 
+import skymimic
 from skymimic import features
-from skymimic.cli import main
+from skymimic.cli import TRAIN_STAGES, _config_hash, main
+from skymimic.config import ExperimentConfig
+from skymimic.imitation import init_imitation_net
 from skymimic.nn import ParamSet
 
 
@@ -114,14 +117,76 @@ def test_segment_layout_not_matching_config_exits_5(workspace, tmp_path,
     art = tmp_path / "art"
     shutil.copytree(workspace / "art", art)
     params = ParamSet.load(art / f"{net}.bin")
-    params.save(art / f"{net}.bin",
-                meta={**params.meta, "config": {**params.meta["config"],
-                                                "hidden": 32}})
+    params.meta["config"]["hidden"] = 32
+    params.save(art / f"{net}.bin")
     rc = main(["segment", "--data", str(workspace / "data"),
                "--artifacts", str(art), "--video", "fly-by_000"])
     assert rc == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "does not match its config" in err
+    assert err.startswith("error: ") and "does not match" in err
+
+
+def _net_argv(workspace, command, art, out):
+    data = str(workspace / "data")
+    return {
+        "segment": ["segment", "--data", data, "--artifacts", str(art),
+                    "--video", "fly-by_000"],
+        "imitate": ["imitate", "--data", data, "--artifacts", str(art),
+                    "--video", "fly-by_000", "--out", str(out)],
+        "eval": ["eval", "--data", data, "--artifacts", str(art),
+                 "--out", str(out)],
+        "style": ["train", "--data", data, "--out", str(art),
+                  "--stage", "style"],
+        "imitation": ["train", "--data", data, "--out", str(art),
+                      "--stage", "imitation"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["segment", "imitate", "eval", "style",
+                                     "imitation"])
+def test_swapped_encoders_exit_5(workspace, tmp_path, capsys, command):
+    # each encoder is checked against its channel's layout on load
+    art, out = tmp_path / "art", tmp_path / "out"
+    shutil.copytree(workspace / "art", art)
+    fg, bg = art / "fg_encoder.bin", art / "bg_encoder.bin"
+    blob = fg.read_bytes()
+    fg.write_bytes(bg.read_bytes())
+    bg.write_bytes(blob)
+    manifest = (art / "manifest.txt").read_bytes()
+    assert main(_net_argv(workspace, command, art, out)) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fg}") and "does not match" in err
+    assert not out.exists()
+    assert (art / "manifest.txt").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("command,net", [("imitate", "imitation_net"),
+                                         ("eval", "imitation_net"),
+                                         ("eval", "imitation_baseline")])
+def test_imitation_net_for_another_style_size_exits_5(workspace, tmp_path,
+                                                      capsys, command, net):
+    # the style net's feature is 128 wide; this net takes 32
+    art, out = tmp_path / "art", tmp_path / "out"
+    shutil.copytree(workspace / "art", art)
+    init_imitation_net(32, features.EMBED_DIM, 0).save(art / f"{net}.bin")
+    assert main(_net_argv(workspace, command, art, out)) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {art / net}.bin")
+    assert "does not match" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("net", ["variants/fg_bg_att.bin",
+                                 "imitation_baseline.bin"])
+def test_eval_damaged_net_exits_5_and_writes_nothing(workspace, tmp_path,
+                                                     capsys, net):
+    art, out = tmp_path / "art", tmp_path / "report"
+    shutil.copytree(workspace / "art", art)
+    blob = (art / net).read_bytes()
+    (art / net).write_bytes(blob[:len(blob) // 2])
+    assert main(_net_argv(workspace, "eval", art, out)) == 5
+    assert capsys.readouterr().err.startswith(f"error: {art / net}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("damage,why", [
@@ -183,6 +248,20 @@ def test_eval_embeds_and_predicts_each_test_video_once(workspace, tmp_path,
     assert calls == {"embed": n_test, "predict": 4 * n_test}
 
 
+def test_eval_variant_under_another_name_exits_5(workspace, tmp_path,
+                                                 capsys):
+    # eval runs fg-only.bin as the fg-only variant
+    art, out = tmp_path / "art", tmp_path / "report"
+    shutil.copytree(workspace / "art", art)
+    shutil.copyfile(art / "variants" / "fg_bg_att.bin",
+                    art / "variants" / "fg-only.bin")
+    assert main(_net_argv(workspace, "eval", art, out)) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {art / 'variants' / 'fg-only.bin'}")
+    assert "does not match" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("missing", ["variants", "variants/fg_bg_att.bin"])
 def test_eval_missing_variant_exits_3_and_writes_nothing(workspace, tmp_path,
                                                          capsys, missing):
@@ -196,7 +275,8 @@ def test_eval_missing_variant_exits_3_and_writes_nothing(workspace, tmp_path,
     rc = main(["eval", "--data", str(workspace / "data"),
                "--artifacts", str(art), "--out", str(out)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error: missing variant")
+    assert capsys.readouterr().err.startswith(
+        f"error: missing artifact {art / 'variants'}")
     assert not out.exists()
 
 
@@ -245,6 +325,33 @@ def test_manifest_reproducible(workspace, tmp_path):
     # the module fixture trained with the identical settings
     b = (art2 / "fg_encoder.bin").read_bytes()
     assert a == b
+
+
+def test_train_manifest_keeps_each_stage_line(workspace, tmp_path):
+    # the fixture ran every stage, in order
+    lines = (workspace / "art" / "manifest.txt").read_text().splitlines()
+    assert lines[0] == f"# skymimic artifacts version={skymimic.__version__}"
+    assert [line.split(" ")[0] for line in lines[1:]] == list(TRAIN_STAGES)
+
+    art = tmp_path / "art"
+
+    def train(stage, **sets):
+        sets = {"autoencoder_epochs": "1", "style_epochs": "1", **sets}
+        argv = ["train", "--data", str(workspace / "data"), "--out",
+                str(art), "--stage", stage]
+        for kv in sets.items():
+            argv += ["--set", "=".join(kv)]
+        assert main(argv) == 0
+        cfg = ExperimentConfig().updated(sets)
+        return f"{stage} config_hash={_config_hash(cfg)} seed={cfg.seed}"
+
+    ae_line = train("autoencoder")
+    style_line = train("style", seg_epochs="1")
+    assert ae_line.split()[1] != style_line.split()[1]
+    first = (art / "manifest.txt").read_bytes()
+    assert first.decode().splitlines() == [lines[0], ae_line, style_line]
+    train("style", seg_epochs="1")
+    assert (art / "manifest.txt").read_bytes() == first
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])

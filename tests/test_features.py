@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from skymimic.features import (WINDOW, ChannelError, EncoderStream,
-                               Snippet, TooShortError, autoencoder_init,
-                               embed_batch, embed_snippet, embed_video,
-                               train_autoencoder, window, window_starts,
-                               _ae_backward, _ae_forward)
+                               TooShortError, autoencoder_init, embed_batch,
+                               embed_video, train_autoencoder, window,
+                               window_starts, _ae_backward, _ae_forward)
 from skymimic.nn import DimensionError, ParamSet, grad_check
 
 
@@ -78,9 +77,9 @@ def test_channel_guards():
         train_autoencoder(rng.normal(size=(2, 8, 7)), "fg", epochs=1)
     fgp = autoencoder_init("fg", 0)
     bgp = autoencoder_init("bg", 0)
-    sn = Snippet(0, "v", rng.normal(size=(8, 5)), rng.normal(size=(8, 128)))
     with pytest.raises(ChannelError):
-        embed_snippet(sn, bgp, fgp)
+        embed_video(rng.normal(size=(8, 5)), rng.normal(size=(8, 128)),
+                    bgp, fgp)
 
 
 def test_embedding_purity_and_channel_separation():
@@ -90,12 +89,13 @@ def test_embedding_purity_and_channel_separation():
     fg = rng.normal(size=(8, 5))
     bg1 = rng.normal(size=(8, 128))
     bg2 = rng.normal(size=(8, 128))
-    a = embed_snippet(Snippet(0, "v", fg, bg1), fgp, bgp)
-    b = embed_snippet(Snippet(0, "v", fg, bg1), fgp, bgp)
-    c = embed_snippet(Snippet(0, "v", fg, bg2), fgp, bgp)
+    a = embed_video(fg, bg1, fgp, bgp)
+    b = embed_video(fg, bg1, fgp, bgp)
+    c = embed_video(fg, bg2, fgp, bgp)
+    assert a.shape == (1, 96)
     assert np.array_equal(a, b)
-    assert np.array_equal(a[:32], c[:32])
-    assert not np.array_equal(a[32:], c[32:])
+    assert np.array_equal(a[:, :32], c[:, :32])
+    assert not np.array_equal(a[:, 32:], c[:, 32:])
 
 
 def test_embeddings_bounded():

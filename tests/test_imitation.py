@@ -109,7 +109,7 @@ def test_dtw_align_bit_identical_to_numpy_table():
 
 def test_median_match_rule():
     path = dtw_align(np.array([0.0, 5.0]), np.array([0.0, 5.0, 5.0, 5.0]))
-    assert sorted(path.matches_for(1)) == [1, 2, 3]
+    assert sorted(j for i, j in path.pairs if i == 1) == [1, 2, 3]
     assert median_matches(path) == {0: 0, 1: 2}
 
 
@@ -219,7 +219,7 @@ def _rescan_sample(corpus, style, rng):
     s_max = corpus.embeddings[si].shape[0] - 2
 
     def median(i):
-        js = sorted(path.matches_for(i))
+        js = sorted(b for a, b in path.pairs if a == i)
         return js[(len(js) - 1) // 2]
 
     usable = [i for i, _ in path.pairs

@@ -682,10 +682,6 @@ def test_paramset_serialization_roundtrip(tmp_path):
     p.save(tmp_path / "params2.bin")
     assert (tmp_path / "params.bin").read_bytes() == \
         (tmp_path / "params2.bin").read_bytes()
-    # a meta given to save is written in place of p.meta, which keeps
-    p.save(tmp_path / "params3.bin", meta={"kind": "other"})
-    assert ParamSet.load(tmp_path / "params3.bin").meta == {"kind": "other"}
-    assert p.meta == meta
 
 
 def test_paramset_load_rejects_truncated_and_trailing(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,8 @@ def test_bundle_load_rejects_a_config_that_does_not_fit(tmp_path, net,
                 segment_params=init_style_net(cfg, 10)).save(tmp_path)
     path = tmp_path / f"{net}.bin"
     p = ParamSet.load(path)
-    p.save(path, meta={**p.meta, "config": {**p.meta["config"], **config}})
+    p.meta["config"].update(config)
+    p.save(path)
     with pytest.raises(OSError):
         ModelBundle.load(tmp_path)
 
@@ -76,8 +79,37 @@ def test_bundle_load_rejects_a_config_that_does_not_fit(tmp_path, net,
 def test_bundle_load_rejects_a_style_net_without_config(tmp_path):
     bundle = _fresh_bundle()
     bundle.save(tmp_path)
-    bundle.style_params.save(tmp_path / "style_net.bin")
-    with pytest.raises(OSError, match="no usable style-net config"):
+    # init_style_net writes the config; a net saved without one
+    p = bundle.style_params.copy()
+    del p.meta["config"]
+    p.save(tmp_path / "style_net.bin")
+    with pytest.raises(OSError, match="builds no net"):
+        ModelBundle.load(tmp_path)
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_init_style_net_stores_its_config(name):
+    cfg = VARIANTS[name]
+    assert init_style_net(cfg, 0).meta == {"kind": "style-net",
+                                           "config": asdict(cfg)}
+
+
+def test_bundle_load_rejects_swapped_encoders(tmp_path):
+    _fresh_bundle().save(tmp_path)
+    fg, bg = tmp_path / "fg_encoder.bin", tmp_path / "bg_encoder.bin"
+    blob = fg.read_bytes()
+    fg.write_bytes(bg.read_bytes())
+    bg.write_bytes(blob)
+    with pytest.raises(OSError, match="does not match"):
+        ModelBundle.load(tmp_path)
+
+
+def test_bundle_load_rejects_an_imitation_net_of_another_size(tmp_path):
+    # the style net's feature is 128 wide
+    bundle = _fresh_bundle()
+    bundle.imitation_params = init_imitation_net(64, 96, 0)
+    bundle.save(tmp_path)
+    with pytest.raises(OSError, match="does not match"):
         ModelBundle.load(tmp_path)
 
 
@@ -101,7 +133,7 @@ def test_bundle_load_missing_imitation(tmp_path):
 def test_classify_returns_index():
     bundle = _fresh_bundle()
     rec = build_video("v1", "orbiting", "train", 12, Intrinsics())
-    idx = bundle.classify(rec)
+    idx = bundle.classify_features(rec.fg, rec.bg)
     assert 0 <= idx < 5
 
 
