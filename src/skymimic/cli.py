@@ -7,8 +7,8 @@ Subcommands
     segment    cut a multi-style demo video into single-style spans
     imitate    recapture a demo video's style(s) in a fresh scene
 
-Exit codes: 0 success, 2 bad arguments, 3 missing dependency,
-4 numeric failure, 5 I/O failure.
+Exit codes: 0 success, 2 bad arguments or config value, 3 missing
+dependency, 4 numeric failure, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -28,46 +28,27 @@ from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
 from .dataset import (CorpusConfig, load_corpus, load_video, video_path,
                       write_text_atomic)
-from .geometry import Intrinsics
 from .nn import NumericError
 from .pipeline import DependencyError, ModelBundle, load_encoders, load_net
-from .scene import (DT, DURATION_MAX, DURATION_MIN, STYLES, GeneratorError,
-                    check_style_contract)
+from .scene import DT, STYLES, GeneratorError, check_style_contract
 from .segmenter import prob_curve, segment as segment_video
 from .stylenet import VARIANTS
 from .training import (build_snippet_corpus, make_live_scene,
                        train_encoders, train_imitation_stage,
                        train_segment_stage, train_style_stage)
 
-EXIT_OK = 0
-EXIT_ARGS = 2
-EXIT_DEPENDENCY = 3
-EXIT_NUMERIC = 4
-EXIT_IO = 5
+# the exit code of each error class a command may raise; a command
+# that returns exits 0
+EXIT_CODES = {ConfigError: 2, GeneratorError: 2, DependencyError: 3,
+              NumericError: 4, FloatingPointError: 4, OSError: 5}
 
 TRAIN_STAGES = ("autoencoder", "style", "imitation", "baseline")
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.load(args.config)
-    if getattr(args, "set", None):
-        cfg = cfg.updated(parse_overrides(args.set))
-    if not (DURATION_MIN <= cfg.duration_min <= cfg.duration_max
-            <= DURATION_MAX):
-        raise ConfigError(
-            f"duration_min={cfg.duration_min}, duration_max="
-            f"{cfg.duration_max}: shots must last {DURATION_MIN} to "
-            f"{DURATION_MAX} s, with duration_min <= duration_max")
-    try:
-        Intrinsics(focal=cfg.focal)
-    except ValueError as e:
-        raise ConfigError(f"focal={cfg.focal}: {e}") from e
-    if not cfg.subject_height > 0:
-        raise ConfigError(f"subject_height={cfg.subject_height}: the "
-                          f"subject's height must be positive")
-    return cfg
+    cfg = ExperimentConfig.load(args.config) if args.config \
+        else ExperimentConfig()
+    return cfg.updated(parse_overrides(args.set or []))
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:
@@ -105,20 +86,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> None:
+    """Write the corpus; a bad argument or config value (exit 2) is
+    refused before --out is made."""
     cfg = _load_config(args)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
-        print(f"error: output directory {out} is not empty "
-              f"(use --force to overwrite)", file=sys.stderr)
-        return EXIT_ARGS
+        raise ConfigError(f"output directory {out} is not empty "
+                          f"(use --force to overwrite)")
     styles = None
     if args.styles:
         styles = [s.strip() for s in args.styles.split(",")]
         unknown = [s for s in styles if s not in STYLES]
         if unknown:
-            print(f"error: unknown styles {unknown}", file=sys.stderr)
-            return EXIT_ARGS
+            raise ConfigError(f"unknown styles {unknown}")
     corpus_cfg = CorpusConfig(seed=cfg.seed,
                               duration_range=(cfg.duration_min,
                                               cfg.duration_max),
@@ -128,10 +109,9 @@ def cmd_gen_data(args) -> int:
     records = make_dataset(corpus_cfg, out, styles)
     n_test = sum(r.split == "test" for r in records)
     print(f"wrote {len(records)} videos ({n_test} test) to {out}")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg = _load_config(args)
     _need_data(Path(args.data) / "manifest.txt")
     records = load_corpus(args.data)
@@ -154,25 +134,22 @@ def cmd_train(args) -> int:
                        cm, delimiter=",", fmt="%.6f")
         seg_params, _ = train_segment_stage(records, fg_p, bg_p, cfg)
         seg_params.save(out / "segment_net.bin")
-    elif args.stage in ("imitation", "baseline"):
+    else:   # imitation or baseline
         bundle = ModelBundle.load(out)
         dual = args.stage == "imitation"
         params, _ = train_imitation_stage(records, bundle, cfg, dual=dual)
         name = "imitation_net.bin" if dual else "imitation_baseline.bin"
         params.save(out / name)
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_ARGS
 
     _write_manifest(out, cfg, args.stage)
     print(f"stage {args.stage}: artifacts written to {out}")
-    return EXIT_OK
 
 
 def _slug(name: str) -> str:
     return name.replace("+", "_")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     bundle = ModelBundle.load(args.artifacts)
     _need_data(Path(args.data) / "manifest.txt")
     # every net is loaded before the report directory is made
@@ -235,10 +212,9 @@ def cmd_eval(args) -> int:
                ["video_id", "style", "branch", "snippet", "beta"],
                trace_rows)
     print(f"evaluation written to {out}")
-    return EXIT_OK
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args) -> None:
     bundle = ModelBundle.load(args.artifacts)
     _need_data(video_path(args.data, args.video))
     rec = load_video(Path(args.data), args.video)
@@ -252,10 +228,9 @@ def cmd_segment(args) -> int:
         rows = [[f"{t:.2f}"] + [f"{p:.4f}" for p in row]
                 for t, row in zip(curve.times, curve.probs)]
         _write_csv(Path(args.curve), ["time_s"] + list(STYLES), rows)
-    return EXIT_OK
 
 
-def cmd_imitate(args) -> int:
+def cmd_imitate(args) -> None:
     cfg = _load_config(args)
     bundle = ModelBundle.load(args.artifacts, need_imitation=True)
     _need_data(video_path(args.data, args.video))
@@ -265,7 +240,7 @@ def cmd_imitate(args) -> int:
     for s in segs:
         print(f"  plan: {s.start:6.2f}s-{s.end:6.2f}s  {s.style}")
     if args.dry_run:
-        return EXIT_OK
+        return
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +268,6 @@ def cmd_imitate(args) -> int:
               f"contract {'ok' if ok else 'violated'}")
     _write_csv(out / "verdicts.csv",
                ["segment", "wanted", "recovered", "verdict"], verdicts)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +333,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
-    except (ConfigError, GeneratorError) as e:
+        args.func(args)
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_ARGS
-    except DependencyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEPENDENCY
-    except (NumericError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in EXIT_CODES.items()
+                    if isinstance(e, cls))
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,17 +3,38 @@
 Every tunable a run may change lives here with its default, and every
 key is read, so a run is fully described by one small text file.  The
 format is intentionally plain: one `key = value` pair per line, `#`
-comments, no sections.
+comments, no sections. Every value is checked against its range in
+`RANGES` whenever a config is made, so no stage starts on a bad one.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+from .scene import DURATION_MAX, DURATION_MIN
 
 
 class ConfigError(ValueError):
-    """Malformed config file or unknown/ill-typed key."""
+    """Malformed config file, unknown/ill-typed key or out-of-range
+    value."""
+
+
+# key: (low, high, whether low itself is allowed); every value must
+# also be finite, and duration_min <= duration_max
+AT_LEAST_0, AT_LEAST_1 = (0, math.inf, True), (1, math.inf, True)
+POSITIVE, SHOT = (0, math.inf, False), (DURATION_MIN, DURATION_MAX, True)
+RANGES = {
+    "seed": AT_LEAST_0, "duration_min": SHOT, "duration_max": SHOT,
+    "subject_height": POSITIVE, "focal": POSITIVE,
+    "autoencoder_epochs": AT_LEAST_1, "autoencoder_lr": POSITIVE,
+    "style_epochs": AT_LEAST_1, "style_lr": POSITIVE,
+    "imitation_epochs": AT_LEAST_1, "imitation_steps": AT_LEAST_1,
+    "imitation_lr": POSITIVE, "loss_mix": AT_LEAST_0,
+    "seg_epochs": AT_LEAST_1, "seg_crop_prob": (0, 1, True),
+    "seg_min_crop": AT_LEAST_1,
+}
 
 
 @dataclass
@@ -44,14 +65,30 @@ class ExperimentConfig:
     seg_crop_prob: float = 0.7
     seg_min_crop: int = 5
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            low, high, closed = RANGES[f.name]
+            if not (math.isfinite(value) and value <= high
+                    and (low <= value if closed else low < value)):
+                raise ConfigError(
+                    f"config key {f.name!r} = {value!r} is outside "
+                    f"{'[' if closed else '('}{low}, {high}"
+                    f"{']' if math.isfinite(high) else ')'}")
+        if self.duration_min > self.duration_max:
+            raise ConfigError(
+                f"config key 'duration_min' = {self.duration_min!r} "
+                f"exceeds duration_max = {self.duration_max!r}")
+
     def save(self, path: str | Path) -> None:
         lines = [f"{k} = {v}" for k, v in asdict(self).items()]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        cfg = cls()
-        return cfg.updated(_parse_pairs(Path(path).read_text()))
+        # a non-UTF-8 byte becomes U+FFFD, which no key or value admits
+        text = Path(path).read_bytes().decode("utf-8", errors="replace")
+        return cls().updated(_parse_pairs(text))
 
     def updated(self, overrides: dict[str, str]) -> "ExperimentConfig":
         """A copy with string overrides coerced to each field's type."""
@@ -64,8 +101,6 @@ class ExperimentConfig:
 
 
 def _coerce(key: str, raw, target: type):
-    if isinstance(raw, target):
-        return raw
     text = str(raw).strip()
     try:
         return target(text)

@@ -119,14 +119,13 @@ def kalman_step(track: SubjectTrack, measurement: np.ndarray,
 def next_waypoint(drone: Pose6D, action: np.ndarray,
                   subject: np.ndarray, K: Intrinsics,
                   subject_height: float, dt: float = DT,
-                  max_speed: float = MAX_SPEED,
                   subject_next: np.ndarray | None = None,
                   heading: np.ndarray | None = None,
                   hold_aim: bool = False) -> Pose6D:
     """One control step of the action in subject-relative coordinates.
 
     The action's target scale fixes the new range through the pinhole
-    relation; the range moves towards it by at most max_speed * dt.
+    relation; the range moves towards it by at most MAX_SPEED * dt.
 
     Without a heading the step is spherical: the camera's offset from
     the subject is held as (range, azimuth, elevation), the angular
@@ -157,8 +156,8 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
     el = float(np.arcsin(np.clip(r[2] / rho, -1.0, 1.0)))
     rho_target = K.focal * subject_height \
         / (max(target_scale, MIN_BOX_HEIGHT) * K.height)
-    rho_new = rho + float(np.clip(rho_target - rho, -max_speed * dt,
-                                  max_speed * dt))
+    rho_new = rho + float(np.clip(rho_target - rho, -MAX_SPEED * dt,
+                                  MAX_SPEED * dt))
     rho_new = max(rho_new, 1.0)
     turn = omega * dt
     if heading is None:
@@ -175,7 +174,7 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
         sweep = np.hypot(r[0], r[1]) * turn[1] \
             * np.array([-np.sin(az), np.cos(az), 0.0])
         along = max(float((level - r) @ h), float(sweep @ h), 0.0)
-        offset = r + min(along, max_speed * dt) * h
+        offset = r + min(along, MAX_SPEED * dt) * h
         # the subject's bearing and elevation, as swept by the step
         swept = np.array([np.arctan2(offset[1], offset[0]) - az,
                           np.arcsin(np.clip(offset[2]

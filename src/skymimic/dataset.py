@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import WINDOW
 from .geometry import (Intrinsics, flip_bg, flip_fg, project_foreground,
                        project_points, render_motion_field)
 from .nn import ParamSet
@@ -192,11 +193,16 @@ def save_video(root: Path, rec: VideoRecord) -> None:
 
 def load_video(root: Path, video_id: str) -> VideoRecord:
     """Read one video file; fg, bg and mask are column views of its
-    features table. Raises OSError when the file is damaged or lacks a
-    field."""
+    features table. Raises OSError when the file is damaged, lacks a
+    field or holds a table of the wrong shape."""
     path = video_path(root, video_id)
     try:
         v = ParamSet.load(path)
+        widths = {"frames": 13, "features": 197, "actions": 7}
+        n, shapes = len(v["frames"]), {k: v[k].shape for k in widths}
+        if n < WINDOW or shapes != {k: (n, w) for k, w in widths.items()}:
+            raise ValueError(f"tables {shapes} do not fit: each needs the "
+                             f"same T >= {WINDOW} rows, widths {widths}")
         feats = v["features"]
         return VideoRecord(
             **{k: v.meta[k] for k in META_FIELDS},

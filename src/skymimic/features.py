@@ -51,19 +51,18 @@ class Snippet:
     bg: np.ndarray  # (WINDOW, 128)
 
 
-def window_starts(length: int, n: int = WINDOW,
-                  stride: int = STRIDE) -> list[int]:
-    if length < n:
+def window_starts(length: int) -> list[int]:
+    if length < WINDOW:
         raise TooShortError(
             f"sequence of {length} frames is shorter than the window "
-            f"of {n}")
-    return list(range(0, length - n + 1, stride))
+            f"of {WINDOW}")
+    return list(range(0, length - WINDOW + 1, STRIDE))
 
 
-def window(fg: np.ndarray, bg: np.ndarray, video_id: str = "",
-           n: int = WINDOW, stride: int = STRIDE) -> list[Snippet]:
-    starts = window_starts(fg.shape[0], n, stride)
-    return [Snippet(s, video_id, fg[s:s + n], bg[s:s + n]) for s in starts]
+def window(fg: np.ndarray, bg: np.ndarray,
+           video_id: str = "") -> list[Snippet]:
+    return [Snippet(s, video_id, fg[s:s + WINDOW], bg[s:s + WINDOW])
+            for s in window_starts(fg.shape[0])]
 
 
 def autoencoder_init(channel: str, seed: int) -> ParamSet:

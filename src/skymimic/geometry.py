@@ -192,7 +192,7 @@ def render_motion_field(proj_t, proj_t1, K: Intrinsics) -> BgFeature:
         return feature
     p0, p1 = np.compress(ok, px0, axis=0), np.compress(ok, px1, axis=0)
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
-        raise ArithmeticError("render_motion_field: non-finite projection")
+        raise FloatingPointError("render_motion_field: non-finite projection")
     disp = (p1 - p0) / np.array([K.width, K.height])
     gx = np.minimum((p0[:, 0] / K.width * GRID).astype(int), GRID - 1)
     gy = np.minimum((p0[:, 1] / K.height * GRID).astype(int), GRID - 1)

@@ -305,6 +305,21 @@ def make_point_cloud(rng: np.random.Generator, center=(0.0, 0.0),
 # ---------------------------------------------------------------------------
 # style contract checkers
 
+def _dir_spread(cams: np.ndarray) -> float:
+    """Largest distance of a step's unit direction from the first's."""
+    deltas = np.diff(cams, axis=0)
+    unit = deltas / np.maximum(
+        np.linalg.norm(deltas, axis=1, keepdims=True), 1e-12)
+    return float(np.linalg.norm(unit - unit[0], axis=1).max(initial=0.0))
+
+
+def _max_aim_err(disp: np.ndarray, frames: list[FrameSample]) -> float:
+    """Largest yaw by which a camera misses the subject's bearing."""
+    return float(max(abs(wrap_angle(np.arctan2(-d[1], -d[0])
+                                     - f.camera.yaw))
+                     for d, f in zip(disp, frames)))
+
+
 def check_style_contract(style: str, frames: list[FrameSample],
                          strict: bool = True) -> tuple[bool, dict]:
     """Geometric predicates from the style definitions.
@@ -317,17 +332,13 @@ def check_style_contract(style: str, frames: list[FrameSample],
     angs = np.array([f.camera.angles for f in frames])
     disp = cams - subjs
     metrics: dict = {}
+    tol_aim = 1e-9 if strict else 0.12   # fly-by, orbiting, super-dolly
 
     if style == "fly-through":
         dang = wrap_angle(np.diff(angs, axis=0))
         metrics["max_ang_step"] = float(np.abs(dang).max()) if len(dang) \
             else 0.0
-        deltas = np.diff(cams, axis=0)
-        unit = deltas / np.maximum(
-            np.linalg.norm(deltas, axis=1, keepdims=True), 1e-12)
-        metrics["dir_spread"] = float(
-            np.linalg.norm(unit - unit[0], axis=1).max()) if len(unit) \
-            else 0.0
+        metrics["dir_spread"] = _dir_spread(cams)
         metrics["min_dist"] = float(np.linalg.norm(disp, axis=1).min())
         tol_ang = 1e-12 if strict else 0.02
         tol_dir = 1e-9 if strict else 0.15
@@ -336,20 +347,11 @@ def check_style_contract(style: str, frames: list[FrameSample],
               and metrics["min_dist"] <= (10.0 if strict else 14.0))
 
     elif style == "fly-by":
-        deltas = np.diff(cams, axis=0)
-        unit = deltas / np.maximum(
-            np.linalg.norm(deltas, axis=1, keepdims=True), 1e-12)
-        metrics["dir_spread"] = float(
-            np.linalg.norm(unit - unit[0], axis=1).max()) if len(unit) \
-            else 0.0
-        aim_err = [abs(wrap_angle(
-            np.arctan2(-d[1], -d[0]) - f.camera.yaw))
-            for d, f in zip(disp, frames)]
-        metrics["max_aim_err"] = float(max(aim_err))
+        metrics["dir_spread"] = _dir_spread(cams)
+        metrics["max_aim_err"] = _max_aim_err(disp, frames)
         metrics["yaw_sweep"] = float(
             np.abs(wrap_angle(np.diff(angs[:, 1]))).sum())
         tol_dir = 1e-9 if strict else 0.2
-        tol_aim = 1e-9 if strict else 0.12
         ok = (metrics["dir_spread"] <= tol_dir
               and metrics["max_aim_err"] <= tol_aim
               and metrics["yaw_sweep"] > 0.05)
@@ -372,12 +374,8 @@ def check_style_contract(style: str, frames: list[FrameSample],
         metrics["bearing_monotone"] = bool(
             np.all(db > 1e-6) or np.all(db < -1e-6)) if len(db) else False
         metrics["bearing_sweep"] = float(abs(bearing[-1] - bearing[0]))
-        aim_err = [abs(wrap_angle(
-            np.arctan2(-d[1], -d[0]) - f.camera.yaw))
-            for d, f in zip(disp, frames)]
-        metrics["max_aim_err"] = float(max(aim_err))
+        metrics["max_aim_err"] = _max_aim_err(disp, frames)
         tol_r = 1e-9 if strict else 0.10
-        tol_aim = 1e-9 if strict else 0.12
         ok = (metrics["radius_var"] <= tol_r
               and metrics["bearing_monotone"]
               and metrics["max_aim_err"] <= tol_aim
@@ -393,11 +391,7 @@ def check_style_contract(style: str, frames: list[FrameSample],
         back = np.einsum("ij,ij->i", vel, fwd)
         metrics["max_forward_component"] = float(back.max()) if len(back) \
             else -1.0
-        aim_err = [abs(wrap_angle(
-            np.arctan2(-d[1], -d[0]) - f.camera.yaw))
-            for d, f in zip(disp, frames)]
-        metrics["max_aim_err"] = float(max(aim_err))
-        tol_aim = 1e-9 if strict else 0.12
+        metrics["max_aim_err"] = _max_aim_err(disp, frames)
         ok = (metrics["min_lead"] > 0
               and metrics["max_forward_component"] < 1e-9
               and metrics["max_aim_err"] <= tol_aim)

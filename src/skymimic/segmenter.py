@@ -58,16 +58,15 @@ class Segment:
     peak_prob: float
 
 
-def prob_curve(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
-               start_frame: int = 0) -> ProbCurve:
-    """Classifier probabilities over the growing prefix from start_frame,
-    all from one causal pass of the style net."""
-    if fg.shape[0] - start_frame < WINDOW:
-        raise TooShortError(
-            f"need at least {WINDOW} frames after frame {start_frame}")
-    emb = bundle.embed(fg[start_frame:], bg[start_frame:])
+def prob_curve(fg: np.ndarray, bg: np.ndarray,
+               bundle: ModelBundle) -> ProbCurve:
+    """Classifier probabilities over the growing prefix, all from one
+    causal pass of the style net."""
+    if fg.shape[0] < WINDOW:
+        raise TooShortError(f"need at least {WINDOW} frames")
+    emb = bundle.embed(fg, bg)
     probs = prefix_probs(emb, bundle.style_params, bundle.style_cfg)
-    ends = start_frame + np.arange(emb.shape[0]) * STRIDE + WINDOW
+    ends = np.arange(emb.shape[0]) * STRIDE + WINDOW
     return ProbCurve(ends * DT, probs)
 
 
@@ -95,8 +94,7 @@ def _candidate_cuts(d: np.ndarray, lo: int, hi: int) -> list[int]:
 
 
 def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
-            threshold: float = 0.6, mode: str = "relative",
-            min_len: float = MIN_SEGMENT_SECONDS) -> list[Segment]:
+            threshold: float = 0.6, mode: str = "relative") -> list[Segment]:
     """Cut the video at a detected style change, or return it whole."""
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown threshold mode {mode!r}")
@@ -109,7 +107,7 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
     full = prefix[n - 1]
     whole = [Segment(0.0, duration, STYLES[int(np.argmax(full))],
                      float(np.max(full)))]
-    min_part = max(1, int(round(min_len / DT)))
+    min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
     if n < 4 or n_frames < 2 * min_part:
         return whole
 

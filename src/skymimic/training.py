@@ -89,10 +89,10 @@ def _train_examples(records: list[VideoRecord], fg_p, bg_p,
     return examples
 
 
-def train_val_split(examples, labels_every: int = 5):
-    """Deterministic carve-out: every labels_every-th example is val."""
-    train = [ex for i, ex in enumerate(examples) if i % labels_every]
-    val = [ex for i, ex in enumerate(examples) if not i % labels_every]
+def train_val_split(examples):
+    """Deterministic carve-out: every fifth example is val."""
+    train = [ex for i, ex in enumerate(examples) if i % 5]
+    val = [ex for i, ex in enumerate(examples) if not i % 5]
     return train, val
 
 

@@ -27,23 +27,54 @@ def workspace(tmp_path_factory):
     return root
 
 
-def test_gen_data_refuses_nonempty(workspace):
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_gen_data_refuses_nonempty(workspace, capsys):
     assert main(["gen-data", "--out", str(workspace / "data")]) == 2
+    assert "is not empty" in _one_error_line(capsys)
 
 
-def test_gen_data_rejects_unknown_style(tmp_path):
+def test_gen_data_rejects_unknown_style(tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path / "d"),
                  "--styles", "sideways"]) == 2
+    assert "sideways" in _one_error_line(capsys)
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("override", ["duration_min=1", "focal=-1",
                                       "subject_height=-1",
-                                      "subject_height=0"])
+                                      "subject_height=0", "seed=-1",
+                                      "focal=nan", "subject_height=inf"])
 def test_gen_data_rejects_bad_config_value(tmp_path, capsys, override):
     out = tmp_path / "d"
     assert main(["gen-data", "--out", str(out), "--set", override]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert override.split("=")[0] in _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage,override", [
+    ("style", "seg_min_crop=0"), ("style", "seg_crop_prob=5"),
+    ("imitation", "imitation_epochs=-3"), ("imitation", "imitation_lr=-1"),
+    ("imitation", "imitation_steps=0"), ("imitation", "loss_mix=nan")])
+def test_train_rejects_bad_config_value(workspace, tmp_path, capsys, stage,
+                                        override):
+    # refused before the stage trains: it writes no net and leaves the
+    # other artifacts and the manifest as they were
+    art = tmp_path / "art"
+    shutil.copytree(workspace / "art", art)
+    (art / f"{stage}_net.bin").unlink()
+    before = {p: p.read_bytes() for p in art.rglob("*") if p.is_file()}
+    fast = ["--set", "style_epochs=1", "--set", "seg_epochs=1",
+            "--set", "imitation_epochs=1", "--set", "imitation_steps=10"]
+    assert main(_net_argv(workspace, stage, art, None) + fast
+                + ["--set", override]) == 2
+    assert override.split("=")[0] in _one_error_line(capsys)
+    assert {p: p.read_bytes() for p in art.rglob("*")
+            if p.is_file()} == before
 
 
 def test_gen_data_manifest(workspace):
@@ -189,18 +220,39 @@ def test_eval_damaged_net_exits_5_and_writes_nothing(workspace, tmp_path,
     assert not out.exists()
 
 
+def _rewrite(edit):
+    """Damage that replaces a file's bytes with edit(bytes)."""
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def _cut(table, rows=None, cols=None):
+    """Damage that keeps only the first rows and cols of one table of a
+    video file, which stays a well-formed container."""
+    def damage(path):
+        video = ParamSet.load(path)
+        tables = {k: video[k] for k in video}
+        tables[table] = tables[table][:rows, :cols]
+        ParamSet(tables, video.meta).save(path)
+    return damage
+
+
 @pytest.mark.parametrize("damage,why", [
-    (lambda blob: blob[:len(blob) // 2], "truncated"),
-    (lambda blob: blob + bytes(8), "trailing"),
-    (lambda blob: b"SMT1" + blob[4:], "not a skymimic container"),
+    (_rewrite(lambda blob: blob[:len(blob) // 2]), "truncated"),
+    (_rewrite(lambda blob: blob + bytes(8)), "trailing"),
+    (_rewrite(lambda blob: b"SMT1" + blob[4:]), "not a skymimic container"),
+    pytest.param(_cut("features", cols=100), "do not fit",
+                 id="features-100-wide"),
+    pytest.param(_cut("features", rows=5), "do not fit",
+                 id="features-5-rows"),
+    pytest.param(_cut("actions", rows=-1), "do not fit",
+                 id="actions-one-row-short"),
 ])
 def test_segment_damaged_corpus_table_exits_5(workspace, tmp_path, capsys,
                                               damage, why):
     # a video is one file holding its frames, features and actions
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
-    video = data / "fly-by_000.bin"
-    video.write_bytes(damage(video.read_bytes()))
+    damage(data / "fly-by_000.bin")
     rc = main(["segment", "--data", str(data),
                "--artifacts", str(workspace / "art"), "--video", "fly-by_000"])
     assert rc == 5

@@ -79,7 +79,31 @@ def test_malformed_line_rejected(tmp_path):
         ExperimentConfig.load(path)
 
 
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 5\xff\n")
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig.load(path)
+
+
 def test_parse_overrides():
     assert parse_overrides(["a=1", "b = x=y"]) == {"a": "1", "b": "x=y"}
     with pytest.raises(ConfigError):
         parse_overrides(["no-equals"])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", -1), ("duration_min", 4.0), ("duration_max", 51.0),
+    ("duration_min", 21.0), ("subject_height", 0.0),
+    ("subject_height", float("inf")), ("focal", float("nan")),
+    ("autoencoder_epochs", 0), ("autoencoder_lr", 0.0), ("style_epochs", 0),
+    ("style_lr", -1.0), ("imitation_epochs", -3), ("imitation_steps", 0),
+    ("imitation_lr", -1.0), ("loss_mix", float("nan")), ("loss_mix", -0.1),
+    ("seg_epochs", 0), ("seg_crop_prob", 5.0), ("seg_crop_prob", -0.5),
+    ("seg_min_crop", 0)])
+def test_out_of_range_value_rejected(key, value):
+    # every way of making a config checks it, and the error names the key
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig().updated({key: str(value)})
