@@ -20,23 +20,43 @@ call, not per flop:
   window's pre-activation block instead (see `lstm_forward`).
   A cell that reads no input, such as the autoencoder's decoder, passes
   xs=None and a block of b·s alone.
-- Cache layout (LSTMCache), N being the product of the batch axes:
-  the input xs (T, ..., D) as given, or None for an input-free run;
-  hidden and cell states hs, cs (T+1, N, H) with row 0 the initial
-  state; gate activations (T, N, 4H) in i|f|g|o order; tanh(c_t) as
-  tcs (T, N, H); the batch axes.
+- Stacks. Independent runs share the step loop, after the same paper's
+  advice to run independent recurrent streams together: a stack of B
+  cells of one hidden size (the style net's fg and bg branches), and S
+  runs of each that join the loop late, run s at row starts[s] from its
+  initial state. The cells' inputs lie side by side on the last axis of
+  one input array. Every elementwise op of a step covers all runs in the
+  loop at once, and the recurrent matmul is one broadcast
+  (S, B, N, H) @ (B, H, 4H) call, which NumPy runs slice by slice with
+  the gemv or GEMM of a 2-D call. Runs share each row's input
+  projection, which the projection's matmul forms row by row, so its
+  bits do not depend on the span. So each run of each cell gets the
+  bits of its own call on the rows it reads.
+  A single-cell call is a stack of one: its blocks keep no stack axes
+  and it copies no weight matrix.
+- Cache layout (LSTMCache): each time row holds R = S·B·N state rows,
+  runs outermost, then cells, then the N rows of the batch axes; the
+  input xs (T, ..., D) as given, or None for an input-free run; hidden
+  and cell states hs, cs (T+1, R, H), with run s's initial state at row
+  starts[s]; gate activations (T, R, 4H) in i|f|g|o order, zero before
+  a run's start when there are several runs; tanh(c_t) as tcs
+  (T, R, H); the batch axes and the run starts (None for one run from
+  row 0). The backward is given the forward's prefixes, which fix the
+  cell count.
 - Backward. BPTT writes each step's pre-activation gradient dz into one
-  (T, N, 4H) array, again with no per-step allocation; dWx (none for an
-  input-free run), dWh and db are then one GEMM (or sum) each over the
-  stacked steps, added into the gradient set's views in place. The
-  input gradient is not formed: dz is returned, and a caller that needs
-  it computes dz @ Wx.T.
+  (T, R, 4H) array, again with no per-step allocation, and steps the
+  runs of a stack together as the forward does; dWx (none for an
+  input-free run), dWh and db are then one GEMM (or sum) each per run
+  and cell over the rows the run read, added into the gradient set's
+  views in place. The input gradient is not formed: dz is returned, and
+  a caller that needs it computes dz @ Wx.T.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -100,14 +120,55 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # LSTM; gate order i, f, g, o in the stacked weight matrices.
 
 class LSTMCache(NamedTuple):
-    """What lstm_backward needs from lstm_forward; N is the product of
-    the batch axes (1 when there are none)."""
-    xs: np.ndarray | None  # (T, ..., D) the input as given; None if none
-    hs: np.ndarray     # (T+1, N, H) hidden states, row 0 the initial one
-    cs: np.ndarray     # (T+1, N, H) cell states, row 0 the initial one
-    gates: np.ndarray  # (T, N, 4H) gate activations i|f|g|o
-    tcs: np.ndarray    # (T, N, H) tanh(c_t)
+    """What lstm_backward needs from lstm_forward. A time row holds
+    R = S·B·N state rows: S runs of B cells over N batch rows, in that
+    order, N being the product of the batch axes (1 when there are
+    none)."""
+    xs: np.ndarray | None  # the input (T, ..., D) as given; None if none
+    hs: np.ndarray     # (T+1, R, H) hidden states; run s starts from its
+    #                    initial state at row starts[s] (row 0 if None)
+    cs: np.ndarray     # (T+1, R, H) cell states, laid out as hs
+    gates: np.ndarray  # (T, R, 4H) gate activations i|f|g|o
+    tcs: np.ndarray    # (T, R, H) tanh(c_t)
     lead: tuple        # the batch axes (...), whose product is N
+    starts: tuple | None = None  # the runs' first rows, ascending; None
+    #                              for one run from row 0
+
+
+def _cells(prefix: str | tuple) -> tuple[tuple, tuple]:
+    """(prefixes, cell axis): a plain prefix is one cell and its calls
+    have no cell axis; a tuple of B prefixes is a stack, with one."""
+    if isinstance(prefix, str):
+        return (prefix,), ()
+    return tuple(prefix), (len(prefix),)
+
+
+def _layout(starts: tuple | None, cell_axis: tuple, lead: tuple):
+    """(runs, N, axes, block) of a kernel call: the runs' first rows; the
+    batch size; the axes between time and H of what the kernel returns,
+    which are the run axis when starts are given, the cell axis for a
+    stack of cells, then the batch axes; and the step loop's block
+    ([S,] [B,] N), with a run or cell axis only for more than one, so
+    one run of one cell steps on (N, H) blocks."""
+    runs = (0,) if starts is None else starts
+    S, B, N = len(runs), math.prod(cell_axis), math.prod(lead)
+    axes = (S,) * (starts is not None) + cell_axis + lead
+    return runs, N, axes, (S,) * (S > 1) + (B,) * (B > 1) + (N,)
+
+
+def _columns(xs: np.ndarray, p: ParamSet, prefixes: tuple) -> list:
+    """Each cell's input: the cells read consecutive column blocks of
+    xs, in prefix order, each as wide as its Wx has rows."""
+    edges = list(accumulate((p[q + "Wx"].shape[0] for q in prefixes),
+                            initial=0))
+    return [xs[..., a:z] for a, z in zip(edges, edges[1:])]
+
+
+def _active(starts: tuple, T: int) -> list[tuple[int, int, int]]:
+    """(k, a, z): over rows [a, z) the first k runs are in the loop."""
+    ends = starts[1:] + (T,)
+    return [(k, a, z) for k, (a, z) in enumerate(zip(starts, ends), 1)
+            if a < z]
 
 
 @lru_cache(maxsize=8)
@@ -121,6 +182,15 @@ def _gate_scale(H: int) -> tuple[np.ndarray, np.ndarray]:
     off = 1.0 - s
     s.flags.writeable = off.flags.writeable = False
     return s, off
+
+
+def _gate_scaled(W: np.ndarray, H: int, out=None) -> np.ndarray:
+    """W·s over the last axis, W's 4H gate columns, to the bit: halving
+    is exact and g's columns are copied, at half the cost of a
+    broadcast multiply by s."""
+    out = np.multiply(W, 0.5, out=out)
+    out[..., 2 * H:3 * H] = W[..., 2 * H:3 * H]
+    return out
 
 
 def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
@@ -144,14 +214,15 @@ def lstm_input_weights(p: ParamSet,
     can pass them as its `pre` argument. One (T, D) GEMM over the rows
     does not give the same bits.
     """
-    s, _ = _gate_scale(p[prefix + "Wh"].shape[0])
-    return p[prefix + "Wx"] * s, p[prefix + "b"] * s
+    H = p[prefix + "Wh"].shape[0]
+    return _gate_scaled(p[prefix + "Wx"], H), _gate_scaled(p[prefix + "b"], H)
 
 
-def lstm_forward(xs: np.ndarray | None, p: ParamSet, prefix: str = "",
+def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                  h0: np.ndarray | None = None,
                  c0: np.ndarray | None = None,
-                 pre: np.ndarray | None = None):
+                 pre: np.ndarray | None = None,
+                 starts=None):
     """Run the cell over time axis 0 of xs (T, ..., D).
 
     pre, when given, is the input pre-activation block (T, ..., 4H),
@@ -162,32 +233,67 @@ def lstm_forward(xs: np.ndarray | None, p: ParamSet, prefix: str = "",
     that is the block a zero input gives, and lstm_backward then forms
     no Wx gradient, which would be zero.
 
-    Returns (hs (T, ..., H), final h, final c, cache). hs and the final
-    states are views into the cache and must not be written to.
+    A stack of B cells of one hidden size runs in the same step loop:
+    prefix is then a tuple of their parameter prefixes, xs holds their
+    inputs side by side, cell b reading the D_b columns after those of
+    cells 0..b-1 (D_b being the rows of its Wx), and pre, if given, is
+    a block (T, B, ..., 4H). starts, ascending rows of the input, makes
+    S runs of every cell: run s joins the loop at row starts[s] from the
+    initial state and reads the rows from there on. Each run of each
+    cell gets the bits of a call of its own on the rows it reads of its
+    columns: it shares its rows' input projections, which the
+    projection's matmul forms row by row whatever the span, and its
+    recurrent matmul is a slice of one broadcast matmul over the stack,
+    which NumPy runs per slice with the kernel of a 2-D call. h0 and c0
+    broadcast against the final state and give each run's initial state.
+
+    Returns (hs (T, [S,] [B,] ..., H), final h, final c, cache), with
+    the run axis when starts are given and the cell axis for a stack;
+    a run's rows before its start are zero. hs and the final states are
+    views into the cache and must not be written to.
     """
-    Wx, Wh = p[prefix + "Wx"], p[prefix + "Wh"]
-    H = Wh.shape[0]
+    prefixes, cell_axis = _cells(prefix)
+    B = len(prefixes)
+    Wh = [p[q + "Wh"] for q in prefixes]
+    H = Wh[0].shape[0]
+    if any(W.shape[0] != H for W in Wh[1:]):
+        raise DimensionError(
+            f"lstm_forward: a stack of cells needs one hidden size, got "
+            f"{[W.shape[0] for W in Wh]}")
     if xs is None:
-        if pre is None or pre.ndim < 2 or pre.shape[-1] != 4 * H:
+        if (pre is None or pre.ndim < 2 + len(cell_axis)
+                or pre.shape[-1] != 4 * H
+                or pre.shape[1:1 + len(cell_axis)] != cell_axis):
             raise DimensionError(
                 f"lstm_forward: an input-free run needs a pre-activation "
-                f"block (T, ..., {4 * H}), got "
+                f"block (T, {'B, ' * len(cell_axis)}..., {4 * H}), got "
                 f"{None if pre is None else pre.shape}")
+        T, lead = pre.shape[0], pre.shape[1 + len(cell_axis):-1]
     else:
         xs = np.asarray(xs, float)
-        if xs.ndim < 2 or xs.shape[-1] != Wx.shape[0]:
+        if xs.ndim < 2 or xs.shape[-1] != sum(
+                p[q + "Wx"].shape[0] for q in prefixes):
             raise DimensionError(
-                f"lstm_forward: input shape {xs.shape} vs Wx shape "
-                f"{Wx.shape}")
-        if pre is not None and pre.shape != xs.shape[:-1] + (4 * H,):
+                f"lstm_forward: input shape {xs.shape} vs Wx shapes "
+                f"{[p[q + 'Wx'].shape for q in prefixes]}")
+        T, lead = xs.shape[0], xs.shape[1:-1]
+        if pre is not None and pre.shape != (T,) + cell_axis + lead + (
+                4 * H,):
             raise DimensionError(
                 f"lstm_forward: pre-activation shape {pre.shape} vs input "
                 f"shape {xs.shape} and hidden {H}")
-    steps = (xs if pre is None else pre).shape[:-1]
-    T, lead = steps[0], steps[1:]
-    N = math.prod(lead)
-    hs = np.zeros((T + 1, N, H))
-    cs = np.zeros((T + 1, N, H))
+    if starts is not None:
+        starts = tuple(int(j) for j in starts)
+        if not starts or list(starts) != sorted(starts) \
+                or starts[0] < 0 or starts[-1] >= T:
+            raise ValueError(
+                f"lstm_forward: run starts {starts} are not ascending "
+                f"rows of [0, {T})")
+    runs, N, axes, block = _layout(starts, cell_axis, lead)
+    S = len(runs)
+    R = S * B * N
+    hs = np.zeros((T + 1, R, H))
+    cs = np.zeros((T + 1, R, H))
     for state, init in ((hs, h0), (cs, c0)):
         if init is not None:
             init = np.asarray(init, float)
@@ -195,57 +301,94 @@ def lstm_forward(xs: np.ndarray | None, p: ParamSet, prefix: str = "",
                 raise DimensionError(
                     f"lstm_forward: initial state shape {init.shape} vs "
                     f"hidden {H}")
-            state[0].reshape(lead + (H,))[...] = init
+            init = np.broadcast_to(init, axes + (H,)).reshape(S, B * N, H)
+            state = state.reshape(T + 1, S, B * N, H)
+            for k, j in enumerate(runs):
+                state[j, k] = init[k]
     s, off = _gate_scale(H)
-    Whs = Wh * s
-    # input projection of every step in one GEMM, unless the caller has
-    # made it; each step's gate block is then finished in place
+    # each cell's Wh·s, formed in one block without a stacked copy of Wh
+    Whs = np.empty((B, H, 4 * H))
+    for W, scaled in zip(Wh, Whs):
+        _gate_scaled(W, H, out=scaled)
+    Whs = Whs.reshape((B,) * (B > 1) + (H, 4 * H))
+    # each cell's input projection of every row in one matmul, unless
+    # the caller has made it; the runs of a cell share it
     if pre is None:
-        Wxs, bs = lstm_input_weights(p, prefix)
-        gates = xs.reshape(T, N, -1) @ Wxs
-        gates += bs
+        pre = np.empty((T, B, N, 4 * H))
+        for b, (x, q) in enumerate(zip(_columns(xs, p, prefixes),
+                                       prefixes)):
+            Wxs, bs = lstm_input_weights(p, q)
+            np.matmul(x.reshape(T, N, -1), Wxs, out=pre[:, b])
+            pre[:, b] += bs
         del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
-    else:
-        gates = pre.reshape(T, N, 4 * H)
-    tcs = np.empty((T, N, H))
+    rows = pre.reshape((T,) + (block[1:] if S > 1 else block) + (4 * H,))
+    # each step's gate block is finished in place: in the projection
+    # itself for one run, else in a block per run whose rows before the
+    # run's start stay zero
+    gates = rows if S == 1 else np.zeros((T,) + block + (4 * H,))
+    hs_b = hs.reshape((T + 1,) + block + (H,))
+    cs_b = cs.reshape(hs_b.shape)
+    # rows before a late run's start are never written, and the backward
+    # reads them: zero them then
+    tcs = (np.zeros if runs[-1] > 0 else np.empty)((T,) + block + (H,))
     # the step loop allocates nothing: h_{t-1} @ Whs and i * g go into
-    # two buffers, and every per-step operand is a view of the cache
-    rec = np.empty((N, 4 * H))
-    ig = np.empty((N, H))
-    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
-    for a, i_t, f_t, g_t, o_t, h_prev, c_prev, c, tc, h in zip(
-            gates, i, f, g, o, hs[:-1], cs[:-1], cs[1:], tcs, hs[1:]):
-        np.matmul(h_prev, Whs, out=rec)
-        a += rec
-        np.tanh(a, out=a)
-        a *= s
-        a += off
-        np.multiply(f_t, c_prev, out=c)
-        np.multiply(i_t, g_t, out=ig)
-        c += ig
-        np.tanh(c, out=tc)
-        np.multiply(o_t, tc, out=h)
-    hs_out = hs[1:].reshape((T,) + lead + (H,))
-    return (hs_out, hs_out[-1], cs[T].reshape(lead + (H,)),
-            LSTMCache(xs, hs, cs, gates, tcs, lead))
+    # two buffers, and every per-step operand is a view of the cache;
+    # each op covers every run and cell in the loop at that row
+    rec = np.empty(block + (4 * H,))
+    ig = np.empty(block + (H,))
+    for k, a, z in _active(runs, T):
+        run = slice(k if S > 1 else None)   # the runs in the loop
+        blk = gates[a:z, run]
+        i, f, g, o = (blk[..., q * H:(q + 1) * H] for q in range(4))
+        rec_k, ig_k = rec[run], ig[run]
+        for gt, row, i_t, f_t, g_t, o_t, h_prev, c_prev, c, tc, h in zip(
+                blk, rows[a:z], i, f, g, o, hs_b[a:z, run], cs_b[a:z, run],
+                cs_b[a + 1:z + 1, run], tcs[a:z, run],
+                hs_b[a + 1:z + 1, run]):
+            np.matmul(h_prev, Whs, out=rec_k)
+            rec_k += row   # not into gt: with one run, row is gt
+            np.tanh(rec_k, out=gt)
+            gt *= s
+            gt += off
+            np.multiply(f_t, c_prev, out=c)
+            np.multiply(i_t, g_t, out=ig_k)
+            c += ig_k
+            np.tanh(c, out=tc)
+            np.multiply(o_t, tc, out=h)
+    hs_out = hs[1:].reshape((T,) + axes + (H,))
+    return (hs_out, hs_out[-1], cs[T].reshape(axes + (H,)),
+            LSTMCache(xs, hs, cs, gates.reshape(T, R, 4 * H),
+                      tcs.reshape(T, R, H), lead, starts))
 
 
 def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
-                  prefix: str = "", dh_final=None, dc_final=None):
+                  prefix: str | tuple = "", dh_final=None, dc_final=None):
     """BPTT over a sequence run by lstm_forward.
 
     dhs: per-step gradients w.r.t. each h_t (array over time, or None).
     dh_final/dc_final: extra gradient flowing into the last state.
+    prefix and the arrays are as lstm_forward's: a stack of cells
+    passes the prefixes it ran with, and the gradient of a run's rows
+    before its start is ignored.
     Adds the weight gradients into `grads` (no Wx gradient for an
     input-free run) and returns (dz, dh0, dc0). dz (T, ..., 4H) is the
     gradient w.r.t. each step's gate pre-activation x_t·Wx + h_{t-1}·Wh
-    + b; the input gradient is dz @ Wx.T, which no caller here needs.
+    + b, zero before a run's start; dh0 and dc0 are the gradients w.r.t.
+    each run's initial state. The input gradient is dz @ Wx.T, which no
+    caller here needs.
     """
-    xs, hs, cs, gates, tcs, lead = cache
-    Wh = p[prefix + "Wh"]
-    T, N, H = tcs.shape
+    xs, hs, cs, gates, tcs, lead, starts = cache
+    prefixes, cell_axis = _cells(prefix)
+    runs, N, axes, block = _layout(starts, cell_axis, lead)
+    T, R, H = tcs.shape
+    S, B = len(runs), len(prefixes)
+    if R != S * B * N:
+        raise DimensionError(
+            f"lstm_backward: {B} cells do not fit a cache of {R} state "
+            f"rows per step")
+    inputs = None if xs is None else _columns(xs, p, prefixes)
     if dhs is not None:
-        dhs = np.asarray(dhs, float).reshape(T, N, H)
+        dhs = np.asarray(dhs, float).reshape((T,) + block + (H,))
     i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
     # dz_t = [dct, dct, dct, dh] * coef_t, with dct the gradient w.r.t.
     # c_t; coef holds each gate's derivative times its partner in
@@ -260,42 +403,58 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     coef[..., :H] *= g
     coef[..., H:2 * H] *= cs[:-1]
     coef[..., 3 * H:] *= tcs
-    coef = coef.reshape(T, N, 4, H)
+    coef = coef.reshape((T,) + block + (4, H))
     o_dtc = np.multiply(tcs, tcs)
     np.subtract(1.0, o_dtc, out=o_dtc)
     o_dtc *= o
-    WhT = Wh.T
-    dz = np.empty((T, N, 4 * H))
-    dz4 = dz.reshape(T, N, 4, H)
+    o_dtc = o_dtc.reshape((T,) + block + (H,))
+    f = f.reshape((T,) + block + (H,))
+    # Wh.T per cell: a view for one cell, a stacked copy for more
+    Wh = [p[q + "Wh"] for q in prefixes]
+    WhT = np.swapaxes(Wh[0] if B == 1 else np.stack(Wh), -1, -2)
+    dz = (np.zeros if runs[-1] > 0 else np.empty)((T,) + block + (4 * H,))
+    dz4 = dz.reshape((T,) + block + (4, H))
     # the step loop allocates nothing: dh, dc and dct are buffers of
     # this call (the caller's dh_final and dc_final are copied in, never
     # written), and every per-step operand is a view built up front
-    dh, dc, dct = np.zeros((N, H)), np.zeros((N, H)), np.empty((N, H))
+    dh, dc = np.zeros(block + (H,)), np.zeros(block + (H,))
+    dct = np.empty(block + (H,))
     if dh_final is not None:
-        dh[...] = np.reshape(dh_final, (N, H))
+        dh[...] = np.reshape(dh_final, dh.shape)
     if dc_final is not None:
-        dc[...] = np.reshape(dc_final, (N, H))
-    steps = zip(dz[::-1], dz4[::-1, :, :3], dz4[::-1, :, 3],
-                coef[::-1, :, :3], coef[::-1, :, 3], o_dtc[::-1], f[::-1],
-                dhs[::-1] if dhs is not None else [None] * T)
-    for dz_t, dz_c, dz_o, coef_c, coef_o, o_dtc_t, f_t, dh_t in steps:
-        if dh_t is not None:
-            dh += dh_t
-        np.multiply(dh, o_dtc_t, out=dct)
-        dct += dc
-        np.multiply(coef_c, dct[:, None, :], out=dz_c)
-        np.multiply(coef_o, dh, out=dz_o)
-        np.multiply(dct, f_t, out=dc)
-        np.matmul(dz_t, WhT, out=dh)
-    # weight gradients: one GEMM each over the stacked steps, added into
-    # the gradient views in place
-    dz2 = dz.reshape(T * N, 4 * H)
-    if xs is not None:
-        grads[prefix + "Wx"] += xs.reshape(T * N, -1).T @ dz2
-    grads[prefix + "Wh"] += hs[:T].reshape(T * N, H).T @ dz2
-    grads[prefix + "b"] += dz2.sum(axis=0)
-    return (dz.reshape((T,) + lead + (4 * H,)), dh.reshape(lead + (H,)),
-            dc.reshape(lead + (H,)))
+        dc[...] = np.reshape(dc_final, dc.shape)
+    for k, a, z in reversed(_active(runs, T)):
+        run = slice(k if S > 1 else None)   # the runs in the loop
+        back = slice(z - 1, a - 1 if a else None, -1)   # rows z-1 to a
+        dh_k, dc_k, dct_k = dh[run], dc[run], dct[run]
+        steps = zip(dz[back, run], dz4[back, run, ..., :3, :],
+                    dz4[back, run, ..., 3, :], coef[back, run, ..., :3, :],
+                    coef[back, run, ..., 3, :], o_dtc[back, run],
+                    f[back, run],
+                    dhs[back, run] if dhs is not None else [None] * (z - a))
+        for dz_t, dz_c, dz_o, coef_c, coef_o, o_dtc_t, f_t, dh_t in steps:
+            if dh_t is not None:
+                dh_k += dh_t
+            np.multiply(dh_k, o_dtc_t, out=dct_k)
+            dct_k += dc_k
+            np.multiply(coef_c, dct_k[..., None, :], out=dz_c)
+            np.multiply(coef_o, dh_k, out=dz_o)
+            np.multiply(dct_k, f_t, out=dc_k)
+            np.matmul(dz_t, WhT, out=dh_k)
+    # weight gradients: one GEMM (or sum) each per run and cell over the
+    # rows the run read, added into the gradient views in place
+    dz = dz.reshape(T, S, B, N, 4 * H)
+    hs_r = hs.reshape(T + 1, S, B, N, H)
+    for r, j in enumerate(runs):
+        for b, q in enumerate(prefixes):
+            dz2 = dz[j:, r, b].reshape(-1, 4 * H)
+            if inputs is not None:
+                x2 = inputs[b][j:].reshape(len(dz2), -1)
+                grads[q + "Wx"] += x2.T @ dz2
+            grads[q + "Wh"] += hs_r[j:T, r, b].reshape(-1, H).T @ dz2
+            grads[q + "b"] += dz2.sum(axis=0)
+    return (dz.reshape((T,) + axes + (4 * H,)), dh.reshape(axes + (H,)),
+            dc.reshape(axes + (H,)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,14 @@ The style net is causal and pools with per-step weights, so one forward
 pass over the video scores every prefix span at once
 (`stylenet.prefix_probs`): it gives the running probability curve of
 `prob_curve`, and in `segment` the whole video and the left side of
-every candidate cut.  Only the right sides need a pass of their own.
-Both functions take the snippet embedding from `ModelBundle.embed`,
-whose memo holds the last video's embedding, so `segment` followed by
-`prob_curve` on the same demo (`skymimic segment --curve`) embeds it
-once.
+every candidate cut.  The right sides ride in the same pass: given the
+cuts' rows as `starts`, `stylenet.style_forward` runs the span from
+each cut to the end in the stacked LSTM step loop, joining it at the
+cut's row with zero state, and gives the bits a pass of its own would.
+So each function runs the style net's step loop once.  Both take the
+snippet embedding from `ModelBundle.embed`, whose memo holds the last
+video's embedding, so `segment` followed by `prob_curve` on the same
+demo (`skymimic segment --curve`) embeds it once.
 
 Threshold semantics (default relative): the weaker side's peak
 probability must reach threshold * the stronger side's.  The absolute
@@ -103,20 +106,24 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
     n_frames = fg.shape[0]
     duration = n_frames * DT
     net, cfg = bundle.span_classifier(), bundle.style_cfg
-    prefix = prefix_probs(emb, net, cfg)   # row k labels the span [0, k]
+    min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
+    cuts = []   # (frame, snippet row) of each candidate cut
+    if n >= 4 and n_frames >= 2 * min_part:
+        d = _discontinuity(fg)
+        cuts = [(fcut, min(max(int(round(fcut / STRIDE)), 2), n - 2))
+                for fcut in _candidate_cuts(d, min_part, n_frames - min_part)]
+    # one pass: its run from row 0 labels every span [0, k] (row k of
+    # prefix), the run from each cut's row the span from there to the end
+    runs = sorted({0, *(jc for _, jc in cuts)})
+    _, probs, traces, _ = style_forward(emb, net, cfg, starts=runs)
+    prefix = prefix_probs(emb, net, cfg, trace=traces[0])
+    right = dict(zip(runs, probs))
     full = prefix[n - 1]
     whole = [Segment(0.0, duration, STYLES[int(np.argmax(full))],
                      float(np.max(full)))]
-    min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
-    if n < 4 or n_frames < 2 * min_part:
-        return whole
-
-    d = _discontinuity(fg)
     best = None
-    for fcut in _candidate_cuts(d, min_part, n_frames - min_part):
-        jc = min(max(int(round(fcut / STRIDE)), 2), n - 2)
-        p1 = prefix[jc - 1]
-        _, p2, _, _ = style_forward(emb[jc:], net, cfg)
+    for fcut, jc in cuts:
+        p1, p2 = prefix[jc - 1], right[jc]
         if int(np.argmax(p1)) == int(np.argmax(p2)):
             continue
         weak, strong = sorted([float(p1.max()), float(p2.max())])

@@ -3,7 +3,9 @@
 Two parallel LSTM branches read the FG and BG halves of the snippet
 embedding sequence; two small attention scorers assign each step a
 sigmoid gate; the style feature is the concatenation of the per-branch
-attention-weighted sums, classified by a linear layer + softmax.
+attention-weighted sums, classified by a linear layer + softmax.  Both
+branches, and every span a `style_forward` call scores, run as one
+stack of cells in one LSTM step loop (see `nn.lstm_forward`).
 
 The training loss is cross-entropy plus per-branch attention magnitude
 penalties (lambda/T) * sum |beta_t|. Ablation variants drop a branch
@@ -90,22 +92,52 @@ def init_style_net(cfg: StyleNetConfig, seed: int) -> ParamSet:
     return p
 
 
-def _branch(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig, name: str):
-    """One branch's causal LSTM over seq and its pooling weights.
+def _cells(cfg: StyleNetConfig) -> tuple[str, ...]:
+    """The branches' LSTM parameter prefixes, in branch order."""
+    return tuple(f"{name}_" for name in cfg.branches)
 
-    Returns (cs, caches, a1, gate, count): the span [0, k] pools to
+
+def _lstm(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig, starts=None):
+    """Every branch's causal LSTM over seq in one stacked step loop.
+
+    The branches' inputs lie side by side in seq, fg's columns before
+    bg's, as a stack of cells reads them. Returns lstm_forward's (hs, h,
+    c, cache): hs is (T, B, hidden), or (T, S, B, hidden) with one run
+    per row of starts, each reading seq from that row on.
+    """
+    cols = slice(cfg.branch_input(cfg.branches[0]).start,
+                 cfg.branch_input(cfg.branches[-1]).stop)
+    return lstm_forward(seq[:, cols], p, _cells(cfg), starts=starts)
+
+
+def _pooling(cs: np.ndarray, p: ParamSet, cfg: StyleNetConfig, name: str):
+    """One branch's pooling weights over its LSTM outputs cs (T, hidden).
+
+    Returns (a1, gate, count): the span [0, k] pools to
     (gate[:k+1] @ cs[:k+1]) / count[k].  With attention, gate is the
     sigmoid score beta_t and count is 1; mean pooling has gate 1 and
     count k + 1.  a1 is the attention scorer's hidden layer (or None).
     """
-    xs = seq[:, cfg.branch_input(name)]
-    cs, _, _, caches = lstm_forward(xs, p, prefix=f"{name}_")
     T = cs.shape[0]
     if cfg.use_attention:
         a1 = np.tanh(affine(cs, p[f"a{name}_W0"], p[f"a{name}_b0"]))
         s = affine(a1, p[f"a{name}_W1"], p[f"a{name}_b1"])[:, 0]
-        return cs, caches, a1, sigmoid(s), np.ones(T)
-    return cs, caches, None, np.ones(T), np.arange(1.0, T + 1.0)
+        return a1, sigmoid(s), np.ones(T)
+    return None, np.ones(T), np.arange(1.0, T + 1.0)
+
+
+def _pool(hs: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
+    """One run's branch outputs hs (T, B, hidden) -> (v, trace, and per
+    branch (cs, a1, beta) for the backward)."""
+    parts, beta, c, pooled = [], {}, {}, {}
+    for b, name in enumerate(cfg.branches):
+        cs = hs[:, b]
+        a1, gate, count = _pooling(cs, p, cfg, name)
+        beta[name] = gate / count[-1]
+        c[name] = cs
+        pooled[name] = (cs, a1, beta[name])
+        parts.append(beta[name] @ cs)
+    return np.concatenate(parts), AttentionTrace(beta, c), pooled
 
 
 def _check_seq(seq: np.ndarray, who: str) -> np.ndarray:
@@ -115,39 +147,56 @@ def _check_seq(seq: np.ndarray, who: str) -> np.ndarray:
     return seq
 
 
-def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
-    """seq (T, fg_dim+bg_dim) -> (v, probs, trace, cache)."""
+def _classify(v: np.ndarray, p: ParamSet) -> np.ndarray:
+    return softmax(affine(v, p["cls_W0"], p["cls_b0"]))
+
+
+def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
+                  starts=None):
+    """seq (T, fg_dim+bg_dim) -> (v, probs, trace, cache).
+
+    starts, ascending rows of seq, scores the span seq[j:] from each
+    start j instead, all in one stacked step loop: v and probs then
+    have a row per start and trace is a list with an AttentionTrace per
+    start, each with the bits of style_forward(seq[j:]); cache holds
+    the stacked LSTM cache alone.
+    """
     seq = _check_seq(seq, "style_forward")
-    parts, trace_beta, trace_c, cache = [], {}, {}, {}
-    for name in cfg.branches:
-        cs, caches, a1, gate, count = _branch(seq, p, cfg, name)
-        beta = gate / count[-1]
-        v_part = beta @ cs
-        parts.append(v_part)
-        trace_beta[name] = beta
-        trace_c[name] = cs
-        cache[name] = (cs, caches, a1, beta)
-    v = np.concatenate(parts)
-    logits = affine(v, p["cls_W0"], p["cls_b0"])
-    probs = softmax(logits)
-    cache["v"] = v
-    return v, probs, AttentionTrace(trace_beta, trace_c), cache
+    hs, _, _, lstm_cache = _lstm(seq, p, cfg, starts)
+    if starts is None:
+        v, trace, pooled = _pool(hs, p, cfg)
+        return (v, _classify(v, p), trace,
+                {"lstm": lstm_cache, "v": v, **pooled})
+    runs = [_pool(hs[j:, r], p, cfg)
+            for r, j in enumerate(lstm_cache.starts)]
+    return (np.array([v for v, _, _ in runs]),
+            np.array([_classify(v, p) for v, _, _ in runs]),
+            [trace for _, trace, _ in runs], {"lstm": lstm_cache})
 
 
-def prefix_probs(seq: np.ndarray, p: ParamSet,
-                 cfg: StyleNetConfig) -> np.ndarray:
+def prefix_probs(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
+                 trace: AttentionTrace | None = None) -> np.ndarray:
     """seq (T, D) -> (T, 5): row k is style_forward(seq[:k+1])'s probs.
 
     The LSTM is causal and each pooling weight depends only on its own
-    step, so one pass gives every prefix's feature as a running sum.
+    step, so the trace of one pass over seq gives every prefix's
+    feature as a running sum: of the gated outputs with attention (whose
+    gates are the trace's beta, with count 1), of the outputs over the
+    step count with mean pooling (see _pooling).  trace, when given, is
+    that pass's, from style_forward(seq) or a stacked call's run from
+    row 0, and no pass is run.
     """
-    seq = _check_seq(seq, "prefix_probs")
-    parts = []
+    if trace is None:
+        trace = style_forward(seq, p, cfg)[2]
+    cum = []
     for name in cfg.branches:
-        cs, _, _, gate, count = _branch(seq, p, cfg, name)
-        parts.append(np.cumsum(gate[:, None] * cs, axis=0) / count[:, None])
-    return softmax(affine(np.concatenate(parts, axis=1),
-                          p["cls_W0"], p["cls_b0"]))
+        cs = trace.c[name]
+        if cfg.use_attention:
+            cum.append(np.cumsum(trace.beta[name][:, None] * cs, axis=0))
+        else:
+            cum.append(np.cumsum(cs, axis=0)
+                       / np.arange(1.0, len(cs) + 1.0)[:, None])
+    return _classify(np.concatenate(cum, axis=1), p)
 
 
 def style_loss(probs: np.ndarray, label: int, trace: AttentionTrace,
@@ -175,12 +224,11 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
     dv, dW, db = affine_backward(dlogits, v, p["cls_W0"])
     grads["cls_W0"] += dW
     grads["cls_b0"] += db
-    ofs = 0
     T = seq.shape[0]
-    for name in cfg.branches:
-        cs, caches, a1, beta = cache[name]
-        dv_part = dv[ofs:ofs + cfg.hidden]
-        ofs += cfg.hidden
+    dhs = np.empty((T, len(cfg.branches), cfg.hidden))
+    for b, name in enumerate(cfg.branches):
+        cs, a1, beta = cache[name]
+        dv_part = dv[b * cfg.hidden:(b + 1) * cfg.hidden]
         dc = beta[:, None] * dv_part[None, :]
         if cfg.use_attention:
             lam = cfg.lambda_fg if name == "fg" else cfg.lambda_bg
@@ -195,7 +243,8 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
             grads[f"a{name}_W0"] += dW0
             grads[f"a{name}_b0"] += db0
             dc = dc + dc_att
-        lstm_backward(dc, caches, p, grads, prefix=f"{name}_")
+        dhs[:, b] = dc
+    lstm_backward(dhs, cache["lstm"], p, grads, prefix=_cells(cfg))
     return loss, grads
 
 

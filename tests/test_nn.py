@@ -417,6 +417,121 @@ def test_ae_backward_bit_identical_to_zero_input_reference(channel):
     assert not grads["dec_Wx"].any()
 
 
+def _cell_stack_params(n_cells, H, T, seed):
+    """One LSTM cell per input width 32, 64, ... with prefixes c0_,
+    c1_, ..., a random bias, and a (T, 32 + 64 + ...) input holding the
+    cells' inputs side by side; also each cell's input on its own, as
+    a contiguous copy."""
+    rng = np.random.default_rng(seed)
+    p, edges = ParamSet(), [0]
+    for k in range(n_cells):
+        D = 32 * (k + 1)
+        for name, v in lstm_init(rng, D, H, f"c{k}_").items():
+            p[name] = v
+        p[f"c{k}_b"] = rng.normal(size=4 * H)
+        edges.append(edges[-1] + D)
+    xs = rng.normal(size=(T, edges[-1]))
+    own = tuple(xs[:, a:z].copy() for a, z in zip(edges, edges[1:]))
+    return p, tuple(f"c{k}_" for k in range(n_cells)), xs, own, rng
+
+
+def _run_starts(kind, T):
+    """None: one run from row 0 and no run axis; "late": a run from
+    row 0, a duplicate pair from the middle and the last row; "all-late":
+    no run from row 0."""
+    return {"none": None, "late": (0, T // 2, T // 2, T - 1),
+            "all-late": (T // 2, T - 1)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["none", "late", "all-late"])
+@pytest.mark.parametrize("T", [1, 8, 40])
+@pytest.mark.parametrize("H", [64, 128])
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_lstm_stack_bit_identical_to_per_cell_runs(n_cells, H, T, kind):
+    # every run of every cell in one step loop gives the bits of that
+    # cell's own lstm_forward and lstm_backward over the rows it reads
+    p, prefixes, xs, own, rng = _cell_stack_params(n_cells, H, T, H + T)
+    starts = _run_starts(kind, T)
+    runs = (0,) if starts is None else starts
+    S, B = len(runs), n_cells
+    hs, h, c, cache = lstm_forward(xs, p, prefixes, starts=starts)
+    axes = (B,) if starts is None else (S, B)
+    assert hs.shape == (T,) + axes + (H,)
+    assert h.shape == c.shape == axes + (H,)
+    dhs = rng.normal(size=hs.shape)
+    dh_f, dc_f = rng.normal(size=h.shape), rng.normal(size=c.shape)
+    grads = p.zeros_like()
+    dz, dh0, dc0 = lstm_backward(dhs, cache, p, grads, prefixes,
+                                 dh_final=dh_f, dc_final=dc_f)
+    assert dz.shape == (T,) + axes + (4 * H,)
+    assert dh0.shape == dc0.shape == axes + (H,)
+
+    def per_run(a):  # as (..., S, B, last), with or without a run axis
+        return a.reshape(a.shape[:a.ndim - len(axes) - 1] + (S, B, -1))
+
+    g_ref = p.zeros_like()
+    for r, j in enumerate(runs):
+        for b, q in enumerate(prefixes):
+            want_hs, want_h, want_c, want_cache = lstm_forward(own[b][j:],
+                                                               p, q)
+            assert np.array_equal(per_run(hs)[j:, r, b], want_hs)
+            assert not per_run(hs)[:j, r, b].any()
+            assert np.array_equal(per_run(h)[r, b], want_h)
+            assert np.array_equal(per_run(c)[r, b], want_c)
+            want = lstm_backward(per_run(dhs)[j:, r, b], want_cache, p,
+                                 g_ref, q, dh_final=per_run(dh_f)[r, b],
+                                 dc_final=per_run(dc_f)[r, b])
+            assert np.array_equal(per_run(dz)[j:, r, b], want[0])
+            assert not per_run(dz)[:j, r, b].any()
+            assert np.array_equal(per_run(dh0)[r, b], want[1])
+            assert np.array_equal(per_run(dc0)[r, b], want[2])
+    for k in p:
+        assert np.array_equal(grads[k], g_ref[k]), k
+
+
+def test_lstm_stack_initial_state_and_pre_per_run():
+    # h0 and c0 broadcast against the final state and start each run;
+    # a stack's pre block (T, B, ..., 4H) replaces its input projection
+    T, H = 6, 64
+    p, prefixes, xs, own, rng = _cell_stack_params(2, H, T, 3)
+    starts = (0, 2, 5)
+    h0 = rng.normal(size=(3, 2, H))
+    c0 = rng.normal(size=(2, H))   # the same for every run
+    hs, _, _, cache = lstm_forward(xs, p, prefixes, h0, c0, starts=starts)
+    # row by row, as a batch-1 run projects its input
+    pre = np.stack([(x[:, None] @ lstm_input_weights(p, q)[0])[:, 0]
+                    + lstm_input_weights(p, q)[1]
+                    for x, q in zip(own, prefixes)], axis=1)
+    again = lstm_forward(xs, p, prefixes, h0, c0, pre=pre, starts=starts)[0]
+    assert np.array_equal(again, hs)
+    for r, j in enumerate(starts):
+        for b, q in enumerate(prefixes):
+            want = lstm_forward(own[b][j:], p, q, h0[r, b], c0[b])[0]
+            assert np.array_equal(hs[j:, r, b], want)
+
+
+def test_lstm_stack_rejects_what_it_cannot_run():
+    T = 4
+    p, prefixes, xs, own, _ = _cell_stack_params(2, 8, T, 0)
+    q = lstm_init(np.random.default_rng(1), 32, 16, "wide_")
+    for k, v in q.items():
+        p[k] = v
+    with pytest.raises(DimensionError):   # two hidden sizes
+        lstm_forward(np.hstack([own[0], own[0]]), p, ("c0_", "wide_"))
+    with pytest.raises(DimensionError):   # one cell's input for two cells
+        lstm_forward(own[1], p, prefixes)
+    with pytest.raises(DimensionError):   # a pre block without cell axis
+        lstm_forward(xs, p, prefixes, pre=np.zeros((T, 32)))
+    with pytest.raises(DimensionError):   # or an input-free one
+        lstm_forward(None, p, prefixes, pre=np.zeros((T, 32)))
+    for starts in [(), (2, 1), (-1, 2), (0, T)]:
+        with pytest.raises(ValueError):
+            lstm_forward(xs, p, prefixes, starts=starts)
+    _, _, _, cache = lstm_forward(xs, p, prefixes)
+    with pytest.raises(DimensionError):   # backward with one prefix
+        lstm_backward(None, cache, p, p.zeros_like(), "c0_")
+
+
 def test_sigmoid_matches_logistic_without_overflow():
     z = np.linspace(-30.0, 30.0, 601)
     assert np.max(np.abs(sigmoid(z) - _ref_sigmoid(z))) <= 1e-15

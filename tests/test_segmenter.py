@@ -4,13 +4,13 @@ import pytest
 from skymimic.dataset import build_video
 from skymimic.features import STRIDE, TooShortError, autoencoder_init
 from skymimic.geometry import Intrinsics
-from skymimic import pipeline
+from skymimic import pipeline, stylenet
 from skymimic.pipeline import ModelBundle
 from skymimic.scene import DT, STYLES
 from skymimic.segmenter import (MIN_SEGMENT_SECONDS, _candidate_cuts,
                                 _discontinuity, prob_curve, segment)
 from skymimic.stylenet import PROB_FLOOR, VARIANTS, init_style_net, \
-    style_forward
+    prefix_probs, style_forward
 
 
 def _new_bundle():
@@ -58,13 +58,18 @@ def _reference_curve(fg, bg, bundle):
                                  0, k + 1) for k in range(emb.shape[0])])
 
 
-def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative"):
+def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative",
+                       left=None):
     """segment() with one style-net pass per span: (cut frame or None,
-    [(style index, peak prob) per segment])."""
+    [(style index, peak prob) per segment]). left(emb, net, cfg, j),
+    when given, scores each span [0, j) in place of a pass of its own."""
     emb = bundle.embed(fg, bg)
     net, cfg = bundle.span_classifier(), bundle.style_cfg
     n, n_frames = emb.shape[0], fg.shape[0]
-    full = _span_probs(emb, net, cfg, 0, n)
+    if left is None:
+        def left(emb, net, cfg, j):
+            return _span_probs(emb, net, cfg, 0, j)
+    full = left(emb, net, cfg, n)
     whole = (None, [(int(np.argmax(full)), float(np.max(full)))])
     min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
     if n < 4 or n_frames < 2 * min_part:
@@ -73,7 +78,7 @@ def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative"):
     best = None
     for fcut in _candidate_cuts(d, min_part, n_frames - min_part):
         jc = min(max(int(round(fcut / STRIDE)), 2), n - 2)
-        p1 = _span_probs(emb, net, cfg, 0, jc)
+        p1 = left(emb, net, cfg, jc)
         p2 = _span_probs(emb, net, cfg, jc, n)
         if int(np.argmax(p1)) == int(np.argmax(p2)):
             continue
@@ -161,6 +166,50 @@ def test_segment_matches_per_span_reference(bundle, seg_bundle, record,
                     assert abs(s.peak_prob - peak) <= 1e-12
     # the left-side rows of the prefix pass must have been exercised
     assert cuts >= 4
+
+
+def test_segment_equals_per_span_passes_exactly(bundle, seg_bundle, record,
+                                                two_style):
+    # the right side of every cut gets the bits of its own style-net
+    # pass, the whole video and each left side those of the prefix
+    # pass's row
+    def prefix_row(emb, net, cfg, j):
+        return prefix_probs(emb, net, cfg)[j - 1]
+
+    cuts = 0
+    for b in (bundle, seg_bundle):
+        for fg, bg in ((record.fg, record.bg), two_style):
+            for kw in ({}, {"threshold": 0.95},
+                       {"threshold": 0.05, "mode": "absolute"}):
+                segs = segment(fg, bg, b, **kw)
+                fcut, want = _reference_segment(fg, bg, b, left=prefix_row,
+                                                **kw)
+                assert [(s.style, s.peak_prob) for s in segs] == [
+                    (STYLES[style], peak) for style, peak in want]
+                if fcut is not None:
+                    cuts += 1
+                    assert segs[0].end == fcut * DT == segs[1].start
+    assert cuts >= 4
+
+
+def test_segment_runs_the_style_net_step_loop_once(seg_bundle, two_style,
+                                                   monkeypatch):
+    # the whole-video prefix and every candidate right side share one
+    # stacked LSTM call
+    calls, real = [], stylenet.lstm_forward
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("starts"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stylenet, "lstm_forward", counting)
+    fg, bg = two_style
+    segs = segment(fg, bg, seg_bundle)
+    assert len(calls) == 1 and len(calls[0]) > 1   # row 0 and the cuts
+    assert len(segs) == 2
+    calls.clear()
+    prob_curve(fg, bg, seg_bundle)
+    assert calls == [None]   # one run, from row 0
 
 
 def test_segment_then_curve_embed_once(two_style, record, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skymimic.nn import ParamSet, grad_check
+from skymimic.nn import ParamSet, grad_check, lstm_forward
 from skymimic.stylenet import (VARIANTS, AttentionTrace, StyleNetConfig,
                                confusion_and_accuracy, init_style_net,
                                predict_style, prefix_probs, style_forward,
@@ -63,6 +63,52 @@ def test_prefix_probs_match_per_prefix_forward(name, T):
     for k in range(T):
         _, want, _, _ = style_forward(seq[:k + 1], p, cfg)
         assert np.max(np.abs(got[k] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_style_forward_starts_equal_per_span_forward(name):
+    # one stacked pass gives each span [j, T) the bits of a pass over
+    # seq[j:], with a duplicate start, the first and the last row
+    cfg = VARIANTS[name]
+    rng = np.random.default_rng(9)
+    p = init_style_net(cfg, seed=9)
+    p.flat[:] = rng.normal(scale=0.3, size=p.flat.size)
+    T = 13
+    seq = rng.uniform(-1, 1, size=(T, 96))
+    starts = [0, 2, 5, 5, 9, T - 1]
+    v, probs, traces, _ = style_forward(seq, p, cfg, starts=starts)
+    assert v.shape == (len(starts), cfg.feature_dim)
+    assert probs.shape == (len(starts), 5)
+    assert len(traces) == len(starts)
+    for m, j in enumerate(starts):
+        want_v, want_probs, want_trace, _ = style_forward(seq[j:], p, cfg)
+        assert np.array_equal(v[m], want_v)
+        assert np.array_equal(probs[m], want_probs)
+        for branch in cfg.branches:
+            assert np.array_equal(traces[m].beta[branch],
+                                  want_trace.beta[branch])
+            assert np.array_equal(traces[m].c[branch], want_trace.c[branch])
+    # the run from row 0 gives every prefix the bits of a pass of its own
+    assert np.array_equal(prefix_probs(seq, p, cfg, trace=traces[0]),
+                          prefix_probs(seq, p, cfg))
+    for bad in ([5, 2], [], [-1], [T]):
+        with pytest.raises(ValueError):
+            style_forward(seq, p, cfg, starts=bad)
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_style_forward_branches_equal_single_cell_runs(name):
+    # the branches share one step loop and keep the bits of their own
+    cfg = VARIANTS[name]
+    rng = np.random.default_rng(10)
+    p = init_style_net(cfg, seed=10)
+    p["fg_b" if cfg.use_fg else "bg_b"] = rng.normal(size=4 * cfg.hidden)
+    seq = rng.uniform(-1, 1, size=(15, 96))
+    _, _, trace, _ = style_forward(seq, p, cfg)
+    for branch in cfg.branches:
+        want = lstm_forward(seq[:, cfg.branch_input(branch)], p,
+                            f"{branch}_")[0]
+        assert np.array_equal(trace.c[branch], want)
 
 
 def test_prefix_probs_empty_sequence():
