@@ -24,7 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .features import WINDOW, EncoderStream, embed_batch
+# embed_batch is not called here: the loop embeds through
+# EncoderStream.embed, but the benchmark's tracer still binds
+# controller.embed_batch and reports its per-layer metrics
+from .features import WINDOW, EncoderStream, embed_batch  # noqa: F401
 from .geometry import (GRID, Intrinsics, OffscreenError, Pose6D,
                        VisibilityError, FgFeature, pixel_to_world,
                        project_foreground, project_points,
@@ -302,12 +305,15 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
 
     The fg rows and bg field rows are kept in arrays of WINDOW +
     duration / DT rows (`EncoderStream`), and each row is projected
-    through its encoder's input weights once, when it is stored. A step
-    embeds the two WINDOW-row windows that end at it from those
-    projections, through `embed_batch`; the bg window's last field
-    repeats, as in the dataset, so it reuses that row's projection. The
-    embeddings equal, to the bit, ones computed from the windows' rows.
-    The returned log's fg, bg and mask are views of these arrays.
+    through its encoder's input weights once, when it is stored. Each
+    stream keeps the encoder runs of the windows still open and steps
+    them together, once per stored row; a step's two embeddings
+    (`EncoderStream.embed`) then take one more encoder step each. The
+    bg window's last field repeats, as in the dataset, until the next
+    pose replaces it, so the runs read a row only once the next one is
+    stored. The embeddings equal, to the bit, `embed_batch` on the
+    windows' rows. The returned log's fg, bg and mask are views of these
+    arrays.
 
     When the demo's per-frame actions are given, each prediction is
     conditioned on the demo action at the same fraction of elapsed
@@ -390,11 +396,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
                 np.zeros(3), drone.camera_axes()[2], fg.h)
 
         if t >= WINDOW - 1 and prev_action is not None:
-            w, pre = fg_obs.window(t)
-            fge = embed_batch(w, bundle.fg_encoder, pre)[0]
-            w, pre = bg_obs.window(t)
-            bge = embed_batch(w, bundle.bg_encoder, pre)[0]
-            obs = np.concatenate([fge, bge])
+            obs = np.concatenate([fg_obs.embed(t), bg_obs.embed(t)])
             if demo_actions is not None:
                 conditioning = demo_conditioning(demo_actions,
                                                  t - WINDOW + 1, n_exec)

@@ -21,6 +21,7 @@ import numpy as np
 from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, affine,
                  affine_backward, fit, lstm_backward, lstm_forward,
                  lstm_init, lstm_input_weights)
+from .nn.layers import _gate_scale, _gate_scaled, _lstm_steps
 from .nn.params import uniform_init
 
 WINDOW = 8
@@ -142,54 +143,107 @@ def train_autoencoder(snippets: list[np.ndarray] | np.ndarray, channel: str,
                epochs, f"autoencoder ({channel})")
 
 
-def embed_batch(batch: np.ndarray, p: ParamSet,
-                pre: np.ndarray | None = None) -> np.ndarray:
-    """Encoder-only pass: (B, N, D) -> (B, H) final hidden states.
-
-    pre, when given, is the encoder's input pre-activation block
-    (N, B, 4H), as `EncoderStream.window` builds it; see lstm_forward.
-    """
+def embed_batch(batch: np.ndarray, p: ParamSet) -> np.ndarray:
+    """Encoder-only pass: (B, N, D) -> (B, H) final hidden states."""
     xs = np.transpose(np.asarray(batch, float), (1, 0, 2))
-    _, h_enc, _, _ = lstm_forward(xs, p, prefix="enc_", pre=pre)
-    if not np.all(np.isfinite(h_enc)):
+    _, h_enc, _, _ = lstm_forward(xs, p, prefix="enc_")
+    return _finite(h_enc)
+
+
+def _finite(h: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(h)):
         raise NumericError("embedding produced non-finite values")
-    return h_enc
+    return h
+
+
+def _step_scratch(block: tuple, H: int) -> tuple[tuple, tuple]:
+    """Scratch for `_lstm_steps` on (block, H) states: its rec and ig,
+    and the leading part of each step, a gate block with its four gate
+    views and tanh(c)."""
+    gt = np.empty(block + (4 * H,))
+    return ((np.empty_like(gt), np.empty(block + (H,))),
+            (gt, *(gt[..., q * H:(q + 1) * H] for q in range(4)),
+             np.empty(block + (H,))))
 
 
 class EncoderStream:
-    """One channel's observation rows over a run, with each row's
-    encoder input projection, in arrays of n rows.
+    """One channel's observation rows over a run, in arrays of n rows,
+    with the encoder state of every window still open.
 
-    put(t, row) stores row t and projects it once, with the (1, D) @
-    (D, 4H) matmul a batch-1 lstm_forward runs for each step, so
-    window(t) hands embed_batch the pre-activation block it would
-    compute from the window's rows, to the bit. A stream fed one row per
-    step thus projects each row once, not once per window it is in.
+    put(t, row) stores row t and projects it once through the encoder's
+    input weights, with the (1, D) @ (D, 4H) matmul a batch-1
+    lstm_forward runs for each step; repeat(t) copies row t-1 and its
+    projection. embed(t) is the embedding of the WINDOW rows that end at
+    row t, to the bit the one embed_batch computes from those rows.
+
+    Each window is a run of the encoder from the zero state, and the
+    stream keeps the runs alive instead of re-running every window from
+    scratch, after the persistent-RNN advice of Appleyard et al. (see
+    nn.layers); Wh·s is formed once per stream. The runs' h and c lie in
+    (WINDOW, 1, H) arrays, oldest run first: before row d is consumed,
+    slot j holds the run that starts at row d - WINDOW + 1 + j, and the
+    last slot stays zero, the state of the run that starts at row d.
+    Consuming row d steps every run but the oldest, which has read its
+    WINDOW - 1 rows, by one stacked step of `_lstm_steps`, from one pair
+    of arrays into the other, one slot down. Its (WINDOW - 1, 1, H) @
+    (H, 4H) matmul runs slice by slice with the gemv of a batch-1 call,
+    so each run keeps the bits of its own call.
+
+    embed(t) consumes the rows before t, then steps the window's run, the
+    oldest, through row t alone, into scratch. Row t is not consumed,
+    since a row may be rewritten until a later row is stored, as the
+    closed loop's bg field is. So put and repeat on a consumed row, and
+    embed(t) for a window whose run has moved on, raise ValueError; embed
+    raises NumericError for a non-finite embedding, as embed_batch does.
     """
 
     def __init__(self, p: ParamSet, n: int):
         self.Wxs, self.bs = lstm_input_weights(p, "enc_")
         self.rows = np.zeros((n, self.Wxs.shape[0]))
         self.proj = np.zeros((n, self.Wxs.shape[1]))
+        H = p["enc_Wh"].shape[0]
+        self._weights = (_gate_scaled(p["enc_Wh"], H), *_gate_scale(H))
+        self._done = 0   # rows consumed by the runs
+        self._pairs = np.zeros((2, 2, WINDOW, 1, H))   # two (h, c) pairs
+        self._runs = _step_scratch((WINDOW - 1, 1), H)
+        self._last = _step_scratch((1,), H)
+
+    def _open(self, t: int) -> None:
+        if t < self._done:
+            raise ValueError(f"row {t} has been consumed by the open "
+                             f"windows, which have read up to row "
+                             f"{self._done - 1}")
 
     def put(self, t: int, row: np.ndarray) -> None:
+        self._open(t)
         self.rows[t] = row
         np.matmul(self.rows[t:t + 1], self.Wxs, out=self.proj[t:t + 1])
 
     def repeat(self, t: int) -> None:
         """Row t and its projection become copies of row t-1's."""
+        self._open(t)
         self.rows[t] = self.rows[t - 1]
         self.proj[t] = self.proj[t - 1]
 
-    def window(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """(batch (1, WINDOW, D), pre (WINDOW, 1, 4H)) of the window
-        that ends at row t, for embed_batch."""
-        lo = t - WINDOW + 1
-        if lo < 0:
+    def embed(self, t: int) -> np.ndarray:
+        """(H,) embedding of the window that ends at row t."""
+        if t < WINDOW - 1:
             raise TooShortError(f"no window of {WINDOW} rows ends at row "
                                 f"{t}")
-        return (self.rows[None, lo:t + 1],
-                (self.proj[lo:t + 1] + self.bs)[:, None])
+        self._open(t)
+        (scratch, gates), pairs = self._runs, self._pairs
+        # row d steps the runs from pair d % 2 into the other, a slot down
+        _lstm_steps(*self._weights, *scratch,
+                    ((*gates, self.proj[d] + self.bs, *pairs[d % 2, :, 1:],
+                      *pairs[1 - d % 2, :, :-1])
+                     for d in range(self._done, t)))
+        self._done = t
+        (scratch, gates), (h, c) = self._last, pairs[t % 2, :, 0]
+        out = np.empty_like(h)
+        _lstm_steps(*self._weights, *scratch,
+                    [(*gates, self.proj[t] + self.bs, h, c, out,
+                      np.empty_like(c))])
+        return _finite(out)[0]
 
 
 def embed_video(fg: np.ndarray, bg: np.ndarray, fg_params: ParamSet,

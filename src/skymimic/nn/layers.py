@@ -15,9 +15,10 @@ call, not per flop:
 - Forward. xs @ Wx + b for all T steps is one GEMM before the
   recurrence; each step adds h_{t-1} @ Wh and finishes its gate block
   in place, with no per-step allocation (batch-1 calls are dominated
-  by per-call overhead). A caller that slides a window over a stream
-  can project each row once with `lstm_input_weights` and pass the
-  window's pre-activation block instead (see `lstm_forward`).
+  by per-call overhead). The step itself is `_lstm_steps`, the one copy
+  of the cell math: a caller that keeps runs alive across rows of a
+  stream (`features.EncoderStream`) projects each row once with
+  `lstm_input_weights` and steps its runs through it.
   A cell that reads no input, such as the autoencoder's decoder, passes
   xs=None and a block of b·s alone.
 - Stacks. Independent runs share the step loop, after the same paper's
@@ -193,6 +194,31 @@ def _gate_scaled(W: np.ndarray, H: int, out=None) -> np.ndarray:
     return out
 
 
+def _lstm_steps(Whs, s, off, rec, ig, steps) -> None:
+    """Run the cell's steps over a block of state rows (..., H), in
+    place: the one copy of the cell math. Each step is (gt, i, f, g, o,
+    tc, row, h_prev, c_prev, h, c): the gate block gt, whose views i, f,
+    g, o are its four gates, is formed from the input pre-activation row
+    and h_prev @ Whs; then c from c_prev, tc = tanh(c) and h. Whs, s
+    and off are the scaled recurrent weights and the gate scale pair of
+    `_gate_scale`; rec and ig are scratch of gt's and h's shapes.
+    Nothing is allocated. With run or cell axes before the (N, H) rows,
+    the matmul is one broadcast call, which NumPy runs slice by slice
+    with the kernel of a 2-D call, so each run of each cell gets the
+    bits of a step of its own."""
+    for gt, i, f, g, o, tc, row, h_prev, c_prev, h, c in steps:
+        np.matmul(h_prev, Whs, out=rec)
+        rec += row   # not into gt: gt may be row itself
+        np.tanh(rec, out=gt)
+        gt *= s
+        gt += off
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=ig)
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+
+
 def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
               prefix: str = "") -> ParamSet:
     p = ParamSet()
@@ -209,10 +235,9 @@ def lstm_input_weights(p: ParamSet,
 
     A batch-1 lstm_forward projects step t as x_t[None] @ (Wx·s), a
     (1, D) @ (D, 4H) matmul, and adds b·s. A caller that projects each
-    row of a stream that way, once, and adds b·s to a window of those
-    rows gets the bits lstm_forward would compute for that window, and
-    can pass them as its `pre` argument. One (T, D) GEMM over the rows
-    does not give the same bits.
+    row of a stream that way, once, and adds b·s gets the pre-activation
+    rows lstm_forward would compute for any window of those rows, to the
+    bit. One (T, D) GEMM over the rows does not give the same bits.
     """
     H = p[prefix + "Wh"].shape[0]
     return _gate_scaled(p[prefix + "Wx"], H), _gate_scaled(p[prefix + "b"], H)
@@ -340,21 +365,10 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
         run = slice(k if S > 1 else None)   # the runs in the loop
         blk = gates[a:z, run]
         i, f, g, o = (blk[..., q * H:(q + 1) * H] for q in range(4))
-        rec_k, ig_k = rec[run], ig[run]
-        for gt, row, i_t, f_t, g_t, o_t, h_prev, c_prev, c, tc, h in zip(
-                blk, rows[a:z], i, f, g, o, hs_b[a:z, run], cs_b[a:z, run],
-                cs_b[a + 1:z + 1, run], tcs[a:z, run],
-                hs_b[a + 1:z + 1, run]):
-            np.matmul(h_prev, Whs, out=rec_k)
-            rec_k += row   # not into gt: with one run, row is gt
-            np.tanh(rec_k, out=gt)
-            gt *= s
-            gt += off
-            np.multiply(f_t, c_prev, out=c)
-            np.multiply(i_t, g_t, out=ig_k)
-            c += ig_k
-            np.tanh(c, out=tc)
-            np.multiply(o_t, tc, out=h)
+        _lstm_steps(Whs, s, off, rec[run], ig[run],
+                    zip(blk, i, f, g, o, tcs[a:z, run], rows[a:z],
+                        hs_b[a:z, run], cs_b[a:z, run],
+                        hs_b[a + 1:z + 1, run], cs_b[a + 1:z + 1, run]))
     hs_out = hs[1:].reshape((T,) + axes + (H,))
     return (hs_out, hs_out[-1], cs[T].reshape(axes + (H,)),
             LSTMCache(xs, hs, cs, gates.reshape(T, R, 4 * H),

@@ -5,7 +5,7 @@ from skymimic.controller import (FRAME_KEEP, Executor, SubjectTrack,
                                  closed_loop_run, kalman_step,
                                  localize_subject, next_waypoint)
 from skymimic.dataset import build_video
-from skymimic.features import autoencoder_init
+from skymimic.features import FG_DIM, WINDOW, autoencoder_init
 from skymimic.geometry import (Intrinsics, Pose6D, look_at,
                                project_foreground, project_points,
                                render_motion_field)
@@ -354,10 +354,10 @@ def test_live_scene_matches_first_frame_of_whole_trajectory(style, seed):
 @pytest.mark.parametrize("with_demo", [True, False])
 def test_closed_loop_bit_identical_to_raw_row_windows(monkeypatch, style,
                                                       with_demo):
-    # the loop projects each row once and hands embed_batch the window's
-    # pre-activations; dropping them, so each window is projected from
-    # its raw rows, must not change a bit of the run
-    from skymimic import controller, features
+    # the loop's streams keep every open window's encoder run alive and
+    # step it once per row; embedding each window from its raw rows in a
+    # fresh embed_batch call instead must not change a bit of the run
+    from skymimic import features
     cfg = VARIANTS["fg+bg+att"]
     bundle = ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
                          init_style_net(cfg, 9), cfg,
@@ -373,15 +373,18 @@ def test_closed_loop_bit_identical_to_raw_row_windows(monkeypatch, style,
 
     calls = []
 
-    def raw_rows(batch, p, pre=None):
-        calls.append(pre is not None)
-        return features.embed_batch(np.array(batch), p)
+    def raw_rows(stream, t):
+        channel = "fg" if stream.rows.shape[1] == FG_DIM else "bg"
+        calls.append(channel)
+        p = bundle.fg_encoder if channel == "fg" else bundle.bg_encoder
+        return features.embed_batch(
+            np.array(stream.rows[None, t - WINDOW + 1:t + 1]), p)[0]
 
     fast = run()
-    monkeypatch.setattr(controller, "embed_batch", raw_rows)
+    monkeypatch.setattr(features.EncoderStream, "embed", raw_rows)
     slow = run()
-    assert calls and all(calls)  # every window came with its projections
     assert len(calls) == 2 * len(fast.actions)
+    assert calls.count("fg") == calls.count("bg")
     for name in ("actions", "fg", "bg", "mask"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
     assert len(fast.frames) == len(slow.frames) == len(fast.actions)

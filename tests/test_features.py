@@ -5,7 +5,7 @@ from skymimic.features import (WINDOW, ChannelError, EncoderStream,
                                TooShortError, autoencoder_init, embed_batch,
                                embed_video, train_autoencoder, window,
                                window_starts, _ae_backward, _ae_forward)
-from skymimic.nn import DimensionError, ParamSet, grad_check
+from skymimic.nn import NumericError, grad_check
 
 
 def test_window_counts():
@@ -115,47 +115,90 @@ def test_embed_video_shape():
     assert emb.shape == (4, 96)
 
 
+def _stream(channel, n, seed):
+    p = autoencoder_init(channel, seed)
+    rows = np.random.default_rng(seed + 1).normal(
+        scale=0.5, size=(n, p["enc_Wx"].shape[0]))
+    return p, rows, EncoderStream(p, n)
+
+
+def _raw_embedding(window_rows, p):
+    return embed_batch(np.stack(list(window_rows))[None], p)[0]
+
+
 @pytest.mark.parametrize("channel", ["fg", "bg"])
 def test_stream_windows_bit_identical_to_embed_batch(channel):
-    # rows stored and projected one at a time, as the closed loop does;
-    # each window's embedding must equal the one computed from its rows
-    p = autoencoder_init(channel, 3)
-    d = p["enc_Wx"].shape[0]
-    rng = np.random.default_rng(4)
+    # rows stored one at a time, some of them repeats of the row before
+    # as the closed loop's fg rows are while the subject is lost; the
+    # calls start at the first full window and skip some rows, and each
+    # embedding must equal the one computed from the window's rows
     n = 30
-    rows = rng.normal(scale=0.5, size=(n, d))
-    stream = EncoderStream(p, n)
+    p, rows, stream = _stream(channel, n, 3)
+    repeats, embedded = {9, 10, 16, 28}, {7, 8, 11, 14, 15, 16, 22, 29}
+    stored = rows.copy()
     checked = []
     for t in range(n):
-        stream.put(t, rows[t])
-        if t >= WINDOW - 1 and t in (WINDOW - 1, 17, n - 1):
-            w, pre = stream.window(t)
-            want = embed_batch(np.stack(list(rows[t - WINDOW + 1:t + 1]))
-                               [None], p)
-            assert np.array_equal(embed_batch(w, p, pre), want)
+        if t in repeats:
+            stream.repeat(t)
+            stored[t] = stored[t - 1]
+        else:
+            stream.put(t, rows[t])
+        assert np.array_equal(stream.rows[t], stored[t])
+        if t in embedded:
+            got = stream.embed(t)
+            assert got.shape == (p["enc_Wh"].shape[0],)
+            assert np.array_equal(got, _raw_embedding(
+                stored[t - WINDOW + 1:t + 1], p))
+            assert np.array_equal(stream.embed(t), got)   # asked again
             checked.append(t)
-    assert checked == [WINDOW - 1, 17, n - 1]
-    # a window whose last row repeats the one before, as the closed
-    # loop's bg window does: the repeat reuses that row's projection
-    for t in (WINDOW - 1, 17):
+    assert checked == sorted(embedded)
+
+
+@pytest.mark.parametrize("channel", ["fg", "bg"])
+def test_stream_embed_of_a_provisional_last_row(channel):
+    # the closed loop's bg pattern: at step t, row t-1 gets its field and
+    # row t repeats it until the next step overwrites it; each window
+    # embeds the provisional row, and the runs read the final one
+    n = 24
+    p, rows, stream = _stream(channel, n, 5)
+    for t in range(1, n):
+        stream.put(t - 1, rows[t - 1])
         stream.repeat(t)
-        window_rows = list(rows[t - WINDOW + 1:t]) + [rows[t - 1]]
-        w, pre = stream.window(t)
-        assert np.array_equal(stream.rows[t], rows[t - 1])
-        assert np.array_equal(embed_batch(w, p, pre),
-                              embed_batch(np.stack(window_rows)[None], p))
+        if t >= WINDOW - 1:
+            window_rows = list(rows[t - WINDOW + 1:t]) + [rows[t - 1]]
+            assert np.array_equal(stream.embed(t),
+                                  _raw_embedding(window_rows, p)), t
 
 
 def test_stream_window_needs_full_window():
     stream = EncoderStream(autoencoder_init("fg", 0), 10)
     with pytest.raises(TooShortError):
-        stream.window(WINDOW - 2)
+        stream.embed(WINDOW - 2)
 
 
-def test_embed_batch_rejects_misshapen_pre_activations():
-    p = autoencoder_init("fg", 0)
-    batch = np.zeros((1, WINDOW, 5))
-    with pytest.raises(DimensionError):
-        embed_batch(batch, p, np.zeros((WINDOW, 1, 4 * 32 + 1)))
-    with pytest.raises(DimensionError):
-        embed_batch(batch, p, np.zeros((WINDOW - 1, 1, 4 * 32)))
+def test_stream_refuses_consumed_rows():
+    p, rows, stream = _stream("fg", 20, 7)
+    for t in range(12):
+        stream.put(t, rows[t])
+    stream.embed(10)   # the runs have read rows 0-9, not row 10
+    for stale in (lambda: stream.put(9, rows[9]), lambda: stream.repeat(9),
+                  lambda: stream.embed(9)):
+        with pytest.raises(ValueError, match="consumed"):
+            stale()
+    stream.put(10, rows[10])
+    stream.repeat(11)
+    assert np.array_equal(stream.embed(11),
+                          _raw_embedding(list(rows[4:11]) + [rows[10]], p))
+
+
+@pytest.mark.parametrize("channel", ["fg", "bg"])
+def test_stream_embed_rejects_non_finite_embeddings(channel):
+    p, rows, stream = _stream(channel, 12, 9)
+    for t in range(12):
+        stream.put(t, rows[t])
+    stream.embed(WINDOW - 1)
+    stream.put(WINDOW, np.full(rows.shape[1], np.nan))
+    with pytest.raises(NumericError):
+        stream.embed(WINDOW)
+    with pytest.raises(NumericError):
+        embed_batch(stream.rows[None, 1:WINDOW + 1], p)

@@ -532,6 +532,23 @@ def test_lstm_stack_rejects_what_it_cannot_run():
         lstm_backward(None, cache, p, p.zeros_like(), "c0_")
 
 
+@pytest.mark.parametrize("k", [2, 7])
+@pytest.mark.parametrize("H", [32, 64, 128])
+def test_broadcast_matmul_slices_equal_2d_calls(H, k):
+    # the stacks of lstm_forward and the window runs of
+    # features.EncoderStream rely on NumPy sending each slice of a
+    # broadcast (k, 1, H) @ (H, 4H) matmul to the kernel a 2-D
+    # (1, H) @ (H, 4H) call uses; a NumPy or BLAS build that folds the
+    # stack into one GEMM may round otherwise, and fails here
+    rng = np.random.default_rng(H + k)
+    W = rng.normal(size=(H, 4 * H))
+    hs = rng.normal(size=(k, 1, H))
+    stacked = np.empty((k, 1, 4 * H))
+    np.matmul(hs, W, out=stacked)
+    for h, got in zip(hs, stacked):
+        assert np.array_equal(got, h @ W)
+
+
 def test_sigmoid_matches_logistic_without_overflow():
     z = np.linspace(-30.0, 30.0, 601)
     assert np.max(np.abs(sigmoid(z) - _ref_sigmoid(z))) <= 1e-15
