@@ -64,7 +64,13 @@ def localize_subject(box: FgFeature, drone: Pose6D, K: Intrinsics,
 
 @dataclass
 class SubjectTrack:
-    """Constant-velocity Kalman filter over subject position."""
+    """Constant-velocity Kalman filter over subject position.
+
+    The covariance recursion never reads a measurement: from a given
+    covariance, dt and noise levels the next covariance and the gain
+    are always the same, so `kalman_step` takes them from a memo and
+    the covariance a step returns is that memo's read-only array.
+    """
 
     position: np.ndarray
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -95,28 +101,59 @@ def _kalman_model(dt: float, process_noise: float,
     return F, Q, H, R
 
 
-def kalman_step(track: SubjectTrack, measurement: np.ndarray,
-                dt: float = DT):
-    """Predict/update cycle. Returns (updated track, dt-ahead position)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    F, Q, H, R = _kalman_model(dt, track.process_noise,
-                               track.measurement_noise)
-    x = F @ track.state
-    P = F @ track.covariance @ F.T + Q
-    y = np.asarray(measurement, float) - H @ x
+@lru_cache(maxsize=128)
+def _kalman_gain(covariance: bytes, dt: float, process_noise: float,
+                 measurement_noise: float):
+    """Read-only (gain, updated covariance) of one step from the
+    covariance whose float64 bytes are given, computed once per key.
+
+    From the default covariance at the loop's dt the recursion settles
+    into a 2-cycle after 48 steps, so every run of the loop hits the
+    same few dozen keys.  A covariance that fails the semidefiniteness
+    check raises on every call: lru_cache keeps no exceptions.
+    """
+    F, Q, H, R = _kalman_model(dt, process_noise, measurement_noise)
+    P = np.frombuffer(covariance).reshape(6, 6)
+    P = F @ P @ F.T + Q
     S = H @ P @ H.T + R
     G = P @ H.T @ np.linalg.inv(S)
-    x = x + G @ y
     P = (np.eye(6) - G @ H) @ P
     P = 0.5 * (P + P.T)
     if np.min(np.linalg.eigvalsh(P)) < -1e-9:
         raise NumericError("kalman_step: covariance lost positive "
                            "semidefiniteness")
+    for m in (G, P):
+        m.setflags(write=False)
+    return G, P
+
+
+def kalman_step(track: SubjectTrack, measurement: np.ndarray,
+                dt: float = DT):
+    """Predict/update cycle. Returns (updated track, dt-ahead position).
+
+    Only the state update reads the measurement; the gain and the next
+    covariance depend on the track's covariance, dt and noise levels
+    alone and come from `_kalman_gain`'s memo.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    F, _, H, _ = _kalman_model(dt, track.process_noise,
+                               track.measurement_noise)
+    G, P = _kalman_gain(np.asarray(track.covariance, float).tobytes(), dt,
+                        track.process_noise, track.measurement_noise)
+    x = F @ track.state
+    y = np.asarray(measurement, float) - H @ x
+    x = x + G @ y
     updated = SubjectTrack(x[:3], x[3:], P, track.process_noise,
                            track.measurement_noise)
     predicted = (F @ x)[:3]
     return updated, predicted
+
+
+def _clip(value, bound):
+    """`np.clip(value, -bound, bound)` for one scalar, without NumPy's
+    per-call cost: the same value, nan and signed zero included."""
+    return min(max(value, -bound), bound)
 
 
 def next_waypoint(drone: Pose6D, action: np.ndarray,
@@ -156,16 +193,15 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
     r = drone.position - np.asarray(subject, float)
     rho = max(float(np.linalg.norm(r)), 1e-6)
     az = float(np.arctan2(r[1], r[0]))
-    el = float(np.arcsin(np.clip(r[2] / rho, -1.0, 1.0)))
+    el = float(np.arcsin(_clip(r[2] / rho, 1.0)))
     rho_target = K.focal * subject_height \
         / (max(target_scale, MIN_BOX_HEIGHT) * K.height)
-    rho_new = rho + float(np.clip(rho_target - rho, -MAX_SPEED * dt,
-                                  MAX_SPEED * dt))
+    rho_new = rho + float(_clip(rho_target - rho, MAX_SPEED * dt))
     rho_new = max(rho_new, 1.0)
     turn = omega * dt
     if heading is None:
         az += turn[1]
-        el = float(np.clip(el + turn[2], -1.5, 1.5))
+        el = float(_clip(el + turn[2], 1.5))
         offset = rho_new * np.array([np.cos(el) * np.cos(az),
                                      np.cos(el) * np.sin(az), np.sin(el)])
     else:
@@ -180,9 +216,9 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
         offset = r + min(along, MAX_SPEED * dt) * h
         # the subject's bearing and elevation, as swept by the step
         swept = np.array([np.arctan2(offset[1], offset[0]) - az,
-                          np.arcsin(np.clip(offset[2]
-                                            / np.linalg.norm(offset),
-                                            -1.0, 1.0)) - el])
+                          np.arcsin(_clip(offset[2]
+                                          / np.linalg.norm(offset),
+                                          1.0)) - el])
         if hold_aim:
             turn[1:] = wrap_angle(swept)
         else:
@@ -243,9 +279,9 @@ class Executor:
             self.smoothed[3:6] /= max(np.linalg.norm(self.smoothed[3:6]),
                                       DIR_EPS)
         executed = self.smoothed.copy()
-        rates = executed[:3]
-        executed[:3] = np.where(np.abs(rates) < RATE_DEADBAND, 0.0,
-                                rates) * self.kappa
+        for i in range(3):
+            executed[i] = (0.0 if abs(executed[i]) < RATE_DEADBAND
+                           else executed[i]) * self.kappa
         executed[6] = min(executed[6] * self.scale_ref, 1.0)
 
         world = executed[3:6] @ np.array(drone.camera_axes())

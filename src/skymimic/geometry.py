@@ -10,6 +10,7 @@ down. Image axes: u right, v down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +18,7 @@ import numpy as np
 
 GRID = 8  # motion-field cells per image axis
 BODY_WIDTH_RATIO = 0.35  # subject box width as a fraction of body height
+_TWO_PI = 2.0 * np.pi
 
 
 class VisibilityError(ValueError):
@@ -28,8 +30,17 @@ class OffscreenError(ValueError):
 
 
 def wrap_angle(a):
-    """Wrap to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(a, float), 2.0 * np.pi)
+    """Wrap to (-pi, pi].
+
+    A finite float (np.float64 included) takes a scalar path and comes
+    back as a float: CPython's float `%` follows the same fmod-based
+    rule as `np.mod`, so the bits equal the array path's.  Arrays,
+    other scalars and non-finite floats go through NumPy, which also
+    keeps NumPy's warning on inf and nan.
+    """
+    if isinstance(a, float) and -math.inf < a < math.inf:
+        return math.pi - (math.pi - float(a)) % _TWO_PI
+    return np.pi - np.mod(np.pi - np.asarray(a, float), _TWO_PI)
 
 
 @dataclass
@@ -142,12 +153,18 @@ def project_foreground(cam: Pose6D, K: Intrinsics, subject: Pose6D,
 
     Box height comes from the exact pinhole relation focal*h/depth, so
     localization from the box inverts this projection exactly.
+
+    The one point takes `project_points`' arithmetic on the same
+    values: a (1, 3) row through one gemv per camera axis, then the
+    pixel math on floats, after the depth check.
     """
-    px, z = project_points(cam, K, subject.position[None, :])
-    depth = float(z[0])
+    right, down, forward = cam.camera_axes()
+    d = (subject.position - cam.position)[None, :]
+    depth = float((d @ forward)[0])
     if depth <= 0:
         raise VisibilityError(f"subject at depth {depth:.3f} m behind camera")
-    u, v = float(px[0, 0]), float(px[0, 1])
+    u = K.focal * float((d @ right)[0]) / depth + K.cx
+    v = K.focal * float((d @ down)[0]) / depth + K.cy
     h_px = K.focal * subject_height / depth
     w_px = K.focal * subject_height * BODY_WIDTH_RATIO / depth
     if (u + w_px / 2 < 0 or u - w_px / 2 > K.width

@@ -1,5 +1,4 @@
 from .adamax import AdamaxState, adamax_update, fit
-from .gradcheck import grad_check
 from .layers import (NumericError, TrainingError, affine, affine_backward,
                      lstm_backward, lstm_forward, lstm_init,
                      lstm_input_weights, mlp_backward, mlp_forward,
@@ -7,7 +6,7 @@ from .layers import (NumericError, TrainingError, affine, affine_backward,
 from .params import DimensionError, ParamSet, uniform_init
 
 __all__ = [
-    "AdamaxState", "adamax_update", "fit", "grad_check", "NumericError",
+    "AdamaxState", "adamax_update", "fit", "NumericError",
     "TrainingError",
     "affine", "affine_backward", "lstm_backward", "lstm_forward",
     "lstm_init", "lstm_input_weights", "mlp_backward", "mlp_forward",

@@ -1,0 +1,86 @@
+"""Test oracles: slow, independent references for fast code in the
+package.  `dtw_brute_force` enumerates every warping path for
+`imitation.dtw_align`; `grad_check` takes central finite differences
+for the analytic gradients."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from skymimic.imitation import WarpingPath
+from skymimic.nn import NumericError, ParamSet
+
+
+def dtw_brute_force(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
+    """Exhaustive enumeration of monotone paths; the independent oracle.
+
+    Among minimal-cost paths, picks the one matching the traceback
+    tie-break (reversed step sequence minimal in the preference order
+    diagonal < (1,0) < (0,1))."""
+    a = np.asarray(seq_a, float)
+    b = np.asarray(seq_b, float)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if b.ndim == 1:
+        b = b.reshape(-1, 1)
+    n, m = a.shape[0], b.shape[0]
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    best: list[tuple[float, list]] = []
+
+    def walk(i, j, cost, path):
+        cost += dist[i, j]
+        path = path + [(i, j)]
+        if i == n - 1 and j == m - 1:
+            best.append((cost, path))
+            return
+        if i + 1 < n and j + 1 < m:
+            walk(i + 1, j + 1, cost, path)
+        if i + 1 < n:
+            walk(i + 1, j, cost, path)
+        if j + 1 < m:
+            walk(i, j + 1, cost, path)
+
+    walk(0, 0, 0.0, [])
+    min_cost = min(c for c, _ in best)
+    rank = {(1, 1): 0, (1, 0): 1, (0, 1): 2}
+
+    def key(path):
+        steps = [(path[k + 1][0] - path[k][0], path[k + 1][1] - path[k][1])
+                 for k in range(len(path) - 1)]
+        return [rank[s] for s in reversed(steps)]
+
+    candidates = [p for c, p in best if c <= min_cost + 1e-12]
+    chosen = min(candidates, key=key)
+    return WarpingPath(chosen, float(min_cost))
+
+
+def grad_check(loss, params: ParamSet, analytic: ParamSet,
+               eps: float = 1e-5) -> float:
+    """loss(params) -> scalar loss; analytic: its gradients at params.
+
+    Perturbs every component of every parameter by +-eps and compares the
+    central difference against the analytic gradient. Only the loss is
+    evaluated per probe, so pass a forward-only callable. Returns the
+    maximum of |analytic - fd| / max(1, |analytic|). The probes perturb
+    a copy of params, element by element in place; params is not
+    written.
+    """
+    worst = 0.0
+    work = params.copy()
+    for k in params:
+        ga = analytic[k].ravel()
+        flat = work[k].reshape(-1)  # a view: probes perturb work in place
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            lp = loss(work)
+            flat[idx] = orig - eps
+            lm = loss(work)
+            flat[idx] = orig
+            if not (np.isfinite(lp) and np.isfinite(lm)):
+                raise NumericError(
+                    f"grad_check: non-finite loss probing {k}[{idx}]")
+            fd = (lp - lm) / (2.0 * eps)
+            err = abs(ga[idx] - fd) / max(1.0, abs(ga[idx]))
+            worst = max(worst, err)
+    return worst

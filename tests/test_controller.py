@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skymimic.controller import (FRAME_KEEP, Executor, SubjectTrack,
-                                 closed_loop_run, kalman_step,
+                                 _kalman_gain, closed_loop_run, kalman_step,
                                  localize_subject, next_waypoint)
 from skymimic.dataset import build_video
 from skymimic.features import FG_DIM, WINDOW, autoencoder_init
@@ -10,6 +10,7 @@ from skymimic.geometry import (Intrinsics, Pose6D, look_at,
                                project_foreground, project_points,
                                render_motion_field)
 from skymimic.imitation import init_imitation_net, make_action
+from skymimic.nn import NumericError
 from skymimic.pipeline import ModelBundle
 from skymimic.stylenet import VARIANTS, init_style_net
 from skymimic.training import make_live_scene
@@ -130,6 +131,51 @@ def test_kalman_matches_block_reference():
             assert np.array_equal(pred, ref_pred)
             assert np.array_equal(tracks[i].state, refs[i].state)
             assert np.array_equal(tracks[i].covariance, refs[i].covariance)
+
+
+def test_kalman_memo_matches_reference_past_the_cycle():
+    # the gain memo is keyed by covariance: three filters stepped in
+    # turn, one from a caller's covariance, for 80 steps.  The default
+    # model's covariance settles into a 2-cycle at step 48 and is served
+    # from the memo after it; every step keeps the reference's bits
+    rng = np.random.default_rng(32)
+    own = np.diag([0.5, 2.0, 1.0, 9.0, 1.0, 4.0])
+    own[0, 3] = own[3, 0] = 0.3
+    tracks = [SubjectTrack(np.zeros(3)),
+              SubjectTrack(np.ones(3), process_noise=1.5,
+                           measurement_noise=0.3),
+              SubjectTrack(np.full(3, -2.0), covariance=own)]
+    refs = list(tracks)
+    dts = [DT, 0.1, DT]
+    _kalman_gain.cache_clear()
+    for k in range(80):
+        for i in range(3):
+            z = np.array([0.5, -0.2, 0.1]) * k * dts[i] \
+                + rng.normal(0, 0.1, 3)
+            tracks[i], pred = kalman_step(tracks[i], z, dts[i])
+            refs[i], ref_pred = _reference_kalman_step(refs[i], z, dts[i])
+            assert np.array_equal(pred, ref_pred)
+            assert np.array_equal(tracks[i].state, refs[i].state)
+            assert np.array_equal(tracks[i].covariance, refs[i].covariance)
+    assert _kalman_gain.cache_info().hits > 0
+
+
+def test_kalman_memo_is_read_only():
+    track = SubjectTrack(np.zeros(3))
+    for _ in range(3):
+        track, _ = kalman_step(track, np.ones(3))
+        with pytest.raises(ValueError):
+            track.covariance[0, 0] = 0.0
+
+
+def test_kalman_bad_covariance_raises_every_call():
+    bad = np.diag([1.0] * 3 + [-4.0] * 3)  # velocity variance below 0
+    _kalman_gain.cache_clear()
+    for _ in range(3):
+        with pytest.raises(NumericError):
+            kalman_step(SubjectTrack(np.zeros(3), covariance=bad),
+                        np.zeros(3))
+    assert _kalman_gain.cache_info().currsize == 0
 
 
 def test_kalman_rejects_bad_dt():

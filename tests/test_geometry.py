@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from skymimic.geometry import (Intrinsics, Pose6D, VisibilityError, flip_bg,
+from skymimic.geometry import (BODY_WIDTH_RATIO, Intrinsics, Pose6D,
+                               VisibilityError, flip_bg,
                                flip_fg, look_at, pixel_to_world,
                                project_foreground, project_points,
                                render_motion_field, wrap_angle)
@@ -11,6 +12,41 @@ def test_wrap_angle_range():
     a = wrap_angle(np.array([0.0, np.pi, -np.pi, 3 * np.pi, -2.5 * np.pi]))
     assert np.allclose(a, [0.0, np.pi, np.pi, np.pi, -0.5 * np.pi])
     assert np.all(a > -np.pi) and np.all(a <= np.pi)
+
+
+def test_scalar_wrap_matches_array_path():
+    # canary: a finite float takes CPython's float %, which must round
+    # like np.mod on this build, to the bit
+    rng = np.random.default_rng(44)
+    odd = np.arange(-201, 202, 2) * np.pi
+    tiny = 5e-324
+    special = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi,
+                        np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0),
+                        1e300, -1e300, tiny, -tiny, 2.2250738585072014e-308,
+                        -2.2250738585072014e-308, 1e-300, 1e16, -1e16])
+    values = np.concatenate([
+        special, odd, -odd, rng.uniform(-10.0, 10.0, 20000),
+        rng.normal(0.0, 1e3, 5000),
+        rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-320, 300, 5000)])
+    scalar = [wrap_angle(v) for v in values.tolist()]
+    assert all(type(w) is float for w in scalar)
+    expected = wrap_angle(values)
+    assert np.array_equal(np.array(scalar).view(np.int64),
+                          expected.view(np.int64))
+    # np.float64 is a float too, and takes the same path
+    assert all(np.float64(w).view(np.int64) == e
+               for w, e in zip(map(wrap_angle, values[:100]),
+                               expected[:100].view(np.int64)))
+    # nan and inf keep NumPy's path, result and warning
+    for v in (np.nan, np.inf, -np.inf):
+        with np.errstate(invalid="ignore"):
+            got = wrap_angle(v)
+            ref = np.pi - np.mod(np.pi - np.asarray(v), 2.0 * np.pi)
+        assert type(got) is not float
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(ref).view(np.int64))
+    with pytest.warns(RuntimeWarning):
+        wrap_angle(np.inf)
 
 
 def test_intrinsics_validation():
@@ -65,6 +101,25 @@ def test_foreground_orientation_facing_camera():
     subj = Pose6D(np.array([8.0, 0.0, 0.0]), yaw=np.pi)
     fg = project_foreground(cam, Intrinsics(), subj, 1.7)
     assert abs(fg.orientation - np.pi) < 1e-12
+
+
+def test_foreground_matches_project_points():
+    # the one-point path does project_points' arithmetic on the same
+    # values, so the box equals one built from its result to the bit
+    rng = np.random.default_rng(45)
+    K = Intrinsics()
+    for _ in range(300):
+        subj = Pose6D(rng.normal(0, 5, 3), yaw=rng.uniform(-np.pi, np.pi))
+        cam = look_at(subj.position + rng.normal(0, 10, 3) + [0, 0, 12],
+                      subj.position + rng.normal(0, 0.5, 3))
+        fg = project_foreground(cam, K, subj, 1.7)
+        px, z = project_points(cam, K, subj.position[None, :])
+        u, v, depth = float(px[0, 0]), float(px[0, 1]), float(z[0])
+        assert (fg.cx, fg.cy) == (u / K.width, v / K.height)
+        assert fg.h == K.focal * 1.7 / depth / K.height
+        assert fg.w == K.focal * 1.7 * BODY_WIDTH_RATIO / depth / K.width
+        assert fg.orientation == float(
+            wrap_angle(np.array(subj.yaw - cam.yaw)))
 
 
 def test_foreground_behind_camera():
