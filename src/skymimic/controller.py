@@ -38,6 +38,8 @@ from .pipeline import ModelBundle, demo_conditioning
 from .scene import DT, FrameSample, SubjectPath
 
 MAX_SPEED = 10.0          # m/s step clamp
+PROCESS_NOISE = 0.5       # m/s^2 equivalent, of the subject's Kalman filter
+MEASUREMENT_NOISE = 0.1   # m, of a localized subject position
 MIN_BOX_HEIGHT = 1e-4
 SUBJECT_LOST_LIMIT = 2.0  # seconds off-screen before aborting
 ACTION_SMOOTHING = 0.3    # new-sample weight of the executed action
@@ -67,57 +69,47 @@ class SubjectTrack:
     """Constant-velocity Kalman filter over subject position.
 
     The covariance recursion never reads a measurement: from a given
-    covariance, dt and noise levels the next covariance and the gain
-    are always the same, so `kalman_step` takes them from a memo and
-    the covariance a step returns is that memo's read-only array.
+    covariance the next covariance and the gain are always the same, so
+    `kalman_step` takes them from a memo and the covariance a step
+    returns is that memo's read-only array.
     """
 
     position: np.ndarray
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     covariance: np.ndarray = field(
         default_factory=lambda: np.diag([1.0] * 3 + [4.0] * 3))
-    process_noise: float = 0.5    # m/s^2 equivalent
-    measurement_noise: float = 0.1  # m
 
     @property
     def state(self) -> np.ndarray:
         return np.concatenate([self.position, self.velocity])
 
 
-@lru_cache(maxsize=8)
-def _kalman_model(dt: float, process_noise: float,
-                  measurement_noise: float):
-    """Read-only (F, Q, H, R) of the constant-velocity model, built once
-    per (dt, process_noise, measurement_noise)."""
-    I3 = np.eye(3)
-    F = np.block([[I3, dt * I3], [np.zeros((3, 3)), I3]])
-    q = process_noise ** 2
-    Q = q * np.block([[dt ** 4 / 4 * I3, dt ** 3 / 2 * I3],
-                      [dt ** 3 / 2 * I3, dt ** 2 * I3]])
-    H = np.hstack([I3, np.zeros((3, 3))])
-    R = measurement_noise ** 2 * I3
-    for m in (F, Q, H, R):
-        m.setflags(write=False)
-    return F, Q, H, R
+# the constant-velocity model (F, Q, H, R) at the loop's DT, read-only
+_I3 = np.eye(3)
+_F = np.block([[_I3, DT * _I3], [np.zeros((3, 3)), _I3]])
+_Q = PROCESS_NOISE ** 2 * np.block([[DT ** 4 / 4 * _I3, DT ** 3 / 2 * _I3],
+                                    [DT ** 3 / 2 * _I3, DT ** 2 * _I3]])
+_H = np.hstack([_I3, np.zeros((3, 3))])
+_R = MEASUREMENT_NOISE ** 2 * _I3
+for _m in (_F, _Q, _H, _R):
+    _m.setflags(write=False)
 
 
 @lru_cache(maxsize=128)
-def _kalman_gain(covariance: bytes, dt: float, process_noise: float,
-                 measurement_noise: float):
+def _kalman_gain(covariance: bytes):
     """Read-only (gain, updated covariance) of one step from the
     covariance whose float64 bytes are given, computed once per key.
 
-    From the default covariance at the loop's dt the recursion settles
-    into a 2-cycle after 48 steps, so every run of the loop hits the
-    same few dozen keys.  A covariance that fails the semidefiniteness
-    check raises on every call: lru_cache keeps no exceptions.
+    From the default covariance the recursion settles into a 2-cycle
+    after 48 steps, so every run of the loop hits the same few dozen
+    keys.  A covariance that fails the semidefiniteness check raises on
+    every call: lru_cache keeps no exceptions.
     """
-    F, Q, H, R = _kalman_model(dt, process_noise, measurement_noise)
     P = np.frombuffer(covariance).reshape(6, 6)
-    P = F @ P @ F.T + Q
-    S = H @ P @ H.T + R
-    G = P @ H.T @ np.linalg.inv(S)
-    P = (np.eye(6) - G @ H) @ P
+    P = _F @ P @ _F.T + _Q
+    S = _H @ P @ _H.T + _R
+    G = P @ _H.T @ np.linalg.inv(S)
+    P = (np.eye(6) - G @ _H) @ P
     P = 0.5 * (P + P.T)
     if np.min(np.linalg.eigvalsh(P)) < -1e-9:
         raise NumericError("kalman_step: covariance lost positive "
@@ -127,26 +119,20 @@ def _kalman_gain(covariance: bytes, dt: float, process_noise: float,
     return G, P
 
 
-def kalman_step(track: SubjectTrack, measurement: np.ndarray,
-                dt: float = DT):
-    """Predict/update cycle. Returns (updated track, dt-ahead position).
+def kalman_step(track: SubjectTrack, measurement: np.ndarray):
+    """Predict/update cycle over one DT. Returns (updated track,
+    DT-ahead position).
 
     Only the state update reads the measurement; the gain and the next
-    covariance depend on the track's covariance, dt and noise levels
-    alone and come from `_kalman_gain`'s memo.
+    covariance depend on the track's covariance alone and come from
+    `_kalman_gain`'s memo.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    F, _, H, _ = _kalman_model(dt, track.process_noise,
-                               track.measurement_noise)
-    G, P = _kalman_gain(np.asarray(track.covariance, float).tobytes(), dt,
-                        track.process_noise, track.measurement_noise)
-    x = F @ track.state
-    y = np.asarray(measurement, float) - H @ x
+    G, P = _kalman_gain(np.asarray(track.covariance, float).tobytes())
+    x = _F @ track.state
+    y = np.asarray(measurement, float) - _H @ x
     x = x + G @ y
-    updated = SubjectTrack(x[:3], x[3:], P, track.process_noise,
-                           track.measurement_noise)
-    predicted = (F @ x)[:3]
+    updated = SubjectTrack(x[:3], x[3:], P)
+    predicted = (_F @ x)[:3]
     return updated, predicted
 
 

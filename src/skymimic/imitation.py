@@ -174,15 +174,6 @@ def predict_action(v: np.ndarray, o: np.ndarray, a: np.ndarray,
     return pred
 
 
-def imitation_loss(pred_c, label_c, pred_s=None, label_s=None,
-                   lam: float = 0.7) -> float:
-    """||pred_c - label_c|| + lam * ||pred_s - label_s||."""
-    loss = float(np.linalg.norm(pred_c - label_c))
-    if pred_s is not None:
-        loss += lam * float(np.linalg.norm(pred_s - label_s))
-    return loss
-
-
 def imitation_loss_and_grad(v, o, a_c, label_c, a_s=None, label_s=None,
                             lam: float = 0.7, p: ParamSet = None):
     """Loss and parameter gradients for one (content[, style]) pair.
@@ -341,13 +332,12 @@ def direction_angle(pred_dir: np.ndarray, true_dir: np.ndarray) -> float:
     return float(np.arccos(np.clip(pred_dir @ true_dir, -1.0, 1.0)))
 
 
-def evaluate_imitation(corpus: SnippetCorpus, p: ParamSet,
-                       zero_style: bool = False) -> dict:
+def evaluate_imitation(corpus: SnippetCorpus, p: ParamSet) -> dict:
     """Per-style prediction errors in the loss-table layout:
     omega MSE (rad/s)^2, direction angular error (rad), scale MSE.
 
     Each video is evaluated one-shot: the demo is the next same-style
-    video in the corpus; zero_style ablates the style feature.
+    video in the corpus.
     """
     table = {}
     for style in STYLES:
@@ -358,8 +348,6 @@ def evaluate_imitation(corpus: SnippetCorpus, p: ParamSet,
         for k, ci in enumerate(idxs):
             si = idxs[(k + 1) % len(idxs)]
             v = corpus.style_features[si]
-            if zero_style:
-                v = np.zeros_like(v)
             emb = corpus.embeddings[ci]
             acts = corpus.actions[ci]
             for t in range(emb.shape[0] - 1):

@@ -75,10 +75,6 @@ class ModelBundle:
     # last embed call
     _memo: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
-    # (nets, record weakrefs, corpus) of the last
-    # training._imitation_corpus call
-    _corpus_memo: tuple | None = field(default=None, init=False,
-                                       repr=False, compare=False)
 
     def embed(self, fg: np.ndarray, bg: np.ndarray) -> np.ndarray:
         """(T_snippets, EMBED_DIM) embedding of a video, read-only.

@@ -52,41 +52,47 @@ def style_examples(records: list[VideoRecord], fg_p, bg_p):
             for r in records]
 
 
-# (weak references to the encoders and train records, their examples)
-_train_examples_memo = None
+# (weak references to the keys of the last _reuse call, its product)
+_slot = None
 
 
-def _train_examples(records: list[VideoRecord], fg_p, bg_p,
-                    release: bool = False):
-    """style_examples of the augmented train split, memoised on one
-    entry.
+def _reuse(keys: list, build):
+    """build(), or the product the last call kept if that call's keys
+    were these objects in this order.
 
-    The style and the segment stage train on one pair of encoders and
-    one record list, so the second stage reuses the first one's
-    embeddings. The key is the identity of both encoders and of each
-    train record, as in _imitation_corpus; all are held by weak
-    reference, so the memo keeps none of them alive, and one that is
-    gone never matches. The shared sequences are read-only.
-
-    With release the entry is dropped after this use. The segment
-    stage, which every caller runs after the style stage, releases it,
-    so the examples are not held on through the imitation stage: there
-    they raised the bench set-up's peak RSS by about 0.3 MB.
+    A stage's product is reused once, by the next stage: the segment
+    stage takes the style stage's embeddings of the augmented train
+    split, and the baseline stage the dual stage's imitation corpus,
+    with every DTW alignment made. The one slot holds the product and
+    weak references to its keys, so it keeps no key alive and a key
+    that is gone never matches; a key written in place still does. A
+    hit takes the product out of the slot; a miss drops the slot before
+    it builds and keeps the new product.
     """
-    global _train_examples_memo
-    keys = [fg_p, bg_p] + [r for r in records if r.split == "train"]
-    m, _train_examples_memo = _train_examples_memo, None
-    if (m is not None and len(m[0]) == len(keys)
-            and all(ref() is k for ref, k in zip(m[0], keys))):
-        examples = m[1]
-    else:
-        del m  # free the old entry before embedding
-        examples = style_examples(augmented(keys[2:]), fg_p, bg_p)
+    global _slot
+    slot, _slot = _slot, None
+    if (slot is not None and len(slot[0]) == len(keys)
+            and all(ref() is k for ref, k in zip(slot[0], keys))):
+        return slot[1]
+    del slot  # free the old product before building
+    product = build()
+    _slot = ([weakref.ref(k) for k in keys], product)
+    return product
+
+
+def _train_examples(records: list[VideoRecord], fg_p, bg_p):
+    """style_examples of the augmented train split, reused by the next
+    stage on the same encoders and train records; the sequences are
+    read-only."""
+    train_recs = [r for r in records if r.split == "train"]
+
+    def build():
+        examples = style_examples(augmented(train_recs), fg_p, bg_p)
         for seq, _ in examples:
             seq.flags.writeable = False
-    if not release:
-        _train_examples_memo = ([weakref.ref(k) for k in keys], examples)
-    return examples
+        return examples
+
+    return _reuse([fg_p, bg_p] + train_recs, build)
 
 
 def train_val_split(examples):
@@ -124,8 +130,7 @@ def train_segment_stage(records: list[VideoRecord], fg_p, bg_p,
                         cfg: ExperimentConfig):
     """Train the crop-augmented classifier the segmenter scores spans
     with.  Returns (params, net config)."""
-    tr, val = train_val_split(_train_examples(records, fg_p, bg_p,
-                                              release=True))
+    tr, val = train_val_split(_train_examples(records, fg_p, bg_p))
     net_cfg = VARIANTS["fg+bg+att"]
     params, _ = train_segment_net(tr, val, net_cfg, epochs=cfg.seg_epochs,
                                   seed=cfg.seed, lr=cfg.style_lr,
@@ -152,36 +157,12 @@ def build_snippet_corpus(records: list[VideoRecord], bundle: ModelBundle,
     return SnippetCorpus(ids, styles, embs, acts, feats)
 
 
-def _imitation_corpus(records: list[VideoRecord],
-                      bundle: ModelBundle) -> SnippetCorpus:
-    """build_snippet_corpus of the train split, memoised on the bundle.
-
-    The dual and the baseline imitation stages train on one bundle and
-    record list, so the second one reuses the first one's corpus, and
-    with it every DTW alignment already made. The key is the identity of
-    the encoders, style_params, style_cfg and each train record; a
-    corpus is rebuilt when any of them is replaced, not when one is
-    written in place. Records are held by weak reference, so the memo
-    does not keep a caller's records alive, and one that is gone never
-    matches.
-    """
-    train_recs = [r for r in records if r.split == "train"]
-    nets = (bundle.fg_encoder, bundle.bg_encoder, bundle.style_params,
-            bundle.style_cfg)
-    m = bundle._corpus_memo
-    if (m is not None and all(a is b for a, b in zip(m[0], nets))
-            and len(m[1]) == len(train_recs)
-            and all(ref() is r for ref, r in zip(m[1], train_recs))):
-        return m[2]
-    corpus = build_snippet_corpus(train_recs, bundle)
-    bundle._corpus_memo = (nets, [weakref.ref(r) for r in train_recs],
-                           corpus)
-    return corpus
-
-
 def train_imitation_stage(records: list[VideoRecord], bundle: ModelBundle,
                           cfg: ExperimentConfig, dual: bool = True):
-    corpus = _imitation_corpus(records, bundle)
+    train_recs = [r for r in records if r.split == "train"]
+    corpus = _reuse([bundle.fg_encoder, bundle.bg_encoder,
+                     bundle.style_params, bundle.style_cfg] + train_recs,
+                    lambda: build_snippet_corpus(train_recs, bundle))
     params, log = train_imitation_net(
         corpus, epochs=cfg.imitation_epochs,
         steps_per_epoch=cfg.imitation_steps,

@@ -1,7 +1,8 @@
 """Test oracles: slow, independent references for fast code in the
 package.  `dtw_brute_force` enumerates every warping path for
-`imitation.dtw_align`; `grad_check` takes central finite differences
-for the analytic gradients."""
+`imitation.dtw_align`; `imitation_loss` is the mixed objective that
+`imitation.imitation_loss_and_grad` differentiates; `grad_check` takes
+central finite differences for the analytic gradients."""
 
 from __future__ import annotations
 
@@ -52,6 +53,15 @@ def dtw_brute_force(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
     candidates = [p for c, p in best if c <= min_cost + 1e-12]
     chosen = min(candidates, key=key)
     return WarpingPath(chosen, float(min_cost))
+
+
+def imitation_loss(pred_c, label_c, pred_s=None, label_s=None,
+                   lam: float = 0.7) -> float:
+    """||pred_c - label_c|| + lam * ||pred_s - label_s||."""
+    loss = float(np.linalg.norm(pred_c - label_c))
+    if pred_s is not None:
+        loss += lam * float(np.linalg.norm(pred_s - label_s))
+    return loss
 
 
 def grad_check(loss, params: ParamSet, analytic: ParamSet,

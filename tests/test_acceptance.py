@@ -25,11 +25,10 @@ from skymimic.controller import SubjectLostError, closed_loop_run
 from skymimic.geometry import Intrinsics, Pose6D, look_at, \
     project_foreground
 from skymimic.controller import localize_subject
-from skymimic.imitation import (dtw_align,
-                                evaluate_imitation, imitation_loss,
+from skymimic.imitation import (dtw_align, evaluate_imitation,
                                 imitation_loss_and_grad, init_imitation_net,
                                 make_action, predict_action)
-from oracles import dtw_brute_force, grad_check
+from oracles import dtw_brute_force, grad_check, imitation_loss
 from skymimic.scene import DT, STYLES, check_style_contract
 from skymimic.pipeline import demo_conditioning
 from skymimic.segmenter import segment

@@ -434,3 +434,24 @@ def test_manifest_write_is_atomic(workspace, tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.startswith("error: cannot move")
     assert (out / "manifest.txt").read_bytes() == before
     assert sorted(os.listdir(out)) == listing
+
+
+def test_readme_cli_lines_parse():
+    """Every `skymimic ...` line of README's CLI block parses."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    from skymimic.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [re.sub(r"\s#.*", "", line).replace("<id>", "fly-by_000")
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line.strip()]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "skymimic"
+        args = parser.parse_args(argv[1:])
+        assert args.func.__name__ == f"cmd_{argv[1].replace('-', '_')}"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from skymimic.controller import (FRAME_KEEP, Executor, SubjectTrack,
+from skymimic.controller import (FRAME_KEEP, MEASUREMENT_NOISE,
+                                 PROCESS_NOISE, Executor, SubjectTrack,
                                  _kalman_gain, closed_loop_run, kalman_step,
                                  localize_subject, next_waypoint)
 from skymimic.dataset import build_video
@@ -74,10 +75,9 @@ def test_kalman_stationary_subject():
 def test_kalman_constant_velocity():
     vel = np.array([2.0, 0.0, 0.0])
     track = SubjectTrack(np.zeros(3))
-    dt = 0.25
     for k in range(1, 21):
-        track, pred = kalman_step(track, vel * (k * dt), dt)
-    truth_next = vel * (21 * dt)
+        track, pred = kalman_step(track, vel * (k * DT))
+    truth_next = vel * (21 * DT)
     assert np.linalg.norm(pred - truth_next) < 1e-3
 
 
@@ -92,15 +92,16 @@ def test_kalman_covariance_psd_sweep():
         assert np.min(np.linalg.eigvalsh(P)) >= -1e-9
 
 
-def _reference_kalman_step(track, measurement, dt):
+def _reference_kalman_step(track, measurement):
     """kalman_step as first written: the model rebuilt on every call."""
+    dt = DT
     I3 = np.eye(3)
     F = np.block([[I3, dt * I3], [np.zeros((3, 3)), I3]])
-    q = track.process_noise ** 2
+    q = PROCESS_NOISE ** 2
     Q = q * np.block([[dt ** 4 / 4 * I3, dt ** 3 / 2 * I3],
                       [dt ** 3 / 2 * I3, dt ** 2 * I3]])
     H = np.hstack([I3, np.zeros((3, 3))])
-    R = track.measurement_noise ** 2 * I3
+    R = MEASUREMENT_NOISE ** 2 * I3
     x = F @ track.state
     P = F @ track.covariance @ F.T + Q
     y = np.asarray(measurement, float) - H @ x
@@ -109,51 +110,38 @@ def _reference_kalman_step(track, measurement, dt):
     x = x + G @ y
     P = (np.eye(6) - G @ H) @ P
     P = 0.5 * (P + P.T)
-    return SubjectTrack(x[:3], x[3:], P, track.process_noise,
-                        track.measurement_noise), (F @ x)[:3]
+    return SubjectTrack(x[:3], x[3:], P), (F @ x)[:3]
 
 
 def test_kalman_matches_block_reference():
-    # two filters with different models, stepped in turn, so a model
-    # built for one is never used by the other
     rng = np.random.default_rng(31)
-    tracks = [SubjectTrack(np.zeros(3)),
-              SubjectTrack(np.ones(3), process_noise=1.5,
-                           measurement_noise=0.3)]
-    refs = list(tracks)
-    dts = [DT, 0.1]
+    track = ref = SubjectTrack(np.zeros(3))
     for k in range(50):
-        for i in range(2):
-            z = np.array([0.5, -0.2, 0.0]) * k * dts[i] \
-                + rng.normal(0, 0.1, 3)
-            tracks[i], pred = kalman_step(tracks[i], z, dts[i])
-            refs[i], ref_pred = _reference_kalman_step(refs[i], z, dts[i])
-            assert np.array_equal(pred, ref_pred)
-            assert np.array_equal(tracks[i].state, refs[i].state)
-            assert np.array_equal(tracks[i].covariance, refs[i].covariance)
+        z = np.array([0.5, -0.2, 0.0]) * k * DT + rng.normal(0, 0.1, 3)
+        track, pred = kalman_step(track, z)
+        ref, ref_pred = _reference_kalman_step(ref, z)
+        assert np.array_equal(pred, ref_pred)
+        assert np.array_equal(track.state, ref.state)
+        assert np.array_equal(track.covariance, ref.covariance)
 
 
 def test_kalman_memo_matches_reference_past_the_cycle():
-    # the gain memo is keyed by covariance: three filters stepped in
+    # the gain memo is keyed by covariance: two filters stepped in
     # turn, one from a caller's covariance, for 80 steps.  The default
-    # model's covariance settles into a 2-cycle at step 48 and is served
-    # from the memo after it; every step keeps the reference's bits
+    # covariance settles into a 2-cycle at step 48 and is served from
+    # the memo after it; every step keeps the reference's bits
     rng = np.random.default_rng(32)
     own = np.diag([0.5, 2.0, 1.0, 9.0, 1.0, 4.0])
     own[0, 3] = own[3, 0] = 0.3
     tracks = [SubjectTrack(np.zeros(3)),
-              SubjectTrack(np.ones(3), process_noise=1.5,
-                           measurement_noise=0.3),
               SubjectTrack(np.full(3, -2.0), covariance=own)]
     refs = list(tracks)
-    dts = [DT, 0.1, DT]
     _kalman_gain.cache_clear()
     for k in range(80):
-        for i in range(3):
-            z = np.array([0.5, -0.2, 0.1]) * k * dts[i] \
-                + rng.normal(0, 0.1, 3)
-            tracks[i], pred = kalman_step(tracks[i], z, dts[i])
-            refs[i], ref_pred = _reference_kalman_step(refs[i], z, dts[i])
+        for i in range(2):
+            z = np.array([0.5, -0.2, 0.1]) * k * DT + rng.normal(0, 0.1, 3)
+            tracks[i], pred = kalman_step(tracks[i], z)
+            refs[i], ref_pred = _reference_kalman_step(refs[i], z)
             assert np.array_equal(pred, ref_pred)
             assert np.array_equal(tracks[i].state, refs[i].state)
             assert np.array_equal(tracks[i].covariance, refs[i].covariance)
@@ -176,11 +164,6 @@ def test_kalman_bad_covariance_raises_every_call():
             kalman_step(SubjectTrack(np.zeros(3), covariance=bad),
                         np.zeros(3))
     assert _kalman_gain.cache_info().currsize == 0
-
-
-def test_kalman_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        kalman_step(SubjectTrack(np.zeros(3)), np.zeros(3), dt=0.0)
 
 
 def test_waypoint_identity_when_satisfied():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from skymimic.imitation import (SamplingError, SnippetCorpus, dtw_align,
-                                direction_angle,
-                                imitation_loss, imitation_loss_and_grad,
+                                direction_angle, imitation_loss_and_grad,
                                 init_imitation_net, make_action, median_matches,
                                 predict_action, sample_training_pair,
                                 train_imitation_net)
 from skymimic.nn import TrainingError
-from oracles import dtw_brute_force, grad_check
+from oracles import dtw_brute_force, grad_check, imitation_loss
 
 
 def test_dtw_self_alignment():

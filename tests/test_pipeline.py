@@ -154,71 +154,13 @@ def test_demo_conditioning_elapsed_fraction():
     assert demo_conditioning(demo, 0, 1)[0] == 0.0
 
 
-def test_imitation_stages_share_one_corpus(monkeypatch):
-    """The dual and baseline stages on one bundle build the train
-    corpus once; replacing an encoder, the style net or the records
-    rebuilds it; the trained nets equal those from fresh bundles."""
-    import dataclasses
-    import gc
-    import weakref
-
-    from skymimic import training
-    from skymimic.config import ExperimentConfig
-
-    records = [build_video(f"{style}_{k}", style, "train", 40 + 3 * i + k,
-                           Intrinsics(), duration_range=(8.0, 9.0))
-               for i, style in enumerate(("fly-by", "orbiting"))
-               for k in range(3)]
-    records.append(build_video("held", "fly-by", "test", 60, Intrinsics(),
-                               duration_range=(8.0, 8.0)))
-    cfg = ExperimentConfig(imitation_epochs=2, imitation_steps=15)
-    built = []
-    real = training.build_snippet_corpus
-    monkeypatch.setattr(training, "build_snippet_corpus",
-                        lambda recs, b: built.append(len(recs))
-                        or real(recs, b))
-
-    bundle = _fresh_bundle()
-    shared = {dual: training.train_imitation_stage(records, bundle, cfg,
-                                                   dual=dual)
-              for dual in (True, False)}
-    assert built == [6]   # the train split, once for both stages
-    for dual, (params, log) in shared.items():
-        want, want_log = training.train_imitation_stage(
-            records, _fresh_bundle(), cfg, dual=dual)
-        assert log == want_log
-        assert params.layout == want.layout
-        assert np.array_equal(params.flat, want.flat)
-    assert built == [6, 6, 6]
-
-    def stage(recs):
-        training.train_imitation_stage(recs, bundle, cfg, dual=False)
-        return len(built)
-
-    assert stage(records) == 3               # same key: a hit
-    assert stage(list(records)) == 3         # a new list, same records
-    bundle.fg_encoder = bundle.fg_encoder.copy()
-    assert stage(records) == 4
-    bundle.bg_encoder = bundle.bg_encoder.copy()
-    assert stage(records) == 5
-    bundle.style_params = bundle.style_params.copy()
-    assert stage(records) == 6
-    assert stage([dataclasses.replace(r) for r in records]) == 7
-    extra = build_video("extra", "orbiting", "train", 61, Intrinsics(),
-                        duration_range=(8.0, 8.0))
-    assert stage(records + [extra]) == 8 and built[-1] == 7
-    # the memo holds records weakly: a dropped record is freed
-    gone = weakref.ref(extra)
-    del extra
-    gc.collect()
-    assert gone() is None
-
-
-def test_style_and_segment_stages_share_one_embedding(monkeypatch):
+def test_each_stage_reuses_the_previous_stage_product(monkeypatch):
     """The segment stage reuses the style stage's embeddings of the
-    augmented train split and then frees them; replacing an encoder or
-    the records embeds again; the trained nets equal those from calls
-    that embed afresh."""
+    augmented train split, and the baseline stage the dual stage's
+    corpus; the nets equal those of stages that build afresh.  The one
+    slot the stages share hits only on the same key objects, is empty
+    after a hit, frees its product before the next build and keeps no
+    key alive."""
     import dataclasses
     import gc
     import weakref
@@ -226,53 +168,92 @@ def test_style_and_segment_stages_share_one_embedding(monkeypatch):
     from skymimic import features, training
     from skymimic.config import ExperimentConfig
 
-    records = [build_video(f"{style}_{k}", style, "train", 70 + 3 * i + k,
+    records = [build_video(f"{style}_{k}", style, "train", 40 + 3 * i + k,
                            Intrinsics(), duration_range=(8.0, 9.0))
                for i, style in enumerate(("fly-by", "orbiting"))
                for k in range(2)]
-    records.append(build_video("held", "fly-by", "test", 80, Intrinsics(),
+    records.append(build_video("held", "fly-by", "test", 60, Intrinsics(),
                                duration_range=(8.0, 8.0)))
-    cfg = ExperimentConfig(style_epochs=2, seg_epochs=2)
+    cfg = ExperimentConfig(style_epochs=2, seg_epochs=2, imitation_epochs=2,
+                           imitation_steps=15)
     fg_p, bg_p = autoencoder_init("fg", 5), autoencoder_init("bg", 6)
-    embedded = []
-    real = features.embed_video
-    monkeypatch.setattr(features, "embed_video",
-                        lambda *a: embedded.append(a[0].shape[0])
-                        or real(*a))
+    net_cfg = VARIANTS["fg+bg+att"]
+    bundle = ModelBundle(fg_p, bg_p, init_style_net(net_cfg, 7), net_cfg)
+    embedded, built, products = [], [], []
+    real_embed, real_build = features.embed_video, \
+        training.build_snippet_corpus
 
-    monkeypatch.setattr(training, "_train_examples_memo", None)
-    style, _, _ = training.train_style_stage(records, fg_p, bg_p, cfg,
-                                             variants=False)
+    def embed(*a):
+        emb = real_embed(*a)
+        embedded.append(emb.shape[0])
+        products.append(weakref.ref(emb))
+        return emb
+
+    def build(recs, b):
+        # every earlier embedding and corpus is gone, the slot's too
+        assert all(ref() is None for ref in products)
+        corpus = real_build(recs, b)
+        built.append(len(recs))
+        products.append(weakref.ref(corpus))
+        return corpus
+
+    monkeypatch.setattr(features, "embed_video", embed)
+    monkeypatch.setattr(training, "build_snippet_corpus", build)
+    monkeypatch.setattr(training, "_slot", None)
+
+    def chain(fresh):
+        nets = []
+        for stage in (
+                lambda: training.train_style_stage(records, fg_p, bg_p, cfg,
+                                                   variants=False)[0],
+                lambda: training.train_segment_stage(records, fg_p, bg_p,
+                                                     cfg)[0],
+                lambda: training.train_imitation_stage(records, bundle, cfg,
+                                                       dual=True),
+                lambda: training.train_imitation_stage(records, bundle, cfg,
+                                                       dual=False)):
+            if fresh:   # monkeypatch has kept the slot's value to restore
+                training._slot = None
+            nets.append(stage())
+        return nets
+
+    shared = chain(fresh=False)
     assert len(embedded) == 8 + 1   # 4 train videos and mirrors, 1 test
-    seg, _ = training.train_segment_stage(records, fg_p, bg_p, cfg)
-    assert len(embedded) == 9       # the second stage embeds nothing
-    assert training._train_examples_memo is None   # and frees the entry
+    assert built == [4]             # the train split, once for both
+    assert training._slot is None   # the baseline's hit emptied it
+    want = chain(fresh=True)
+    assert len(embedded) == 9 + 9 + 8 and built == [4, 4, 4]
+    for got, exp in zip(shared, want):
+        if isinstance(got, tuple):   # an imitation stage's (net, log)
+            assert got[1] == exp[1]
+            got, exp = got[0], exp[0]
+        assert got.layout == exp.layout
+        assert np.array_equal(got.flat, exp.flat)
 
-    want_style, _, _ = training.train_style_stage(records, fg_p, bg_p, cfg,
-                                                  variants=False)
-    monkeypatch.setattr(training, "_train_examples_memo", None)
-    want_seg, _ = training.train_segment_stage(records, fg_p, bg_p, cfg)
-    assert len(embedded) == 9 + 9 + 8
-    for got, want in ((style, want_style), (seg, want_seg)):
-        assert got.layout == want.layout
-        assert np.array_equal(got.flat, want.flat)
+    def builds(recs=records):
+        n = len(built)
+        training.train_imitation_stage(recs, bundle, cfg, dual=False)
+        return len(built) - n
 
-    def embeds(recs, fg, bg):
-        n = len(embedded)
-        training._train_examples(recs, fg, bg)
-        return len(embedded) - n
-
-    assert embeds(records, fg_p, bg_p) == 8
-    assert embeds(records, fg_p, bg_p) == 0
-    assert embeds(list(records), fg_p, bg_p) == 0   # same records
-    assert embeds(records, fg_p.copy(), bg_p) == 8
-    assert embeds(records, fg_p, bg_p.copy()) == 8
-    assert embeds([dataclasses.replace(r) for r in records], fg_p, bg_p) == 8
-    assert embeds(records[1:], fg_p, bg_p) == 6
-    # the memo holds its keys weakly: a dropped record is freed
-    extra = build_video("extra", "orbiting", "train", 81, Intrinsics(),
+    # the fresh baseline stage kept its corpus: a new list of the same
+    # records is a hit, which empties the slot
+    assert builds(list(records)) == 0
+    assert training._slot is None
+    assert builds() == 1
+    for name in ("fg_encoder", "bg_encoder", "style_params"):
+        setattr(bundle, name, getattr(bundle, name).copy())
+        assert builds() == 1
+    assert builds([dataclasses.replace(r) for r in records]) == 1
+    assert builds() == 1
+    # the style stage keeps its examples; a miss frees them before it
+    # builds, as `build` checks
+    training.train_style_stage(records, fg_p, bg_p, cfg, variants=False)
+    assert training._slot is not None
+    assert builds() == 1
+    # the slot holds its keys weakly: a dropped record is freed
+    extra = build_video("extra", "orbiting", "train", 61, Intrinsics(),
                         duration_range=(8.0, 8.0))
-    assert embeds(records + [extra], fg_p, bg_p) == 10
+    assert builds(records + [extra]) == 1 and built[-1] == 5
     gone = weakref.ref(extra)
     del extra
     gc.collect()
