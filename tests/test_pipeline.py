@@ -154,81 +154,69 @@ def test_demo_conditioning_elapsed_fraction():
     assert demo_conditioning(demo, 0, 1)[0] == 0.0
 
 
-def test_each_stage_reuses_the_previous_stage_product(monkeypatch):
-    """The segment stage reuses the style stage's embeddings of the
-    augmented train split, and the baseline stage the dual stage's
-    corpus; the nets equal those of stages that build afresh.  The one
-    slot the stages share hits only on the same key objects, is empty
-    after a hit, frees its product before the next build and keeps no
-    key alive."""
+def _reuse_records(seed=40):
+    records = [build_video(f"{style}_{k}", style, "train",
+                           seed + 3 * i + k, Intrinsics(),
+                           duration_range=(8.0, 9.0))
+               for i, style in enumerate(("fly-by", "orbiting"))
+               for k in range(2)]
+    records.append(build_video("held", "fly-by", "test", seed + 20,
+                               Intrinsics(), duration_range=(8.0, 8.0)))
+    return records
+
+
+def _assert_same_nets(got_nets, want_nets):
+    for got, exp in zip(got_nets, want_nets):
+        if isinstance(got, tuple):   # an imitation stage's (net, log)
+            assert got[1] == exp[1]
+            got, exp = got[0], exp[0]
+        assert got.layout == exp.layout
+        assert np.array_equal(got.flat, exp.flat)
+
+
+def test_imitation_stages_share_one_corpus(monkeypatch):
+    """The baseline stage reuses the dual stage's corpus of the train
+    split; the nets equal those of stages that build afresh.  The reuse
+    slot hits only on the same key objects, is empty after a hit, frees
+    its product before the next build and keeps no key alive."""
     import dataclasses
     import gc
     import weakref
 
-    from skymimic import features, training
+    from skymimic import training
     from skymimic.config import ExperimentConfig
 
-    records = [build_video(f"{style}_{k}", style, "train", 40 + 3 * i + k,
-                           Intrinsics(), duration_range=(8.0, 9.0))
-               for i, style in enumerate(("fly-by", "orbiting"))
-               for k in range(2)]
-    records.append(build_video("held", "fly-by", "test", 60, Intrinsics(),
-                               duration_range=(8.0, 8.0)))
-    cfg = ExperimentConfig(style_epochs=2, seg_epochs=2, imitation_epochs=2,
-                           imitation_steps=15)
-    fg_p, bg_p = autoencoder_init("fg", 5), autoencoder_init("bg", 6)
-    net_cfg = VARIANTS["fg+bg+att"]
-    bundle = ModelBundle(fg_p, bg_p, init_style_net(net_cfg, 7), net_cfg)
-    embedded, built, products = [], [], []
-    real_embed, real_build = features.embed_video, \
-        training.build_snippet_corpus
-
-    def embed(*a):
-        emb = real_embed(*a)
-        embedded.append(emb.shape[0])
-        products.append(weakref.ref(emb))
-        return emb
+    records = _reuse_records()
+    cfg = ExperimentConfig(imitation_epochs=2, imitation_steps=15)
+    bundle = _fresh_bundle()
+    built, products = [], []
+    real_build = training.build_snippet_corpus
 
     def build(recs, b):
-        # every earlier embedding and corpus is gone, the slot's too
+        # every earlier corpus is gone, the slot's too
         assert all(ref() is None for ref in products)
         corpus = real_build(recs, b)
         built.append(len(recs))
         products.append(weakref.ref(corpus))
         return corpus
 
-    monkeypatch.setattr(features, "embed_video", embed)
     monkeypatch.setattr(training, "build_snippet_corpus", build)
     monkeypatch.setattr(training, "_slot", None)
 
     def chain(fresh):
         nets = []
-        for stage in (
-                lambda: training.train_style_stage(records, fg_p, bg_p, cfg,
-                                                   variants=False)[0],
-                lambda: training.train_segment_stage(records, fg_p, bg_p,
-                                                     cfg)[0],
-                lambda: training.train_imitation_stage(records, bundle, cfg,
-                                                       dual=True),
-                lambda: training.train_imitation_stage(records, bundle, cfg,
-                                                       dual=False)):
+        for dual in (True, False):
             if fresh:   # monkeypatch has kept the slot's value to restore
                 training._slot = None
-            nets.append(stage())
+            nets.append(training.train_imitation_stage(records, bundle, cfg,
+                                                       dual=dual))
         return nets
 
     shared = chain(fresh=False)
-    assert len(embedded) == 8 + 1   # 4 train videos and mirrors, 1 test
     assert built == [4]             # the train split, once for both
     assert training._slot is None   # the baseline's hit emptied it
-    want = chain(fresh=True)
-    assert len(embedded) == 9 + 9 + 8 and built == [4, 4, 4]
-    for got, exp in zip(shared, want):
-        if isinstance(got, tuple):   # an imitation stage's (net, log)
-            assert got[1] == exp[1]
-            got, exp = got[0], exp[0]
-        assert got.layout == exp.layout
-        assert np.array_equal(got.flat, exp.flat)
+    _assert_same_nets(shared, chain(fresh=True))
+    assert built == [4, 4, 4]
 
     def builds(recs=records):
         n = len(built)
@@ -245,11 +233,6 @@ def test_each_stage_reuses_the_previous_stage_product(monkeypatch):
         assert builds() == 1
     assert builds([dataclasses.replace(r) for r in records]) == 1
     assert builds() == 1
-    # the style stage keeps its examples; a miss frees them before it
-    # builds, as `build` checks
-    training.train_style_stage(records, fg_p, bg_p, cfg, variants=False)
-    assert training._slot is not None
-    assert builds() == 1
     # the slot holds its keys weakly: a dropped record is freed
     extra = build_video("extra", "orbiting", "train", 61, Intrinsics(),
                         duration_range=(8.0, 8.0))
@@ -258,3 +241,77 @@ def test_each_stage_reuses_the_previous_stage_product(monkeypatch):
     del extra
     gc.collect()
     assert gone() is None
+
+
+def test_style_and_segment_stages_share_one_embedding(monkeypatch):
+    """The segment stage reuses the style stage's embeddings of the
+    augmented train split and empties the slot; the nets equal those of
+    stages that embed afresh.  A style stage's examples are freed before
+    the next imitation stage builds its corpus, and a replaced encoder
+    or new records embed again."""
+    import weakref
+
+    from skymimic import features, training
+    from skymimic.config import ExperimentConfig
+
+    records = _reuse_records(70)
+    cfg = ExperimentConfig(style_epochs=2, seg_epochs=2, imitation_epochs=2,
+                           imitation_steps=15)
+    fg_p, bg_p = autoencoder_init("fg", 5), autoencoder_init("bg", 6)
+    net_cfg = VARIANTS["fg+bg+att"]
+    bundle = ModelBundle(fg_p, bg_p, init_style_net(net_cfg, 7), net_cfg)
+    embedded, products = [], []
+    real_embed, real_build = features.embed_video, \
+        training.build_snippet_corpus
+
+    def embed(*a):
+        emb = real_embed(*a)
+        embedded.append(emb.shape[0])
+        products.append(weakref.ref(emb))
+        return emb
+
+    def build(recs, b):
+        # every earlier embedding is gone, the slot's too
+        assert all(ref() is None for ref in products)
+        return real_build(recs, b)
+
+    monkeypatch.setattr(features, "embed_video", embed)
+    monkeypatch.setattr(training, "build_snippet_corpus", build)
+    monkeypatch.setattr(training, "_slot", None)
+
+    def chain(fresh):
+        nets = []
+        for stage in (
+                lambda: training.train_style_stage(records, fg_p, bg_p, cfg,
+                                                   variants=False)[0],
+                lambda: training.train_segment_stage(records, fg_p, bg_p,
+                                                     cfg)[0]):
+            if fresh:   # monkeypatch has kept the slot's value to restore
+                training._slot = None
+            nets.append(stage())
+        return nets
+
+    shared = chain(fresh=False)
+    assert len(embedded) == 8 + 1   # 4 train videos and mirrors, 1 test
+    assert training._slot is None   # the segment stage's hit emptied it
+    _assert_same_nets(shared, chain(fresh=True))
+    assert len(embedded) == 9 + 9 + 8
+
+    def embeds(recs, fg, bg):
+        n = len(embedded)
+        training._train_examples(recs, fg, bg)
+        return len(embedded) - n
+
+    # the fresh segment stage kept its examples: a new list of the same
+    # records is a hit, which empties the slot
+    assert embeds(list(records), fg_p, bg_p) == 0
+    assert training._slot is None
+    assert embeds(records, fg_p, bg_p) == 8
+    assert embeds(records, fg_p.copy(), bg_p) == 8
+    assert embeds(records, fg_p, bg_p.copy()) == 8
+    assert embeds(records[:2] + records[3:], fg_p, bg_p) == 6
+    # the style stage keeps its examples; the imitation stage's miss
+    # frees them before it builds, as `build` checks
+    training.train_style_stage(records, fg_p, bg_p, cfg, variants=False)
+    assert training._slot is not None
+    training.train_imitation_stage(records, bundle, cfg, dual=False)
