@@ -273,6 +273,14 @@ def cmd_imitate(args) -> None:
 # ---------------------------------------------------------------------------
 # wiring
 
+def fraction(text: str) -> float:
+    """A number in [0, 1]; NaN and infinities are refused."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="skymimic",
                                  description=__doc__.splitlines()[0])
@@ -308,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", required=True)
     s.add_argument("--artifacts", required=True)
     s.add_argument("--video", required=True)
-    s.add_argument("--threshold", type=float, default=0.6)
+    s.add_argument("--threshold", type=fraction, default=0.6,
+                   help="cut confidence in [0, 1]")
     s.add_argument("--mode", choices=("relative", "absolute"),
                    default="relative")
     s.add_argument("--curve", help="also write the probability curve CSV")

@@ -7,9 +7,9 @@ state is the embedding; the decoder, seeded with the encoder's final
 state, reconstructs the window in reverse order. The decoder is
 input-free, the "unconditioned decoder" of Srivastava, Mansimov and
 Salakhutdinov, "Unsupervised Learning of Video Representations using
-LSTMs" (ICML 2015): its gates see only the bias and the recurrence, so
-no input GEMM runs forward and no Wx gradient backward (`dec_Wx` stays
-in the parameter set, at its initial draw).
+LSTMs" (ICML 2015): its gates see only the bias and the recurrence.
+Its `dec_Wx` has no rows and it reads an input of no columns, so no
+input GEMM runs forward and its Wx gradient is empty.
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ def autoencoder_init(channel: str, seed: int) -> ParamSet:
     d_in, hidden = CHANNEL_DIMS[channel]
     rng = np.random.default_rng(seed)
     p = lstm_init(rng, d_in, hidden, prefix="enc_")
+    # the decoder reads no input, so its Wx keeps no rows of its draw;
+    # the draw is still taken, so that every later draw keeps its value
     for k, v in lstm_init(rng, d_in, hidden, prefix="dec_").items():
-        p[k] = v
+        p[k] = v[:0] if k == "dec_Wx" else v
     p["out_W"] = uniform_init(rng, hidden, (hidden, d_in))
     p["out_b"] = np.zeros(d_in)
     p.meta["channel"] = channel
@@ -84,12 +86,9 @@ def _ae_forward(batch: np.ndarray, p: ParamSet):
     """batch (B, N, D) -> (mse, embeddings (B, H), caches)."""
     xs = np.transpose(batch, (1, 0, 2))  # (N, B, D)
     _, h_enc, c_enc, enc_caches = lstm_forward(xs, p, prefix="enc_")
-    # the decoder's pre-activation block is its scaled bias at every
-    # step; the scaled Wx is dropped at once, not held through the pass
-    bs = lstm_input_weights(p, "dec_")[1]
-    pre = np.broadcast_to(bs, xs.shape[:2] + bs.shape).copy()
-    dec_hs, _, _, dec_caches = lstm_forward(None, p, prefix="dec_",
-                                            h0=h_enc, c0=c_enc, pre=pre)
+    dec_hs, _, _, dec_caches = lstm_forward(np.empty(xs.shape[:2] + (0,)),
+                                            p, prefix="dec_", h0=h_enc,
+                                            c0=c_enc)
     recon = affine(dec_hs, p["out_W"], p["out_b"])
     target = xs[::-1]
     err = recon - target

@@ -19,8 +19,9 @@ call, not per flop:
   of the cell math: a caller that keeps runs alive across rows of a
   stream (`features.EncoderStream`) projects each row once with
   `lstm_input_weights` and steps its runs through it.
-  A cell that reads no input, such as the autoencoder's decoder, passes
-  xs=None and a block of b·s alone.
+  A cell that reads no input, such as the autoencoder's decoder, has a
+  Wx of no rows and is given an input of no columns; its block is b·s
+  alone, filled without a matmul.
 - Stacks. Independent runs share the step loop, after the same paper's
   advice to run independent recurrent streams together: a stack of B
   cells of one hidden size (the style net's fg and bg branches), and S
@@ -37,20 +38,19 @@ call, not per flop:
   and it copies no weight matrix.
 - Cache layout (LSTMCache): each time row holds R = S·B·N state rows,
   runs outermost, then cells, then the N rows of the batch axes; the
-  input xs (T, ..., D) as given, or None for an input-free run; hidden
-  and cell states hs, cs (T+1, R, H), with run s's initial state at row
-  starts[s]; gate activations (T, R, 4H) in i|f|g|o order, zero before
-  a run's start when there are several runs; tanh(c_t) as tcs
-  (T, R, H); the batch axes and the run starts (None for one run from
-  row 0). The backward is given the forward's prefixes, which fix the
-  cell count.
+  input xs (T, ..., D) as given; hidden and cell states hs, cs
+  (T+1, R, H), with run s's initial state at row starts[s]; gate
+  activations (T, R, 4H) in i|f|g|o order, zero before a run's start
+  when there are several runs; tanh(c_t) as tcs (T, R, H); the batch
+  axes and the run starts (None for one run from row 0). The backward
+  is given the forward's prefixes, which fix the cell count.
 - Backward. BPTT writes each step's pre-activation gradient dz into one
   (T, R, 4H) array, again with no per-step allocation, and steps the
-  runs of a stack together as the forward does; dWx (none for an
-  input-free run), dWh and db are then one GEMM (or sum) each per run
-  and cell over the rows the run read, added into the gradient set's
-  views in place. The input gradient is not formed: dz is returned, and
-  a caller that needs it computes dz @ Wx.T.
+  runs of a stack together as the forward does; dWx, dWh and db are
+  then one GEMM (or sum) each per run and cell over the rows the run
+  read, added into the gradient set's views in place. The input
+  gradient is not formed: dz is returned, and a caller that needs it
+  computes dz @ Wx.T.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class LSTMCache(NamedTuple):
     R = S·B·N state rows: S runs of B cells over N batch rows, in that
     order, N being the product of the batch axes (1 when there are
     none)."""
-    xs: np.ndarray | None  # the input (T, ..., D) as given; None if none
+    xs: np.ndarray     # the input (T, ..., D) as given
     hs: np.ndarray     # (T+1, R, H) hidden states; run s starts from its
     #                    initial state at row starts[s] (row 0 if None)
     cs: np.ndarray     # (T+1, R, H) cell states, laid out as hs
@@ -246,31 +246,26 @@ def lstm_input_weights(p: ParamSet,
 def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                  h0: np.ndarray | None = None,
                  c0: np.ndarray | None = None,
-                 pre: np.ndarray | None = None,
                  starts=None):
     """Run the cell over time axis 0 of xs (T, ..., D).
 
-    pre, when given, is the input pre-activation block (T, ..., 4H),
-    xs @ (Wx·s) + b·s with the factors of `lstm_input_weights`; it
-    replaces the input GEMM, and the call finishes its gates in place,
-    so it must be an array the caller gives up. A cell that reads no
-    input passes xs=None and b·s broadcast over (T, ..., 4H) as pre:
-    that is the block a zero input gives, and lstm_backward then forms
-    no Wx gradient, which would be zero.
+    A cell that reads no input has a Wx of no rows and is given xs of
+    no columns: its gates see only b and the recurrence, as on an
+    all-zero input, and its Wx gradient has no elements.
 
     A stack of B cells of one hidden size runs in the same step loop:
-    prefix is then a tuple of their parameter prefixes, xs holds their
-    inputs side by side, cell b reading the D_b columns after those of
-    cells 0..b-1 (D_b being the rows of its Wx), and pre, if given, is
-    a block (T, B, ..., 4H). starts, ascending rows of the input, makes
-    S runs of every cell: run s joins the loop at row starts[s] from the
-    initial state and reads the rows from there on. Each run of each
-    cell gets the bits of a call of its own on the rows it reads of its
-    columns: it shares its rows' input projections, which the
-    projection's matmul forms row by row whatever the span, and its
-    recurrent matmul is a slice of one broadcast matmul over the stack,
-    which NumPy runs per slice with the kernel of a 2-D call. h0 and c0
-    broadcast against the final state and give each run's initial state.
+    prefix is then a tuple of their parameter prefixes, and xs holds
+    their inputs side by side, cell b reading the D_b columns after
+    those of cells 0..b-1 (D_b being the rows of its Wx). starts,
+    ascending rows of the input, makes S runs of every cell: run s joins
+    the loop at row starts[s] from the initial state and reads the rows
+    from there on. Each run of each cell gets the bits of a call of its
+    own on the rows it reads of its columns: it shares its rows' input
+    projections, which the projection's matmul forms row by row whatever
+    the span, and its recurrent matmul is a slice of one broadcast
+    matmul over the stack, which NumPy runs per slice with the kernel of
+    a 2-D call. h0 and c0 broadcast against the final state and give
+    each run's initial state.
 
     Returns (hs (T, [S,] [B,] ..., H), final h, final c, cache), with
     the run axis when starts are given and the cell axis for a stack;
@@ -285,28 +280,13 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
         raise DimensionError(
             f"lstm_forward: a stack of cells needs one hidden size, got "
             f"{[W.shape[0] for W in Wh]}")
-    if xs is None:
-        if (pre is None or pre.ndim < 2 + len(cell_axis)
-                or pre.shape[-1] != 4 * H
-                or pre.shape[1:1 + len(cell_axis)] != cell_axis):
-            raise DimensionError(
-                f"lstm_forward: an input-free run needs a pre-activation "
-                f"block (T, {'B, ' * len(cell_axis)}..., {4 * H}), got "
-                f"{None if pre is None else pre.shape}")
-        T, lead = pre.shape[0], pre.shape[1 + len(cell_axis):-1]
-    else:
-        xs = np.asarray(xs, float)
-        if xs.ndim < 2 or xs.shape[-1] != sum(
-                p[q + "Wx"].shape[0] for q in prefixes):
-            raise DimensionError(
-                f"lstm_forward: input shape {xs.shape} vs Wx shapes "
-                f"{[p[q + 'Wx'].shape for q in prefixes]}")
-        T, lead = xs.shape[0], xs.shape[1:-1]
-        if pre is not None and pre.shape != (T,) + cell_axis + lead + (
-                4 * H,):
-            raise DimensionError(
-                f"lstm_forward: pre-activation shape {pre.shape} vs input "
-                f"shape {xs.shape} and hidden {H}")
+    xs = np.asarray(xs, float)
+    if xs.ndim < 2 or xs.shape[-1] != sum(
+            p[q + "Wx"].shape[0] for q in prefixes):
+        raise DimensionError(
+            f"lstm_forward: input shape {xs.shape} vs Wx shapes "
+            f"{[p[q + 'Wx'].shape for q in prefixes]}")
+    T, lead = xs.shape[0], xs.shape[1:-1]
     if starts is not None:
         starts = tuple(int(j) for j in starts)
         if not starts or list(starts) != sorted(starts) \
@@ -336,16 +316,18 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     for W, scaled in zip(Wh, Whs):
         _gate_scaled(W, H, out=scaled)
     Whs = Whs.reshape((B,) * (B > 1) + (H, 4 * H))
-    # each cell's input projection of every row in one matmul, unless
-    # the caller has made it; the runs of a cell share it
-    if pre is None:
-        pre = np.empty((T, B, N, 4 * H))
-        for b, (x, q) in enumerate(zip(_columns(xs, p, prefixes),
-                                       prefixes)):
-            Wxs, bs = lstm_input_weights(p, q)
-            np.matmul(x.reshape(T, N, -1), Wxs, out=pre[:, b])
+    # each cell's input projection of every row in one matmul; the runs
+    # of a cell share it. A cell that reads no input gets b·s alone: a
+    # matmul over no columns and a bias add cost several times the copy
+    pre = np.empty((T, B, N, 4 * H))
+    for b, (x, q) in enumerate(zip(_columns(xs, p, prefixes), prefixes)):
+        Wxs, bs = lstm_input_weights(p, q)
+        if x.shape[-1]:
+            np.matmul(x.reshape(T, N, x.shape[-1]), Wxs, out=pre[:, b])
             pre[:, b] += bs
-        del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
+        else:
+            pre[:, b] = bs
+    del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
     rows = pre.reshape((T,) + (block[1:] if S > 1 else block) + (4 * H,))
     # each step's gate block is finished in place: in the projection
     # itself for one run, else in a block per run whose rows before the
@@ -384,12 +366,11 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     prefix and the arrays are as lstm_forward's: a stack of cells
     passes the prefixes it ran with, and the gradient of a run's rows
     before its start is ignored.
-    Adds the weight gradients into `grads` (no Wx gradient for an
-    input-free run) and returns (dz, dh0, dc0). dz (T, ..., 4H) is the
-    gradient w.r.t. each step's gate pre-activation x_t·Wx + h_{t-1}·Wh
-    + b, zero before a run's start; dh0 and dc0 are the gradients w.r.t.
-    each run's initial state. The input gradient is dz @ Wx.T, which no
-    caller here needs.
+    Adds the weight gradients into `grads` and returns (dz, dh0, dc0).
+    dz (T, ..., 4H) is the gradient w.r.t. each step's gate
+    pre-activation x_t·Wx + h_{t-1}·Wh + b, zero before a run's start;
+    dh0 and dc0 are the gradients w.r.t. each run's initial state. The
+    input gradient is dz @ Wx.T, which no caller here needs.
     """
     xs, hs, cs, gates, tcs, lead, starts = cache
     prefixes, cell_axis = _cells(prefix)
@@ -400,7 +381,7 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
         raise DimensionError(
             f"lstm_backward: {B} cells do not fit a cache of {R} state "
             f"rows per step")
-    inputs = None if xs is None else _columns(xs, p, prefixes)
+    inputs = _columns(xs, p, prefixes)
     if dhs is not None:
         dhs = np.asarray(dhs, float).reshape((T,) + block + (H,))
     i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
@@ -462,9 +443,8 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     for r, j in enumerate(runs):
         for b, q in enumerate(prefixes):
             dz2 = dz[j:, r, b].reshape(-1, 4 * H)
-            if inputs is not None:
-                x2 = inputs[b][j:].reshape(len(dz2), -1)
-                grads[q + "Wx"] += x2.T @ dz2
+            x = inputs[b][j:]
+            grads[q + "Wx"] += x.reshape(len(dz2), x.shape[-1]).T @ dz2
             grads[q + "Wh"] += hs_r[j:T, r, b].reshape(-1, H).T @ dz2
             grads[q + "b"] += dz2.sum(axis=0)
     return (dz.reshape((T,) + axes + (4 * H,)), dh.reshape(axes + (H,)),

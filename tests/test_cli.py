@@ -6,7 +6,7 @@ import pytest
 
 import skymimic
 from skymimic import features
-from skymimic.cli import TRAIN_STAGES, _config_hash, main
+from skymimic.cli import TRAIN_STAGES, _config_hash, build_parser, main
 from skymimic.config import ExperimentConfig
 from skymimic.imitation import init_imitation_net
 from skymimic.nn import ParamSet
@@ -141,20 +141,28 @@ def test_segment_truncated_artifact_exits_5(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("net", ["style_net", "segment_net"])
+@pytest.mark.parametrize("net", ["style_net", "segment_net", "bg_encoder"])
 def test_segment_layout_not_matching_config_exits_5(workspace, tmp_path,
                                                     capsys, net):
-    # the stored config says hidden=32; the stored vectors are hidden=64
+    # a style-type net's stored config says hidden=32 while its vectors
+    # are hidden=64; the encoder has a full-width decoder Wx, as encoders
+    # written before the decoder's Wx lost its rows do
     art = tmp_path / "art"
     shutil.copytree(workspace / "art", art)
-    params = ParamSet.load(art / f"{net}.bin")
-    params.meta["config"]["hidden"] = 32
-    params.save(art / f"{net}.bin")
+    path = art / f"{net}.bin"
+    params = ParamSet.load(path)
+    if net == "bg_encoder":
+        params = ParamSet({k: np.zeros((features.BG_DIM, v.shape[1]))
+                           if k == "dec_Wx" else v
+                           for k, v in params.items()}, params.meta)
+    else:
+        params.meta["config"]["hidden"] = 32
+    params.save(path)
     rc = main(["segment", "--data", str(workspace / "data"),
                "--artifacts", str(art), "--video", "fly-by_000"])
     assert rc == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "does not match" in err
+    assert err.startswith(f"error: {path}") and "does not match" in err
 
 
 def _net_argv(workspace, command, art, out):
@@ -354,6 +362,28 @@ def test_segment_command(workspace, capsys):
     assert "peak=" in out
     header = (workspace / "curve.csv").read_text().splitlines()[0]
     assert header.startswith("time_s,")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_segment_threshold_outside_unit_interval_exits_2(tmp_path, capsys,
+                                                         threshold):
+    # refused at parse time: the missing corpus is never reached
+    curve = tmp_path / "curve.csv"
+    rc = main(["segment", "--data", str(tmp_path / "none"),
+               "--artifacts", str(tmp_path / "none"), "--video", "x",
+               "--threshold", threshold, "--curve", str(curve)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--threshold" in err and "Traceback" not in err
+    assert not curve.exists()
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_segment_threshold_bounds_parse(threshold):
+    args = build_parser().parse_args(["segment", "--data", "d",
+                                      "--artifacts", "a", "--video", "v",
+                                      "--threshold", threshold])
+    assert args.threshold == float(threshold)
 
 
 def test_imitate_dry_run(workspace, capsys):

@@ -7,9 +7,8 @@ from skymimic.features import (CHANNEL_DIMS, WINDOW, _ae_backward, _ae_forward,
                                autoencoder_init)
 from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax_update,
                          affine, affine_backward, lstm_backward,
-                         lstm_forward, lstm_init, lstm_input_weights,
-                         mlp_backward, mlp_forward, mlp_init, sigmoid,
-                         softmax, uniform_init)
+                         lstm_forward, lstm_init, mlp_backward, mlp_forward,
+                         mlp_init, sigmoid, softmax, uniform_init)
 from oracles import grad_check
 
 
@@ -300,7 +299,7 @@ def _loop_lstm_backward(dhs, cache, p, grads, dh_final=None,
         dc = dct * f[t]
         dh = dz[t] @ WhT
     dz2 = dz.reshape(T * N, 4 * H)
-    for k, dW in (("Wx", xs.reshape(T * N, -1).T @ dz2),
+    for k, dW in (("Wx", xs.reshape(T * N, xs.shape[-1]).T @ dz2),
                   ("Wh", hs[:T].reshape(T * N, H).T @ dz2),
                   ("b", dz2.sum(axis=0))):
         grads[prefix + k] = grads[prefix + k] + dW
@@ -348,44 +347,38 @@ def test_lstm_backward_loop_bit_identical_to_reference(
 
 @pytest.mark.parametrize("T,lead", [(8, (64,)), (8, ()), (1, (1,))])
 def test_lstm_input_free_run_equals_zero_input(T, lead):
-    # xs=None with pre = b·s is the run on an all-zero input, to the bit,
-    # and its backward adds the same Wh and b gradients and no Wx one
+    # a cell whose Wx has no rows, run on an input of no columns, is the
+    # same cell with a full-width Wx run on an all-zero input, to the
+    # bit, forward and backward; its Wx gradient has no elements
     rng = np.random.default_rng(T * 100 + len(lead))
     D, H = 6, 5
     p = lstm_init(rng, D, H)
     p["b"] = rng.normal(size=4 * H)
+    free = ParamSet({"Wx": p["Wx"][:0], "Wh": p["Wh"], "b": p["b"]})
     state = lead + (H,)
     h0, c0 = rng.normal(size=state), rng.normal(size=state)
-    _, bs = lstm_input_weights(p)
-    pre = np.broadcast_to(bs, (T,) + lead + (4 * H,)).copy()
-    got = lstm_forward(None, p, h0=h0, c0=c0, pre=pre)
+    got = lstm_forward(np.empty((T,) + lead + (0,)), free, h0=h0, c0=c0)
     want = lstm_forward(np.zeros((T,) + lead + (D,)), p, h0=h0, c0=c0)
     for g, w in zip(got[:3], want[:3]):
         assert g.shape == w.shape and np.array_equal(g, w)
-    assert got[3].xs is None
     dhs = rng.normal(size=(T,) + state)
-    grads, g_ref = p.zeros_like(), p.zeros_like()
-    back = lstm_backward(dhs, got[3], p, grads, dh_final=h0)
+    grads, g_ref = free.zeros_like(), p.zeros_like()
+    back = lstm_backward(dhs, got[3], free, grads, dh_final=h0)
     ref = _loop_lstm_backward(dhs, want[3], p, g_ref, dh_final=h0)
     for g, w in zip(back, ref):
         assert g.shape == w.shape and np.array_equal(g, w)
     assert np.array_equal(grads["Wh"], g_ref["Wh"])
     assert np.array_equal(grads["b"], g_ref["b"])
-    assert not grads["Wx"].any()
-
-
-def test_lstm_input_free_run_needs_a_pre_activation_block():
-    p = lstm_init(np.random.default_rng(0), 3, 4)
-    with pytest.raises(DimensionError):
-        lstm_forward(None, p)
-    with pytest.raises(DimensionError):
-        lstm_forward(None, p, pre=np.zeros((2, 5, 15)))
+    assert grads["Wx"].shape == (0, 4 * H)
 
 
 def _zero_input_ae_grads(batch, p):
-    """The autoencoder's loss gradient with the decoder run on an
-    all-zero input and each LSTM through the full reference backward:
-    the reference the input-free decoder must equal bit for bit."""
+    """The autoencoder's loss gradient with the decoder given a
+    full-width Wx and run on an all-zero input, and each LSTM through
+    the full reference backward: the reference the input-free decoder
+    must equal bit for bit. Returns (mse, grads of the full-width set)."""
+    p = ParamSet({k: np.ones((batch.shape[2], v.shape[1]))
+                  if k == "dec_Wx" else v for k, v in p.items()})
     xs = np.transpose(batch, (1, 0, 2))
     _, h, c, enc = lstm_forward(xs, p, prefix="enc_")
     dec_hs, _, _, dec = lstm_forward(np.zeros_like(xs), p, prefix="dec_",
@@ -414,8 +407,31 @@ def test_ae_backward_bit_identical_to_zero_input_reference(channel):
     want_mse, want = _zero_input_ae_grads(batch, p)
     assert mse == want_mse
     for k in p:
-        assert np.array_equal(grads[k], want[k]), k
-    assert not grads["dec_Wx"].any()
+        if k != "dec_Wx":
+            assert np.array_equal(grads[k], want[k]), k
+    assert grads["dec_Wx"].shape == (0, p["dec_Wh"].shape[1])
+
+
+@pytest.mark.parametrize("channel", ["fg", "bg"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_autoencoder_init_keeps_the_draws_of_a_full_width_decoder(channel,
+                                                                  seed):
+    # the decoder's Wx keeps no rows, but its draw is still taken, so
+    # every other parameter has the value it had when the decoder's Wx
+    # was full width: enc cell, full-width dec cell, then out_W
+    d_in, hidden = CHANNEL_DIMS[channel]
+    rng = np.random.default_rng(seed)
+    old = lstm_init(rng, d_in, hidden, "enc_")
+    for k, v in lstm_init(rng, d_in, hidden, "dec_").items():
+        old[k] = v
+    old["out_W"] = uniform_init(rng, hidden, (hidden, d_in))
+    old["out_b"] = np.zeros(d_in)
+    p = autoencoder_init(channel, seed)
+    assert list(p) == list(old)
+    assert p["dec_Wx"].shape == (0, 4 * hidden)
+    for k in p:
+        if k != "dec_Wx":
+            assert np.array_equal(p[k], old[k]), k
 
 
 def _cell_stack_params(n_cells, H, T, seed):
@@ -491,20 +507,13 @@ def test_lstm_stack_bit_identical_to_per_cell_runs(n_cells, H, T, kind):
 
 
 def test_lstm_stack_initial_state_and_pre_per_run():
-    # h0 and c0 broadcast against the final state and start each run;
-    # a stack's pre block (T, B, ..., 4H) replaces its input projection
+    # h0 and c0 broadcast against the final state and start each run
     T, H = 6, 64
     p, prefixes, xs, own, rng = _cell_stack_params(2, H, T, 3)
     starts = (0, 2, 5)
     h0 = rng.normal(size=(3, 2, H))
     c0 = rng.normal(size=(2, H))   # the same for every run
     hs, _, _, cache = lstm_forward(xs, p, prefixes, h0, c0, starts=starts)
-    # row by row, as a batch-1 run projects its input
-    pre = np.stack([(x[:, None] @ lstm_input_weights(p, q)[0])[:, 0]
-                    + lstm_input_weights(p, q)[1]
-                    for x, q in zip(own, prefixes)], axis=1)
-    again = lstm_forward(xs, p, prefixes, h0, c0, pre=pre, starts=starts)[0]
-    assert np.array_equal(again, hs)
     for r, j in enumerate(starts):
         for b, q in enumerate(prefixes):
             want = lstm_forward(own[b][j:], p, q, h0[r, b], c0[b])[0]
@@ -521,10 +530,6 @@ def test_lstm_stack_rejects_what_it_cannot_run():
         lstm_forward(np.hstack([own[0], own[0]]), p, ("c0_", "wide_"))
     with pytest.raises(DimensionError):   # one cell's input for two cells
         lstm_forward(own[1], p, prefixes)
-    with pytest.raises(DimensionError):   # a pre block without cell axis
-        lstm_forward(xs, p, prefixes, pre=np.zeros((T, 32)))
-    with pytest.raises(DimensionError):   # or an input-free one
-        lstm_forward(None, p, prefixes, pre=np.zeros((T, 32)))
     for starts in [(), (2, 1), (-1, 2), (0, T)]:
         with pytest.raises(ValueError):
             lstm_forward(xs, p, prefixes, starts=starts)
@@ -801,6 +806,7 @@ def test_paramset_serialization_roundtrip(tmp_path):
                                         "use_fg": False}}
     p = ParamSet({"Wx": rng.normal(size=(3, 8)), "b": rng.normal(size=8),
                   "scalarish": rng.normal(size=(1,)),
+                  "empty": np.empty((0, 8)),   # an input-free cell's Wx
                   "s": rng.normal(size=())}, meta=meta)
     path = tmp_path / "params.bin"
     p.save(path)
@@ -808,6 +814,7 @@ def test_paramset_serialization_roundtrip(tmp_path):
     q = ParamSet.load(path)
     assert list(q.keys()) == list(p.keys())
     assert q.layout == p.layout and q["s"].shape == ()
+    assert q["empty"].shape == (0, 8)
     for k in p:
         assert q[k].tobytes() == p[k].tobytes()
     assert q.meta == meta
