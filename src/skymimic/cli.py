@@ -26,10 +26,10 @@ from . import imitation as imitation_mod
 from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
-from .dataset import (CorpusConfig, load_corpus, load_video, video_path,
-                      write_text_atomic)
+from .dataset import (CorpusConfig, DependencyError, load_corpus,
+                      load_video, write_text_atomic)
 from .nn import NumericError
-from .pipeline import DependencyError, ModelBundle, load_encoders, load_net
+from .pipeline import ModelBundle, load_encoders, load_net
 from .scene import DT, STYLES, GeneratorError, check_style_contract
 from .segmenter import prob_curve, segment as segment_video
 from .stylenet import VARIANTS
@@ -70,12 +70,6 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, stage: str):
     write_text_atomic(path, "\n".join(body) + "\n")
 
 
-def _need_data(path: Path) -> None:
-    """Report an absent corpus file or video before any output is made."""
-    if not path.exists():
-        raise DependencyError(f"no {path.name} in {path.parent}")
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]):
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
@@ -113,7 +107,6 @@ def cmd_gen_data(args) -> None:
 
 def cmd_train(args) -> None:
     cfg = _load_config(args)
-    _need_data(Path(args.data) / "manifest.txt")
     records = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,7 +144,6 @@ def _slug(name: str) -> str:
 
 def cmd_eval(args) -> None:
     bundle = ModelBundle.load(args.artifacts)
-    _need_data(Path(args.data) / "manifest.txt")
     # every net is loaded before the report directory is made
     art = Path(args.artifacts)
     variants = {
@@ -216,7 +208,6 @@ def cmd_eval(args) -> None:
 
 def cmd_segment(args) -> None:
     bundle = ModelBundle.load(args.artifacts)
-    _need_data(video_path(args.data, args.video))
     rec = load_video(Path(args.data), args.video)
     segs = segment_video(rec.fg, rec.bg, bundle, threshold=args.threshold,
                          mode=args.mode)
@@ -233,7 +224,6 @@ def cmd_segment(args) -> None:
 def cmd_imitate(args) -> None:
     cfg = _load_config(args)
     bundle = ModelBundle.load(args.artifacts, need_imitation=True)
-    _need_data(video_path(args.data, args.video))
     rec = load_video(Path(args.data), args.video)
     segs = segment_video(rec.fg, rec.bg, bundle)
     print(f"demo {rec.video_id}: {len(segs)} segment(s)")

@@ -28,7 +28,7 @@ import numpy as np
 # EncoderStream.embed, but the benchmark's tracer still binds
 # controller.embed_batch and reports its per-layer metrics
 from .features import WINDOW, EncoderStream, embed_batch  # noqa: F401
-from .geometry import (GRID, Intrinsics, OffscreenError, Pose6D,
+from .geometry import (Intrinsics, OffscreenError, Pose6D,
                        VisibilityError, FgFeature, pixel_to_world,
                        project_foreground, project_points,
                        render_motion_field, wrap_angle)
@@ -144,14 +144,14 @@ def _clip(value, bound):
 
 def next_waypoint(drone: Pose6D, action: np.ndarray,
                   subject: np.ndarray, K: Intrinsics,
-                  subject_height: float, dt: float = DT,
+                  subject_height: float,
                   subject_next: np.ndarray | None = None,
                   heading: np.ndarray | None = None,
                   hold_aim: bool = False) -> Pose6D:
     """One control step of the action in subject-relative coordinates.
 
     The action's target scale fixes the new range through the pinhole
-    relation; the range moves towards it by at most MAX_SPEED * dt.
+    relation; the range moves towards it by at most MAX_SPEED * DT.
 
     Without a heading the step is spherical: the camera's offset from
     the subject is held as (range, azimuth, elevation), the angular
@@ -170,7 +170,7 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
     FRAME_KEEP of the half field of view off the optical axis.
 
     Either way the new offset is re-anchored on subject_next (the
-    tracker's dt-ahead prediction), so the camera travels with a moving
+    tracker's DT-ahead prediction), so the camera travels with a moving
     subject.
     """
     if subject_next is None:
@@ -182,9 +182,9 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
     el = float(np.arcsin(_clip(r[2] / rho, 1.0)))
     rho_target = K.focal * subject_height \
         / (max(target_scale, MIN_BOX_HEIGHT) * K.height)
-    rho_new = rho + float(_clip(rho_target - rho, MAX_SPEED * dt))
+    rho_new = rho + float(_clip(rho_target - rho, MAX_SPEED * DT))
     rho_new = max(rho_new, 1.0)
-    turn = omega * dt
+    turn = omega * DT
     if heading is None:
         az += turn[1]
         el = float(_clip(el + turn[2], 1.5))
@@ -199,7 +199,7 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
         sweep = np.hypot(r[0], r[1]) * turn[1] \
             * np.array([-np.sin(az), np.cos(az), 0.0])
         along = max(float((level - r) @ h), float(sweep @ h), 0.0)
-        offset = r + min(along, MAX_SPEED * dt) * h
+        offset = r + min(along, MAX_SPEED * DT) * h
         # the subject's bearing and elevation, as swept by the step
         swept = np.array([np.arctan2(offset[1], offset[0]) - az,
                           np.arcsin(_clip(offset[2]
@@ -305,7 +305,6 @@ class RunLog:
     actions: np.ndarray     # (T, 7) commanded actions
     fg: np.ndarray
     bg: np.ndarray
-    mask: np.ndarray
 
 
 def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
@@ -334,7 +333,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     bg window's last field repeats, as in the dataset, until the next
     pose replaces it, so the runs read a row only once the next one is
     stored. The embeddings equal, to the bit, `embed_batch` on the
-    windows' rows. The returned log's fg, bg and mask are views of these
+    windows' rows. The returned log's fg and bg are views of these
     arrays.
 
     When the demo's per-frame actions are given, each prediction is
@@ -356,7 +355,6 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     frames: list[FrameSample] = []
     fg_obs = EncoderStream(bundle.fg_encoder, n_total)
     bg_obs = EncoderStream(bundle.bg_encoder, n_total)
-    mask = np.zeros((n_total, GRID * GRID))
     prev_action = None
     track = None
     lost = 0.0
@@ -388,7 +386,6 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
             field = render_motion_field(proj_prev, proj, K)
             bg_obs.put(t - 1, field.vector())
             bg_obs.repeat(t)
-            mask[t - 1] = field.mask_vector()
         proj_prev = proj
         if fg is not None:
             fg_obs.put(t, fg.vector())
@@ -439,6 +436,5 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
 
     # the post-warm-up observation streams gathered during the run;
     # re-projecting would fail on briefly-lost frames
-    mask[-1] = mask[-2]  # the last field repeats
     return RunLog(frames[WINDOW:], actions, fg_obs.rows[WINDOW:],
-                  bg_obs.rows[WINDOW:], mask[WINDOW:])
+                  bg_obs.rows[WINDOW:])

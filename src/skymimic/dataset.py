@@ -7,13 +7,17 @@ duration, subject height and camera intrinsics; its three records are
 T-row tables:
 
 frames    T x 13: t, camera (x y z roll yaw pitch), subject (same)
-features  T x 197: fg 5, bg 128, validity mask 64
+features  T x 133: fg 5, bg 128
 actions   T x 7: omega 3 (roll, yaw, pitch rates), direction 3 (unit
           translation to the next frame in the camera frame of this
           frame: right, down, forward), scale 1
 
-Corpora written in the earlier per-video directory layout are not read;
-regenerate them with `skymimic gen-data`.
+Corpora written in the earlier per-video directory layout, or with the
+earlier T x 197 features table (whose last 64 columns held per-cell
+validity flags that nothing read), are not read; regenerate them with
+`skymimic gen-data`.
+A video listed in manifest.txt whose file is missing raises
+DependencyError; a damaged file raises OSError.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ DEFAULT_COUNTS = {"fly-by": 22, "fly-through": 43, "follow": 31,
                   "orbiting": 29, "super-dolly": 25}
 DEFAULT_TEST_COUNTS = {"fly-by": 7, "fly-through": 14, "follow": 10,
                        "orbiting": 10, "super-dolly": 8}
+
+
+class DependencyError(RuntimeError):
+    """A required input file, corpus video or trained artifact, is
+    missing."""
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -65,7 +74,6 @@ class VideoRecord:
     frames: np.ndarray    # (T, 13)
     fg: np.ndarray        # (T, 5)
     bg: np.ndarray        # (T, 128)
-    mask: np.ndarray      # (T, 64)
     actions: np.ndarray   # (T, 7)
 
     @property
@@ -74,12 +82,10 @@ class VideoRecord:
 
     def flipped(self) -> "VideoRecord":
         """Horizontal mirror of the observation streams (labels keep)."""
-        fg = flip_fg(self.fg)
-        bg, mask = flip_bg(self.bg, self.mask)
         return VideoRecord(self.video_id + "~flip", self.style, self.split,
                            self.seed, self.duration, self.subject_height,
-                           self.intrinsics, self.frames, fg, bg, mask,
-                           self.actions)
+                           self.intrinsics, self.frames, flip_fg(self.fg),
+                           flip_bg(self.bg), self.actions)
 
 
 def features_for_frames(frames: list[FrameSample], K: Intrinsics,
@@ -93,7 +99,6 @@ def features_for_frames(frames: list[FrameSample], K: Intrinsics,
     n = len(frames)
     fg = np.zeros((n, 5))
     bg = np.zeros((n, 128))
-    mask = np.zeros((n, 64))
     proj = project_points(frames[0].camera, K, cloud) if n else None
     for t in range(n):
         f = project_foreground(frames[t].camera, K, frames[t].subject,
@@ -104,11 +109,9 @@ def features_for_frames(frames: list[FrameSample], K: Intrinsics,
             field = render_motion_field(proj, proj_next, K)
             proj = proj_next
             bg[t] = field.vector()
-            mask[t] = field.mask_vector()
         else:
             bg[t] = bg[t - 1] if n > 1 else 0.0
-            mask[t] = mask[t - 1] if n > 1 else 0.0
-    return fg, bg, mask
+    return fg, bg
 
 
 def build_video(video_id: str, style: str, split: str, seed: int,
@@ -119,7 +122,7 @@ def build_video(video_id: str, style: str, split: str, seed: int,
     frames = generate_style_trajectory(script)
     center = frames[0].subject.position[:2]
     cloud = make_point_cloud(rng, center=tuple(center))
-    fg, bg, mask = features_for_frames(frames, K, cloud)
+    fg, bg = features_for_frames(frames, K, cloud)
     actions = action_labels(frames, K)
     table = np.zeros((len(frames), 13))
     for t, fr in enumerate(frames):
@@ -129,7 +132,7 @@ def build_video(video_id: str, style: str, split: str, seed: int,
         table[t, 7:10] = fr.subject.position
         table[t, 10:13] = fr.subject.angles
     return VideoRecord(video_id, style, split, seed, script.duration,
-                       subject_height, K, table, fg, bg, mask, actions)
+                       subject_height, K, table, fg, bg, actions)
 
 
 @dataclass
@@ -186,19 +189,22 @@ def save_video(root: Path, rec: VideoRecord) -> None:
     meta = {k: getattr(rec, k) for k in META_FIELDS}
     meta["intrinsics"] = asdict(rec.intrinsics)
     ParamSet({"frames": rec.frames,
-              "features": np.concatenate([rec.fg, rec.bg, rec.mask], axis=1),
+              "features": np.concatenate([rec.fg, rec.bg], axis=1),
               "actions": rec.actions},
              meta).save(video_path(root, rec.video_id))
 
 
 def load_video(root: Path, video_id: str) -> VideoRecord:
-    """Read one video file; fg, bg and mask are column views of its
-    features table. Raises OSError when the file is damaged, lacks a
-    field or holds a table of the wrong shape."""
+    """Read one video file; fg and bg are column views of its features
+    table. Raises DependencyError when the file is missing, and OSError
+    when it is damaged, lacks a field or holds a table of the wrong
+    shape."""
     path = video_path(root, video_id)
+    if not path.exists():
+        raise DependencyError(f"no {path.name} in {path.parent}")
     try:
         v = ParamSet.load(path)
-        widths = {"frames": 13, "features": 197, "actions": 7}
+        widths = {"frames": 13, "features": 133, "actions": 7}
         n, shapes = len(v["frames"]), {k: v[k].shape for k in widths}
         if n < WINDOW or shapes != {k: (n, w) for k, w in widths.items()}:
             raise ValueError(f"tables {shapes} do not fit: each needs the "
@@ -207,15 +213,19 @@ def load_video(root: Path, video_id: str) -> VideoRecord:
         return VideoRecord(
             **{k: v.meta[k] for k in META_FIELDS},
             intrinsics=Intrinsics(**v.meta["intrinsics"]),
-            frames=v["frames"], fg=feats[:, :5], bg=feats[:, 5:133],
-            mask=feats[:, 133:197], actions=v["actions"])
+            frames=v["frames"], fg=feats[:, :5], bg=feats[:, 5:],
+            actions=v["actions"])
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise OSError(f"cannot load video {video_id!r} from {path}: {e}") \
             from e
 
 
 def load_corpus(root: str | Path) -> list[VideoRecord]:
+    """Every video listed in root's manifest.txt. Raises DependencyError
+    when the manifest or a listed video is missing."""
     root = Path(root)
+    if not (root / "manifest.txt").exists():
+        raise DependencyError(f"no manifest.txt in {root}")
     records = []
     with open(root / "manifest.txt") as f:
         for line in f:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, affine,
-                 affine_backward, fit, lstm_backward, lstm_forward,
-                 lstm_init, lstm_input_weights)
+                 fit, lstm_backward, lstm_forward, lstm_init,
+                 lstm_input_weights)
 from .nn.layers import _gate_scale, _gate_scaled, _lstm_steps
 from .nn.params import uniform_init
 
@@ -100,13 +100,11 @@ def _ae_backward(p: ParamSet, cache) -> ParamSet:
     err, dec_hs, enc_caches, dec_caches = cache
     grads = p.zeros_like()
     derr = 2.0 * err / err.size
-    n, b, h = dec_hs.shape
-    dhs = np.empty_like(dec_hs)
-    for t in range(n):
-        dh, dW, db = affine_backward(derr[t], dec_hs[t], p["out_W"])
-        grads["out_W"] += dW
-        grads["out_b"] += db
-        dhs[t] = dh
+    # the output layer over every step at once, in the per-step loop's
+    # order of sums: each step's product or row sum, then the steps'
+    dhs = derr @ p["out_W"].T
+    grads["out_W"] += np.matmul(dec_hs.transpose(0, 2, 1), derr).sum(axis=0)
+    grads["out_b"] += derr.sum(axis=1).sum(axis=0)
     _, dh0, dc0 = lstm_backward(dhs, dec_caches, p, grads, prefix="dec_")
     lstm_backward(None, enc_caches, p, grads, prefix="enc_",
                   dh_final=dh0, dc_final=dc0)

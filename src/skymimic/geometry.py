@@ -60,18 +60,15 @@ class Pose6D:
     def angles(self) -> np.ndarray:
         return np.array([self.roll, self.yaw, self.pitch])
 
-    def rotation(self) -> np.ndarray:
-        """Body-to-world rotation matrix (read-only, built once)."""
-        return self._frame[0]
-
     def camera_axes(self):
-        """(right, down, forward) unit vectors in world coordinates,
-        read-only and built once: no pose field changes after
-        `__post_init__`."""
-        return self._frame[1]
+        """(right, down, forward) unit vectors in world coordinates, from
+        the columns of the body-to-world rotation R: -R[:, 1], -R[:, 2]
+        and R[:, 0]. Read-only and built once: no pose field changes
+        after `__post_init__`."""
+        return self._axes
 
     @cached_property
-    def _frame(self):
+    def _axes(self):
         cr, sr = np.cos(self.roll), np.sin(self.roll)
         cy, sy = np.cos(self.yaw), np.sin(self.yaw)
         cp, sp = np.cos(self.pitch), np.sin(self.pitch)
@@ -80,9 +77,9 @@ class Pose6D:
         Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
         R = Rz @ Ry @ Rx
         axes = (-R[:, 1], -R[:, 2], R[:, 0])
-        for a in (R,) + axes:
+        for a in axes:
             a.setflags(write=False)
-        return R, axes
+        return axes
 
 
 @dataclass
@@ -190,9 +187,6 @@ class BgFeature:
     def vector(self) -> np.ndarray:
         return self.velocity.ravel()
 
-    def mask_vector(self) -> np.ndarray:
-        return self.valid.ravel().astype(float)
-
 
 def render_motion_field(proj_t, proj_t1, K: Intrinsics) -> BgFeature:
     """Mean per-cell pixel displacement of static points between two
@@ -234,13 +228,11 @@ def flip_fg(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def flip_bg(vec: np.ndarray, mask: np.ndarray):
-    """Horizontal mirror of a flattened BG field (+ validity mask)."""
+def flip_bg(vec: np.ndarray) -> np.ndarray:
+    """Horizontal mirror of a flattened BG field."""
     v = np.array(vec, dtype=float, copy=True).reshape(
         vec.shape[:-1] + (GRID, GRID, 2))
     v = v[..., :, ::-1, :]
     v = v.copy()
     v[..., 0] = -v[..., 0]
-    m = np.array(mask, copy=True).reshape(mask.shape[:-1] + (GRID, GRID))
-    m = m[..., :, ::-1].copy()
-    return v.reshape(vec.shape), m.reshape(mask.shape)
+    return v.reshape(vec.shape)

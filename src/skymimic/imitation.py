@@ -223,7 +223,6 @@ class SnippetCorpus:
     draw, and its matches are kept for later draws; so fill the lists
     before sampling and do not change them afterwards.
     """
-    video_ids: list[str]
     styles: list[str]
     embeddings: list[np.ndarray]   # (T_i, obs_dim)
     actions: list[np.ndarray]      # (T_i, 7)

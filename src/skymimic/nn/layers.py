@@ -25,30 +25,30 @@ call, not per flop:
 - Stacks. Independent runs share the step loop, after the same paper's
   advice to run independent recurrent streams together: a stack of B
   cells of one hidden size (the style net's fg and bg branches), and S
-  runs of each that join the loop late, run s at row starts[s] from its
-  initial state. The cells' inputs lie side by side on the last axis of
+  runs of each that join the loop late, run s at row starts[s] from the
+  zero state. The cells' inputs lie side by side on the last axis of
   one input array. Every elementwise op of a step covers all runs in the
   loop at once, and the recurrent matmul is one broadcast
   (S, B, N, H) @ (B, H, 4H) call, which NumPy runs slice by slice with
   the gemv or GEMM of a 2-D call. Runs share each row's input
   projection, which the projection's matmul forms row by row, so its
   bits do not depend on the span. So each run of each cell gets the
-  bits of its own call on the rows it reads.
+  bits of its own call on the rows it reads. Late runs are for
+  forward-only callers (the segmenter's spans): a forward with starts
+  keeps no cache, and only a forward without them has a backward.
   A single-cell call is a stack of one: its blocks keep no stack axes
   and it copies no weight matrix.
-- Cache layout (LSTMCache): each time row holds R = S·B·N state rows,
-  runs outermost, then cells, then the N rows of the batch axes; the
-  input xs (T, ..., D) as given; hidden and cell states hs, cs
-  (T+1, R, H), with run s's initial state at row starts[s]; gate
-  activations (T, R, 4H) in i|f|g|o order, zero before a run's start
-  when there are several runs; tanh(c_t) as tcs (T, R, H); the batch
-  axes and the run starts (None for one run from row 0). The backward
+- Cache layout (LSTMCache): each time row holds R = B·N state rows,
+  cells outermost, then the N rows of the batch axes; the input
+  xs (T, ..., D) as given; hidden and cell states hs, cs (T+1, R, H),
+  the initial state in row 0; gate activations (T, R, 4H) in i|f|g|o
+  order; tanh(c_t) as tcs (T, R, H); and the batch axes. The backward
   is given the forward's prefixes, which fix the cell count.
-- Backward. BPTT writes each step's pre-activation gradient dz into one
-  (T, R, 4H) array, again with no per-step allocation, and steps the
-  runs of a stack together as the forward does; dWx, dWh and db are
-  then one GEMM (or sum) each per run and cell over the rows the run
-  read, added into the gradient set's views in place. The input
+- Backward. BPTT over one run writes each step's pre-activation
+  gradient dz into one (T, R, 4H) array, again with no per-step
+  allocation, and steps the cells of a stack together as the forward
+  does; dWx, dWh and db are then one GEMM (or sum) each per cell over
+  every row, added into the gradient set's views in place. The input
   gradient is not formed: dz is returned, and a caller that needs it
   computes dz @ Wx.T.
 """
@@ -122,18 +122,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 class LSTMCache(NamedTuple):
     """What lstm_backward needs from lstm_forward. A time row holds
-    R = S·B·N state rows: S runs of B cells over N batch rows, in that
-    order, N being the product of the batch axes (1 when there are
-    none)."""
+    R = B·N state rows: B cells over N batch rows, in that order, N
+    being the product of the batch axes (1 when there are none)."""
     xs: np.ndarray     # the input (T, ..., D) as given
-    hs: np.ndarray     # (T+1, R, H) hidden states; run s starts from its
-    #                    initial state at row starts[s] (row 0 if None)
+    hs: np.ndarray     # (T+1, R, H) hidden states, the initial one first
     cs: np.ndarray     # (T+1, R, H) cell states, laid out as hs
     gates: np.ndarray  # (T, R, 4H) gate activations i|f|g|o
     tcs: np.ndarray    # (T, R, H) tanh(c_t)
     lead: tuple        # the batch axes (...), whose product is N
-    starts: tuple | None = None  # the runs' first rows, ascending; None
-    #                              for one run from row 0
 
 
 def _cells(prefix: str | tuple) -> tuple[tuple, tuple]:
@@ -258,19 +254,22 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     their inputs side by side, cell b reading the D_b columns after
     those of cells 0..b-1 (D_b being the rows of its Wx). starts,
     ascending rows of the input, makes S runs of every cell: run s joins
-    the loop at row starts[s] from the initial state and reads the rows
+    the loop at row starts[s] from the zero state and reads the rows
     from there on. Each run of each cell gets the bits of a call of its
     own on the rows it reads of its columns: it shares its rows' input
     projections, which the projection's matmul forms row by row whatever
     the span, and its recurrent matmul is a slice of one broadcast
     matmul over the stack, which NumPy runs per slice with the kernel of
-    a 2-D call. h0 and c0 broadcast against the final state and give
-    each run's initial state.
+    a 2-D call. Late runs are for scoring: the cache is then None, since
+    lstm_backward takes one run.
+
+    h0 and c0, the initial state of a call of one run, broadcast against
+    the final state; with starts they raise ValueError.
 
     Returns (hs (T, [S,] [B,] ..., H), final h, final c, cache), with
     the run axis when starts are given and the cell axis for a stack;
     a run's rows before its start are zero. hs and the final states are
-    views into the cache and must not be written to.
+    views into the cache's arrays and must not be written to.
     """
     prefixes, cell_axis = _cells(prefix)
     B = len(prefixes)
@@ -294,6 +293,10 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
             raise ValueError(
                 f"lstm_forward: run starts {starts} are not ascending "
                 f"rows of [0, {T})")
+        if h0 is not None or c0 is not None:
+            raise ValueError("lstm_forward: h0 and c0 are the initial "
+                             "state of one run; runs given by starts "
+                             "start from zero")
     runs, N, axes, block = _layout(starts, cell_axis, lead)
     S = len(runs)
     R = S * B * N
@@ -306,10 +309,7 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                 raise DimensionError(
                     f"lstm_forward: initial state shape {init.shape} vs "
                     f"hidden {H}")
-            init = np.broadcast_to(init, axes + (H,)).reshape(S, B * N, H)
-            state = state.reshape(T + 1, S, B * N, H)
-            for k, j in enumerate(runs):
-                state[j, k] = init[k]
+            state[0] = np.broadcast_to(init, axes + (H,)).reshape(R, H)
     s, off = _gate_scale(H)
     # each cell's Wh·s, formed in one block without a stacked copy of Wh
     Whs = np.empty((B, H, 4 * H))
@@ -330,14 +330,12 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
     rows = pre.reshape((T,) + (block[1:] if S > 1 else block) + (4 * H,))
     # each step's gate block is finished in place: in the projection
-    # itself for one run, else in a block per run whose rows before the
-    # run's start stay zero
-    gates = rows if S == 1 else np.zeros((T,) + block + (4 * H,))
+    # itself for one run, else in a block per run; the gate and tcs rows
+    # before a late run's start are never written, and none is kept
+    gates = rows if S == 1 else np.empty((T,) + block + (4 * H,))
     hs_b = hs.reshape((T + 1,) + block + (H,))
     cs_b = cs.reshape(hs_b.shape)
-    # rows before a late run's start are never written, and the backward
-    # reads them: zero them then
-    tcs = (np.zeros if runs[-1] > 0 else np.empty)((T,) + block + (H,))
+    tcs = np.empty((T,) + block + (H,))
     # the step loop allocates nothing: h_{t-1} @ Whs and i * g go into
     # two buffers, and every per-step operand is a view of the cache;
     # each op covers every run and cell in the loop at that row
@@ -352,32 +350,35 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                         hs_b[a:z, run], cs_b[a:z, run],
                         hs_b[a + 1:z + 1, run], cs_b[a + 1:z + 1, run]))
     hs_out = hs[1:].reshape((T,) + axes + (H,))
-    return (hs_out, hs_out[-1], cs[T].reshape(axes + (H,)),
-            LSTMCache(xs, hs, cs, gates.reshape(T, R, 4 * H),
-                      tcs.reshape(T, R, H), lead, starts))
+    cache = None if starts is not None else LSTMCache(
+        xs, hs, cs, gates.reshape(T, R, 4 * H), tcs.reshape(T, R, H), lead)
+    return hs_out, hs_out[-1], cs[T].reshape(axes + (H,)), cache
 
 
 def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
                   prefix: str | tuple = "", dh_final=None, dc_final=None):
-    """BPTT over a sequence run by lstm_forward.
+    """BPTT over a sequence run by lstm_forward without starts.
 
     dhs: per-step gradients w.r.t. each h_t (array over time, or None).
     dh_final/dc_final: extra gradient flowing into the last state.
     prefix and the arrays are as lstm_forward's: a stack of cells
-    passes the prefixes it ran with, and the gradient of a run's rows
-    before its start is ignored.
+    passes the prefixes it ran with. The None cache of a forward with
+    starts, or a cache of another cell count, raises DimensionError.
     Adds the weight gradients into `grads` and returns (dz, dh0, dc0).
     dz (T, ..., 4H) is the gradient w.r.t. each step's gate
-    pre-activation x_t·Wx + h_{t-1}·Wh + b, zero before a run's start;
-    dh0 and dc0 are the gradients w.r.t. each run's initial state. The
-    input gradient is dz @ Wx.T, which no caller here needs.
+    pre-activation x_t·Wx + h_{t-1}·Wh + b; dh0 and dc0 are the
+    gradients w.r.t. the initial state. The input gradient is
+    dz @ Wx.T, which no caller here needs.
     """
-    xs, hs, cs, gates, tcs, lead, starts = cache
+    if cache is None:
+        raise DimensionError("lstm_backward: a forward with starts keeps "
+                             "no cache; only one run has a backward")
+    xs, hs, cs, gates, tcs, lead = cache
     prefixes, cell_axis = _cells(prefix)
-    runs, N, axes, block = _layout(starts, cell_axis, lead)
+    _, N, axes, block = _layout(None, cell_axis, lead)
     T, R, H = tcs.shape
-    S, B = len(runs), len(prefixes)
-    if R != S * B * N:
+    B = len(prefixes)
+    if R != B * N:
         raise DimensionError(
             f"lstm_backward: {B} cells do not fit a cache of {R} state "
             f"rows per step")
@@ -407,7 +408,7 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     # Wh.T per cell: a view for one cell, a stacked copy for more
     Wh = [p[q + "Wh"] for q in prefixes]
     WhT = np.swapaxes(Wh[0] if B == 1 else np.stack(Wh), -1, -2)
-    dz = (np.zeros if runs[-1] > 0 else np.empty)((T,) + block + (4 * H,))
+    dz = np.empty((T,) + block + (4 * H,))
     dz4 = dz.reshape((T,) + block + (4, H))
     # the step loop allocates nothing: dh, dc and dct are buffers of
     # this call (the caller's dh_final and dc_final are copied in, never
@@ -418,35 +419,28 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
         dh[...] = np.reshape(dh_final, dh.shape)
     if dc_final is not None:
         dc[...] = np.reshape(dc_final, dc.shape)
-    for k, a, z in reversed(_active(runs, T)):
-        run = slice(k if S > 1 else None)   # the runs in the loop
-        back = slice(z - 1, a - 1 if a else None, -1)   # rows z-1 to a
-        dh_k, dc_k, dct_k = dh[run], dc[run], dct[run]
-        steps = zip(dz[back, run], dz4[back, run, ..., :3, :],
-                    dz4[back, run, ..., 3, :], coef[back, run, ..., :3, :],
-                    coef[back, run, ..., 3, :], o_dtc[back, run],
-                    f[back, run],
-                    dhs[back, run] if dhs is not None else [None] * (z - a))
-        for dz_t, dz_c, dz_o, coef_c, coef_o, o_dtc_t, f_t, dh_t in steps:
-            if dh_t is not None:
-                dh_k += dh_t
-            np.multiply(dh_k, o_dtc_t, out=dct_k)
-            dct_k += dc_k
-            np.multiply(coef_c, dct_k[..., None, :], out=dz_c)
-            np.multiply(coef_o, dh_k, out=dz_o)
-            np.multiply(dct_k, f_t, out=dc_k)
-            np.matmul(dz_t, WhT, out=dh_k)
-    # weight gradients: one GEMM (or sum) each per run and cell over the
-    # rows the run read, added into the gradient views in place
-    dz = dz.reshape(T, S, B, N, 4 * H)
-    hs_r = hs.reshape(T + 1, S, B, N, H)
-    for r, j in enumerate(runs):
-        for b, q in enumerate(prefixes):
-            dz2 = dz[j:, r, b].reshape(-1, 4 * H)
-            x = inputs[b][j:]
-            grads[q + "Wx"] += x.reshape(len(dz2), x.shape[-1]).T @ dz2
-            grads[q + "Wh"] += hs_r[j:T, r, b].reshape(-1, H).T @ dz2
-            grads[q + "b"] += dz2.sum(axis=0)
+    steps = zip(dz[::-1], dz4[::-1, ..., :3, :], dz4[::-1, ..., 3, :],
+                coef[::-1, ..., :3, :], coef[::-1, ..., 3, :], o_dtc[::-1],
+                f[::-1], dhs[::-1] if dhs is not None else [None] * T)
+    for dz_t, dz_c, dz_o, coef_c, coef_o, o_dtc_t, f_t, dh_t in steps:
+        if dh_t is not None:
+            dh += dh_t
+        np.multiply(dh, o_dtc_t, out=dct)
+        dct += dc
+        np.multiply(coef_c, dct[..., None, :], out=dz_c)
+        np.multiply(coef_o, dh, out=dz_o)
+        np.multiply(dct, f_t, out=dc)
+        np.matmul(dz_t, WhT, out=dh)
+    # weight gradients: one GEMM (or sum) each per cell over every row,
+    # added into the gradient views in place
+    dz = dz.reshape(T, B, N, 4 * H)
+    hs_b = hs.reshape(T + 1, B, N, H)
+    for b, q in enumerate(prefixes):
+        dz2 = dz[:, b].reshape(-1, 4 * H)
+        x = inputs[b]
+        grads[q + "Wx"] += x.reshape(len(dz2), x.shape[-1]).T @ dz2
+        grads[q + "Wh"] += hs_b[:T, b].reshape(-1, H).T @ dz2
+        grads[q + "b"] += dz2.sum(axis=0)
     return (dz.reshape((T,) + axes + (4 * H,)), dh.reshape(axes + (H,)),
             dc.reshape(axes + (H,)))
 

@@ -18,16 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import VideoRecord
+from .dataset import DependencyError, VideoRecord
 from .features import (EMBED_DIM, WINDOW, autoencoder_init, embed_video,
                        window_starts)
 from .imitation import init_imitation_net
 from .nn import ParamSet
 from .stylenet import StyleNetConfig, init_style_net, style_forward
-
-
-class DependencyError(RuntimeError):
-    """A required trained artifact is missing."""
 
 
 def load_net(path: str | Path,

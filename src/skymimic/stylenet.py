@@ -158,20 +158,18 @@ def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
     starts, ascending rows of seq, scores the span seq[j:] from each
     start j instead, all in one stacked step loop: v and probs then
     have a row per start and trace is a list with an AttentionTrace per
-    start, each with the bits of style_forward(seq[j:]); cache holds
-    the stacked LSTM cache alone.
+    start, each with the bits of style_forward(seq[j:]); there is no
+    cache (None), since only a single run has a backward.
     """
     seq = _check_seq(seq, "style_forward")
     hs, _, _, lstm_cache = _lstm(seq, p, cfg, starts)
     if starts is None:
         v, trace, pooled = _pool(hs, p, cfg)
-        return (v, _classify(v, p), trace,
-                {"lstm": lstm_cache, "v": v, **pooled})
-    runs = [_pool(hs[j:, r], p, cfg)
-            for r, j in enumerate(lstm_cache.starts)]
+        return v, _classify(v, p), trace, {"lstm": lstm_cache, **pooled}
+    runs = [_pool(hs[j:, r], p, cfg) for r, j in enumerate(starts)]
     return (np.array([v for v, _, _ in runs]),
             np.array([_classify(v, p) for v, _, _ in runs]),
-            [trace for _, trace, _ in runs], {"lstm": lstm_cache})
+            [trace for _, trace, _ in runs], None)
 
 
 def prefix_probs(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,

@@ -144,17 +144,16 @@ def build_snippet_corpus(records: list[VideoRecord], bundle: ModelBundle,
                          ) -> SnippetCorpus:
     """The imitation corpus of records; `embeddings`, when given, are
     the records' bundle embeddings, which are then not made again."""
-    ids, styles, embs, acts, feats = [], [], [], [], []
+    styles, embs, acts, feats = [], [], [], []
     for i, rec in enumerate(records):
         emb = embeddings[i] if embeddings is not None \
             else bundle.embed(rec.fg, rec.bg)
         v, _, _, _ = style_forward(emb, bundle.style_params, bundle.style_cfg)
-        ids.append(rec.video_id)
         styles.append(rec.style)
         embs.append(emb)
         acts.append(snippet_action_labels(rec))
         feats.append(v)
-    return SnippetCorpus(ids, styles, embs, acts, feats)
+    return SnippetCorpus(styles, embs, acts, feats)
 
 
 def train_imitation_stage(records: list[VideoRecord], bundle: ModelBundle,

@@ -90,10 +90,15 @@ def test_train_missing_dependency(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "segment",
-                                     "imitate"])
+                                     "imitate", "train-listed",
+                                     "eval-listed"])
 def test_missing_corpus_exits_3_and_writes_nothing(workspace, tmp_path,
                                                    capsys, command):
+    # "-listed": the manifest lists a video whose file is missing
     data, art = workspace / "data", str(workspace / "art")
+    listed = tmp_path / "listed"
+    shutil.copytree(data, listed)
+    (listed / "orbiting_001.bin").unlink()
     out = tmp_path / "out"
     argv = {
         "train": ["--data", str(tmp_path / "nodata"), "--out", str(out),
@@ -104,9 +109,16 @@ def test_missing_corpus_exits_3_and_writes_nothing(workspace, tmp_path,
                     "--video", "fly-by_999"],
         "imitate": ["--data", str(data), "--artifacts", art,
                     "--video", "fly-by_999", "--out", str(out)],
+        "train-listed": ["--data", str(listed), "--out", str(out),
+                         "--stage", "autoencoder"],
+        "eval-listed": ["--data", str(listed), "--artifacts", art,
+                        "--out", str(out)],
     }[command]
-    assert main([command] + argv) == 3
-    assert capsys.readouterr().err.startswith("error: no ")
+    assert main([command.split("-")[0]] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no ")
+    if command.endswith("-listed"):
+        assert "orbiting_001.bin" in err
     assert not out.exists()
 
 
@@ -233,15 +245,20 @@ def _rewrite(edit):
     return lambda path: path.write_bytes(edit(path.read_bytes()))
 
 
-def _cut(table, rows=None, cols=None):
-    """Damage that keeps only the first rows and cols of one table of a
-    video file, which stays a well-formed container."""
+def _retable(table, edit):
+    """Damage that replaces one table of a video file with edit(table);
+    the file stays a well-formed container."""
     def damage(path):
         video = ParamSet.load(path)
         tables = {k: video[k] for k in video}
-        tables[table] = tables[table][:rows, :cols]
+        tables[table] = edit(tables[table])
         ParamSet(tables, video.meta).save(path)
     return damage
+
+
+def _cut(table, rows=None, cols=None):
+    """Damage that keeps only the first rows and cols of one table."""
+    return _retable(table, lambda a: a[:rows, :cols])
 
 
 @pytest.mark.parametrize("damage,why", [
@@ -254,6 +271,11 @@ def _cut(table, rows=None, cols=None):
                  id="features-5-rows"),
     pytest.param(_cut("actions", rows=-1), "do not fit",
                  id="actions-one-row-short"),
+    # a corpus written before the validity mask was dropped
+    pytest.param(_retable("features",
+                          lambda a: np.hstack([a, np.ones((len(a), 64))])),
+                 "do not fit",
+                 id="features-197-wide-old-format"),
 ])
 def test_segment_damaged_corpus_table_exits_5(workspace, tmp_path, capsys,
                                               damage, why):

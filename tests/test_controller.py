@@ -183,7 +183,7 @@ def test_waypoint_orientation_integration():
     drone = Pose6D(np.zeros(3))
     scale = K.focal * 1.7 / 10.0 / K.height
     action = make_action([0.0, 0.2, 0.0], [0.0, 0.0, 1.0], scale)
-    wp = next_waypoint(drone, action, subj, K, 1.7, dt=0.25)
+    wp = next_waypoint(drone, action, subj, K, 1.7)
     assert abs(wp.yaw - 0.05) < 1e-12
     assert wp.roll == 0.0
 
@@ -231,7 +231,7 @@ def test_waypoint_tangential_sweep_preserves_range():
     drone = Pose6D(np.zeros(3))
     scale = K.focal * 1.7 / d0 / K.height
     action = make_action([0.0, 0.3, 0.0], [0.0, 1.0, 0.0], scale)
-    wp = next_waypoint(drone, action, subj, K, 1.7, dt=0.25)
+    wp = next_waypoint(drone, action, subj, K, 1.7)
     r = wp.position - subj
     assert np.linalg.norm(r) == pytest.approx(d0)
     swept = np.arctan2(r[1], r[0])
@@ -358,7 +358,6 @@ def test_closed_loop_fields_match_per_pair_reference(style):
                                     project_points(b.camera, K, scene.cloud),
                                     K)
         assert np.array_equal(run.bg[j], field.vector())
-        assert np.array_equal(run.mask[j], field.mask_vector())
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -414,7 +413,7 @@ def test_closed_loop_bit_identical_to_raw_row_windows(monkeypatch, style,
     slow = run()
     assert len(calls) == 2 * len(fast.actions)
     assert calls.count("fg") == calls.count("bg")
-    for name in ("actions", "fg", "bg", "mask"):
+    for name in ("actions", "fg", "bg"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
     assert len(fast.frames) == len(slow.frames) == len(fast.actions)
     for a, b in zip(fast.frames, slow.frames):

@@ -120,10 +120,9 @@ def _style_data(rng, n_per_class, T=8):
 def _imitation_corpus(rng, n_videos=3, T=6, obs_dim=5):
     """Two styles without a usable pair (one video), so some steps are
     skipped, and three with several."""
-    ids, styles, embs, acts, feats = [], [], [], [], []
+    styles, embs, acts, feats = [], [], [], []
     for style_i, style in enumerate(STYLES):
-        for k in range(1 if style_i < 2 else n_videos):
-            ids.append(f"{style}_{k}")
+        for _ in range(1 if style_i < 2 else n_videos):
             styles.append(style)
             emb = rng.normal(size=(T, obs_dim)) * 0.1
             emb[:, style_i % obs_dim] += np.linspace(0, 1, T)
@@ -134,7 +133,7 @@ def _imitation_corpus(rng, n_videos=3, T=6, obs_dim=5):
             a[:, 6] = 0.2 + 0.1 * style_i
             acts.append(a)
             feats.append(np.eye(5)[style_i])
-    return SnippetCorpus(ids, styles, embs, acts, feats)
+    return SnippetCorpus(styles, embs, acts, feats)
 
 
 def _assert_same_params(p, q):

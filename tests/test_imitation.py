@@ -172,10 +172,9 @@ def test_imitation_gradient(seed):
 
 def _toy_corpus(rng, n_videos=4, T=6, obs_dim=5):
     from skymimic.scene import STYLES
-    ids, styles, embs, acts, feats = [], [], [], [], []
+    styles, embs, acts, feats = [], [], [], []
     for style_i, style in enumerate(STYLES):
-        for k in range(n_videos):
-            ids.append(f"{style}_{k}")
+        for _ in range(n_videos):
             styles.append(style)
             base = rng.normal(size=(T, obs_dim)) * 0.1
             base[:, style_i % obs_dim] += np.linspace(0, 1, T)
@@ -186,7 +185,7 @@ def _toy_corpus(rng, n_videos=4, T=6, obs_dim=5):
             a[:, 6] = 0.2 + 0.1 * style_i
             acts.append(a)
             feats.append(np.eye(5)[style_i] * 1.0)
-    return SnippetCorpus(ids, styles, embs, acts, feats)
+    return SnippetCorpus(styles, embs, acts, feats)
 
 
 def test_sample_training_pair_properties():

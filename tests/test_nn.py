@@ -466,7 +466,8 @@ def _run_starts(kind, T):
 @pytest.mark.parametrize("n_cells", [1, 2])
 def test_lstm_stack_bit_identical_to_per_cell_runs(n_cells, H, T, kind):
     # every run of every cell in one step loop gives the bits of that
-    # cell's own lstm_forward and lstm_backward over the rows it reads
+    # cell's own lstm_forward over the rows it reads; one run's
+    # lstm_backward gives the bits of each cell's own
     p, prefixes, xs, own, rng = _cell_stack_params(n_cells, H, T, H + T)
     starts = _run_starts(kind, T)
     runs = (0,) if starts is None else starts
@@ -475,18 +476,11 @@ def test_lstm_stack_bit_identical_to_per_cell_runs(n_cells, H, T, kind):
     axes = (B,) if starts is None else (S, B)
     assert hs.shape == (T,) + axes + (H,)
     assert h.shape == c.shape == axes + (H,)
-    dhs = rng.normal(size=hs.shape)
-    dh_f, dc_f = rng.normal(size=h.shape), rng.normal(size=c.shape)
-    grads = p.zeros_like()
-    dz, dh0, dc0 = lstm_backward(dhs, cache, p, grads, prefixes,
-                                 dh_final=dh_f, dc_final=dc_f)
-    assert dz.shape == (T,) + axes + (4 * H,)
-    assert dh0.shape == dc0.shape == axes + (H,)
 
     def per_run(a):  # as (..., S, B, last), with or without a run axis
         return a.reshape(a.shape[:a.ndim - len(axes) - 1] + (S, B, -1))
 
-    g_ref = p.zeros_like()
+    own_caches = []
     for r, j in enumerate(runs):
         for b, q in enumerate(prefixes):
             want_hs, want_h, want_c, want_cache = lstm_forward(own[b][j:],
@@ -495,29 +489,25 @@ def test_lstm_stack_bit_identical_to_per_cell_runs(n_cells, H, T, kind):
             assert not per_run(hs)[:j, r, b].any()
             assert np.array_equal(per_run(h)[r, b], want_h)
             assert np.array_equal(per_run(c)[r, b], want_c)
-            want = lstm_backward(per_run(dhs)[j:, r, b], want_cache, p,
-                                 g_ref, q, dh_final=per_run(dh_f)[r, b],
-                                 dc_final=per_run(dc_f)[r, b])
-            assert np.array_equal(per_run(dz)[j:, r, b], want[0])
-            assert not per_run(dz)[:j, r, b].any()
-            assert np.array_equal(per_run(dh0)[r, b], want[1])
-            assert np.array_equal(per_run(dc0)[r, b], want[2])
+            own_caches.append(want_cache)
+    if starts is not None:
+        return
+    dhs = rng.normal(size=hs.shape)
+    dh_f, dc_f = rng.normal(size=h.shape), rng.normal(size=c.shape)
+    grads = p.zeros_like()
+    dz, dh0, dc0 = lstm_backward(dhs, cache, p, grads, prefixes,
+                                 dh_final=dh_f, dc_final=dc_f)
+    assert dz.shape == (T,) + axes + (4 * H,)
+    assert dh0.shape == dc0.shape == axes + (H,)
+    g_ref = p.zeros_like()
+    for b, (q, want_cache) in enumerate(zip(prefixes, own_caches)):
+        want = lstm_backward(dhs[:, b], want_cache, p, g_ref, q,
+                             dh_final=dh_f[b], dc_final=dc_f[b])
+        assert np.array_equal(dz[:, b], want[0])
+        assert np.array_equal(dh0[b], want[1])
+        assert np.array_equal(dc0[b], want[2])
     for k in p:
         assert np.array_equal(grads[k], g_ref[k]), k
-
-
-def test_lstm_stack_initial_state_and_pre_per_run():
-    # h0 and c0 broadcast against the final state and start each run
-    T, H = 6, 64
-    p, prefixes, xs, own, rng = _cell_stack_params(2, H, T, 3)
-    starts = (0, 2, 5)
-    h0 = rng.normal(size=(3, 2, H))
-    c0 = rng.normal(size=(2, H))   # the same for every run
-    hs, _, _, cache = lstm_forward(xs, p, prefixes, h0, c0, starts=starts)
-    for r, j in enumerate(starts):
-        for b, q in enumerate(prefixes):
-            want = lstm_forward(own[b][j:], p, q, h0[r, b], c0[b])[0]
-            assert np.array_equal(hs[j:, r, b], want)
 
 
 def test_lstm_stack_rejects_what_it_cannot_run():
@@ -533,9 +523,18 @@ def test_lstm_stack_rejects_what_it_cannot_run():
     for starts in [(), (2, 1), (-1, 2), (0, T)]:
         with pytest.raises(ValueError):
             lstm_forward(xs, p, prefixes, starts=starts)
+    state = np.zeros((2, 8))
+    for h0, c0 in [(state, None), (None, state), (state, state)]:
+        with pytest.raises(ValueError):   # an initial state is one run's
+            lstm_forward(xs, p, prefixes, h0, c0, starts=(0, 2))
     _, _, _, cache = lstm_forward(xs, p, prefixes)
     with pytest.raises(DimensionError):   # backward with one prefix
         lstm_backward(None, cache, p, p.zeros_like(), "c0_")
+    for starts in [(0, 2), (1, 1, 3), (2,)]:
+        _, _, _, cache = lstm_forward(xs, p, prefixes, starts=starts)
+        assert cache is None   # runs given by starts have no backward
+        with pytest.raises(DimensionError):
+            lstm_backward(None, cache, p, p.zeros_like(), prefixes)
 
 
 @pytest.mark.parametrize("k", [2, 7])
