@@ -320,9 +320,10 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     live shot and picks the straight or spherical step of
     `next_waypoint`.  Warm-up frames are calibration and are excluded
     from the returned log, which starts after the first flown step.
-    Each pose the camera reaches projects the scene's static cloud once;
-    the motion field of a step pairs that projection with the one kept
-    from the step before.
+    Each pose the camera reaches projects the scene's static cloud once,
+    WINDOW + duration / DT projections in all; the motion field of a
+    step pairs that projection with the one kept from the step before,
+    reading the kept one's `seen` mask and the new one's `front` mask.
 
     The fg rows and bg field rows are kept in arrays of WINDOW +
     duration / DT rows (`EncoderStream`), and each row is projected

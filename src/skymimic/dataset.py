@@ -93,8 +93,9 @@ def features_for_frames(frames: list[FrameSample], K: Intrinsics,
     """FG/BG observation streams for a trajectory.
 
     BG at frame t is the motion field between poses t and t+1; the last
-    frame repeats the previous field.  Each pose's cloud projection is
-    made once and serves both fields it takes part in.
+    frame repeats the previous field.  Each pose's cloud projection,
+    with its masks, is made once and serves both fields it takes part
+    in: n projections for n frames.
     """
     n = len(frames)
     fg = np.zeros((n, 5))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +106,30 @@ def look_at(position: np.ndarray, target: np.ndarray) -> Pose6D:
     return Pose6D(np.asarray(position, float), 0.0, yaw, pitch)
 
 
-def project_points(cam: Pose6D, K: Intrinsics, points: np.ndarray):
-    """Project world points (N,3). Returns (pixels (N,2), depths (N,))."""
+class Projection(NamedTuple):
+    """A pose's projection of N world points: pixel coordinates u, v and
+    depth z, each a contiguous (N,) array, and two (N,) masks, `front`
+    (z > 1e-6) and `seen` (in front and inside the image,
+    0 <= u < width and 0 <= v < height)."""
+    u: np.ndarray
+    v: np.ndarray
+    z: np.ndarray
+    front: np.ndarray
+    seen: np.ndarray
+
+
+def project_points(cam: Pose6D, K: Intrinsics,
+                   points: np.ndarray) -> Projection:
+    """Project world points (N, 3), or one point (3,), into the image.
+
+    Every point goes through the same arithmetic: the camera position
+    subtracted column by column, one gemv per camera axis over the whole
+    cloud, then focal * x / z + c.  A point behind the camera gets a
+    non-finite or mirrored pixel; the masks say which points a motion
+    field may read.  `render_motion_field` reads `seen` of the first
+    pose and `front` of the second, so each pose is projected, and its
+    masks formed, once.
+    """
     right, down, forward = cam.camera_axes()
     points = np.atleast_2d(points)
     # column by column: broadcasting the (3,) position over (N, 3) rows
@@ -114,13 +137,21 @@ def project_points(cam: Pose6D, K: Intrinsics, points: np.ndarray):
     d = np.empty(points.shape)
     for col, p, out in zip(points.T, cam.position, d.T):
         np.subtract(col, p, out=out)
-    x = d @ right
-    y = d @ down
+    # whole-cloud gemvs: gathering rows first would change the bits
+    u = d @ right
+    v = d @ down
     z = d @ forward
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = K.focal * x / z + K.cx
-        v = K.focal * y / z + K.cy
-    return np.stack([u, v], axis=-1), z
+        for c, center in ((u, K.cx), (v, K.cy)):
+            c *= K.focal   # in place: focal * x / z + cx
+            c /= z
+            c += center
+    front = z > 1e-6
+    seen = front & (u >= 0)
+    seen &= u < K.width
+    seen &= v >= 0
+    seen &= v < K.height
+    return Projection(u, v, z, front, seen)
 
 
 def pixel_to_world(cam: Pose6D, K: Intrinsics, u: float, v: float,
@@ -188,36 +219,35 @@ class BgFeature:
         return self.velocity.ravel()
 
 
-def render_motion_field(proj_t, proj_t1, K: Intrinsics) -> BgFeature:
+def render_motion_field(prev: Projection, cur: Projection,
+                        K: Intrinsics) -> BgFeature:
     """Mean per-cell pixel displacement of static points between two
     poses, from each pose's `project_points` result for the same points;
-    displacement normalized by image size.  A point counts when it is in
-    front of both cameras and inside the first image.  Cells without
-    points are zero with valid=False."""
-    (px0, z0), (px1, z1) = proj_t, proj_t1
-    ok = ((z0 > 1e-6) & (z1 > 1e-6)
-          & (px0[:, 0] >= 0) & (px0[:, 0] < K.width)
-          & (px0[:, 1] >= 0) & (px0[:, 1] < K.height))
-    feature = BgFeature()
-    if not np.any(ok):
-        return feature
-    p0, p1 = np.compress(ok, px0, axis=0), np.compress(ok, px1, axis=0)
-    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
+    displacement normalized by image size.  A point counts when it is
+    seen from the first pose (`prev.seen`) and in front of the second
+    (`cur.front`); its four coordinates are gathered once.  A counted
+    point whose second pixel is not finite raises FloatingPointError.
+    Cells without points are zero with valid=False."""
+    idx = np.flatnonzero(prev.seen & cur.front)
+    if not idx.size:
+        return BgFeature()
+    u0, v0 = prev.u.take(idx), prev.v.take(idx)
+    u1, v1 = cur.u.take(idx), cur.v.take(idx)
+    # a seen pixel is finite; the second view's may overflow
+    if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
         raise FloatingPointError("render_motion_field: non-finite projection")
-    disp = (p1 - p0) / np.array([K.width, K.height])
-    gx = np.minimum((p0[:, 0] / K.width * GRID).astype(int), GRID - 1)
-    gy = np.minimum((p0[:, 1] / K.height * GRID).astype(int), GRID - 1)
+    du = (u1 - u0) / K.width
+    dv = (v1 - v0) / K.height
+    gx = np.minimum((u0 / K.width * GRID).astype(int), GRID - 1)
+    gy = np.minimum((v0 / K.height * GRID).astype(int), GRID - 1)
     cell = gy * GRID + gx
     counts = np.bincount(cell, minlength=GRID * GRID).astype(float)
     # bincount adds each cell's weights in point order, as np.add.at does
-    sums = np.stack([np.bincount(cell, weights=disp[:, k],
-                                 minlength=GRID * GRID) for k in (0, 1)],
-                    axis=1)
+    sums = np.stack([np.bincount(cell, weights=w, minlength=GRID * GRID)
+                     for w in (du, dv)], axis=1)
     nonzero = counts > 0
     sums[nonzero] /= counts[nonzero, None]
-    feature.velocity = sums.reshape(GRID, GRID, 2)
-    feature.valid = nonzero.reshape(GRID, GRID)
-    return feature
+    return BgFeature(sums.reshape(GRID, GRID, 2), nonzero.reshape(GRID, GRID))
 
 
 def flip_fg(vec: np.ndarray) -> np.ndarray:

@@ -35,7 +35,8 @@ call, not per flop:
   bits do not depend on the span. So each run of each cell gets the
   bits of its own call on the rows it reads. Late runs are for
   forward-only callers (the segmenter's spans): a forward with starts
-  keeps no cache, and only a forward without them has a backward.
+  keeps no cache, so its gate blocks and tanh(c) live in one step's
+  scratch, and only a forward without them has a backward.
   A single-cell call is a stack of one: its blocks keep no stack axes
   and it copies no weight matrix.
 - Cache layout (LSTMCache): each time row holds R = B·N state rows,
@@ -190,6 +191,15 @@ def _gate_scaled(W: np.ndarray, H: int, out=None) -> np.ndarray:
     return out
 
 
+def _scratch_rows(T: int, shape: tuple) -> np.ndarray:
+    """T rows of `shape` that are all one block of memory (stride 0 on
+    the row axis): a step loop that writes row t and reads only row t
+    allocates one step's worth."""
+    block = np.empty(shape)
+    return np.lib.stride_tricks.as_strided(block, (T,) + shape,
+                                           (0,) + block.strides)
+
+
 def _lstm_steps(Whs, s, off, rec, ig, steps) -> None:
     """Run the cell's steps over a block of state rows (..., H), in
     place: the one copy of the cell math. Each step is (gt, i, f, g, o,
@@ -329,13 +339,16 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
             pre[:, b] = bs
     del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
     rows = pre.reshape((T,) + (block[1:] if S > 1 else block) + (4 * H,))
-    # each step's gate block is finished in place: in the projection
-    # itself for one run, else in a block per run; the gate and tcs rows
-    # before a late run's start are never written, and none is kept
-    gates = rows if S == 1 else np.empty((T,) + block + (4 * H,))
+    if starts is None:
+        # kept for the backward: each step's gate block is finished in
+        # place in the projection itself
+        gates, tcs = rows, np.empty((T,) + block + (H,))
+    else:
+        # nothing is kept: every step finishes its gate block and tanh(c)
+        # in the same scratch, one step's worth
+        gates, tcs = (_scratch_rows(T, block + (w,)) for w in (4 * H, H))
     hs_b = hs.reshape((T + 1,) + block + (H,))
     cs_b = cs.reshape(hs_b.shape)
-    tcs = np.empty((T,) + block + (H,))
     # the step loop allocates nothing: h_{t-1} @ Whs and i * g go into
     # two buffers, and every per-step operand is a view of the cache;
     # each op covers every run and cell in the loop at that row

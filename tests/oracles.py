@@ -2,12 +2,17 @@
 package.  `dtw_brute_force` enumerates every warping path for
 `imitation.dtw_align`; `imitation_loss` is the mixed objective that
 `imitation.imitation_loss_and_grad` differentiates; `grad_check` takes
-central finite differences for the analytic gradients."""
+central finite differences for the analytic gradients;
+`project_points_reference` projects a cloud into (N, 2) pixel rows and
+`motion_field_reference` masks, compresses and bins those rows, the
+references for `geometry.project_points` and
+`geometry.render_motion_field`."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from skymimic.geometry import GRID
 from skymimic.imitation import WarpingPath
 from skymimic.nn import NumericError, ParamSet
 
@@ -94,3 +99,49 @@ def grad_check(loss, params: ParamSet, analytic: ParamSet,
             err = abs(ga[idx] - fd) / max(1.0, abs(ga[idx]))
             worst = max(worst, err)
     return worst
+
+
+def project_points_reference(cam, K, points):
+    """World points (N, 3) to (pixels (N, 2), depths (N,)): the camera
+    position subtracted column by column, one gemv per camera axis,
+    then focal * x / z + c, the pixels stacked into rows."""
+    right, down, forward = cam.camera_axes()
+    points = np.atleast_2d(points)
+    d = np.empty(points.shape)
+    for col, p, out in zip(points.T, cam.position, d.T):
+        np.subtract(col, p, out=out)
+    x, y, z = d @ right, d @ down, d @ forward
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = K.focal * x / z + K.cx
+        v = K.focal * y / z + K.cy
+    return np.stack([u, v], axis=-1), z
+
+
+def motion_field_reference(proj_t, proj_t1, K):
+    """(velocity (GRID, GRID, 2), valid (GRID, GRID)) from two
+    `project_points_reference` results: the points in front of both
+    cameras and inside the first image, masked on the (N, 2) pixel
+    columns, compressed as rows and added into their cells with
+    np.add.at.  A non-finite kept pixel raises FloatingPointError."""
+    (px0, z0), (px1, z1) = proj_t, proj_t1
+    ok = ((z0 > 1e-6) & (z1 > 1e-6)
+          & (px0[:, 0] >= 0) & (px0[:, 0] < K.width)
+          & (px0[:, 1] >= 0) & (px0[:, 1] < K.height))
+    velocity = np.zeros((GRID, GRID, 2))
+    valid = np.zeros((GRID, GRID), dtype=bool)
+    if not np.any(ok):
+        return velocity, valid
+    p0, p1 = np.compress(ok, px0, axis=0), np.compress(ok, px1, axis=0)
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
+        raise FloatingPointError("motion_field_reference: non-finite "
+                                 "projection")
+    disp = (p1 - p0) / np.array([K.width, K.height])
+    gx = np.minimum((p0[:, 0] / K.width * GRID).astype(int), GRID - 1)
+    gy = np.minimum((p0[:, 1] / K.height * GRID).astype(int), GRID - 1)
+    cell = gy * GRID + gx
+    counts = np.bincount(cell, minlength=GRID * GRID).astype(float)
+    sums = np.zeros((GRID * GRID, 2))
+    np.add.at(sums, cell, disp)
+    nonzero = counts > 0
+    sums[nonzero] /= counts[nonzero, None]
+    return sums.reshape(GRID, GRID, 2), nonzero.reshape(GRID, GRID)

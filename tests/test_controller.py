@@ -338,10 +338,9 @@ def test_executor_replays_scripted_shot(style, seed):
     assert ok, metrics
 
 
-@pytest.mark.parametrize("style", ["fly-by", "orbiting"])
-def test_closed_loop_fields_match_per_pair_reference(style):
-    # the loop keeps each pose's projection for the next step; its fields
-    # must equal ones built from both poses of each logged pair
+def _untrained_bundle_and_demo(style):
+    """A freshly initialised bundle, an 8 s demo of `style` and the
+    demo's style feature."""
     cfg = VARIANTS["fg+bg+att"]
     bundle = ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
                          init_style_net(cfg, 9), cfg,
@@ -349,6 +348,14 @@ def test_closed_loop_fields_match_per_pair_reference(style):
     demo = build_video("demo", style, "test", 3, Intrinsics(),
                        duration_range=(8.0, 8.0))
     v, _, _ = bundle.style_feature(demo.fg, demo.bg)
+    return bundle, demo, v
+
+
+@pytest.mark.parametrize("style", ["fly-by", "orbiting"])
+def test_closed_loop_fields_match_per_pair_reference(style):
+    # the loop keeps each pose's projection for the next step; its fields
+    # must equal ones built from both poses of each logged pair
+    bundle, demo, v = _untrained_bundle_and_demo(style)
     scene, _ = make_live_scene(style, np.random.default_rng(5))
     run = closed_loop_run(v, scene, bundle, 4.0, demo.actions)
     K, n = scene.intrinsics, len(run.frames)
@@ -358,6 +365,26 @@ def test_closed_loop_fields_match_per_pair_reference(style):
                                     project_points(b.camera, K, scene.cloud),
                                     K)
         assert np.array_equal(run.bg[j], field.vector())
+
+
+def test_closed_loop_projects_each_pose_once(monkeypatch):
+    # one projection per pose reached: the warm-up's WINDOW poses and one
+    # per flown step; each serves the field before it and the one after
+    from skymimic import controller
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return project_points(*args)
+
+    bundle, demo, v = _untrained_bundle_and_demo("orbiting")
+    scene, _ = make_live_scene("orbiting", np.random.default_rng(5))
+    monkeypatch.setattr(controller, "project_points", counted)
+    duration = 4.0
+    run = closed_loop_run(v, scene, bundle, duration, demo.actions)
+    assert len(calls) == WINDOW + round(duration / DT)
+    assert [c.position.tolist() for c in calls[WINDOW:]] == \
+        [f.camera.position.tolist() for f in run.frames]
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -386,13 +413,7 @@ def test_closed_loop_bit_identical_to_raw_row_windows(monkeypatch, style,
     # step it once per row; embedding each window from its raw rows in a
     # fresh embed_batch call instead must not change a bit of the run
     from skymimic import features
-    cfg = VARIANTS["fg+bg+att"]
-    bundle = ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
-                         init_style_net(cfg, 9), cfg,
-                         init_imitation_net(128, 96, 10))
-    demo = build_video("demo", style, "test", 3, Intrinsics(),
-                       duration_range=(8.0, 8.0))
-    v, _, _ = bundle.style_feature(demo.fg, demo.bg)
+    bundle, demo, v = _untrained_bundle_and_demo(style)
     actions = demo.actions if with_demo else None
 
     def run():

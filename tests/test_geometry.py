@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import motion_field_reference, project_points_reference
 from skymimic.geometry import (BODY_WIDTH_RATIO, Intrinsics, Pose6D,
                                VisibilityError, flip_bg,
                                flip_fg, look_at, pixel_to_world,
@@ -59,9 +60,10 @@ def test_intrinsics_validation():
 def test_project_point_on_axis():
     cam = Pose6D(np.zeros(3))
     K = Intrinsics()
-    px, z = project_points(cam, K, np.array([[10.0, 0.0, 0.0]]))
-    assert np.allclose(px[0], [K.cx, K.cy])
-    assert np.allclose(z[0], 10.0)
+    proj = project_points(cam, K, np.array([[10.0, 0.0, 0.0]]))
+    assert np.allclose([proj.u[0], proj.v[0]], [K.cx, K.cy])
+    assert np.allclose(proj.z[0], 10.0)
+    assert proj.front[0] and proj.seen[0]
 
 
 def test_pixel_to_world_inverts_projection():
@@ -72,10 +74,10 @@ def test_pixel_to_world_inverts_projection():
                      rng.uniform(-np.pi, np.pi), rng.uniform(-0.5, 0.5))
         pt = cam.position + rng.uniform(3, 30) * cam.camera_axes()[2] \
             + rng.normal(0, 1.0, 3)
-        px, z = project_points(cam, K, pt[None, :])
+        u, v, z, _, _ = project_points(cam, K, pt[None, :])
         if z[0] <= 0.1:
             continue
-        back = pixel_to_world(cam, K, px[0, 0], px[0, 1], float(z[0]))
+        back = pixel_to_world(cam, K, u[0], v[0], float(z[0]))
         assert np.allclose(back, pt, atol=1e-9)
 
 
@@ -113,8 +115,8 @@ def test_foreground_matches_project_points():
         cam = look_at(subj.position + rng.normal(0, 10, 3) + [0, 0, 12],
                       subj.position + rng.normal(0, 0.5, 3))
         fg = project_foreground(cam, K, subj, 1.7)
-        px, z = project_points(cam, K, subj.position[None, :])
-        u, v, depth = float(px[0, 0]), float(px[0, 1]), float(z[0])
+        proj = project_points(cam, K, subj.position[None, :])
+        u, v, depth = float(proj.u[0]), float(proj.v[0]), float(proj.z[0])
         assert (fg.cx, fg.cy) == (u / K.width, v / K.height)
         assert fg.h == K.focal * 1.7 / depth / K.height
         assert fg.w == K.focal * 1.7 * BODY_WIDTH_RATIO / depth / K.width
@@ -188,9 +190,9 @@ def test_look_at_points_at_target():
         if np.linalg.norm(target - pos) < 1.0:
             continue
         cam = look_at(pos, target)
-        px, z = project_points(cam, Intrinsics(), target[None, :])
-        assert z[0] > 0
-        assert np.allclose(px[0], [320.0, 240.0], atol=1e-6)
+        proj = project_points(cam, Intrinsics(), target[None, :])
+        assert proj.z[0] > 0
+        assert np.allclose([proj.u[0], proj.v[0]], [320.0, 240.0], atol=1e-6)
 
 
 def test_flip_fg():
@@ -212,27 +214,10 @@ def test_flip_bg_involution_and_sign():
 
 
 def _reference_field(cam_t, cam_t1, K, cloud):
-    """Motion field as first written: both poses projected here, cells
-    filled with np.add.at."""
-    px0, z0 = project_points(cam_t, K, cloud)
-    px1, z1 = project_points(cam_t1, K, cloud)
-    ok = ((z0 > 1e-6) & (z1 > 1e-6)
-          & (px0[:, 0] >= 0) & (px0[:, 0] < K.width)
-          & (px0[:, 1] >= 0) & (px0[:, 1] < K.height))
-    velocity, valid = np.zeros((8, 8, 2)), np.zeros((8, 8), dtype=bool)
-    if not np.any(ok):
-        return velocity, valid
-    p0, p1 = px0[ok], px1[ok]
-    disp = (p1 - p0) / np.array([K.width, K.height])
-    gx = np.minimum((p0[:, 0] / K.width * 8).astype(int), 7)
-    gy = np.minimum((p0[:, 1] / K.height * 8).astype(int), 7)
-    cell = gy * 8 + gx
-    counts = np.bincount(cell, minlength=64).astype(float)
-    sums = np.zeros((64, 2))
-    np.add.at(sums, cell, disp)
-    nonzero = counts > 0
-    sums[nonzero] /= counts[nonzero, None]
-    return sums.reshape(8, 8, 2), nonzero.reshape(8, 8)
+    """The field of the reference projection and field in oracles.py."""
+    return motion_field_reference(project_points_reference(cam_t, K, cloud),
+                                  project_points_reference(cam_t1, K, cloud),
+                                  K)
 
 
 @pytest.mark.parametrize("n_points", [0, 3, 40, 3000])
@@ -258,16 +243,82 @@ def test_motion_field_from_projections_matches_reference(n_points):
 
 
 def test_motion_field_no_valid_point():
-    # the whole cloud lies behind the first camera
+    # the whole cloud lies behind the first camera; or in front of it,
+    # but left of the image
     rng = np.random.default_rng(41)
     K = Intrinsics()
-    cloud = rng.uniform(-30, 30, size=(500, 3)) - [40.0, 0, 0]
+    depth = rng.uniform(10, 50, 400)
+    clouds = [rng.uniform(-30, 30, size=(500, 3)) - [40.0, 0, 0],
+              np.column_stack([depth, depth * rng.uniform(0.6, 3.0, 400),
+                               rng.uniform(-5, 5, 400)])]
     cam0, cam1 = Pose6D(np.zeros(3)), Pose6D(np.array([0.5, 0.0, 0.0]))
-    f = render_motion_field(project_points(cam0, K, cloud),
-                            project_points(cam1, K, cloud), K)
-    velocity, valid = _reference_field(cam0, cam1, K, cloud)
-    assert np.array_equal(f.velocity, velocity) and not f.velocity.any()
-    assert np.array_equal(f.valid, valid) and not f.valid.any()
+    for cloud, in_front in zip(clouds, (False, True)):
+        prev, cur = (project_points(c, K, cloud) for c in (cam0, cam1))
+        assert prev.front.all() == in_front and not prev.seen.any()
+        f = render_motion_field(prev, cur, K)
+        velocity, valid = _reference_field(cam0, cam1, K, cloud)
+        assert np.array_equal(f.velocity, velocity) and not f.velocity.any()
+        assert np.array_equal(f.valid, valid) and not f.valid.any()
+
+
+# A camera at the origin with every angle 0 has right = -y, down = -z
+# and forward = +x in the world, exactly, so a point at depth 15 whose
+# world y or z is +-8 or +-6 projects exactly onto an image edge
+# (600 * 8 / 15 = 320 = cx, 600 * 6 / 15 = 240 = cy).
+_ORIGIN = Pose6D(np.zeros(3))
+_NUDGED = Pose6D(np.array([0.3, 0.1, -0.05]), 0.01, 0.02, -0.01)
+_EDGE_ROWS = {
+    # name: (point, first camera, second camera,
+    #        (view, coordinate, exact value) or None, kept)
+    "u=0": ([15.0, 8.0, 0.0], _ORIGIN, _NUDGED, (0, "u", 0.0), True),
+    "u=W": ([15.0, -8.0, 0.0], _ORIGIN, _NUDGED, (0, "u", 640.0), False),
+    "v=0": ([15.0, 0.0, 6.0], _ORIGIN, _NUDGED, (0, "v", 0.0), True),
+    "v=H": ([15.0, 0.0, -6.0], _ORIGIN, _NUDGED, (0, "v", 480.0), False),
+    "z0=1e-6": ([1e-6, 0.0, 0.0], _ORIGIN, _NUDGED, (0, "z", 1e-6), False),
+    "z1=1e-6": ([1e-6, 0.0, 0.0], Pose6D(np.array([-10.0, 0.0, 0.0])),
+                _ORIGIN, (1, "z", 1e-6), False),
+    "behind second only": ([10.0, 0.0, 0.0], _ORIGIN,
+                           Pose6D(np.array([20.0, 0.0, 0.0])), None, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_ROWS))
+def test_motion_field_edge_rows_match_reference(name):
+    point, cam0, cam1, where, kept = _EDGE_ROWS[name]
+    K = Intrinsics()
+    if where is not None:   # the row lands where its name says
+        view, axis, value = where
+        cam = (cam0, cam1)[view]
+        assert getattr(project_points(cam, K, np.array(point)), axis)[0] \
+            == value
+    rng = np.random.default_rng(47)
+    bulk = rng.uniform(-30, 30, size=(300, 3)) + [40.0, 0, 0]
+    for cloud in (np.array([point]), np.vstack([bulk, point])):
+        prev, cur = (project_points(c, K, cloud) for c in (cam0, cam1))
+        assert (prev.seen & cur.front)[-1] == kept
+        f = render_motion_field(prev, cur, K)
+        velocity, valid = _reference_field(cam0, cam1, K, cloud)
+        assert np.array_equal(f.velocity, velocity)
+        assert np.array_equal(f.valid, valid)
+    assert valid.any()   # the bulk fills cells with or without the row
+
+
+def test_motion_field_second_view_overflow_raises():
+    # seen at the image center from the origin; from a camera turned a
+    # quarter to the left the point lies far off-axis at a small depth,
+    # and focal * x overflows to inf
+    K = Intrinsics()
+    rng = np.random.default_rng(49)
+    cloud = np.vstack([rng.uniform(-30, 30, size=(50, 3)) + [40.0, 0, 0],
+                       [1e306, 0.0, 0.0]])
+    turned = Pose6D(np.zeros(3), yaw=np.pi / 2)
+    with np.errstate(over="ignore"):
+        prev, cur = (project_points(c, K, cloud) for c in (_ORIGIN, turned))
+        assert prev.seen[-1] and cur.front[-1] and np.isinf(cur.u[-1])
+        with pytest.raises(FloatingPointError):
+            render_motion_field(prev, cur, K)
+        with pytest.raises(FloatingPointError):
+            _reference_field(_ORIGIN, turned, K, cloud)
 
 
 def test_pose_axes_cached_and_read_only():
@@ -303,8 +354,12 @@ def test_project_points_matches_broadcast_subtract(n_points):
             d = np.atleast_2d(pts) - cam.position
             x, y, z = d @ right, d @ down, d @ forward
             with np.errstate(divide="ignore", invalid="ignore"):
-                px_ref = np.stack([K.focal * x / z + K.cx,
-                                   K.focal * y / z + K.cy], axis=-1)
-            px, depth = project_points(cam, K, pts)
-            assert px.shape == (n_points, 2) and depth.shape == (n_points,)
-            assert np.array_equal(px, px_ref) and np.array_equal(depth, z)
+                u, v = K.focal * x / z + K.cx, K.focal * y / z + K.cy
+            front = z > 1e-6
+            seen = (front & (u >= 0) & (u < K.width)
+                    & (v >= 0) & (v < K.height))
+            proj = project_points(cam, K, pts)
+            for got, want in zip(proj, (u, v, z, front, seen)):
+                assert got.shape == (n_points,) and got.flags.c_contiguous
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

@@ -455,12 +455,13 @@ def _cell_stack_params(n_cells, H, T, seed):
 def _run_starts(kind, T):
     """None: one run from row 0 and no run axis; "late": a run from
     row 0, a duplicate pair from the middle and the last row; "all-late":
-    no run from row 0."""
+    no run from row 0; "one-late": one run, from the middle, so starts
+    but no run axis."""
     return {"none": None, "late": (0, T // 2, T // 2, T - 1),
-            "all-late": (T // 2, T - 1)}[kind]
+            "all-late": (T // 2, T - 1), "one-late": (T // 2,)}[kind]
 
 
-@pytest.mark.parametrize("kind", ["none", "late", "all-late"])
+@pytest.mark.parametrize("kind", ["none", "late", "all-late", "one-late"])
 @pytest.mark.parametrize("T", [1, 8, 40])
 @pytest.mark.parametrize("H", [64, 128])
 @pytest.mark.parametrize("n_cells", [1, 2])

@@ -218,6 +218,29 @@ def test_features_for_frames_match_per_pair_reference(style):
         assert np.array_equal(bg[t], field.vector())
 
 
+def test_features_for_frames_projects_each_pose_once(monkeypatch):
+    # n frames, n projections: each serves the field before it and the
+    # one after
+    from skymimic import dataset
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return project_points(*args)
+
+    rng = np.random.default_rng(61)
+    frames = generate_style_trajectory(random_script("fly-by", rng,
+                                                     (8.0, 9.0)))
+    cloud = make_point_cloud(rng, center=tuple(frames[0].subject.position[:2]))
+    monkeypatch.setattr(dataset, "project_points", counted)
+    features_for_frames(frames, Intrinsics(), cloud)
+    assert len(calls) == len(frames)
+    assert all(c is f.camera for c, f in zip(calls, frames))
+    assert features_for_frames(frames[:1], Intrinsics(), cloud)[1].shape \
+        == (1, 128)
+    assert len(calls) == len(frames) + 1
+
+
 def _reference_point_cloud(rng, center=(0.0, 0.0), extent=90.0,
                            n_ground=4000, n_structures=160):
     """make_point_cloud as first written: per-structure column stacks."""
