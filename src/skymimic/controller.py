@@ -384,8 +384,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
             # field t-1 pairs the last pose with this one; until the
             # next pose comes, it also stands in for field t, as the
             # last field of a clip does
-            field = render_motion_field(proj_prev, proj, K)
-            bg_obs.put(t - 1, field.vector())
+            bg_obs.put(t - 1, render_motion_field(proj_prev, proj, K))
             bg_obs.repeat(t)
         proj_prev = proj
         if fg is not None:

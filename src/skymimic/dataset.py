@@ -107,9 +107,8 @@ def features_for_frames(frames: list[FrameSample], K: Intrinsics,
         fg[t] = f.vector()
         if t < n - 1:
             proj_next = project_points(frames[t + 1].camera, K, cloud)
-            field = render_motion_field(proj, proj_next, K)
+            bg[t] = render_motion_field(proj, proj_next, K)
             proj = proj_next
-            bg[t] = field.vector()
         else:
             bg[t] = bg[t - 1] if n > 1 else 0.0
     return fg, bg

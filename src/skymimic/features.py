@@ -14,8 +14,6 @@ input GEMM runs forward and its Wx gradient is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, affine,
@@ -44,26 +42,21 @@ class ChannelError(ValueError):
     pass
 
 
-@dataclass
-class Snippet:
-    start: int
-    video_id: str
-    fg: np.ndarray  # (WINDOW, 5)
-    bg: np.ndarray  # (WINDOW, 128)
-
-
-def window_starts(length: int) -> list[int]:
-    if length < WINDOW:
+def snippet_ends(n: int) -> np.ndarray:
+    """The snippet grid of an n-frame table: snippet i covers rows
+    ends[i] - WINDOW to ends[i] - 1, a new one every STRIDE rows."""
+    if n < WINDOW:
         raise TooShortError(
-            f"sequence of {length} frames is shorter than the window "
+            f"sequence of {n} frames is shorter than the window "
             f"of {WINDOW}")
-    return list(range(0, length - WINDOW + 1, STRIDE))
+    return np.arange(WINDOW, n + 1, STRIDE)
 
 
-def window(fg: np.ndarray, bg: np.ndarray,
-           video_id: str = "") -> list[Snippet]:
-    return [Snippet(s, video_id, fg[s:s + WINDOW], bg[s:s + WINDOW])
-            for s in window_starts(fg.shape[0])]
+def snippet_stack(table: np.ndarray) -> np.ndarray:
+    """C-contiguous (n_snippets, WINDOW, D) stack of the snippet windows
+    of an (n, D) table."""
+    return table[snippet_ends(table.shape[0])[:, None]
+                 + np.arange(-WINDOW, 0)]
 
 
 def autoencoder_init(channel: str, seed: int) -> ParamSet:
@@ -249,9 +242,6 @@ def embed_video(fg: np.ndarray, bg: np.ndarray, fg_params: ParamSet,
     if fg_params.meta.get("channel") != "fg" \
             or bg_params.meta.get("channel") != "bg":
         raise ChannelError("encoder channel tags do not match fg/bg")
-    starts = window_starts(fg.shape[0])
-    fg_stack = np.stack([fg[s:s + WINDOW] for s in starts])
-    bg_stack = np.stack([bg[s:s + WINDOW] for s in starts])
-    fge = embed_batch(fg_stack, fg_params)
-    bge = embed_batch(bg_stack, bg_params)
+    fge = embed_batch(snippet_stack(fg), fg_params)
+    bge = embed_batch(snippet_stack(bg), bg_params)
     return np.concatenate([fge, bge], axis=1)

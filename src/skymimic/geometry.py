@@ -11,7 +11,7 @@ down. Image axes: u right, v down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -208,29 +208,19 @@ def project_foreground(cam: Pose6D, K: Intrinsics, subject: Pose6D,
     )
 
 
-@dataclass
-class BgFeature:
-    velocity: np.ndarray = field(
-        default_factory=lambda: np.zeros((GRID, GRID, 2)))
-    valid: np.ndarray = field(
-        default_factory=lambda: np.zeros((GRID, GRID), dtype=bool))
-
-    def vector(self) -> np.ndarray:
-        return self.velocity.ravel()
-
-
 def render_motion_field(prev: Projection, cur: Projection,
-                        K: Intrinsics) -> BgFeature:
+                        K: Intrinsics) -> np.ndarray:
     """Mean per-cell pixel displacement of static points between two
     poses, from each pose's `project_points` result for the same points;
-    displacement normalized by image size.  A point counts when it is
-    seen from the first pose (`prev.seen`) and in front of the second
-    (`cur.front`); its four coordinates are gathered once.  A counted
-    point whose second pixel is not finite raises FloatingPointError.
-    Cells without points are zero with valid=False."""
+    displacement normalized by image size.  Returns the (GRID*GRID*2,)
+    row of the grid's cells in row-major order, (du, dv) per cell.
+    A point counts when it is seen from the first pose (`prev.seen`) and
+    in front of the second (`cur.front`); its four coordinates are
+    gathered once.  A counted point whose second pixel is not finite
+    raises FloatingPointError.  Cells without points are zero."""
     idx = np.flatnonzero(prev.seen & cur.front)
     if not idx.size:
-        return BgFeature()
+        return np.zeros(GRID * GRID * 2)
     u0, v0 = prev.u.take(idx), prev.v.take(idx)
     u1, v1 = cur.u.take(idx), cur.v.take(idx)
     # a seen pixel is finite; the second view's may overflow
@@ -247,7 +237,7 @@ def render_motion_field(prev: Projection, cur: Projection,
                      for w in (du, dv)], axis=1)
     nonzero = counts > 0
     sums[nonzero] /= counts[nonzero, None]
-    return BgFeature(sums.reshape(GRID, GRID, 2), nonzero.reshape(GRID, GRID))
+    return sums.ravel()
 
 
 def flip_fg(vec: np.ndarray) -> np.ndarray:
@@ -260,9 +250,7 @@ def flip_fg(vec: np.ndarray) -> np.ndarray:
 
 def flip_bg(vec: np.ndarray) -> np.ndarray:
     """Horizontal mirror of a flattened BG field."""
-    v = np.array(vec, dtype=float, copy=True).reshape(
-        vec.shape[:-1] + (GRID, GRID, 2))
-    v = v[..., :, ::-1, :]
-    v = v.copy()
+    v = np.asarray(vec, dtype=float).reshape(
+        vec.shape[:-1] + (GRID, GRID, 2))[..., :, ::-1, :].copy()
     v[..., 0] = -v[..., 0]
     return v.reshape(vec.shape)

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .dataset import DependencyError, VideoRecord
-from .features import (EMBED_DIM, WINDOW, autoencoder_init, embed_video,
-                       window_starts)
+from .features import (EMBED_DIM, autoencoder_init, embed_video,
+                       snippet_ends)
 from .imitation import init_imitation_net
 from .nn import ParamSet
 from .stylenet import StyleNetConfig, init_style_net, style_forward
@@ -158,6 +158,5 @@ def demo_conditioning(demo_actions: np.ndarray, step: int,
 
 def snippet_action_labels(record: VideoRecord) -> np.ndarray:
     """Action at each snippet's final frame, per snippet index."""
-    starts = window_starts(record.n_frames)
-    return np.stack([record.actions[s + WINDOW - 1] for s in starts])
+    return record.actions[snippet_ends(record.n_frames) - 1]
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import STRIDE, WINDOW, TooShortError
+from .features import STRIDE, snippet_ends
 from .pipeline import ModelBundle
 from .scene import DT, STYLES
 from .stylenet import PROB_FLOOR, prefix_probs, style_forward
@@ -65,11 +65,9 @@ def prob_curve(fg: np.ndarray, bg: np.ndarray,
                bundle: ModelBundle) -> ProbCurve:
     """Classifier probabilities over the growing prefix, all from one
     causal pass of the style net."""
-    if fg.shape[0] < WINDOW:
-        raise TooShortError(f"need at least {WINDOW} frames")
+    ends = snippet_ends(fg.shape[0])
     emb = bundle.embed(fg, bg)
     probs = prefix_probs(emb, bundle.style_params, bundle.style_cfg)
-    ends = np.arange(emb.shape[0]) * STRIDE + WINDOW
     return ProbCurve(ends * DT, probs)
 
 

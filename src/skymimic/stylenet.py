@@ -113,31 +113,29 @@ def _lstm(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig, starts=None):
 def _pooling(cs: np.ndarray, p: ParamSet, cfg: StyleNetConfig, name: str):
     """One branch's pooling weights over its LSTM outputs cs (T, hidden).
 
-    Returns (a1, gate, count): the span [0, k] pools to
-    (gate[:k+1] @ cs[:k+1]) / count[k].  With attention, gate is the
-    sigmoid score beta_t and count is 1; mean pooling has gate 1 and
-    count k + 1.  a1 is the attention scorer's hidden layer (or None).
+    Returns (a1, gate, norm): the run pools to (gate @ cs) / norm. With
+    attention, gate is the sigmoid score beta_t and norm is 1.0; mean
+    pooling has gate 1 and norm T.  a1 is the attention scorer's hidden
+    layer (or None).
     """
-    T = cs.shape[0]
     if cfg.use_attention:
         a1 = np.tanh(affine(cs, p[f"a{name}_W0"], p[f"a{name}_b0"]))
         s = affine(a1, p[f"a{name}_W1"], p[f"a{name}_b1"])[:, 0]
-        return a1, sigmoid(s), np.ones(T)
-    return None, np.ones(T), np.arange(1.0, T + 1.0)
+        return a1, sigmoid(s), 1.0
+    return None, np.ones(cs.shape[0]), float(cs.shape[0])
 
 
 def _pool(hs: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
     """One run's branch outputs hs (T, B, hidden) -> (v, trace, and per
-    branch (cs, a1, beta) for the backward)."""
-    parts, beta, c, pooled = [], {}, {}, {}
+    branch the attention scorer's hidden layer a1 for the backward)."""
+    parts, beta, c, a1s = [], {}, {}, {}
     for b, name in enumerate(cfg.branches):
         cs = hs[:, b]
-        a1, gate, count = _pooling(cs, p, cfg, name)
-        beta[name] = gate / count[-1]
+        a1s[name], gate, norm = _pooling(cs, p, cfg, name)
+        beta[name] = gate / norm
         c[name] = cs
-        pooled[name] = (cs, a1, beta[name])
         parts.append(beta[name] @ cs)
-    return np.concatenate(parts), AttentionTrace(beta, c), pooled
+    return np.concatenate(parts), AttentionTrace(beta, c), a1s
 
 
 def _check_seq(seq: np.ndarray, who: str) -> np.ndarray:
@@ -164,8 +162,8 @@ def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
     seq = _check_seq(seq, "style_forward")
     hs, _, _, lstm_cache = _lstm(seq, p, cfg, starts)
     if starts is None:
-        v, trace, pooled = _pool(hs, p, cfg)
-        return v, _classify(v, p), trace, {"lstm": lstm_cache, **pooled}
+        v, trace, a1s = _pool(hs, p, cfg)
+        return v, _classify(v, p), trace, {"lstm": lstm_cache, "a1": a1s}
     runs = [_pool(hs[j:, r], p, cfg) for r, j in enumerate(starts)]
     return (np.array([v for v, _, _ in runs]),
             np.array([_classify(v, p) for v, _, _ in runs]),
@@ -178,11 +176,12 @@ def prefix_probs(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
 
     The LSTM is causal and each pooling weight depends only on its own
     step, so the trace of one pass over seq gives every prefix's
-    feature as a running sum: of the gated outputs with attention (whose
-    gates are the trace's beta, with count 1), of the outputs over the
-    step count with mean pooling (see _pooling).  trace, when given, is
-    that pass's, from style_forward(seq) or a stacked call's run from
-    row 0, and no pass is run.
+    feature as a running sum: of the gated outputs with attention (the
+    trace's beta, whose norm is 1), and with mean pooling of the outputs
+    over the prefix's own step count k + 1, where `_pooling`'s norm is
+    the whole run's T.  trace, when given, is that pass's, from
+    style_forward(seq) or a stacked call's run from row 0, and no pass
+    is run.
     """
     if trace is None:
         trace = style_forward(seq, p, cfg)[2]
@@ -225,15 +224,15 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
     T = seq.shape[0]
     dhs = np.empty((T, len(cfg.branches), cfg.hidden))
     for b, name in enumerate(cfg.branches):
-        cs, a1, beta = cache[name]
+        cs, beta = trace.c[name], trace.beta[name]
         dv_part = dv[b * cfg.hidden:(b + 1) * cfg.hidden]
         dc = beta[:, None] * dv_part[None, :]
         if cfg.use_attention:
             lam = cfg.lambda_fg if name == "fg" else cfg.lambda_bg
             dbeta = cs @ dv_part + lam / T  # |beta| = beta for sigmoid gates
             ds = dbeta * beta * (1.0 - beta)
-            da1, dW1, db1 = affine_backward(ds[:, None], a1,
-                                            p[f"a{name}_W1"])
+            a1 = cache["a1"][name]
+            da1, dW1, db1 = affine_backward(ds[:, None], a1, p[f"a{name}_W1"])
             grads[f"a{name}_W1"] += dW1
             grads[f"a{name}_b1"] += db1
             dz0 = da1 * (1.0 - a1 * a1)

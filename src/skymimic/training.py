@@ -10,7 +10,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dataset import VideoRecord
-from .features import train_autoencoder, window
+from .features import (BG_DIM, FG_DIM, WINDOW, snippet_ends, snippet_stack,
+                       train_autoencoder)
 from .geometry import Intrinsics
 from .imitation import SnippetCorpus, train_imitation_net
 from .pipeline import ModelBundle, snippet_action_labels
@@ -27,13 +28,16 @@ def augmented(records: list[VideoRecord]) -> list[VideoRecord]:
 
 
 def snippet_batches(records: list[VideoRecord]):
-    """All (fg, bg) training windows across a record list."""
-    fg_rows, bg_rows = [], []
-    for rec in records:
-        for snip in window(rec.fg, rec.bg, rec.video_id):
-            fg_rows.append(snip.fg)
-            bg_rows.append(snip.bg)
-    return np.stack(fg_rows), np.stack(bg_rows)
+    """All (fg, bg) training windows across a record list. Each record's
+    windows go straight into their rows of the two batches, so no second
+    copy of a batch is ever held."""
+    rows = np.cumsum([0] + [snippet_ends(r.n_frames).size for r in records])
+    fg = np.empty((rows[-1], WINDOW, FG_DIM))
+    bg = np.empty((rows[-1], WINDOW, BG_DIM))
+    for rec, a, b in zip(records, rows, rows[1:]):
+        fg[a:b] = snippet_stack(rec.fg)
+        bg[a:b] = snippet_stack(rec.bg)
+    return fg, bg
 
 
 def train_encoders(records: list[VideoRecord], cfg: ExperimentConfig):

@@ -6,12 +6,17 @@ central finite differences for the analytic gradients;
 `project_points_reference` projects a cloud into (N, 2) pixel rows and
 `motion_field_reference` masks, compresses and bins those rows, the
 references for `geometry.project_points` and
-`geometry.render_motion_field`."""
+`geometry.render_motion_field`; `flip_bg_reference` mirrors a bg field
+through two copies, the reference for `geometry.flip_bg`; and
+`snippet_windows_reference` lists a table's snippet windows start by
+start, the reference for `features.snippet_ends` and
+`features.snippet_stack`."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from skymimic.features import STRIDE, WINDOW, TooShortError
 from skymimic.geometry import GRID
 from skymimic.imitation import WarpingPath
 from skymimic.nn import NumericError, ParamSet
@@ -145,3 +150,30 @@ def motion_field_reference(proj_t, proj_t1, K):
     nonzero = counts > 0
     sums[nonzero] /= counts[nonzero, None]
     return sums.reshape(GRID, GRID, 2), nonzero.reshape(GRID, GRID)
+
+
+def flip_bg_reference(vec: np.ndarray) -> np.ndarray:
+    """Horizontal mirror of flattened bg fields: a copy of the input,
+    reshaped to the grid, its columns reversed, copied again and the u
+    component negated."""
+    v = np.array(vec, dtype=float, copy=True).reshape(
+        vec.shape[:-1] + (GRID, GRID, 2))
+    v = v[..., :, ::-1, :]
+    v = v.copy()
+    v[..., 0] = -v[..., 0]
+    return v.reshape(vec.shape)
+
+
+def snippet_windows_reference(table: np.ndarray):
+    """(starts, windows) of an (n, D) table: a window starts every
+    STRIDE rows while WINDOW rows remain, and each is np.stack-ed from
+    its row slice.  Raises TooShortError when n < WINDOW."""
+    n = table.shape[0]
+    if n < WINDOW:
+        raise TooShortError(f"{n} rows, window {WINDOW}")
+    starts = []
+    s = 0
+    while s + WINDOW <= n:
+        starts.append(s)
+        s += STRIDE
+    return starts, np.stack([table[s:s + WINDOW] for s in starts])

@@ -364,7 +364,7 @@ def test_closed_loop_fields_match_per_pair_reference(style):
         field = render_motion_field(project_points(a.camera, K, scene.cloud),
                                     project_points(b.camera, K, scene.cloud),
                                     K)
-        assert np.array_equal(run.bg[j], field.vector())
+        assert np.array_equal(run.bg[j], field)
 
 
 def test_closed_loop_projects_each_pose_once(monkeypatch):

@@ -1,35 +1,66 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from skymimic.features import (WINDOW, ChannelError, EncoderStream,
+from skymimic.features import (STRIDE, WINDOW, ChannelError, EncoderStream,
                                TooShortError, autoencoder_init, embed_batch,
-                               embed_video, train_autoencoder, window,
-                               window_starts, _ae_backward, _ae_forward)
+                               embed_video, snippet_ends, snippet_stack,
+                               train_autoencoder, _ae_backward, _ae_forward)
 from skymimic.nn import NumericError
-from oracles import grad_check
+from skymimic.training import snippet_batches
+from oracles import grad_check, snippet_windows_reference
 
 
 def test_window_counts():
-    assert window_starts(40) == [0, 4, 8, 12, 16, 20, 24, 28, 32]
-    assert window_starts(8) == [0]
+    assert snippet_ends(40).tolist() == [8, 12, 16, 20, 24, 28, 32, 36, 40]
+    assert snippet_ends(8).tolist() == [8]
     with pytest.raises(TooShortError):
-        window_starts(7)
+        snippet_ends(7)
 
 
 def test_window_count_formula():
-    for length in range(8, 100):
-        starts = window_starts(length)
-        assert len(starts) == (length - 8) // 4 + 1
-        assert starts[-1] <= length - 8
+    # the grid against a start-by-start loop, for every length that
+    # fits fewer than ten windows, and one too short
+    rng = np.random.default_rng(21)
+    for length in range(7, 41):
+        table = rng.normal(size=(length, 3))
+        if length < WINDOW:
+            with pytest.raises(TooShortError):
+                snippet_ends(length)
+            with pytest.raises(TooShortError):
+                snippet_stack(table)
+            continue
+        starts, windows = snippet_windows_reference(table)
+        ends = snippet_ends(length)
+        assert ends.tolist() == [s + WINDOW for s in starts]
+        assert ends.size == (length - WINDOW) // STRIDE + 1
+        stack = snippet_stack(table)
+        assert stack.flags.c_contiguous
+        assert stack.shape == windows.shape
+        assert np.array_equal(stack, windows)
 
 
 def test_window_slices():
     fg = np.arange(12 * 5, dtype=float).reshape(12, 5)
-    bg = np.zeros((12, 128))
-    sns = window(fg, bg, "vid")
-    assert len(sns) == 2
-    assert np.allclose(sns[1].fg, fg[4:12])
-    assert sns[1].start == 4 and sns[1].video_id == "vid"
+    stack = snippet_stack(fg)
+    assert stack.shape == (2, WINDOW, 5)
+    assert np.array_equal(stack[1], fg[4:12])
+    # a copy, not a view of the table
+    stack[0, 0, 0] = -1.0
+    assert fg[0, 0] == 0.0
+
+
+def test_snippet_batches_are_every_records_windows_in_order():
+    rng = np.random.default_rng(22)
+    records = [SimpleNamespace(n_frames=n, fg=rng.normal(size=(n, 5)),
+                               bg=rng.normal(size=(n, 128)))
+               for n in (8, 13, 30, 11)]
+    fg, bg = snippet_batches(records)
+    for got, ch in ((fg, "fg"), (bg, "bg")):
+        want = np.concatenate([snippet_windows_reference(getattr(r, ch))[1]
+                               for r in records])
+        assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
 def test_autoencoder_gradients():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import motion_field_reference, project_points_reference
+from oracles import (flip_bg_reference, motion_field_reference,
+                     project_points_reference)
 from skymimic.geometry import (BODY_WIDTH_RATIO, Intrinsics, Pose6D,
                                VisibilityError, flip_bg,
                                flip_fg, look_at, pixel_to_world,
@@ -135,10 +136,11 @@ def test_motion_field_static_camera_zero():
     rng = np.random.default_rng(1)
     cloud = rng.uniform(-20, 20, size=(500, 3)) + [30, 0, 0]
     cam = Pose6D(np.zeros(3))
-    proj = project_points(cam, Intrinsics(), cloud)
-    f = render_motion_field(proj, proj, Intrinsics())
-    assert np.allclose(f.velocity, 0.0)
-    assert f.valid.any()
+    K = Intrinsics()
+    proj = project_points(cam, K, cloud)
+    f = render_motion_field(proj, proj, K)
+    assert f.shape == (128,) and np.allclose(f, 0.0)
+    assert _reference_field(cam, cam, K, cloud)[1].any()
 
 
 def test_motion_field_translation_expands():
@@ -157,8 +159,9 @@ def test_motion_field_translation_expands():
     centers = (np.arange(8) + 0.5) / 8.0 - 0.5
     gy, gx = np.meshgrid(centers, centers, indexing="ij")
     radial = np.stack([gx, gy], axis=-1)
-    dots = np.einsum("ijk,ijk->ij", f.velocity, radial)
-    assert np.all(dots[f.valid] >= -1e-12)
+    dots = np.einsum("ijk,ijk->ij", f.reshape(8, 8, 2), radial)
+    valid = _reference_field(cam0, cam1, K, cloud)[1]
+    assert valid.any() and np.all(dots[valid] >= -1e-12)
 
 
 def test_motion_field_pure_yaw_magnitude():
@@ -175,8 +178,8 @@ def test_motion_field_pure_yaw_magnitude():
     f = render_motion_field(project_points(cam0, K, cloud),
                             project_points(cam1, K, cloud), K)
     # near the image center the horizontal shift is ~ focal * omega px
-    center_cells = f.velocity[3:5, 3:5, 0] * K.width
-    assert f.valid[3:5, 3:5].all()
+    center_cells = f.reshape(8, 8, 2)[3:5, 3:5, 0] * K.width
+    assert _reference_field(cam0, cam1, K, cloud)[1][3:5, 3:5].all()
     expect = -K.focal * omega  # scene shifts right->left sign per axes
     assert np.allclose(np.abs(center_cells), abs(expect),
                        rtol=0.08)
@@ -200,6 +203,19 @@ def test_flip_fg():
     out = flip_fg(v)
     assert np.allclose(out, [0.7, 0.6, 0.1, 0.2, -0.5])
     assert np.allclose(flip_fg(out), v)
+
+
+def test_flip_bg_matches_two_copy_reference():
+    # one field, a batch of fields, a (T, 128) table read as a
+    # column slice of a wider one, and an empty table
+    rng = np.random.default_rng(7)
+    wide = rng.normal(size=(30, 133))
+    for vec in (rng.normal(size=128), rng.normal(size=(4, 6, 128)),
+                wide[:, 5:], np.zeros((0, 128))):
+        out = flip_bg(vec)
+        assert out.shape == vec.shape and out.flags.c_contiguous
+        assert np.array_equal(out, flip_bg_reference(vec))
+        assert not np.shares_memory(out, vec)
 
 
 def test_flip_bg_involution_and_sign():
@@ -236,10 +252,9 @@ def test_motion_field_from_projections_matches_reference(n_points):
         f = render_motion_field(project_points(cam0, K, cloud),
                                 project_points(cam1, K, cloud), K)
         velocity, valid = _reference_field(cam0, cam1, K, cloud)
-        assert np.array_equal(f.velocity, velocity)
-        assert np.array_equal(f.valid, valid)
+        assert np.array_equal(f, velocity.ravel())
         if 0 < n_points <= 40:
-            assert not f.valid.all()
+            assert not valid.all()
 
 
 def test_motion_field_no_valid_point():
@@ -257,8 +272,8 @@ def test_motion_field_no_valid_point():
         assert prev.front.all() == in_front and not prev.seen.any()
         f = render_motion_field(prev, cur, K)
         velocity, valid = _reference_field(cam0, cam1, K, cloud)
-        assert np.array_equal(f.velocity, velocity) and not f.velocity.any()
-        assert np.array_equal(f.valid, valid) and not f.valid.any()
+        assert f.shape == (128,) and not f.any()
+        assert np.array_equal(f, velocity.ravel()) and not valid.any()
 
 
 # A camera at the origin with every angle 0 has right = -y, down = -z
@@ -298,8 +313,7 @@ def test_motion_field_edge_rows_match_reference(name):
         assert (prev.seen & cur.front)[-1] == kept
         f = render_motion_field(prev, cur, K)
         velocity, valid = _reference_field(cam0, cam1, K, cloud)
-        assert np.array_equal(f.velocity, velocity)
-        assert np.array_equal(f.valid, valid)
+        assert np.array_equal(f, velocity.ravel())
     assert valid.any()   # the bulk fills cells with or without the row
 
 
