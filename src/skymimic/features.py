@@ -10,16 +10,23 @@ Salakhutdinov, "Unsupervised Learning of Video Representations using
 LSTMs" (ICML 2015): its gates see only the bias and the recurrence.
 Its `dec_Wx` has no rows and it reads an input of no columns, so no
 input GEMM runs forward and its Wx gradient is empty.
+
+Training reads the windows straight from the per-record tables, one
+batch at a time, and every step writes over the arrays of the last:
+its batch, its LSTM caches (lstm_forward's out), its error, its dz
+(lstm_backward's out) and its gradient set.
 """
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, affine,
-                 fit, lstm_backward, lstm_forward, lstm_init,
-                 lstm_input_weights)
-from .nn.layers import _gate_scale, _gate_scaled, _lstm_steps
+from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, fit,
+                 lstm_backward, lstm_forward, lstm_init, lstm_input_weights)
+from .nn.layers import LSTMCache, _gate_scale, _gate_scaled, _lstm_steps
 from .nn.params import uniform_init
 
 WINDOW = 8
@@ -75,61 +82,150 @@ def autoencoder_init(channel: str, seed: int) -> ParamSet:
     return p
 
 
-def _ae_forward(batch: np.ndarray, p: ParamSet):
-    """batch (B, N, D) -> (mse, embeddings (B, H), caches)."""
+class _Step(NamedTuple):
+    """The arrays an autoencoder step over n windows of T rows writes
+    over: its batch (n, T, D); the encoder's and the decoder's caches,
+    passed to lstm_forward as out; the error (T, n, D), which becomes
+    its own gradient; and dz (T, n, 4H), which both LSTM backwards write
+    over and whose first elements hold the forward's squared error
+    before that (D <= 4H on both channels)."""
+    batch: np.ndarray
+    enc: LSTMCache
+    dec: LSTMCache
+    err: np.ndarray
+    dz: np.ndarray
+
+
+def _step_shapes(T: int, n: int, d_in: int, H: int) -> list[tuple]:
+    """The shapes of the arrays of a _Step of n windows of T rows, in
+    field order, the caches' hs, cs, gates and tcs in turn."""
+    cache = [(T + 1, n, H), (T + 1, n, H), (T, n, 4 * H), (T, n, H)]
+    return [(n, T, d_in)] + cache + cache + [(T, n, d_in), (T, n, 4 * H)]
+
+
+def _step_arrays(T: int, n: int, d_in: int, H: int,
+                 buf: np.ndarray | None = None) -> _Step:
+    """A _Step of n windows of T rows, its arrays cut in turn from the
+    front of the flat buffer buf, by default a new one of their size.
+    Steps of two batch sizes may cut one buffer; the smaller one then
+    writes over the larger one's arrays."""
+    shapes = _step_shapes(T, n, d_in, H)
+    if buf is None:
+        buf = np.empty(sum(map(math.prod, shapes)))
+    arrays, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(buf[at:at + size].reshape(shape))
+        at += size
+    batch, *caches, err, dz = arrays
+    return _Step(batch, LSTMCache(None, *caches[:4], None),
+                 LSTMCache(None, *caches[4:], None), err, dz)
+
+
+def _ae_forward(batch: np.ndarray, p: ParamSet, step: _Step | None = None):
+    """batch (B, N, D) -> (mse, embeddings (B, H), caches). The arrays
+    it forms are those of step, the _Step of this batch's shape, which
+    are written over; by default a new _Step's."""
     xs = np.transpose(batch, (1, 0, 2))  # (N, B, D)
-    _, h_enc, c_enc, enc_caches = lstm_forward(xs, p, prefix="enc_")
-    dec_hs, _, _, dec_caches = lstm_forward(np.empty(xs.shape[:2] + (0,)),
-                                            p, prefix="dec_", h0=h_enc,
-                                            c0=c_enc)
-    recon = affine(dec_hs, p["out_W"], p["out_b"])
-    target = xs[::-1]
-    err = recon - target
-    mse = float(np.mean(err ** 2))
-    return mse, h_enc, (err, dec_hs, enc_caches, dec_caches)
+    if step is None:
+        step = _step_arrays(*xs.shape, p["enc_Wh"].shape[0])
+    _, h_enc, c_enc, enc_cache = lstm_forward(xs, p, prefix="enc_",
+                                              out=step.enc)
+    dec_hs, _, _, dec_cache = lstm_forward(np.empty(xs.shape[:2] + (0,)),
+                                           p, prefix="dec_", h0=h_enc,
+                                           c0=c_enc, out=step.dec)
+    # the reconstruction dec_hs @ out_W + out_b minus the reversed
+    # window, formed in one array
+    err = np.matmul(dec_hs, p["out_W"], out=step.err)
+    err += p["out_b"]
+    err -= xs[::-1]
+    sq = np.square(err, out=step.dz.reshape(-1)[:err.size].reshape(err.shape))
+    mse = float(np.mean(sq))
+    return mse, h_enc, (err, dec_hs, enc_cache, dec_cache, step.dz)
 
 
-def _ae_backward(p: ParamSet, cache) -> ParamSet:
-    err, dec_hs, enc_caches, dec_caches = cache
-    grads = p.zeros_like()
-    derr = 2.0 * err / err.size
+def _ae_backward(p: ParamSet, cache, grads: ParamSet | None = None
+                 ) -> ParamSet:
+    """The gradients of _ae_forward's mse, which the forward's err
+    becomes in place; both LSTM backwards write over the step's dz.
+    grads, when given, is zeroed and filled instead of a new set."""
+    err, dec_hs, enc_cache, dec_cache, dz = cache
+    if grads is None:
+        grads = p.zeros_like()
+    else:
+        grads.flat.fill(0.0)
+    derr = err
+    derr *= 2.0
+    derr /= err.size
     # the output layer over every step at once, in the per-step loop's
     # order of sums: each step's product or row sum, then the steps'
-    dhs = derr @ p["out_W"].T
     grads["out_W"] += np.matmul(dec_hs.transpose(0, 2, 1), derr).sum(axis=0)
     grads["out_b"] += derr.sum(axis=1).sum(axis=0)
-    _, dh0, dc0 = lstm_backward(dhs, dec_caches, p, grads, prefix="dec_")
-    lstm_backward(None, enc_caches, p, grads, prefix="enc_",
-                  dh_final=dh0, dc_final=dc0)
+    _, dh0, dc0 = lstm_backward(derr @ p["out_W"].T, dec_cache, p, grads,
+                                prefix="dec_", out=dz)
+    # the decoder's dz is not read again: the encoder's is written over it
+    lstm_backward(None, enc_cache, p, grads, prefix="enc_",
+                  dh_final=dh0, dc_final=dc0, out=dz)
     return grads
 
 
-def train_autoencoder(snippets: list[np.ndarray] | np.ndarray, channel: str,
-                      epochs: int = 60, seed: int = 0, lr: float = 0.001,
+def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
+                      lr: float = 0.001,
                       batch_size: int = 64) -> tuple[ParamSet, list[dict]]:
-    """Train one channel's autoencoder. Returns (params, per-epoch log
-    of mean MSE, as nn.fit writes it)."""
-    batch_all = np.asarray(snippets, dtype=float)
-    if batch_all.ndim != 3 or batch_all.shape[0] == 0:
-        raise ValueError("need a nonempty (B, N, D) snippet array")
-    d_in, _ = CHANNEL_DIMS[channel]
-    if batch_all.shape[2] != d_in:
+    """Train one channel's autoencoder on the snippet windows of
+    `tables`, a sequence of (n, D) per-record tables; a (B, WINDOW, D)
+    array is B tables of one window each. Returns (params, per-epoch log
+    of mean MSE, as nn.fit writes it).
+
+    Window j is the j-th snippet of the tables' grids taken in order, so
+    an epoch's batches are the windows rng.permutation picks, gathered
+    from the tables into a (B, WINDOW, D) array: no stack of every
+    window, which would be twice the tables' size, is formed. Every step
+    writes over the arrays of the last one: one buffer holds the _Step
+    of the full batch and, over it, that of an epoch's tail, and one
+    gradient set serves every step. What a step still allocates are the
+    kernels' and the output layer's smaller temporaries, so the
+    allocator keeps its memory instead of handing it back to the system
+    and faulting it in again at every step."""
+    tables = [np.asarray(t, dtype=float) for t in tables]
+    if not tables or any(t.ndim != 2 for t in tables):
+        raise ValueError("need a nonempty sequence of (n, D) tables")
+    d_in, hidden = CHANNEL_DIMS[channel]
+    if any(t.shape[1] != d_in for t in tables):
         raise ChannelError(
             f"channel {channel!r} expects dim {d_in}, got "
-            f"{batch_all.shape[2]}")
+            f"{sorted({t.shape[1] for t in tables})}")
+    ends = [snippet_ends(t.shape[0]) for t in tables]
+    table_of = np.repeat(np.arange(len(tables)), [e.size for e in ends])
+    start_of = np.concatenate(ends) - WINDOW
     p = autoencoder_init(channel, seed)
     state = AdamaxState(p, lr=lr)
     rng = np.random.default_rng(seed + 1)
+    buf = np.empty(sum(map(math.prod, _step_shapes(
+        WINDOW, min(batch_size, start_of.size), d_in, hidden))))
+    steps = {}   # batch size -> _Step
+    grads = p.zeros_like()
 
     def batches():
-        order = rng.permutation(batch_all.shape[0])
+        order = rng.permutation(start_of.size)
         for ofs in range(0, order.size, batch_size):
-            yield batch_all[order[ofs:ofs + batch_size]]
+            idx = order[ofs:ofs + batch_size]
+            if idx.size not in steps:
+                steps[idx.size] = _step_arrays(WINDOW, idx.size, d_in,
+                                               hidden, buf)
+            step = steps[idx.size]
+            np.concatenate([tables[k][a:a + WINDOW] for k, a in
+                            zip(table_of[idx].tolist(),
+                                start_of[idx].tolist())],
+                           out=step.batch.reshape(-1, d_in))
+            yield step
 
     # fit gets (mse, cache); the backward runs in update, once fit has
     # found the loss finite
-    return fit(p, batches, lambda batch: _ae_forward(batch, p)[::2],
-               lambda cache: adamax_update(p, _ae_backward(p, cache), state),
+    return fit(p, batches,
+               lambda step: _ae_forward(step.batch, p, step=step)[::2],
+               lambda cache: adamax_update(
+                   p, _ae_backward(p, cache, grads), state),
                epochs, f"autoencoder ({channel})")
 
 

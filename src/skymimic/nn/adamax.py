@@ -69,11 +69,13 @@ def fit(p: ParamSet, examples, loss_and_grad, update, epochs: int,
     Each epoch iterates a fresh examples(); loss_and_grad(example) gives
     (loss, grads), and the loss is checked before update(grads) runs, so
     a trainer may pass a forward cache as grads and run its backward in
-    update. A non-finite loss, or an epoch with no example, raises
-    TrainingError naming `what`. log has one dict per epoch: epoch, mean
-    train_loss and, with validate, val_accuracy = validate(p); then the
-    params are a copy of p from the first epoch of best accuracy, and
-    otherwise p itself.
+    update. fit holds neither the example nor grads once update returns,
+    so a step's arrays are freed (or free to be written over) before the
+    next example is drawn. A non-finite loss, or an epoch with no
+    example, raises TrainingError naming `what`. log has one dict per
+    epoch: epoch, mean train_loss and, with validate, val_accuracy =
+    validate(p); then the params are a copy of p from the first epoch of
+    best accuracy, and otherwise p itself.
     """
     best_acc, best_p = -1.0, p
     log = []
@@ -85,6 +87,7 @@ def fit(p: ParamSet, examples, loss_and_grad, update, epochs: int,
                 raise TrainingError(f"{what} diverged at epoch {epoch}")
             update(grads)
             losses.append(loss)
+            del example, grads
         if not losses:
             raise TrainingError(
                 f"{what} had no training example at epoch {epoch}")

@@ -45,13 +45,21 @@ call, not per flop:
   the initial state in row 0; gate activations (T, R, 4H) in i|f|g|o
   order; tanh(c_t) as tcs (T, R, H); and the batch axes. The backward
   is given the forward's prefixes, which fix the cell count.
-- Backward. BPTT over one run writes each step's pre-activation
-  gradient dz into one (T, R, 4H) array, again with no per-step
-  allocation, and steps the cells of a stack together as the forward
-  does; dWx, dWh and db are then one GEMM (or sum) each per cell over
-  every row, added into the gradient set's views in place. The input
-  gradient is not formed: dz is returned, and a caller that needs it
-  computes dz @ Wx.T.
+- Reuse. A training loop runs one shape step after step, and fresh
+  arrays per step cost, once freed, the page faults of the allocator
+  handing the memory back and taking it again. `lstm_forward(...,
+  out=cache)` writes over the arrays of a cache of the same shapes that
+  the caller no longer needs, and `lstm_backward(..., out=dz)` over a
+  dz, after the same paper's advice to keep a step's buffers resident.
+  The arrays a call returns are then the ones it was given.
+- Backward. BPTT over one run forms each step's gate coefficients in
+  one (T, R, 4H) array and writes the step's pre-activation gradient
+  dz over that step's coefficient rows, their last read, so dz needs no
+  array of its own and the step loop allocates nothing. It steps the
+  cells of a stack together as the forward does; dWx, dWh and db are
+  then one GEMM (or sum) each per cell over every row, added into the
+  gradient set's views in place. The input gradient is not formed: dz
+  is returned, and a caller that needs it computes dz @ Wx.T.
 """
 
 from __future__ import annotations
@@ -252,7 +260,7 @@ def lstm_input_weights(p: ParamSet,
 def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                  h0: np.ndarray | None = None,
                  c0: np.ndarray | None = None,
-                 starts=None):
+                 starts=None, out: LSTMCache | None = None):
     """Run the cell over time axis 0 of xs (T, ..., D).
 
     A cell that reads no input has a Wx of no rows and is given xs of
@@ -275,6 +283,14 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
 
     h0 and c0, the initial state of a call of one run, broadcast against
     the final state; with starts they raise ValueError.
+
+    out, an LSTMCache whose hs, cs, gates and tcs have this call's
+    shapes and hold nothing the caller still needs (the cache of the
+    last step of a training loop, say), is written over instead of
+    allocating new arrays; its xs and lead are not read. The returned
+    arrays are then out's, and so is every view of an earlier call that
+    returned them. out of other shapes, or out with starts, raises
+    DimensionError.
 
     Returns (hs (T, [S,] [B,] ..., H), final h, final c, cache), with
     the run axis when starts are given and the cell axis for a stack;
@@ -310,8 +326,22 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     runs, N, axes, block = _layout(starts, cell_axis, lead)
     S = len(runs)
     R = S * B * N
-    hs = np.zeros((T + 1, R, H))
-    cs = np.zeros((T + 1, R, H))
+    if out is None:
+        hs, cs = np.zeros((T + 1, R, H)), np.zeros((T + 1, R, H))
+        pre = np.empty((T, B, N, 4 * H))
+    else:
+        if starts is not None:
+            raise DimensionError("lstm_forward: a forward with starts "
+                                 "keeps no cache to write over")
+        want = [(T + 1, R, H)] * 2 + [(T, R, 4 * H), (T, R, H)]
+        if [a.shape for a in out[1:5]] != want:
+            raise DimensionError(
+                f"lstm_forward: out arrays of shapes "
+                f"{[a.shape for a in out[1:5]]} do not fit this call's "
+                f"{want}")
+        hs, cs = out.hs, out.cs
+        hs[0] = cs[0] = 0.0   # every later row is written by the steps
+        pre = out.gates.reshape(T, B, N, 4 * H)
     for state, init in ((hs, h0), (cs, c0)):
         if init is not None:
             init = np.asarray(init, float)
@@ -329,7 +359,6 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     # each cell's input projection of every row in one matmul; the runs
     # of a cell share it. A cell that reads no input gets b·s alone: a
     # matmul over no columns and a bias add cost several times the copy
-    pre = np.empty((T, B, N, 4 * H))
     for b, (x, q) in enumerate(zip(_columns(xs, p, prefixes), prefixes)):
         Wxs, bs = lstm_input_weights(p, q)
         if x.shape[-1]:
@@ -342,7 +371,9 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     if starts is None:
         # kept for the backward: each step's gate block is finished in
         # place in the projection itself
-        gates, tcs = rows, np.empty((T,) + block + (H,))
+        shape = (T,) + block + (H,)
+        gates = rows
+        tcs = np.empty(shape) if out is None else out.tcs.reshape(shape)
     else:
         # nothing is kept: every step finishes its gate block and tanh(c)
         # in the same scratch, one step's worth
@@ -369,7 +400,8 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
 
 
 def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
-                  prefix: str | tuple = "", dh_final=None, dc_final=None):
+                  prefix: str | tuple = "", dh_final=None, dc_final=None,
+                  out: np.ndarray | None = None):
     """BPTT over a sequence run by lstm_forward without starts.
 
     dhs: per-step gradients w.r.t. each h_t (array over time, or None).
@@ -382,6 +414,10 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     pre-activation x_t·Wx + h_{t-1}·Wh + b; dh0 and dc0 are the
     gradients w.r.t. the initial state. The input gradient is
     dz @ Wx.T, which no caller here needs.
+
+    out, an array of dz's shape that holds nothing the caller still
+    needs, is written over and returned as dz instead of allocating
+    one; another shape raises DimensionError.
     """
     if cache is None:
         raise DimensionError("lstm_backward: a forward with starts keeps "
@@ -403,7 +439,14 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     # c_t; coef holds each gate's derivative times its partner in
     # c_t = f c_{t-1} + i g and h_t = o tanh(c_t). Both factors are
     # formed in the arrays that hold them, with no temporaries.
-    coef = np.subtract(1.0, gates)
+    if out is None:
+        coef = np.subtract(1.0, gates)
+    elif out.shape != (T,) + axes + (4 * H,):
+        raise DimensionError(
+            f"lstm_backward: out shape {out.shape} is not dz's "
+            f"{(T,) + axes + (4 * H,)}")
+    else:
+        coef = np.subtract(1.0, gates, out=out.reshape(T, R, 4 * H))
     coef *= gates
     coef_g = coef[..., 2 * H:3 * H]
     np.multiply(g, g, out=coef_g)
@@ -412,6 +455,9 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     coef[..., :H] *= g
     coef[..., H:2 * H] *= cs[:-1]
     coef[..., 3 * H:] *= tcs
+    # each step's dz is written over that step's coef rows, their last
+    # read: dz is the coef array
+    dz = coef.reshape((T,) + block + (4 * H,))
     coef = coef.reshape((T,) + block + (4, H))
     o_dtc = np.multiply(tcs, tcs)
     np.subtract(1.0, o_dtc, out=o_dtc)
@@ -421,8 +467,6 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     # Wh.T per cell: a view for one cell, a stacked copy for more
     Wh = [p[q + "Wh"] for q in prefixes]
     WhT = np.swapaxes(Wh[0] if B == 1 else np.stack(Wh), -1, -2)
-    dz = np.empty((T,) + block + (4 * H,))
-    dz4 = dz.reshape((T,) + block + (4, H))
     # the step loop allocates nothing: dh, dc and dct are buffers of
     # this call (the caller's dh_final and dc_final are copied in, never
     # written), and every per-step operand is a view built up front
@@ -432,16 +476,16 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
         dh[...] = np.reshape(dh_final, dh.shape)
     if dc_final is not None:
         dc[...] = np.reshape(dc_final, dc.shape)
-    steps = zip(dz[::-1], dz4[::-1, ..., :3, :], dz4[::-1, ..., 3, :],
-                coef[::-1, ..., :3, :], coef[::-1, ..., 3, :], o_dtc[::-1],
-                f[::-1], dhs[::-1] if dhs is not None else [None] * T)
-    for dz_t, dz_c, dz_o, coef_c, coef_o, o_dtc_t, f_t, dh_t in steps:
+    steps = zip(dz[::-1], coef[::-1, ..., :3, :], coef[::-1, ..., 3, :],
+                o_dtc[::-1], f[::-1],
+                dhs[::-1] if dhs is not None else [None] * T)
+    for dz_t, coef_c, coef_o, o_dtc_t, f_t, dh_t in steps:
         if dh_t is not None:
             dh += dh_t
         np.multiply(dh, o_dtc_t, out=dct)
         dct += dc
-        np.multiply(coef_c, dct[..., None, :], out=dz_c)
-        np.multiply(coef_o, dh, out=dz_o)
+        np.multiply(coef_c, dct[..., None, :], out=coef_c)
+        np.multiply(coef_o, dh, out=coef_o)
         np.multiply(dct, f_t, out=dc)
         np.matmul(dz_t, WhT, out=dh)
     # weight gradients: one GEMM (or sum) each per cell over every row,

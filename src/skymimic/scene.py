@@ -285,20 +285,28 @@ def make_point_cloud(rng: np.random.Generator, center=(0.0, 0.0),
     structures of 18 points each, so cells above the horizon get
     coverage. Filled into one array, in the order of the draws: ground
     x, ground y, then per structure its base x, base y and height, the
-    jitter of its points' x and y, and their heights."""
+    jitter of its points' x and y, and their heights.
+
+    A structure takes three generator calls: its three base draws, its
+    2·18 jitters and its 18 height fractions. Uniform draws are mapped
+    as low + (high - low) * u, the form rng.uniform(low, high) applies
+    to the same doubles, so the points and the generator's state after
+    the call are those of one call per draw."""
     cx, cy = center
     m = 18
     pts = np.empty((n_ground + m * n_structures, 3))
     pts[:n_ground, 0] = rng.uniform(cx - extent, cx + extent, n_ground)
     pts[:n_ground, 1] = rng.uniform(cy - extent, cy + extent, n_ground)
     pts[:n_ground, 2] = 0.0
+    x0, y0 = cx - extent, cy - extent
+    xspan, yspan = (cx + extent) - x0, (cy + extent) - y0
     for block in pts[n_ground:].reshape(n_structures, m, 3):
-        bx = rng.uniform(cx - extent, cx + extent)
-        by = rng.uniform(cy - extent, cy + extent)
-        height = rng.uniform(2.0, 12.0)
-        block[:, 0] = bx + rng.normal(0, 0.3, m)
-        block[:, 1] = by + rng.normal(0, 0.3, m)
-        block[:, 2] = rng.uniform(0, height, m)
+        ux, uy, uh = rng.random(3).tolist()
+        jitter = rng.normal(0, 0.3, 2 * m)
+        np.add(x0 + xspan * ux, jitter[:m], out=block[:, 0])
+        np.add(y0 + yspan * uy, jitter[m:], out=block[:, 1])
+        # uniform(0, height): 0 + height * u is height * u, u >= 0
+        np.multiply(2.0 + 10.0 * uh, rng.random(m), out=block[:, 2])
     return pts
 
 

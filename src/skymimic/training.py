@@ -10,8 +10,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dataset import VideoRecord
-from .features import (BG_DIM, FG_DIM, WINDOW, snippet_ends, snippet_stack,
-                       train_autoencoder)
+from .features import train_autoencoder
 from .geometry import Intrinsics
 from .imitation import SnippetCorpus, train_imitation_net
 from .pipeline import ModelBundle, snippet_action_labels
@@ -27,25 +26,16 @@ def augmented(records: list[VideoRecord]) -> list[VideoRecord]:
     return list(records) + [r.flipped() for r in records]
 
 
-def snippet_batches(records: list[VideoRecord]):
-    """All (fg, bg) training windows across a record list. Each record's
-    windows go straight into their rows of the two batches, so no second
-    copy of a batch is ever held."""
-    rows = np.cumsum([0] + [snippet_ends(r.n_frames).size for r in records])
-    fg = np.empty((rows[-1], WINDOW, FG_DIM))
-    bg = np.empty((rows[-1], WINDOW, BG_DIM))
-    for rec, a, b in zip(records, rows, rows[1:]):
-        fg[a:b] = snippet_stack(rec.fg)
-        bg[a:b] = snippet_stack(rec.bg)
-    return fg, bg
-
-
 def train_encoders(records: list[VideoRecord], cfg: ExperimentConfig):
-    fg_batch, bg_batch = snippet_batches(augmented(records))
-    fg_p, _ = train_autoencoder(fg_batch, "fg", cfg.autoencoder_epochs,
-                                seed=cfg.seed, lr=cfg.autoencoder_lr)
-    bg_p, _ = train_autoencoder(bg_batch, "bg", cfg.autoencoder_epochs,
-                                seed=cfg.seed + 1, lr=cfg.autoencoder_lr)
+    """The fg and bg autoencoders, trained on the snippet windows of the
+    records' tables and their mirrors'."""
+    recs = augmented(records)
+    fg_p, _ = train_autoencoder([r.fg for r in recs], "fg",
+                                cfg.autoencoder_epochs, seed=cfg.seed,
+                                lr=cfg.autoencoder_lr)
+    bg_p, _ = train_autoencoder([r.bg for r in recs], "bg",
+                                cfg.autoencoder_epochs, seed=cfg.seed + 1,
+                                lr=cfg.autoencoder_lr)
     return fg_p, bg_p
 
 

@@ -130,7 +130,7 @@ def test_train_unknown_config_key(workspace, tmp_path):
 
 
 def test_train_divergence_exits_4(workspace, tmp_path, monkeypatch, capsys):
-    def diverged(batch, p):
+    def diverged(batch, p, step=None):
         return float("nan"), None, None
 
     monkeypatch.setattr(features, "_ae_forward", diverged)

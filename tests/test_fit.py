@@ -5,6 +5,8 @@ kept verbatim in logic: each trainer must give the same parameters,
 losses and accuracies to the bit.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,27 @@ def test_fit_empty_epoch_raises():
     with pytest.raises(TrainingError,
                        match="^toy had no training example at epoch 0$"):
         fit(p, lambda: iter([]), lambda _: (1.0, None), update, 1, "toy")
+
+
+def test_fit_holds_no_step_when_the_next_example_is_drawn():
+    # a step's example and the cache its loss_and_grad gave are freed
+    # once update returns, before the examples iterator makes the next
+    class Box:
+        pass
+
+    refs, alive = [], []
+
+    def tracked():
+        box = Box()
+        refs.append(weakref.ref(box))
+        return box
+
+    def examples():
+        for _ in range(3):
+            alive.append(sum(r() is not None for r in refs))
+            yield tracked()
+
+    p, update, _ = _counting_net([])
+    fit(p, examples, lambda ex: (1.0, tracked()), update, 2, "toy")
+    assert len(refs) == 12   # an example and a cache per step
+    assert alive == [0] * 6

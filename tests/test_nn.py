@@ -511,6 +511,72 @@ def test_lstm_stack_bit_identical_to_per_cell_runs(n_cells, H, T, kind):
         assert np.array_equal(grads[k], g_ref[k]), k
 
 
+def _nan_like(cache):
+    """A cache of cache's shapes whose arrays all hold NaN."""
+    return cache._replace(**{f: np.full_like(a, np.nan) for f, a in
+                             zip(("hs", "cs", "gates", "tcs"), cache[1:5])})
+
+
+@pytest.mark.parametrize("given_state", [False, True])
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_lstm_forward_out_gives_the_bits_of_a_fresh_call(n_cells,
+                                                         given_state):
+    # a call that writes over an earlier cache's arrays, here all NaN,
+    # returns the bits of a fresh call: hs, the final states and every
+    # cache array, which are the out arrays themselves
+    p, prefixes, xs, _, rng = _cell_stack_params(n_cells, 16, 8, n_cells)
+    prefix = prefixes if n_cells > 1 else prefixes[0]
+    xs = np.stack([xs, rng.normal(size=xs.shape)], axis=1)   # batch of 2
+    axes = (n_cells,) * (n_cells > 1) + (2,)
+    state = ({"h0": rng.normal(size=axes + (16,)),
+              "c0": rng.normal(size=axes + (16,))} if given_state else {})
+    want = lstm_forward(xs, p, prefix, **state)
+    out = _nan_like(want[3])
+    got = lstm_forward(xs, p, prefix, out=out, **state)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    for g, w, o in zip(got[3][1:5], want[3][1:5], out[1:5]):
+        assert np.shares_memory(g, o)
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert got[3].lead == want[3].lead and got[3].xs is xs
+    # and again over the reused arrays, now holding the last call's
+    again = lstm_forward(xs, p, prefix, out=got[3], **state)
+    for g, w in zip(again[:3], want[:3]):
+        assert np.array_equal(g, w)
+
+
+def test_lstm_forward_out_rejects_another_shape_and_starts():
+    p, prefixes, xs, _, _ = _cell_stack_params(2, 16, 8, 3)
+    cache = lstm_forward(xs, p, prefixes)[3]
+    for other in (xs[:7], np.stack([xs, xs], axis=1),
+                  np.concatenate([xs, xs], axis=0)):
+        with pytest.raises(DimensionError):
+            lstm_forward(other, p, prefixes, out=cache)
+    with pytest.raises(DimensionError):   # one cell of the stack
+        lstm_forward(xs[:, :32], p, prefixes[0], out=cache)
+    with pytest.raises(DimensionError):
+        lstm_forward(xs, p, prefixes, starts=(0, 2), out=cache)
+
+
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_lstm_backward_out_gives_the_bits_of_a_fresh_call(n_cells):
+    p, prefixes, xs, _, rng = _cell_stack_params(n_cells, 16, 8, 7)
+    prefix = prefixes if n_cells > 1 else prefixes[0]
+    hs, h, _, cache = lstm_forward(xs, p, prefix)
+    dhs, dh_f = rng.normal(size=hs.shape), rng.normal(size=h.shape)
+    g_want, g_got = p.zeros_like(), p.zeros_like()
+    want = lstm_backward(dhs, cache, p, g_want, prefix, dh_final=dh_f)
+    out = np.full_like(want[0], np.nan)
+    got = lstm_backward(dhs, cache, p, g_got, prefix, dh_final=dh_f,
+                        out=out)
+    assert np.shares_memory(got[0], out)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert np.array_equal(g_got.flat, g_want.flat)
+    with pytest.raises(DimensionError):
+        lstm_backward(dhs, cache, p, g_got, prefix, out=out[:-1])
+
+
 def test_lstm_stack_rejects_what_it_cannot_run():
     T = 4
     p, prefixes, xs, own, _ = _cell_stack_params(2, 8, T, 0)
