@@ -19,14 +19,14 @@ its batch, its LSTM caches (lstm_forward's out), its error, its dz
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, fit,
                  lstm_backward, lstm_forward, lstm_init, lstm_input_weights)
-from .nn.layers import LSTMCache, _gate_scale, _gate_scaled, _lstm_steps
+from .nn.layers import (LSTMCache, _lstm_steps, _recurrent_weights,
+                        _step_scratch)
 from .nn.params import uniform_init
 
 WINDOW = 8
@@ -86,40 +86,36 @@ class _Step(NamedTuple):
     """The arrays an autoencoder step over n windows of T rows writes
     over: its batch (n, T, D); the encoder's and the decoder's caches,
     passed to lstm_forward as out; the error (T, n, D), which becomes
-    its own gradient; and dz (T, n, 4H), which both LSTM backwards write
-    over and whose first elements hold the forward's squared error
-    before that (D <= 4H on both channels)."""
+    its own gradient; dz (T, n, 4H), which both LSTM backwards write
+    over; and flat, dz's memory as one flat array, whose first elements
+    hold the forward's squared error before that (D <= 4H on both
+    channels). flat stays contiguous in the _Step of a smaller batch, so
+    the error's mean sums in the order of a fresh array's."""
     batch: np.ndarray
     enc: LSTMCache
     dec: LSTMCache
     err: np.ndarray
     dz: np.ndarray
+    flat: np.ndarray
 
 
-def _step_shapes(T: int, n: int, d_in: int, H: int) -> list[tuple]:
-    """The shapes of the arrays of a _Step of n windows of T rows, in
-    field order, the caches' hs, cs, gates and tcs in turn."""
-    cache = [(T + 1, n, H), (T + 1, n, H), (T, n, 4 * H), (T, n, H)]
-    return [(n, T, d_in)] + cache + cache + [(T, n, d_in), (T, n, 4 * H)]
+def _step_arrays(T: int, n: int, d_in: int, H: int) -> _Step:
+    """A _Step of n windows of T rows, in new arrays."""
+    shapes = [(T + 1, n, H)] * 2 + [(T, n, 4 * H), (T, n, H)]   # hs to tcs
+    enc, dec = (LSTMCache(None, *map(np.empty, shapes), None)
+                for _ in range(2))
+    dz = np.empty((T, n, 4 * H))
+    return _Step(np.empty((n, T, d_in)), enc, dec, np.empty((T, n, d_in)),
+                 dz, dz.reshape(-1))
 
 
-def _step_arrays(T: int, n: int, d_in: int, H: int,
-                 buf: np.ndarray | None = None) -> _Step:
-    """A _Step of n windows of T rows, its arrays cut in turn from the
-    front of the flat buffer buf, by default a new one of their size.
-    Steps of two batch sizes may cut one buffer; the smaller one then
-    writes over the larger one's arrays."""
-    shapes = _step_shapes(T, n, d_in, H)
-    if buf is None:
-        buf = np.empty(sum(map(math.prod, shapes)))
-    arrays, at = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        arrays.append(buf[at:at + size].reshape(shape))
-        at += size
-    batch, *caches, err, dz = arrays
-    return _Step(batch, LSTMCache(None, *caches[:4], None),
-                 LSTMCache(None, *caches[4:], None), err, dz)
+def _head(step: _Step, n: int) -> _Step:
+    """The _Step of the first n windows of step's, in views of its
+    arrays."""
+    batch, enc, dec, err, dz, flat = step
+    enc, dec = (LSTMCache(None, *(a[:, :n] for a in c[1:5]), None)
+                for c in (enc, dec))
+    return _Step(batch[:n], enc, dec, err[:, :n], dz[:, :n], flat)
 
 
 def _ae_forward(batch: np.ndarray, p: ParamSet, step: _Step | None = None):
@@ -139,7 +135,7 @@ def _ae_forward(batch: np.ndarray, p: ParamSet, step: _Step | None = None):
     err = np.matmul(dec_hs, p["out_W"], out=step.err)
     err += p["out_b"]
     err -= xs[::-1]
-    sq = np.square(err, out=step.dz.reshape(-1)[:err.size].reshape(err.shape))
+    sq = np.square(err, out=step.flat[:err.size].reshape(err.shape))
     mse = float(np.mean(sq))
     return mse, h_enc, (err, dec_hs, enc_cache, dec_cache, step.dz)
 
@@ -181,12 +177,12 @@ def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
     an epoch's batches are the windows rng.permutation picks, gathered
     from the tables into a (B, WINDOW, D) array: no stack of every
     window, which would be twice the tables' size, is formed. Every step
-    writes over the arrays of the last one: one buffer holds the _Step
-    of the full batch and, over it, that of an epoch's tail, and one
-    gradient set serves every step. What a step still allocates are the
-    kernels' and the output layer's smaller temporaries, so the
-    allocator keeps its memory instead of handing it back to the system
-    and faulting it in again at every step."""
+    writes over the arrays of the last one: the _Step of an epoch's
+    tail batch is the head of the full batch's, views of its first
+    windows, and one gradient set serves every step. What a step still
+    allocates are the kernels' and the output layer's smaller
+    temporaries, so the allocator keeps its memory instead of handing it
+    back to the system and faulting it in again at every step."""
     tables = [np.asarray(t, dtype=float) for t in tables]
     if not tables or any(t.ndim != 2 for t in tables):
         raise ValueError("need a nonempty sequence of (n, D) tables")
@@ -201,19 +197,14 @@ def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
     p = autoencoder_init(channel, seed)
     state = AdamaxState(p, lr=lr)
     rng = np.random.default_rng(seed + 1)
-    buf = np.empty(sum(map(math.prod, _step_shapes(
-        WINDOW, min(batch_size, start_of.size), d_in, hidden))))
-    steps = {}   # batch size -> _Step
+    full = _step_arrays(WINDOW, min(batch_size, start_of.size), d_in, hidden)
     grads = p.zeros_like()
 
     def batches():
         order = rng.permutation(start_of.size)
         for ofs in range(0, order.size, batch_size):
             idx = order[ofs:ofs + batch_size]
-            if idx.size not in steps:
-                steps[idx.size] = _step_arrays(WINDOW, idx.size, d_in,
-                                               hidden, buf)
-            step = steps[idx.size]
+            step = _head(full, idx.size)
             np.concatenate([tables[k][a:a + WINDOW] for k, a in
                             zip(table_of[idx].tolist(),
                                 start_of[idx].tolist())],
@@ -242,38 +233,32 @@ def _finite(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _step_scratch(block: tuple, H: int) -> tuple[tuple, tuple]:
-    """Scratch for `_lstm_steps` on (block, H) states: its rec and ig,
-    and the leading part of each step, a gate block with its four gate
-    views and tanh(c)."""
-    gt = np.empty(block + (4 * H,))
-    return ((np.empty_like(gt), np.empty(block + (H,))),
-            (gt, *(gt[..., q * H:(q + 1) * H] for q in range(4)),
-             np.empty(block + (H,))))
-
-
 class EncoderStream:
     """One channel's observation rows over a run, in arrays of n rows,
     with the encoder state of every window still open.
 
     put(t, row) stores row t and projects it once through the encoder's
     input weights, with the (1, D) @ (D, 4H) matmul a batch-1
-    lstm_forward runs for each step; repeat(t) copies row t-1 and its
-    projection. embed(t) is the embedding of the WINDOW rows that end at
-    row t, to the bit the one embed_batch computes from those rows.
+    lstm_forward runs for each step, then adds b·s, so a projected row
+    is the pre-activation row every window's step reads; repeat(t)
+    copies row t-1 and its projection. embed(t) is the embedding of the
+    WINDOW rows that end at row t, to the bit the one embed_batch
+    computes from those rows.
 
     Each window is a run of the encoder from the zero state, and the
     stream keeps the runs alive instead of re-running every window from
     scratch, after the persistent-RNN advice of Appleyard et al. (see
-    nn.layers); Wh·s is formed once per stream. The runs' h and c lie in
-    (WINDOW, 1, H) arrays, oldest run first: before row d is consumed,
-    slot j holds the run that starts at row d - WINDOW + 1 + j, and the
-    last slot stays zero, the state of the run that starts at row d.
-    Consuming row d steps every run but the oldest, which has read its
-    WINDOW - 1 rows, by one stacked step of `_lstm_steps`, from one pair
-    of arrays into the other, one slot down. Its (WINDOW - 1, 1, H) @
-    (H, 4H) matmul runs slice by slice with the gemv of a batch-1 call,
-    so each run keeps the bits of its own call.
+    nn.layers); Wh·s is formed once per stream, and the step scratch is
+    the kernel's own (`_step_scratch`). The runs' h and c lie in
+    (WINDOW, 1, 1, H) blocks, the kernel's (S, B, N, H) layout with the
+    runs on S, oldest run first: before row d is consumed, slot j holds
+    the run that starts at row d - WINDOW + 1 + j, and the last slot
+    stays zero, the state of the run that starts at row d. Consuming row
+    d steps every run but the oldest, which has read its WINDOW - 1
+    rows, by one stacked step of `_lstm_steps`, from one pair of blocks
+    into the other, one slot down. Its (WINDOW - 1, 1, 1, H) @
+    (1, H, 4H) matmul runs slice by slice with the gemv of a batch-1
+    call, so each run keeps the bits of its own call.
 
     embed(t) consumes the rows before t, then steps the window's run, the
     oldest, through row t alone, into scratch. Row t is not consumed,
@@ -288,11 +273,12 @@ class EncoderStream:
         self.rows = np.zeros((n, self.Wxs.shape[0]))
         self.proj = np.zeros((n, self.Wxs.shape[1]))
         H = p["enc_Wh"].shape[0]
-        self._weights = (_gate_scaled(p["enc_Wh"], H), *_gate_scale(H))
+        self._weights = _recurrent_weights(p, ("enc_",), H)
         self._done = 0   # rows consumed by the runs
-        self._pairs = np.zeros((2, 2, WINDOW, 1, H))   # two (h, c) pairs
-        self._runs = _step_scratch((WINDOW - 1, 1), H)
-        self._last = _step_scratch((1,), H)
+        # two (h, c) pairs of (WINDOW, 1, 1, H) state blocks
+        self._pairs = np.zeros((2, 2, WINDOW, 1, 1, H))
+        self._runs = _step_scratch((WINDOW - 1, 1, 1), H)
+        self._last = _step_scratch((1, 1, 1), H)
 
     def _open(self, t: int) -> None:
         if t < self._done:
@@ -304,6 +290,7 @@ class EncoderStream:
         self._open(t)
         self.rows[t] = row
         np.matmul(self.rows[t:t + 1], self.Wxs, out=self.proj[t:t + 1])
+        self.proj[t] += self.bs
 
     def repeat(self, t: int) -> None:
         """Row t and its projection become copies of row t-1's."""
@@ -320,16 +307,15 @@ class EncoderStream:
         (scratch, gates), pairs = self._runs, self._pairs
         # row d steps the runs from pair d % 2 into the other, a slot down
         _lstm_steps(*self._weights, *scratch,
-                    ((*gates, self.proj[d] + self.bs, *pairs[d % 2, :, 1:],
+                    ((gates, self.proj[d], *pairs[d % 2, :, 1:],
                       *pairs[1 - d % 2, :, :-1])
                      for d in range(self._done, t)))
         self._done = t
-        (scratch, gates), (h, c) = self._last, pairs[t % 2, :, 0]
+        (scratch, gates), (h, c) = self._last, pairs[t % 2, :, :1]
         out = np.empty_like(h)
         _lstm_steps(*self._weights, *scratch,
-                    [(*gates, self.proj[t] + self.bs, h, c, out,
-                      np.empty_like(c))])
-        return _finite(out)[0]
+                    [(gates, self.proj[t], h, c, out, np.empty_like(c))])
+        return _finite(out)[0, 0, 0]
 
 
 def embed_video(fg: np.ndarray, bg: np.ndarray, fg_params: ParamSet,

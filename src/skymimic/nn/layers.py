@@ -27,18 +27,18 @@ call, not per flop:
   cells of one hidden size (the style net's fg and bg branches), and S
   runs of each that join the loop late, run s at row starts[s] from the
   zero state. The cells' inputs lie side by side on the last axis of
-  one input array. Every elementwise op of a step covers all runs in the
-  loop at once, and the recurrent matmul is one broadcast
-  (S, B, N, H) @ (B, H, 4H) call, which NumPy runs slice by slice with
-  the gemv or GEMM of a 2-D call. Runs share each row's input
-  projection, which the projection's matmul forms row by row, so its
-  bits do not depend on the span. So each run of each cell gets the
-  bits of its own call on the rows it reads. Late runs are for
-  forward-only callers (the segmenter's spans): a forward with starts
-  keeps no cache, so its gate blocks and tanh(c) live in one step's
-  scratch, and only a forward without them has a backward.
-  A single-cell call is a stack of one: its blocks keep no stack axes
-  and it copies no weight matrix.
+  one input array. Every step loop runs on (S, B, N, H) blocks of runs,
+  cells and batch rows, singleton axes kept. Each elementwise op of a
+  step covers all runs in the loop at once, and the recurrent matmul is
+  one broadcast (S, B, N, H) @ (B, H, 4H) call, which NumPy runs slice
+  by slice with the gemv or GEMM of a 2-D (N, H) @ (H, 4H) call. Runs
+  share each row's input projection, which the projection's matmul
+  forms row by row, so its bits do not depend on the span. So each run
+  of each cell gets the bits of its own call on the rows it reads.
+  Late runs are for forward-only callers (the segmenter's spans): a
+  forward with starts keeps no cache, and its runs finish every row's
+  gate block and tanh(c) in one step's scratch (`_step_scratch`), the
+  gate block in the recurrent product's own buffer.
 - Cache layout (LSTMCache): each time row holds R = B·N state rows,
   cells outermost, then the N rows of the batch axes; the input
   xs (T, ..., D) as given; hidden and cell states hs, cs (T+1, R, H),
@@ -51,7 +51,9 @@ call, not per flop:
   out=cache)` writes over the arrays of a cache of the same shapes that
   the caller no longer needs, and `lstm_backward(..., out=dz)` over a
   dz, after the same paper's advice to keep a step's buffers resident.
-  The arrays a call returns are then the ones it was given.
+  The arrays a call returns are then the ones it was given. out may be
+  views, such as the first n batch rows of larger arrays: the
+  autoencoder's tail batch writes over the head of its full batch's.
 - Backward. BPTT over one run forms each step's gate coefficients in
   one (T, R, 4H) array and writes the step's pre-activation gradient
   dz over that step's coefficient rows, their last read, so dz needs no
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -149,17 +151,10 @@ def _cells(prefix: str | tuple) -> tuple[tuple, tuple]:
     return tuple(prefix), (len(prefix),)
 
 
-def _layout(starts: tuple | None, cell_axis: tuple, lead: tuple):
-    """(runs, N, axes, block) of a kernel call: the runs' first rows; the
-    batch size; the axes between time and H of what the kernel returns,
-    which are the run axis when starts are given, the cell axis for a
-    stack of cells, then the batch axes; and the step loop's block
-    ([S,] [B,] N), with a run or cell axis only for more than one, so
-    one run of one cell steps on (N, H) blocks."""
-    runs = (0,) if starts is None else starts
-    S, B, N = len(runs), math.prod(cell_axis), math.prod(lead)
-    axes = (S,) * (starts is not None) + cell_axis + lead
-    return runs, N, axes, (S,) * (S > 1) + (B,) * (B > 1) + (N,)
+def _layout(runs: tuple, cell_axis: tuple, lead: tuple) -> tuple:
+    """The step loop's block (S, B, N) of a kernel call: its runs, cells
+    and batch rows, singleton axes kept."""
+    return len(runs), math.prod(cell_axis), math.prod(lead)
 
 
 def _columns(xs: np.ndarray, p: ParamSet, prefixes: tuple) -> list:
@@ -199,28 +194,45 @@ def _gate_scaled(W: np.ndarray, H: int, out=None) -> np.ndarray:
     return out
 
 
-def _scratch_rows(T: int, shape: tuple) -> np.ndarray:
-    """T rows of `shape` that are all one block of memory (stride 0 on
-    the row axis): a step loop that writes row t and reads only row t
-    allocates one step's worth."""
-    block = np.empty(shape)
-    return np.lib.stride_tricks.as_strided(block, (T,) + shape,
-                                           (0,) + block.strides)
+def _recurrent_weights(p: ParamSet, prefixes: tuple, H: int) -> tuple:
+    """(Whs, s, off), the weights `_lstm_steps` takes: each cell's Wh·s
+    in one (B, H, 4H) block, formed without a stacked copy of Wh, and
+    the gate scale pair of `_gate_scale`."""
+    Whs = np.empty((len(prefixes), H, 4 * H))
+    for q, scaled in zip(prefixes, Whs):
+        _gate_scaled(p[q + "Wh"], H, out=scaled)
+    return (Whs, *_gate_scale(H))
+
+
+def _gate_views(gt: np.ndarray, tc: np.ndarray) -> tuple:
+    """(gt, i, f, g, o, tc): a gate block, its four gate views and a
+    tanh(c) block, a step's gates as `_lstm_steps` takes them."""
+    H = tc.shape[-1]
+    return (gt, *(gt[..., q * H:(q + 1) * H] for q in range(4)), tc)
+
+
+def _step_scratch(block: tuple, H: int) -> tuple[tuple, tuple]:
+    """Scratch for `_lstm_steps` on (block, H) states: its rec and ig,
+    and the gates of a step that keeps none of them, whose gate block
+    is rec itself. A step loop that keeps nothing repeats these gates
+    at every row, so it allocates one step's worth."""
+    rec = np.empty(block + (4 * H,))
+    return ((rec, np.empty(block + (H,))),
+            _gate_views(rec, np.empty(block + (H,))))
 
 
 def _lstm_steps(Whs, s, off, rec, ig, steps) -> None:
-    """Run the cell's steps over a block of state rows (..., H), in
-    place: the one copy of the cell math. Each step is (gt, i, f, g, o,
-    tc, row, h_prev, c_prev, h, c): the gate block gt, whose views i, f,
-    g, o are its four gates, is formed from the input pre-activation row
-    and h_prev @ Whs; then c from c_prev, tc = tanh(c) and h. Whs, s
-    and off are the scaled recurrent weights and the gate scale pair of
-    `_gate_scale`; rec and ig are scratch of gt's and h's shapes.
-    Nothing is allocated. With run or cell axes before the (N, H) rows,
-    the matmul is one broadcast call, which NumPy runs slice by slice
-    with the kernel of a 2-D call, so each run of each cell gets the
-    bits of a step of its own."""
-    for gt, i, f, g, o, tc, row, h_prev, c_prev, h, c in steps:
+    """Run the cell's steps over an (S, B, N, H) block of state rows, in
+    place: the one copy of the cell math. Each step is ((gt, i, f, g, o,
+    tc), row, h_prev, c_prev, h, c): the gate block gt, whose views i,
+    f, g, o are its four gates, is formed from the input pre-activation
+    row and h_prev @ Whs; then c from c_prev, tc = tanh(c) and h. Whs,
+    s and off are `_recurrent_weights`; rec and ig are scratch of gt's
+    and h's shapes, and gt may be rec itself. Nothing is allocated. The
+    (S, B, N, H) @ (B, H, 4H) matmul is one broadcast call, which NumPy
+    runs slice by slice with the kernel of a 2-D (N, H) @ (H, 4H) call,
+    so each run of each cell gets the bits of a step of its own."""
+    for (gt, i, f, g, o, tc), row, h_prev, c_prev, h, c in steps:
         np.matmul(h_prev, Whs, out=rec)
         rec += row   # not into gt: gt may be row itself
         np.tanh(rec, out=gt)
@@ -287,10 +299,12 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     out, an LSTMCache whose hs, cs, gates and tcs have this call's
     shapes and hold nothing the caller still needs (the cache of the
     last step of a training loop, say), is written over instead of
-    allocating new arrays; its xs and lead are not read. The returned
-    arrays are then out's, and so is every view of an earlier call that
-    returned them. out of other shapes, or out with starts, raises
-    DimensionError.
+    allocating new arrays; its xs and lead are not read. Its arrays may
+    be views, such as the first rows on the batch axis of a larger
+    cache's, as long as the step loop's (S, B, N) blocks of them are
+    views too, as a single cell's are. The returned arrays are then
+    out's, and so is every view of an earlier call that returned them.
+    out of other shapes, or out with starts, raises DimensionError.
 
     Returns (hs (T, [S,] [B,] ..., H), final h, final c, cache), with
     the run axis when starts are given and the cell axis for a stack;
@@ -323,12 +337,14 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
             raise ValueError("lstm_forward: h0 and c0 are the initial "
                              "state of one run; runs given by starts "
                              "start from zero")
-    runs, N, axes, block = _layout(starts, cell_axis, lead)
-    S = len(runs)
-    R = S * B * N
+    runs = (0,) if starts is None else starts
+    block = _layout(runs, cell_axis, lead)
+    N, R = block[2], math.prod(block)
+    # the axes between time and H of what the call returns
+    axes = block[:1] * (starts is not None) + cell_axis + lead
     if out is None:
         hs, cs = np.zeros((T + 1, R, H)), np.zeros((T + 1, R, H))
-        pre = np.empty((T, B, N, 4 * H))
+        pre = np.empty((T, 1, B, N, 4 * H))
     else:
         if starts is not None:
             raise DimensionError("lstm_forward: a forward with starts "
@@ -341,7 +357,7 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                 f"{want}")
         hs, cs = out.hs, out.cs
         hs[0] = cs[0] = 0.0   # every later row is written by the steps
-        pre = out.gates.reshape(T, B, N, 4 * H)
+        pre = out.gates.reshape(T, 1, B, N, 4 * H)
     for state, init in ((hs, h0), (cs, c0)):
         if init is not None:
             init = np.asarray(init, float)
@@ -350,52 +366,39 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                     f"lstm_forward: initial state shape {init.shape} vs "
                     f"hidden {H}")
             state[0] = np.broadcast_to(init, axes + (H,)).reshape(R, H)
-    s, off = _gate_scale(H)
-    # each cell's Wh·s, formed in one block without a stacked copy of Wh
-    Whs = np.empty((B, H, 4 * H))
-    for W, scaled in zip(Wh, Whs):
-        _gate_scaled(W, H, out=scaled)
-    Whs = Whs.reshape((B,) * (B > 1) + (H, 4 * H))
+    weights = _recurrent_weights(p, prefixes, H)
     # each cell's input projection of every row in one matmul; the runs
     # of a cell share it. A cell that reads no input gets b·s alone: a
     # matmul over no columns and a bias add cost several times the copy
     for b, (x, q) in enumerate(zip(_columns(xs, p, prefixes), prefixes)):
         Wxs, bs = lstm_input_weights(p, q)
         if x.shape[-1]:
-            np.matmul(x.reshape(T, N, x.shape[-1]), Wxs, out=pre[:, b])
-            pre[:, b] += bs
+            np.matmul(x.reshape(T, N, x.shape[-1]), Wxs, out=pre[:, 0, b])
+            pre[:, 0, b] += bs
         else:
-            pre[:, b] = bs
+            pre[:, 0, b] = bs
     del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
-    rows = pre.reshape((T,) + (block[1:] if S > 1 else block) + (4 * H,))
+    scratch, step = _step_scratch(block, H)
     if starts is None:
         # kept for the backward: each step's gate block is finished in
-        # place in the projection itself
+        # place in the projection itself, and its tanh(c) in tcs
         shape = (T,) + block + (H,)
-        gates = rows
         tcs = np.empty(shape) if out is None else out.tcs.reshape(shape)
-    else:
-        # nothing is kept: every step finishes its gate block and tanh(c)
-        # in the same scratch, one step's worth
-        gates, tcs = (_scratch_rows(T, block + (w,)) for w in (4 * H, H))
+        kept = _gate_views(pre, tcs)
     hs_b = hs.reshape((T + 1,) + block + (H,))
     cs_b = cs.reshape(hs_b.shape)
-    # the step loop allocates nothing: h_{t-1} @ Whs and i * g go into
-    # two buffers, and every per-step operand is a view of the cache;
-    # each op covers every run and cell in the loop at that row
-    rec = np.empty(block + (4 * H,))
-    ig = np.empty(block + (H,))
+    # the step loop allocates nothing: every per-step operand is a view
+    # of the cache or of one step's scratch; each op covers every run
+    # and cell in the loop at that row, the first k runs
     for k, a, z in _active(runs, T):
-        run = slice(k if S > 1 else None)   # the runs in the loop
-        blk = gates[a:z, run]
-        i, f, g, o = (blk[..., q * H:(q + 1) * H] for q in range(4))
-        _lstm_steps(Whs, s, off, rec[run], ig[run],
-                    zip(blk, i, f, g, o, tcs[a:z, run], rows[a:z],
-                        hs_b[a:z, run], cs_b[a:z, run],
-                        hs_b[a + 1:z + 1, run], cs_b[a + 1:z + 1, run]))
+        gates = zip(*kept) if starts is None else repeat(
+            tuple(v[:k] for v in step))
+        _lstm_steps(*weights, *(v[:k] for v in scratch),
+                    zip(gates, pre[a:z], hs_b[a:z, :k], cs_b[a:z, :k],
+                        hs_b[a + 1:z + 1, :k], cs_b[a + 1:z + 1, :k]))
     hs_out = hs[1:].reshape((T,) + axes + (H,))
     cache = None if starts is not None else LSTMCache(
-        xs, hs, cs, gates.reshape(T, R, 4 * H), tcs.reshape(T, R, H), lead)
+        xs, hs, cs, pre.reshape(T, R, 4 * H), tcs.reshape(T, R, H), lead)
     return hs_out, hs_out[-1], cs[T].reshape(axes + (H,)), cache
 
 
@@ -424,9 +427,9 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
                              "no cache; only one run has a backward")
     xs, hs, cs, gates, tcs, lead = cache
     prefixes, cell_axis = _cells(prefix)
-    _, N, axes, block = _layout(None, cell_axis, lead)
+    block, axes = _layout((0,), cell_axis, lead), cell_axis + lead
     T, R, H = tcs.shape
-    B = len(prefixes)
+    B, N = block[1:]
     if R != B * N:
         raise DimensionError(
             f"lstm_backward: {B} cells do not fit a cache of {R} state "
@@ -434,7 +437,7 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     inputs = _columns(xs, p, prefixes)
     if dhs is not None:
         dhs = np.asarray(dhs, float).reshape((T,) + block + (H,))
-    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    _, i, f, g, o, _ = _gate_views(gates, tcs)
     # dz_t = [dct, dct, dct, dh] * coef_t, with dct the gradient w.r.t.
     # c_t; coef holds each gate's derivative times its partner in
     # c_t = f c_{t-1} + i g and h_t = o tanh(c_t). Both factors are
@@ -464,9 +467,10 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     o_dtc *= o
     o_dtc = o_dtc.reshape((T,) + block + (H,))
     f = f.reshape((T,) + block + (H,))
-    # Wh.T per cell: a view for one cell, a stacked copy for more
+    # each cell's Wh.T in the forward's (B, 4H, H) layout: a view of one
+    # cell's (a copy faults in 512 KiB a call at H = 128), a stack of more
     Wh = [p[q + "Wh"] for q in prefixes]
-    WhT = np.swapaxes(Wh[0] if B == 1 else np.stack(Wh), -1, -2)
+    WhT = (Wh[0][None] if B == 1 else np.stack(Wh)).swapaxes(1, 2)
     # the step loop allocates nothing: dh, dc and dct are buffers of
     # this call (the caller's dh_final and dc_final are copied in, never
     # written), and every per-step operand is a view built up front

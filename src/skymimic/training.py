@@ -103,11 +103,11 @@ def train_style_stage(records: list[VideoRecord], fg_p, bg_p,
     Returns (params, config) of the full model plus, when variants is
     set, the {name: (params, config, test confusion)} table.
     """
-    test_recs = [r for r in records if r.split == "test"]
-    train_ex = _train_examples(records, fg_p, bg_p)
-    test_ex = style_examples(test_recs, fg_p, bg_p)
-    tr, val = train_val_split(train_ex)
+    tr, val = train_val_split(_train_examples(records, fg_p, bg_p))
     if variants:
+        # the test split is read only by the variants' confusion tables
+        test_ex = style_examples([r for r in records if r.split == "test"],
+                                 fg_p, bg_p)
         table = train_ablation_variants(tr, val, test_ex,
                                         epochs=cfg.style_epochs,
                                         seed=cfg.seed,

@@ -114,6 +114,33 @@ def test_autoencoder_epoch_memory_guard():
     assert peak <= 1.2 * 9.35 * 2**20
 
 
+def test_autoencoder_tail_batch_is_the_head_of_the_full_batch(monkeypatch):
+    # 10 windows in batches of 4: the tail batch of 2 steps through
+    # views of the full batch's arrays, and every full batch through
+    # the same arrays
+    rng = np.random.default_rng(24)
+    tables = [rng.normal(size=(n, 5)) for n in (8, 13, 30, 11)]
+    steps, real = [], features._ae_forward
+
+    def record(batch, p, step=None):
+        steps.append(step)
+        return real(batch, p, step=step)
+
+    monkeypatch.setattr(features, "_ae_forward", record)
+    train_autoencoder(tables, "fg", epochs=2, seed=4, batch_size=4)
+    assert [s.batch.shape[0] for s in steps] == [4, 4, 2] * 2
+    full, tail = steps[0], steps[2]
+    arrays = [lambda s: s.batch, lambda s: s.err, lambda s: s.dz,
+              lambda s: s.flat] + [
+        lambda s, c=c, k=k: getattr(s, c)[k]
+        for c in ("enc", "dec") for k in range(1, 5)]
+    for a in arrays:
+        assert np.shares_memory(a(tail), a(full))
+        for s in steps:
+            assert np.shares_memory(a(s), a(full))
+    assert tail.flat.flags.c_contiguous
+
+
 def test_autoencoder_gradients():
     rng = np.random.default_rng(8)
     p = autoencoder_init("fg", seed=8)

@@ -619,6 +619,15 @@ def test_broadcast_matmul_slices_equal_2d_calls(H, k):
     np.matmul(hs, W, out=stacked)
     for h, got in zip(hs, stacked):
         assert np.array_equal(got, h @ W)
+    # every step loop runs on (S, B, N, H) blocks, singleton run and
+    # cell axes kept: one run of one cell is a (1, 1, N, H) @ (1, H, 4H)
+    # call, which must give the bits of the 2-D (N, H) @ (H, 4H) call,
+    # at batch 1 and at the autoencoder's batch of 64
+    for N in (1, 64):
+        h = rng.normal(size=(N, H))
+        got = np.empty((1, 1, N, 4 * H))
+        np.matmul(h[None, None], W[None], out=got)
+        assert np.array_equal(got[0, 0], h @ W)
 
 
 def test_sigmoid_matches_logistic_without_overflow():

@@ -243,6 +243,32 @@ def test_imitation_stages_share_one_corpus(monkeypatch):
     assert gone() is None
 
 
+def test_style_stage_without_variants_embeds_no_test_split(monkeypatch):
+    """Only the ablation variants read the test split: a style stage
+    without them embeds each augmented train record once and no test
+    record."""
+    from skymimic import features, training
+    from skymimic.config import ExperimentConfig
+
+    records = _reuse_records(71)
+    fg_p, bg_p = autoencoder_init("fg", 5), autoencoder_init("bg", 6)
+    seen, real = [], features.embed_video
+
+    def embed(fg, *rest):
+        seen.append(fg.tobytes())
+        return real(fg, *rest)
+
+    monkeypatch.setattr(features, "embed_video", embed)
+    monkeypatch.setattr(training, "_slot", None)
+    training.train_style_stage(records, fg_p, bg_p,
+                               ExperimentConfig(style_epochs=1),
+                               variants=False)
+    train = training.augmented([r for r in records if r.split == "train"])
+    assert sorted(seen) == sorted(r.fg.tobytes() for r in train)
+    assert records[-1].split == "test"
+    assert records[-1].fg.tobytes() not in seen
+
+
 def test_style_and_segment_stages_share_one_embedding(monkeypatch):
     """The segment stage reuses the style stage's embeddings of the
     augmented train split and empties the slot; the nets equal those of
@@ -292,10 +318,10 @@ def test_style_and_segment_stages_share_one_embedding(monkeypatch):
         return nets
 
     shared = chain(fresh=False)
-    assert len(embedded) == 8 + 1   # 4 train videos and mirrors, 1 test
+    assert len(embedded) == 8   # 4 train videos and mirrors, no test
     assert training._slot is None   # the segment stage's hit emptied it
     _assert_same_nets(shared, chain(fresh=True))
-    assert len(embedded) == 9 + 9 + 8
+    assert len(embedded) == 8 + 8 + 8
 
     def embeds(recs, fg, bg):
         n = len(embedded)

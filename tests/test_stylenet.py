@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,26 @@ def test_style_forward_starts_equal_per_span_forward(name):
     for bad in ([5, 2], [], [-1], [T]):
         with pytest.raises(ValueError):
             style_forward(seq, p, cfg, starts=bad)
+
+
+def test_late_run_memory_guard():
+    # four late runs over T = 59 rows with the full config keep no gate
+    # blocks or tanh(c): they step through one step's scratch, and the
+    # call peaks at 1.27 MiB (tracemalloc). Keeping every row's gate
+    # blocks and tanh(c) for the late runs would add about 1.2 MiB
+    cfg = VARIANTS["fg+bg+att"]
+    p = init_style_net(cfg, seed=3)
+    seq = np.random.default_rng(3).normal(size=(59, 96))
+    starts = (0, 14, 29, 44)
+    style_forward(seq, p, cfg, starts=starts)   # builds the cached scale
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        style_forward(seq, p, cfg, starts=starts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 1.27 * 2**20
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
