@@ -23,7 +23,8 @@ from .features import (EMBED_DIM, autoencoder_init, embed_video,
                        snippet_ends)
 from .imitation import init_imitation_net
 from .nn import ParamSet
-from .stylenet import StyleNetConfig, init_style_net, style_forward
+from .stylenet import (StyleNetConfig, init_style_net, prefix_probs,
+                       style_forward)
 
 
 def load_net(path: str | Path,
@@ -67,8 +68,9 @@ class ModelBundle:
     imitation_params: ParamSet | None = None
     segment_params: ParamSet | None = None
 
-    # (fg encoder, bg encoder, fg copy, bg copy, embedding) of the
-    # last embed call
+    # (fg encoder, bg encoder, fg copy, bg copy, embedding, span
+    # classifier, its prefix rows of the embedding) of the last embed
+    # call; the last two are None until span_prefix fills them
     _memo: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -81,7 +83,11 @@ class ModelBundle:
         fg/bg content, compared with np.array_equal against copies taken
         on the call that filled it. Encoders therefore must not be
         written in place once they are in a bundle: assign new ParamSets
-        to `fg_encoder`/`bg_encoder` instead.
+        to `fg_encoder`/`bg_encoder` instead. The entry also keeps the
+        span classifier's prefix rows of the embedding (`span_prefix`)
+        with the ParamSet that scored them, compared by identity, so the
+        span classifier must not be written in place either: assign a
+        new ParamSet to `segment_params`/`style_params` instead.
         """
         m = self._memo
         if (m is not None and m[0] is self.fg_encoder
@@ -91,8 +97,29 @@ class ModelBundle:
         emb = embed_video(fg, bg, self.fg_encoder, self.bg_encoder)
         emb.flags.writeable = False
         self._memo = (self.fg_encoder, self.bg_encoder, np.array(fg),
-                      np.array(bg), emb)
+                      np.array(bg), emb, None, None)
         return emb
+
+    def span_prefix(self, emb: np.ndarray, trace=None) -> np.ndarray:
+        """(T_snippets, 5) `prefix_probs` of the span classifier on an
+        embedding, read-only: row k labels the span emb[:k+1].
+
+        When emb is the memo's embedding, the rows are kept in its entry
+        (see `embed`), and a later call with that embedding and the same
+        span classifier returns them and runs no pass. Otherwise one
+        pass scores them; trace, when given, is the span classifier's
+        pass over emb from row 0, as `prefix_probs` takes it, and no pass
+        is run.
+        """
+        net, m = self.span_classifier(), self._memo
+        entry = m is not None and m[4] is emb
+        if entry and m[5] is net:
+            return m[6]
+        rows = prefix_probs(emb, net, self.style_cfg, trace=trace)
+        rows.flags.writeable = False
+        if entry:
+            self._memo = m[:5] + (net, rows)
+        return rows
 
     def span_classifier(self) -> ParamSet:
         """Net used to label sub-spans: the crop-trained segment net

@@ -14,16 +14,18 @@ segment.
 
 The style net is causal and pools with per-step weights, so one forward
 pass over the video scores every prefix span at once
-(`stylenet.prefix_probs`): it gives the running probability curve of
-`prob_curve`, and in `segment` the whole video and the left side of
-every candidate cut.  The right sides ride in the same pass: given the
-cuts' rows as `starts`, `stylenet.style_forward` runs the span from
-each cut to the end in the stacked LSTM step loop, joining it at the
-cut's row with zero state, and gives the bits a pass of its own would.
-So each function runs the style net's step loop once.  Both take the
-snippet embedding from `ModelBundle.embed`, whose memo holds the last
-video's embedding, so `segment` followed by `prob_curve` on the same
-demo (`skymimic segment --curve`) embeds it once.
+(`stylenet.prefix_probs`): in `segment` it labels the whole video and
+the left side of every candidate cut.  The right sides ride in the same
+pass: given the cuts' rows as `starts`, `stylenet.style_forward` runs
+the span from each cut to the end in the stacked LSTM step loop,
+joining it at the cut's row with zero state, and gives the bits a pass
+of its own would.  So `segment` runs the span classifier's step loop
+once.  Its prefix rows are the running probability curve of
+`prob_curve`: `ModelBundle.span_prefix` keeps them in the bundle's memo
+entry, next to the snippet embedding of `ModelBundle.embed` they were
+scored from, so `segment` followed by `prob_curve` on the same demo
+(`skymimic segment --curve`) embeds it once and scores it once, and
+the curve shows the probabilities the cuts read.
 
 Threshold semantics (default relative): the weaker side's peak
 probability must reach threshold * the stronger side's.  The absolute
@@ -40,7 +42,7 @@ import numpy as np
 from .features import STRIDE, snippet_ends
 from .pipeline import ModelBundle
 from .scene import DT, STYLES
-from .stylenet import PROB_FLOOR, prefix_probs, style_forward
+from .stylenet import PROB_FLOOR, style_forward
 
 MIN_SEGMENT_SECONDS = 2.0
 N_CANDIDATES = 3   # discontinuity peaks scored per video
@@ -63,12 +65,14 @@ class Segment:
 
 def prob_curve(fg: np.ndarray, bg: np.ndarray,
                bundle: ModelBundle) -> ProbCurve:
-    """Classifier probabilities over the growing prefix, all from one
-    causal pass of the style net."""
+    """The span classifier's probabilities over the growing prefix, the
+    rows `segment` reads for the whole video and each cut's left side.
+
+    After `segment` on the same demo they come from the bundle's memo
+    with no LSTM pass; otherwise from one causal pass.  probs is
+    read-only."""
     ends = snippet_ends(fg.shape[0])
-    emb = bundle.embed(fg, bg)
-    probs = prefix_probs(emb, bundle.style_params, bundle.style_cfg)
-    return ProbCurve(ends * DT, probs)
+    return ProbCurve(ends * DT, bundle.span_prefix(bundle.embed(fg, bg)))
 
 
 def _discontinuity(fg: np.ndarray) -> np.ndarray:
@@ -96,9 +100,14 @@ def _candidate_cuts(d: np.ndarray, lo: int, hi: int) -> list[int]:
 
 def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
             threshold: float = 0.6, mode: str = "relative") -> list[Segment]:
-    """Cut the video at a detected style change, or return it whole."""
+    """Cut the video at a detected style change, or return it whole.
+
+    threshold must lie in [0, 1]; NaN is refused, since no comparison
+    with it holds and it would pass every cut."""
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown threshold mode {mode!r}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} is not in [0, 1]")
     emb = bundle.embed(fg, bg)
     n = emb.shape[0]
     n_frames = fg.shape[0]
@@ -114,7 +123,7 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
     # prefix), the run from each cut's row the span from there to the end
     runs = sorted({0, *(jc for _, jc in cuts)})
     _, probs, traces, _ = style_forward(emb, net, cfg, starts=runs)
-    prefix = prefix_probs(emb, net, cfg, trace=traces[0])
+    prefix = bundle.span_prefix(emb, trace=traces[0])
     right = dict(zip(runs, probs))
     full = prefix[n - 1]
     whole = [Segment(0.0, duration, STYLES[int(np.argmax(full))],

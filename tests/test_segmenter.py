@@ -13,11 +13,14 @@ from skymimic.stylenet import PROB_FLOOR, VARIANTS, init_style_net, \
     prefix_probs, style_forward
 
 
-def _new_bundle():
+def _new_bundle(seg_seed=None):
+    """seg_seed, when given, adds a segment net of that seed, so the
+    span classifier differs from the style net."""
     cfg = VARIANTS["fg+bg+att"]
+    seg = None if seg_seed is None else init_style_net(cfg, seg_seed)
     return ModelBundle(autoencoder_init("fg", 40),
                        autoencoder_init("bg", 41),
-                       init_style_net(cfg, 42), cfg)
+                       init_style_net(cfg, 42), cfg, segment_params=seg)
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +30,7 @@ def bundle():
 
 @pytest.fixture(scope="module")
 def seg_bundle():
-    """Bundle whose span classifier differs from its style net."""
-    cfg = VARIANTS["fg+bg+att"]
-    return ModelBundle(autoencoder_init("fg", 40),
-                       autoencoder_init("bg", 41),
-                       init_style_net(cfg, 42), cfg,
-                       segment_params=init_style_net(cfg, 43))
+    return _new_bundle(43)
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +50,11 @@ def _span_probs(emb, net, cfg, lo, hi):
 
 
 def _reference_curve(fg, bg, bundle):
-    """Per-prefix loop: one style-net pass for every prefix."""
+    """Per-prefix loop: one span-classifier pass for every prefix."""
     emb = bundle.embed(fg, bg)
-    return np.array([_span_probs(emb, bundle.style_params, bundle.style_cfg,
-                                 0, k + 1) for k in range(emb.shape[0])])
+    return np.array([_span_probs(emb, bundle.span_classifier(),
+                                 bundle.style_cfg, 0, k + 1)
+                     for k in range(emb.shape[0])])
 
 
 def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative",
@@ -138,14 +137,25 @@ def test_segment_rejects_bad_mode(bundle, record):
         segment(record.fg, record.bg, bundle, mode="sideways")
 
 
+def test_segment_rejects_threshold_outside_unit_interval(bundle, record):
+    for threshold in (float("nan"), -0.1, 1.1):
+        with pytest.raises(ValueError):
+            segment(record.fg, record.bg, bundle, threshold=threshold)
+    for threshold in (0.0, 1.0):
+        for mode in ("relative", "absolute"):
+            assert segment(record.fg, record.bg, bundle, threshold=threshold,
+                           mode=mode)
+
+
 @pytest.mark.parametrize("which", ["record", "two_style"])
-def test_prob_curve_matches_per_prefix_reference(bundle, record, two_style,
-                                                 which):
+def test_prob_curve_matches_per_prefix_reference(bundle, seg_bundle, record,
+                                                 two_style, which):
     fg, bg = (record.fg, record.bg) if which == "record" else two_style
-    curve = prob_curve(fg, bg, bundle)
-    want = _reference_curve(fg, bg, bundle)
-    assert curve.probs.shape == want.shape
-    assert np.max(np.abs(curve.probs - want)) <= 1e-12
+    for b in (bundle, seg_bundle):
+        curve = prob_curve(fg, bg, b)
+        want = _reference_curve(fg, bg, b)
+        assert curve.probs.shape == want.shape
+        assert np.max(np.abs(curve.probs - want)) <= 1e-12
 
 
 def test_segment_matches_per_span_reference(bundle, seg_bundle, record,
@@ -192,10 +202,9 @@ def test_segment_equals_per_span_passes_exactly(bundle, seg_bundle, record,
     assert cuts >= 4
 
 
-def test_segment_runs_the_style_net_step_loop_once(seg_bundle, two_style,
-                                                   monkeypatch):
-    # the whole-video prefix and every candidate right side share one
-    # stacked LSTM call
+@pytest.fixture
+def lstm_calls(monkeypatch):
+    """The `starts` of every style-net LSTM call made in the test."""
     calls, real = [], stylenet.lstm_forward
 
     def counting(*args, **kwargs):
@@ -203,13 +212,106 @@ def test_segment_runs_the_style_net_step_loop_once(seg_bundle, two_style,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(stylenet, "lstm_forward", counting)
+    return calls
+
+
+def test_segment_runs_the_style_net_step_loop_once(seg_bundle, two_style,
+                                                   lstm_calls):
+    # the whole-video prefix and every candidate right side share one
+    # stacked LSTM call, and the curve reads that call's prefix rows
     fg, bg = two_style
     segs = segment(fg, bg, seg_bundle)
-    assert len(calls) == 1 and len(calls[0]) > 1   # row 0 and the cuts
+    assert len(lstm_calls) == 1 and len(lstm_calls[0]) > 1  # row 0, cuts
     assert len(segs) == 2
-    calls.clear()
+    lstm_calls.clear()
     prob_curve(fg, bg, seg_bundle)
-    assert calls == [None]   # one run, from row 0
+    assert lstm_calls == []
+    prob_curve(fg, bg, _new_bundle(43))
+    assert lstm_calls == [None]   # one run, from row 0
+
+
+def test_curve_after_segment_is_the_cuts_prefix_pass(two_style):
+    fg, bg = two_style
+    b = _new_bundle(43)
+    segs = segment(fg, bg, b)
+    curve = prob_curve(fg, bg, b)
+    emb = b.embed(fg, bg)
+    want = prefix_probs(emb, b.segment_params, b.style_cfg)
+    assert np.array_equal(curve.probs, want)
+    assert not np.array_equal(
+        curve.probs, prefix_probs(emb, b.style_params, b.style_cfg))
+    # the cut's left side is a row of the curve
+    assert len(segs) == 2
+    jc = int(round(segs[0].end / DT / STRIDE))
+    assert segs[0].peak_prob == float(np.max(curve.probs[jc - 1]))
+    assert segs == segment(fg, bg, _new_bundle(43))
+
+
+def test_curve_memo_misses_on_new_demo_net_or_encoder(two_style, record,
+                                                      lstm_calls):
+    cfg = VARIANTS["fg+bg+att"]
+    fg, bg = two_style
+    b = _new_bundle(43)
+    segment(fg, bg, b)
+    lstm_calls.clear()
+
+    def fresh_pass(fg, bg):
+        lstm_calls.clear()
+        got = prob_curve(fg, bg, b).probs
+        assert lstm_calls == [None]
+        emb = b.embed(fg, bg)
+        assert np.array_equal(
+            got, prefix_probs(emb, b.span_classifier(), b.style_cfg))
+        lstm_calls.clear()
+        assert prob_curve(fg, bg, b).probs is got   # kept for the next call
+        assert lstm_calls == []
+        return got
+
+    fresh_pass(record.fg, record.bg)              # new demo content
+    fg2 = record.fg.copy()
+    fg2[3, 0] += 1.0
+    fresh_pass(fg2, record.bg)                    # new fg content
+    old = fresh_pass(fg2, record.bg + 1.0)        # new bg content
+    b.segment_params = init_style_net(cfg, 44)    # a replaced span classifier
+    assert not np.array_equal(fresh_pass(fg2, record.bg + 1.0), old)
+    b.fg_encoder = b.fg_encoder.copy()            # a replaced encoder
+    fresh_pass(fg2, record.bg + 1.0)
+    b.bg_encoder = b.bg_encoder.copy()
+    fresh_pass(fg2, record.bg + 1.0)
+    b.segment_params = None                       # back to the style net
+    fresh_pass(fg2, record.bg + 1.0)
+
+
+def test_curve_before_segment_leaves_the_cuts(two_style, record):
+    for fg, bg in (two_style, (record.fg, record.bg)):
+        b = _new_bundle(43)
+        curve = prob_curve(fg, bg, b)
+        assert segment(fg, bg, b) == segment(fg, bg, _new_bundle(43))
+        assert prob_curve(fg, bg, b).probs is curve.probs
+
+
+def test_curve_probs_are_read_only(two_style):
+    fg, bg = two_style
+    for b in (_new_bundle(43), _new_bundle()):
+        for probs in (prob_curve(fg, bg, b).probs,        # a fresh pass
+                      prob_curve(fg, bg, b).probs):       # from the memo
+            assert not probs.flags.writeable
+            with pytest.raises(ValueError):
+                probs[0, 0] = 1.0
+        segment(fg, bg, b)
+        assert not prob_curve(fg, bg, b).probs.flags.writeable
+
+
+def test_curve_without_segment_net_is_the_style_net_pass(two_style, record):
+    # the span classifier is the style net: the curve has the bits of
+    # one plain style-net prefix pass, before and after segment
+    for fg, bg in (two_style, (record.fg, record.bg)):
+        b = _new_bundle()
+        want = prefix_probs(b.embed(fg, bg), b.style_params, b.style_cfg)
+        assert np.array_equal(prob_curve(fg, bg, b).probs, want)
+        b = _new_bundle()
+        segment(fg, bg, b)
+        assert np.array_equal(prob_curve(fg, bg, b).probs, want)
 
 
 def test_segment_then_curve_embed_once(two_style, record, monkeypatch):
