@@ -23,8 +23,7 @@ from .features import (EMBED_DIM, autoencoder_init, embed_video,
                        snippet_ends)
 from .imitation import init_imitation_net
 from .nn import ParamSet
-from .stylenet import (StyleNetConfig, init_style_net, prefix_probs,
-                       style_forward)
+from .stylenet import StyleNetConfig, init_style_net, style_forward
 
 
 def load_net(path: str | Path,
@@ -68,26 +67,25 @@ class ModelBundle:
     imitation_params: ParamSet | None = None
     segment_params: ParamSet | None = None
 
-    # (fg encoder, bg encoder, fg copy, bg copy, embedding, span
-    # classifier, its prefix rows of the embedding) of the last embed
-    # call; the last two are None until span_prefix fills them
+    # (fg encoder, bg encoder, fg copy, bg copy, embedding, key, product)
+    # of the last embed call; the last two are None until `derived` runs
     _memo: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
     def embed(self, fg: np.ndarray, bg: np.ndarray) -> np.ndarray:
         """(T_snippets, EMBED_DIM) embedding of a video, read-only.
 
-        The last call is memoised, so a demo that is cut by `segment`
-        and then scored by `prob_curve` is embedded once. The memo's key
-        is the two encoder ParamSets, compared by identity, and the
-        fg/bg content, compared with np.array_equal against copies taken
-        on the call that filled it. Encoders therefore must not be
-        written in place once they are in a bundle: assign new ParamSets
-        to `fg_encoder`/`bg_encoder` instead. The entry also keeps the
-        span classifier's prefix rows of the embedding (`span_prefix`)
-        with the ParamSet that scored them, compared by identity, so the
-        span classifier must not be written in place either: assign a
-        new ParamSet to `segment_params`/`style_params` instead.
+        The last call is memoised, so a demo that `segment` and
+        `prob_curve` both read is embedded once. The memo's key is the
+        two encoder ParamSets, compared by identity, and the fg/bg
+        content, compared with np.array_equal against copies taken on
+        the call that filled it. Encoders therefore must not be written
+        in place once they are in a bundle: assign new ParamSets to
+        `fg_encoder`/`bg_encoder` instead. The entry also keeps the
+        segmenter's span table of the embedding (`derived`), keyed by
+        the span classifier by identity, so the span classifier must not
+        be written in place either: assign a new ParamSet to
+        `segment_params`/`style_params` instead.
         """
         m = self._memo
         if (m is not None and m[0] is self.fg_encoder
@@ -100,26 +98,18 @@ class ModelBundle:
                       np.array(bg), emb, None, None)
         return emb
 
-    def span_prefix(self, emb: np.ndarray, trace=None) -> np.ndarray:
-        """(T_snippets, 5) `prefix_probs` of the span classifier on an
-        embedding, read-only: row k labels the span emb[:k+1].
-
-        When emb is the memo's embedding, the rows are kept in its entry
-        (see `embed`), and a later call with that embedding and the same
-        span classifier returns them and runs no pass. Otherwise one
-        pass scores them; trace, when given, is the span classifier's
-        pass over emb from row 0, as `prefix_probs` takes it, and no pass
-        is run.
-        """
-        net, m = self.span_classifier(), self._memo
+    def derived(self, emb: np.ndarray, key, make: Callable[[], object]):
+        """make(), kept in the memo entry when emb is its embedding: a
+        later call with that embedding and the same key (by identity)
+        returns the kept product and does not call make."""
+        m = self._memo
         entry = m is not None and m[4] is emb
-        if entry and m[5] is net:
+        if entry and m[5] is key:
             return m[6]
-        rows = prefix_probs(emb, net, self.style_cfg, trace=trace)
-        rows.flags.writeable = False
+        product = make()
         if entry:
-            self._memo = m[:5] + (net, rows)
-        return rows
+            self._memo = m[:5] + (key, product)
+        return product
 
     def span_classifier(self) -> ParamSet:
         """Net used to label sub-spans: the crop-trained segment net

@@ -14,18 +14,17 @@ segment.
 
 The style net is causal and pools with per-step weights, so one forward
 pass over the video scores every prefix span at once
-(`stylenet.prefix_probs`): in `segment` it labels the whole video and
-the left side of every candidate cut.  The right sides ride in the same
-pass: given the cuts' rows as `starts`, `stylenet.style_forward` runs
-the span from each cut to the end in the stacked LSTM step loop,
-joining it at the cut's row with zero state, and gives the bits a pass
-of its own would.  So `segment` runs the span classifier's step loop
-once.  Its prefix rows are the running probability curve of
-`prob_curve`: `ModelBundle.span_prefix` keeps them in the bundle's memo
-entry, next to the snippet embedding of `ModelBundle.embed` they were
-scored from, so `segment` followed by `prob_curve` on the same demo
-(`skymimic segment --curve`) embeds it once and scores it once, and
-the curve shows the probabilities the cuts read.
+(`stylenet.prefix_probs`), the whole video and each cut's left side.
+The right sides ride in the same pass: given the cuts' rows as
+`starts`, `stylenet.style_forward` runs the span from each cut to the
+end in the stacked LSTM step loop, with the bits a pass of its own
+would give.  `_span_table` makes that one call per demo and keeps its
+threshold-free product in the bundle's memo entry, next to the
+embedding it was scored from, keyed by the span classifier: `segment`
+selects a cut from the table and `prob_curve` returns its prefix rows.
+So in any order and repetition of the two (`skymimic segment --curve`)
+a demo is embedded and scored once, and the curve shows the
+probabilities the cuts read.
 
 Threshold semantics (default relative): the weaker side's peak
 probability must reach threshold * the stronger side's.  The absolute
@@ -42,7 +41,7 @@ import numpy as np
 from .features import STRIDE, snippet_ends
 from .pipeline import ModelBundle
 from .scene import DT, STYLES
-from .stylenet import PROB_FLOOR, style_forward
+from .stylenet import PROB_FLOOR, prefix_probs, style_forward
 
 MIN_SEGMENT_SECONDS = 2.0
 N_CANDIDATES = 3   # discontinuity peaks scored per video
@@ -68,11 +67,11 @@ def prob_curve(fg: np.ndarray, bg: np.ndarray,
     """The span classifier's probabilities over the growing prefix, the
     rows `segment` reads for the whole video and each cut's left side.
 
-    After `segment` on the same demo they come from the bundle's memo
-    with no LSTM pass; otherwise from one causal pass.  probs is
-    read-only."""
+    They are the prefix rows of the demo's span table, so before or
+    after `segment` on the same demo they cost no second LSTM call.
+    probs is read-only."""
     ends = snippet_ends(fg.shape[0])
-    return ProbCurve(ends * DT, bundle.span_prefix(bundle.embed(fg, bg)))
+    return ProbCurve(ends * DT, _span_table(fg, bg, bundle)[0])
 
 
 def _discontinuity(fg: np.ndarray) -> np.ndarray:
@@ -98,9 +97,38 @@ def _candidate_cuts(d: np.ndarray, lo: int, hi: int) -> list[int]:
     return peaks
 
 
+def _span_table(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle):
+    """(prefix, cuts): row k of prefix (read-only) labels the span [0, k],
+    and cuts holds (frame, box jump, left-side probs, right-side probs)
+    per candidate cut.  One stacked pass scores it per demo and span
+    classifier; the bundle's memo entry keeps it."""
+    emb = bundle.embed(fg, bg)
+    net, cfg = bundle.span_classifier(), bundle.style_cfg
+
+    def score():
+        n, n_frames = emb.shape[0], fg.shape[0]
+        min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
+        d = _discontinuity(fg)
+        fcuts = (_candidate_cuts(d, min_part, n_frames - min_part)
+                 if n >= 4 and n_frames >= 2 * min_part else [])
+        rows = [min(max(int(round(f / STRIDE)), 2), n - 2) for f in fcuts]
+        # one pass: its run from row 0 labels every span [0, k] (row k of
+        # prefix), the run from each cut's row the span from there on
+        runs = sorted({0, *rows})
+        _, probs, traces, _ = style_forward(emb, net, cfg, starts=runs)
+        prefix = prefix_probs(traces[0], net, cfg)
+        prefix.flags.writeable = False
+        right = dict(zip(runs, probs))
+        return prefix, [(f, d[f - 1], prefix[j - 1], right[j])
+                        for f, j in zip(fcuts, rows)]
+
+    return bundle.derived(emb, net, score)
+
+
 def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
             threshold: float = 0.6, mode: str = "relative") -> list[Segment]:
-    """Cut the video at a detected style change, or return it whole.
+    """Cut the video at the best candidate of its span table that
+    passes the threshold in the given mode, or return it whole.
 
     threshold must lie in [0, 1]; NaN is refused, since no comparison
     with it holds and it would pass every cut."""
@@ -108,29 +136,13 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
         raise ValueError(f"unknown threshold mode {mode!r}")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold!r} is not in [0, 1]")
-    emb = bundle.embed(fg, bg)
-    n = emb.shape[0]
-    n_frames = fg.shape[0]
-    duration = n_frames * DT
-    net, cfg = bundle.span_classifier(), bundle.style_cfg
-    min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
-    cuts = []   # (frame, snippet row) of each candidate cut
-    if n >= 4 and n_frames >= 2 * min_part:
-        d = _discontinuity(fg)
-        cuts = [(fcut, min(max(int(round(fcut / STRIDE)), 2), n - 2))
-                for fcut in _candidate_cuts(d, min_part, n_frames - min_part)]
-    # one pass: its run from row 0 labels every span [0, k] (row k of
-    # prefix), the run from each cut's row the span from there to the end
-    runs = sorted({0, *(jc for _, jc in cuts)})
-    _, probs, traces, _ = style_forward(emb, net, cfg, starts=runs)
-    prefix = bundle.span_prefix(emb, trace=traces[0])
-    right = dict(zip(runs, probs))
-    full = prefix[n - 1]
+    prefix, cuts = _span_table(fg, bg, bundle)
+    duration = fg.shape[0] * DT
+    full = prefix[-1]
     whole = [Segment(0.0, duration, STYLES[int(np.argmax(full))],
                      float(np.max(full)))]
     best = None
-    for fcut, jc in cuts:
-        p1, p2 = prefix[jc - 1], right[jc]
+    for fcut, jump, p1, p2 in cuts:
         if int(np.argmax(p1)) == int(np.argmax(p2)):
             continue
         weak, strong = sorted([float(p1.max()), float(p2.max())])
@@ -138,7 +150,7 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
             continue
         score = (np.log(p1.max() + PROB_FLOOR)
                  + np.log(p2.max() + PROB_FLOOR)
-                 + 0.5 * np.log(d[fcut - 1] + 1e-12))
+                 + 0.5 * np.log(jump + 1e-12))
         if best is None or score > best[0]:
             best = (score, fcut, p1, p2)
     if best is None:

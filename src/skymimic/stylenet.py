@@ -170,21 +170,19 @@ def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
             [trace for _, trace, _ in runs], None)
 
 
-def prefix_probs(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
-                 trace: AttentionTrace | None = None) -> np.ndarray:
-    """seq (T, D) -> (T, 5): row k is style_forward(seq[:k+1])'s probs.
+def prefix_probs(trace: AttentionTrace, p: ParamSet,
+                 cfg: StyleNetConfig) -> np.ndarray:
+    """(T, 5) probs of every prefix of a pass: row k is
+    style_forward(seq[:k+1])'s probs, where trace is that of
+    style_forward(seq) or of a stacked call's run from row 0.
 
     The LSTM is causal and each pooling weight depends only on its own
     step, so the trace of one pass over seq gives every prefix's
     feature as a running sum: of the gated outputs with attention (the
     trace's beta, whose norm is 1), and with mean pooling of the outputs
     over the prefix's own step count k + 1, where `_pooling`'s norm is
-    the whole run's T.  trace, when given, is that pass's, from
-    style_forward(seq) or a stacked call's run from row 0, and no pass
-    is run.
+    the whole run's T.
     """
-    if trace is None:
-        trace = style_forward(seq, p, cfg)[2]
     cum = []
     for name in cfg.branches:
         cs = trace.c[name]

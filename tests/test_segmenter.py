@@ -49,6 +49,22 @@ def _span_probs(emb, net, cfg, lo, hi):
     return style_forward(emb[lo:hi], net, cfg)[1]
 
 
+def _prefix_rows(emb, net, cfg):
+    """The prefix rows of one plain pass of net over emb."""
+    return prefix_probs(style_forward(emb, net, cfg)[2], net, cfg)
+
+
+def _candidates(fg, n):
+    """(frame, snippet row) of each candidate cut of a demo of fg with
+    n snippets, in the order segment scores them."""
+    n_frames = fg.shape[0]
+    min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
+    if n < 4 or n_frames < 2 * min_part:
+        return []
+    return [(f, min(max(int(round(f / STRIDE)), 2), n - 2)) for f in
+            _candidate_cuts(_discontinuity(fg), min_part, n_frames - min_part)]
+
+
 def _reference_curve(fg, bg, bundle):
     """Per-prefix loop: one span-classifier pass for every prefix."""
     emb = bundle.embed(fg, bg)
@@ -64,19 +80,15 @@ def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative",
     when given, scores each span [0, j) in place of a pass of its own."""
     emb = bundle.embed(fg, bg)
     net, cfg = bundle.span_classifier(), bundle.style_cfg
-    n, n_frames = emb.shape[0], fg.shape[0]
+    n = emb.shape[0]
     if left is None:
         def left(emb, net, cfg, j):
             return _span_probs(emb, net, cfg, 0, j)
     full = left(emb, net, cfg, n)
     whole = (None, [(int(np.argmax(full)), float(np.max(full)))])
-    min_part = max(1, int(round(MIN_SEGMENT_SECONDS / DT)))
-    if n < 4 or n_frames < 2 * min_part:
-        return whole
     d = _discontinuity(fg)
     best = None
-    for fcut in _candidate_cuts(d, min_part, n_frames - min_part):
-        jc = min(max(int(round(fcut / STRIDE)), 2), n - 2)
+    for fcut, jc in _candidates(fg, n):
         p1 = left(emb, net, cfg, jc)
         p2 = _span_probs(emb, net, cfg, jc, n)
         if int(np.argmax(p1)) == int(np.argmax(p2)):
@@ -158,47 +170,57 @@ def test_prob_curve_matches_per_prefix_reference(bundle, seg_bundle, record,
         assert np.max(np.abs(curve.probs - want)) <= 1e-12
 
 
-def test_segment_matches_per_span_reference(bundle, seg_bundle, record,
-                                            two_style):
-    cuts = 0
-    for b in (bundle, seg_bundle):
+def _used_bundles(record, two_style):
+    """(seg seed, fg, bg, bundle) per demo, with and without a segment
+    net. Each bundle has already drawn the demo's curve and cut it at
+    another threshold, so the span table it keeps is reused."""
+    for seed in (None, 43):
         for fg, bg in ((record.fg, record.bg), two_style):
-            for kw in ({}, {"threshold": 0.95},
-                       {"threshold": 0.05, "mode": "absolute"}):
-                segs = segment(fg, bg, b, **kw)
-                fcut, want = _reference_segment(fg, bg, b, **kw)
-                assert len(segs) == len(want)
-                if fcut is not None:
-                    cuts += 1
-                    assert segs[0].end == fcut * DT == segs[1].start
-                for s, (style, peak) in zip(segs, want):
-                    assert s.style == STYLES[style]
-                    assert abs(s.peak_prob - peak) <= 1e-12
+            b = _new_bundle(seed)
+            prob_curve(fg, bg, b)
+            segment(fg, bg, b, threshold=0.3)
+            yield seed, fg, bg, b
+
+
+def test_segment_matches_per_span_reference(record, two_style):
+    cuts = 0
+    for seed, fg, bg, b in _used_bundles(record, two_style):
+        for kw in ({}, {"threshold": 0.95},
+                   {"threshold": 0.05, "mode": "absolute"}):
+            segs = segment(fg, bg, b, **kw)
+            assert segs == segment(fg, bg, _new_bundle(seed), **kw)
+            fcut, want = _reference_segment(fg, bg, b, **kw)
+            assert len(segs) == len(want)
+            if fcut is not None:
+                cuts += 1
+                assert segs[0].end == fcut * DT == segs[1].start
+            for s, (style, peak) in zip(segs, want):
+                assert s.style == STYLES[style]
+                assert abs(s.peak_prob - peak) <= 1e-12
     # the left-side rows of the prefix pass must have been exercised
     assert cuts >= 4
 
 
-def test_segment_equals_per_span_passes_exactly(bundle, seg_bundle, record,
-                                                two_style):
+def test_segment_equals_per_span_passes_exactly(record, two_style):
     # the right side of every cut gets the bits of its own style-net
     # pass, the whole video and each left side those of the prefix
     # pass's row
     def prefix_row(emb, net, cfg, j):
-        return prefix_probs(emb, net, cfg)[j - 1]
+        return _prefix_rows(emb, net, cfg)[j - 1]
 
     cuts = 0
-    for b in (bundle, seg_bundle):
-        for fg, bg in ((record.fg, record.bg), two_style):
-            for kw in ({}, {"threshold": 0.95},
-                       {"threshold": 0.05, "mode": "absolute"}):
-                segs = segment(fg, bg, b, **kw)
-                fcut, want = _reference_segment(fg, bg, b, left=prefix_row,
-                                                **kw)
-                assert [(s.style, s.peak_prob) for s in segs] == [
-                    (STYLES[style], peak) for style, peak in want]
-                if fcut is not None:
-                    cuts += 1
-                    assert segs[0].end == fcut * DT == segs[1].start
+    for seed, fg, bg, b in _used_bundles(record, two_style):
+        for kw in ({}, {"threshold": 0.95},
+                   {"threshold": 0.05, "mode": "absolute"}):
+            segs = segment(fg, bg, b, **kw)
+            assert segs == segment(fg, bg, _new_bundle(seed), **kw)
+            fcut, want = _reference_segment(fg, bg, b, left=prefix_row,
+                                            **kw)
+            assert [(s.style, s.peak_prob) for s in segs] == [
+                (STYLES[style], peak) for style, peak in want]
+            if fcut is not None:
+                cuts += 1
+                assert segs[0].end == fcut * DT == segs[1].start
     assert cuts >= 4
 
 
@@ -215,19 +237,38 @@ def lstm_calls(monkeypatch):
     return calls
 
 
-def test_segment_runs_the_style_net_step_loop_once(seg_bundle, two_style,
-                                                   lstm_calls):
+def _stacked_starts(fg, bg, b):
+    """starts of segment's one stacked call: row 0, then the candidate
+    cuts' rows."""
+    n = b.embed(fg, bg).shape[0]
+    return sorted({0, *(jc for _, jc in _candidates(fg, n))})
+
+
+def test_segment_runs_the_style_net_step_loop_once(two_style, lstm_calls):
     # the whole-video prefix and every candidate right side share one
-    # stacked LSTM call, and the curve reads that call's prefix rows
+    # stacked LSTM call, and in any order and repetition, at any
+    # threshold or mode, segment and the curve read that call's table
     fg, bg = two_style
-    segs = segment(fg, bg, seg_bundle)
-    assert len(lstm_calls) == 1 and len(lstm_calls[0]) > 1  # row 0, cuts
-    assert len(segs) == 2
-    lstm_calls.clear()
-    prob_curve(fg, bg, seg_bundle)
-    assert lstm_calls == []
-    prob_curve(fg, bg, _new_bundle(43))
-    assert lstm_calls == [None]   # one run, from row 0
+
+    def curve(b):
+        prob_curve(fg, bg, b)
+
+    def cut(**kw):
+        return lambda b: segment(fg, bg, b, **kw)
+
+    starts = _stacked_starts(fg, bg, _new_bundle(43))
+    assert len(starts) > 1
+    for calls in ([curve, cut()],
+                  [cut(), cut(threshold=0.95),
+                   cut(threshold=0.05, mode="absolute")],
+                  [cut(), curve]):
+        b = _new_bundle(43)
+        lstm_calls.clear()
+        for call in calls:
+            call(b)
+        assert lstm_calls == [starts]
+        assert len(segment(fg, bg, b)) == 2
+        assert lstm_calls == [starts]
 
 
 def test_curve_after_segment_is_the_cuts_prefix_pass(two_style):
@@ -236,10 +277,10 @@ def test_curve_after_segment_is_the_cuts_prefix_pass(two_style):
     segs = segment(fg, bg, b)
     curve = prob_curve(fg, bg, b)
     emb = b.embed(fg, bg)
-    want = prefix_probs(emb, b.segment_params, b.style_cfg)
+    want = _prefix_rows(emb, b.segment_params, b.style_cfg)
     assert np.array_equal(curve.probs, want)
     assert not np.array_equal(
-        curve.probs, prefix_probs(emb, b.style_params, b.style_cfg))
+        curve.probs, _prefix_rows(emb, b.style_params, b.style_cfg))
     # the cut's left side is a row of the curve
     assert len(segs) == 2
     jc = int(round(segs[0].end / DT / STRIDE))
@@ -253,31 +294,38 @@ def test_curve_memo_misses_on_new_demo_net_or_encoder(two_style, record,
     fg, bg = two_style
     b = _new_bundle(43)
     segment(fg, bg, b)
-    lstm_calls.clear()
 
-    def fresh_pass(fg, bg):
+    def fresh_pass(fg, bg, curve_first=True):
+        # one stacked call scores the demo, whichever of the curve and
+        # the cuts comes first; the other and a repeat reuse its table
         lstm_calls.clear()
+        if not curve_first:
+            segment(fg, bg, b)
         got = prob_curve(fg, bg, b).probs
-        assert lstm_calls == [None]
+        segment(fg, bg, b, threshold=0.95)
+        assert lstm_calls == [_stacked_starts(fg, bg, b)]
         emb = b.embed(fg, bg)
         assert np.array_equal(
-            got, prefix_probs(emb, b.span_classifier(), b.style_cfg))
+            got, _prefix_rows(emb, b.span_classifier(), b.style_cfg))
         lstm_calls.clear()
         assert prob_curve(fg, bg, b).probs is got   # kept for the next call
+        segment(fg, bg, b)
         assert lstm_calls == []
         return got
 
     fresh_pass(record.fg, record.bg)              # new demo content
+    fresh_pass(fg, bg, curve_first=False)
     fg2 = record.fg.copy()
     fg2[3, 0] += 1.0
     fresh_pass(fg2, record.bg)                    # new fg content
     old = fresh_pass(fg2, record.bg + 1.0)        # new bg content
     b.segment_params = init_style_net(cfg, 44)    # a replaced span classifier
-    assert not np.array_equal(fresh_pass(fg2, record.bg + 1.0), old)
+    assert not np.array_equal(fresh_pass(fg2, record.bg + 1.0,
+                                         curve_first=False), old)
     b.fg_encoder = b.fg_encoder.copy()            # a replaced encoder
     fresh_pass(fg2, record.bg + 1.0)
     b.bg_encoder = b.bg_encoder.copy()
-    fresh_pass(fg2, record.bg + 1.0)
+    fresh_pass(fg2, record.bg + 1.0, curve_first=False)
     b.segment_params = None                       # back to the style net
     fresh_pass(fg2, record.bg + 1.0)
 
@@ -307,7 +355,7 @@ def test_curve_without_segment_net_is_the_style_net_pass(two_style, record):
     # one plain style-net prefix pass, before and after segment
     for fg, bg in (two_style, (record.fg, record.bg)):
         b = _new_bundle()
-        want = prefix_probs(b.embed(fg, bg), b.style_params, b.style_cfg)
+        want = _prefix_rows(b.embed(fg, bg), b.style_params, b.style_cfg)
         assert np.array_equal(prob_curve(fg, bg, b).probs, want)
         b = _new_bundle()
         segment(fg, bg, b)

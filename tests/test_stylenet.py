@@ -61,7 +61,7 @@ def test_prefix_probs_match_per_prefix_forward(name, T):
     cfg = VARIANTS[name]
     p = init_style_net(cfg, seed=6)
     seq = np.random.default_rng(6).uniform(-1, 1, size=(T, 96))
-    got = prefix_probs(seq, p, cfg)
+    got = prefix_probs(style_forward(seq, p, cfg)[2], p, cfg)
     assert got.shape == (T, 5)
     for k in range(T):
         _, want, _, _ = style_forward(seq[:k + 1], p, cfg)
@@ -92,8 +92,8 @@ def test_style_forward_starts_equal_per_span_forward(name):
                                   want_trace.beta[branch])
             assert np.array_equal(traces[m].c[branch], want_trace.c[branch])
     # the run from row 0 gives every prefix the bits of a pass of its own
-    assert np.array_equal(prefix_probs(seq, p, cfg, trace=traces[0]),
-                          prefix_probs(seq, p, cfg))
+    assert np.array_equal(prefix_probs(traces[0], p, cfg),
+                          prefix_probs(style_forward(seq, p, cfg)[2], p, cfg))
     for bad in ([5, 2], [], [-1], [T]):
         with pytest.raises(ValueError):
             style_forward(seq, p, cfg, starts=bad)
@@ -132,12 +132,6 @@ def test_style_forward_branches_equal_single_cell_runs(name):
         want = lstm_forward(seq[:, cfg.branch_input(branch)], p,
                             f"{branch}_")[0]
         assert np.array_equal(trace.c[branch], want)
-
-
-def test_prefix_probs_empty_sequence():
-    p = init_style_net(TINY, seed=4)
-    with pytest.raises(ValueError):
-        prefix_probs(np.zeros((0, 7)), p, TINY)
 
 
 def test_beta_in_unit_interval():
