@@ -26,9 +26,8 @@ from . import imitation as imitation_mod
 from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
-from .dataset import (CorpusConfig, DependencyError, load_corpus,
-                      load_video, write_text_atomic)
-from .nn import NumericError
+from .dataset import CorpusConfig, DependencyError, load_corpus, load_video
+from .nn import NumericError, write_atomic
 from .pipeline import ModelBundle, load_encoders, load_net
 from .scene import DT, STYLES, GeneratorError, check_style_contract
 from .segmenter import prob_curve, segment as segment_video
@@ -67,7 +66,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, stage: str):
             lines.setdefault(line.split(" ", 1)[0], line)
     body = [f"# skymimic artifacts version={__version__}"] \
         + [lines[s] for s in TRAIN_STAGES if s in lines]
-    write_text_atomic(path, "\n".join(body) + "\n")
+    write_atomic(path, ("\n".join(body) + "\n").encode())
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):

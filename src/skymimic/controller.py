@@ -35,7 +35,7 @@ from .geometry import (Intrinsics, OffscreenError, Pose6D,
 from .imitation import DIR_EPS, make_action, predict_action
 from .nn import NumericError
 from .pipeline import ModelBundle, demo_conditioning
-from .scene import DT, FrameSample, SubjectPath
+from .scene import DT, FrameSample, ShotScript
 
 MAX_SPEED = 10.0          # m/s step clamp
 PROCESS_NOISE = 0.5       # m/s^2 equivalent, of the subject's Kalman filter
@@ -290,13 +290,14 @@ class Executor:
 
 @dataclass
 class LiveScene:
-    """A fresh environment for recapture: subject path + static world."""
+    """A fresh environment for recapture: the scripted shot (its subject
+    path and body height, and the shot the loop should fly), the static
+    world and the drone's start pose."""
 
-    subject: SubjectPath
+    script: ShotScript
     cloud: np.ndarray
     intrinsics: Intrinsics
     drone_start: Pose6D
-    subject_height: float = 1.7
 
 
 @dataclass
@@ -350,6 +351,8 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     if bundle.imitation_params is None:
         raise RuntimeError("bundle has no trained imitation net")
     K = scene.intrinsics
+    subject = scene.script.subject
+    body_height = subject.body_height
     n_exec = int(round(duration / DT))
     n_total = WINDOW + n_exec
     drone = scene.drone_start
@@ -359,7 +362,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     prev_action = None
     track = None
     lost = 0.0
-    offset0 = drone.position - scene.subject.pose_at(0.0).position
+    offset0 = drone.position - subject.pose_at(0.0).position
     actions = np.zeros((n_exec, 7))
     kappa = demo_actions.shape[0] / n_exec if demo_actions is not None \
         else 1.0
@@ -367,9 +370,9 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
 
     for t in range(n_total):
         now = t * DT
-        subj = scene.subject.pose_at(now)
+        subj = subject.pose_at(now)
         try:
-            fg = project_foreground(drone, K, subj, scene.subject_height)
+            fg = project_foreground(drone, K, subj, body_height)
             lost = 0.0
         except (VisibilityError, OffscreenError) as e:
             lost += DT
@@ -378,7 +381,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
                     f"subject off-screen for {lost:.2f} s at t={now:.2f} s"
                 ) from e
             fg = None
-        frames.append(FrameSample(now, drone, subj, scene.subject_height))
+        frames.append(FrameSample(now, drone, subj, body_height))
         proj = project_points(drone, K, scene.cloud)
         if t > 0:
             # field t-1 pairs the last pose with this one; until the
@@ -397,7 +400,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
             break
 
         if fg is not None:
-            measured = localize_subject(fg, drone, K, scene.subject_height)
+            measured = localize_subject(fg, drone, K, body_height)
             if track is None:
                 track = SubjectTrack(measured)
                 subj_now = subj_next = measured
@@ -428,7 +431,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
             if executor is None:
                 executor = Executor(fg_obs.rows[t, 3], kappa)
             drone = executor.step(drone, action, subj_now, subj_next, K,
-                                  scene.subject_height)
+                                  body_height)
         else:
             # warm-up: hold the initial relative geometry
             target = subj_next + offset0

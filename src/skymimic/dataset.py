@@ -22,7 +22,6 @@ DependencyError; a damaged file raises OSError.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,7 @@ import numpy as np
 from .features import WINDOW
 from .geometry import (Intrinsics, flip_bg, flip_fg, project_foreground,
                        project_points, render_motion_field)
-from .nn import ParamSet
+from .nn import ParamSet, write_atomic
 from .scene import (STYLES, FrameSample, action_labels,
                     generate_style_trajectory, make_point_cloud, random_script)
 
@@ -46,20 +45,6 @@ DEFAULT_TEST_COUNTS = {"fly-by": 7, "fly-through": 14, "follow": 10,
 class DependencyError(RuntimeError):
     """A required input file, corpus video or trained artifact, is
     missing."""
-
-
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary file in path's directory, then move it
-    onto path, so path holds the old text or the new, never a part. The
-    temporary file is removed when either step fails."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 @dataclass
@@ -169,10 +154,10 @@ def make_dataset(config: CorpusConfig, out_dir: str | Path,
             save_video(out, rec)
             records.append(rec)
             manifest_lines.append(f"{vid} {style} {split} {rec.seed}")
-    write_text_atomic(
+    write_atomic(
         out / "manifest.txt",
-        f"# skymimic corpus seed={config.seed} videos={len(records)}\n"
-        + "".join(line + "\n" for line in manifest_lines))
+        (f"# skymimic corpus seed={config.seed} videos={len(records)}\n"
+         + "".join(line + "\n" for line in manifest_lines)).encode())
     return records
 
 

@@ -71,15 +71,13 @@ def autoencoder_init(channel: str, seed: int) -> ParamSet:
         raise ChannelError(f"unknown channel {channel!r}")
     d_in, hidden = CHANNEL_DIMS[channel]
     rng = np.random.default_rng(seed)
-    p = lstm_init(rng, d_in, hidden, prefix="enc_")
+    enc = lstm_init(rng, d_in, hidden, prefix="enc_")
+    dec = lstm_init(rng, d_in, hidden, prefix="dec_")
     # the decoder reads no input, so its Wx keeps no rows of its draw;
     # the draw is still taken, so that every later draw keeps its value
-    for k, v in lstm_init(rng, d_in, hidden, prefix="dec_").items():
-        p[k] = v[:0] if k == "dec_Wx" else v
-    p["out_W"] = uniform_init(rng, hidden, (hidden, d_in))
-    p["out_b"] = np.zeros(d_in)
-    p.meta["channel"] = channel
-    return p
+    return ParamSet({**enc, **dec, "dec_Wx": dec["dec_Wx"][:0],
+                     "out_W": uniform_init(rng, hidden, (hidden, d_in)),
+                     "out_b": np.zeros(d_in)}, {"channel": channel})
 
 
 class _Step(NamedTuple):

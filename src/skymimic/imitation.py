@@ -106,16 +106,13 @@ def dtw_align(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
 def init_imitation_net(style_dim: int, obs_dim: int, seed: int,
                        hidden1: int = 128, hidden2: int = 64) -> ParamSet:
     rng = np.random.default_rng(seed)
-    p = mlp_init(rng, [style_dim + obs_dim, hidden1, CONTEXT_DIM],
-                 prefix="m1_")
-    for k, v in mlp_init(rng, [CONTEXT_DIM + ACTION_DIM, hidden2,
-                               ACTION_DIM], prefix="m2_").items():
-        p[k] = v
-    p["m2_skip"] = np.ones(1)
-    p.meta["kind"] = "imitation-net"
-    p.meta["style_dim"] = style_dim
-    p.meta["obs_dim"] = obs_dim
-    return p
+    m1 = mlp_init(rng, [style_dim + obs_dim, hidden1, CONTEXT_DIM],
+                  prefix="m1_")
+    m2 = mlp_init(rng, [CONTEXT_DIM + ACTION_DIM, hidden2, ACTION_DIM],
+                  prefix="m2_")
+    return ParamSet({**m1, **m2, "m2_skip": np.ones(1)},
+                    {"kind": "imitation-net", "style_dim": style_dim,
+                     "obs_dim": obs_dim})
 
 
 def _context_forward(v, o, p):
@@ -175,7 +172,7 @@ def predict_action(v: np.ndarray, o: np.ndarray, a: np.ndarray,
 
 
 def imitation_loss_and_grad(v, o, a_c, label_c, a_s=None, label_s=None,
-                            lam: float = 0.7, p: ParamSet = None):
+                            lam: float = 0.7, *, p: ParamSet):
     """Loss and parameter gradients for one (content[, style]) pair.
 
     Both prediction terms share the context built from (v, o); they

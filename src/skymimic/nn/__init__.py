@@ -3,7 +3,7 @@ from .layers import (NumericError, TrainingError, affine, affine_backward,
                      lstm_backward, lstm_forward, lstm_init,
                      lstm_input_weights, mlp_backward, mlp_forward,
                      mlp_init, sigmoid, softmax)
-from .params import DimensionError, ParamSet, uniform_init
+from .params import DimensionError, ParamSet, uniform_init, write_atomic
 
 __all__ = [
     "AdamaxState", "adamax_update", "fit", "NumericError",
@@ -11,5 +11,5 @@ __all__ = [
     "affine", "affine_backward", "lstm_backward", "lstm_forward",
     "lstm_init", "lstm_input_weights", "mlp_backward", "mlp_forward",
     "mlp_init", "sigmoid", "softmax", "DimensionError", "ParamSet",
-    "uniform_init",
+    "uniform_init", "write_atomic",
 ]

@@ -9,19 +9,17 @@ from .layers import TrainingError
 from .params import ParamSet
 
 CHUNK = 16384  # elements per pass over the flat vectors: 128 KiB each
+BETA1 = 0.9     # first-moment decay
+BETA2 = 0.999   # infinity-norm decay
+EPS = 1e-8
 
 
 class AdamaxState:
     """Per-parameter first-moment and infinity-norm accumulators, plus
     two chunk-sized scratch buffers for the update."""
 
-    def __init__(self, params: ParamSet, lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params: ParamSet, lr: float = 0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m = params.zeros_like()
         self.u = params.zeros_like()
@@ -42,7 +40,7 @@ def adamax_update(params: ParamSet, grads: ParamSet,
     params.check_mirror(grads)
     params.check_mirror(state.m)
     state.step += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = BETA1, BETA2, EPS
     rate = state.lr / (1.0 - b1 ** state.step)
     p, g, m, u = params.flat, grads.flat, state.m.flat, state.u.flat
     s1, s2 = state._scratch

@@ -247,11 +247,10 @@ def _lstm_steps(Whs, s, off, rec, ig, steps) -> None:
 
 def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
               prefix: str = "") -> ParamSet:
-    p = ParamSet()
-    p[prefix + "Wx"] = uniform_init(rng, d_in, (d_in, 4 * hidden))
-    p[prefix + "Wh"] = uniform_init(rng, hidden, (hidden, 4 * hidden))
-    p[prefix + "b"] = np.zeros(4 * hidden)
-    return p
+    return ParamSet({
+        prefix + "Wx": uniform_init(rng, d_in, (d_in, 4 * hidden)),
+        prefix + "Wh": uniform_init(rng, hidden, (hidden, 4 * hidden)),
+        prefix + "b": np.zeros(4 * hidden)})
 
 
 def lstm_input_weights(p: ParamSet,
@@ -511,12 +510,12 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
 
 def mlp_init(rng: np.random.Generator, dims: list[int],
              prefix: str = "") -> ParamSet:
-    p = ParamSet()
+    arrays = {}
     for li in range(len(dims) - 1):
-        p[f"{prefix}W{li}"] = uniform_init(rng, dims[li],
-                                           (dims[li], dims[li + 1]))
-        p[f"{prefix}b{li}"] = np.zeros(dims[li + 1])
-    return p
+        arrays[f"{prefix}W{li}"] = uniform_init(rng, dims[li],
+                                                (dims[li], dims[li + 1]))
+        arrays[f"{prefix}b{li}"] = np.zeros(dims[li + 1])
+    return ParamSet(arrays)
 
 
 def mlp_forward(x: np.ndarray, p: ParamSet, n_layers: int, prefix: str = ""):

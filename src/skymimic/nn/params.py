@@ -2,27 +2,29 @@
 binary on-disk container.
 
 A ParamSet owns one contiguous float64 vector (`flat`); each name is a
-C-ordered view into it, in insertion order. Optimizers and gradient
-sums therefore run over one array, and a copy or a zero set of the same
-layout is one allocation. Two consequences for callers:
-
-- assigning to an existing name copies the value into its view, so the
-  set never aliases the caller's array; accumulate gradients in place
-  with `grads[k] += dW`;
-- adding a new name reallocates the vector, so views taken before that
-  no longer alias the set.
+C-ordered view into it, in the order the constructor was given. The
+layout is fixed when the set is made: assigning to a name copies the
+value into its view, so the set never aliases the caller's array, and a
+name the set does not have raises KeyError. Optimizers and gradient
+sums therefore run over one array (accumulate with `grads[k] += dW`),
+and a copy or a zero set of the same layout is one allocation.
 
 A ParamSet file is the one on-disk format: each trained net and each
 corpus video is one. Layout, little-endian: magic b"SMC1"; uint32 n and
 an n-byte JSON header, written with sorted keys, holding "meta" and the
 ordered [name, shape] "layout"; the flat float64 vector as one block.
-Files in the earlier formats are not read: regenerate them.
+`save` writes it through `write_atomic`: a temporary file in the same
+directory, moved onto the path, so the path holds the old file or the
+new one, never a part. `load` checks the file's length against the
+length its header implies once, so a truncated or padded file never
+decodes. Files in the earlier formats are not read: regenerate them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -35,31 +37,22 @@ class DimensionError(ValueError):
     """Raised when array shapes do not conform."""
 
 
-class ByteReader:
-    """Length-checked sequential reader over a whole file.
-
-    Every read raises OSError when the file ends before it, and
-    `finish` raises OSError when bytes are left over, so a truncated or
-    padded file never decodes silently.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        # a view, so that taking a payload does not copy it
-        self.buf = memoryview(self.path.read_bytes())
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise OSError(f"{self.path}: truncated at byte {len(self.buf)} "
-                          f"(record needs {self.pos + n})")
-        self.pos += n
-        return self.buf[self.pos - n:self.pos]
-
-    def finish(self, what: str) -> None:
-        if self.pos != len(self.buf):
-            raise OSError(f"{self.path}: {len(self.buf) - self.pos} "
-                          f"trailing bytes after {what}")
+def write_atomic(path: str | Path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to a temporary file in
+    path's directory, then move it onto path, so path holds the old
+    bytes or the new, never a part. Each chunk is written as it is, not
+    joined to the others first. The temporary file is removed when
+    either step fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
@@ -75,15 +68,16 @@ class ParamSet:
     """Ordered map from parameter name to a float64 view of one flat
     vector.
 
-    Shapes are fixed at insertion. `layout` is the tuple of (name,
-    shape) pairs; sets made by copy() and zeros_like() share it.
+    Names, shapes and order are fixed at construction. `layout` is the
+    tuple of (name, shape) pairs; sets made by copy() and zeros_like()
+    share it.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray] | None = None,
+    def __init__(self, arrays: dict[str, np.ndarray],
                  meta: dict | None = None):
         self.meta = dict(meta) if meta else {}
         items = [(k, np.asarray(v, dtype=np.float64))
-                 for k, v in (arrays or {}).items()]
+                 for k, v in arrays.items()]
         self._adopt(tuple((k, v.shape) for k, v in items),
                     np.concatenate([v.ravel() for _, v in items])
                     if items else np.zeros(0))
@@ -100,20 +94,15 @@ class ParamSet:
         return out
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        view = self._arrays.get(name)
-        if view is not None:
-            if value is view:   # grads[k] += dW already wrote the view
-                return
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.shape != view.shape:
-                raise DimensionError(
-                    f"parameter {name!r}: shape {arr.shape} does not "
-                    f"match existing {view.shape}")
-            view[...] = arr
+        view = self._arrays[name]
+        if value is view:   # grads[k] += dW already wrote the view
             return
         arr = np.asarray(value, dtype=np.float64)
-        self._adopt(self.layout + ((name, arr.shape),),
-                    np.concatenate([self.flat, arr.ravel()]))
+        if arr.shape != view.shape:
+            raise DimensionError(
+                f"parameter {name!r}: shape {arr.shape} does not "
+                f"match existing {view.shape}")
+        view[...] = arr
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -160,45 +149,55 @@ class ParamSet:
                              f"vs {list(other.keys())}")
 
     def save(self, path: str | Path) -> None:
-        """Write the set, with its meta, as one file."""
+        """Write the set, with its meta, as one file, atomically."""
         header = json.dumps(
             {"layout": [[k, list(shape)] for k, shape in self.layout],
              "meta": self.meta},
             sort_keys=True, separators=(",", ":")).encode("utf-8")
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", len(header)))
-            f.write(header)
-            f.write(self.flat.astype("<f8").tobytes())
+        write_atomic(path, MAGIC, struct.pack("<I", len(header)), header,
+                     self.flat.astype("<f8", copy=False))
 
     @classmethod
     def load(cls, path: str | Path) -> "ParamSet":
         """Read a file written by save(). Raises OSError when the file
         has another magic, ends early, has a malformed header, or has
         bytes after the vector."""
-        r = ByteReader(path)
-        if r.take(4) != MAGIC:
-            raise OSError(f"{r.path}: not a skymimic container")
-        (n,) = struct.unpack("<I", r.take(4))
-        try:
-            header = json.loads(bytes(r.take(n)))
-            meta = header["meta"]
-            layout = tuple((name, tuple(shape))
-                           for name, shape in header["layout"])
-            if not (isinstance(meta, dict)
-                    and len({name for name, _ in layout}) == len(layout)
-                    and all(isinstance(name, str)
-                            and all(type(d) is int and d >= 0 for d in shape)
-                            for name, shape in layout)):
-                raise ValueError("bad layout or meta")
-        except (ValueError, KeyError, TypeError) as e:
-            raise OSError(f"{r.path}: malformed header: {e}") from e
+        path = Path(path)
+        buf = memoryview(path.read_bytes())
+        if buf[:4] != MAGIC[:len(buf)]:
+            raise OSError(f"{path}: not a skymimic container")
+        start = 8 + (struct.unpack_from("<I", buf, 4)[0]
+                     if len(buf) >= 8 else 0)
+        meta, layout = {}, ()
+        if start <= len(buf):
+            try:
+                header = json.loads(bytes(buf[8:start]))
+                meta = header["meta"]
+                layout = tuple((name, tuple(shape))
+                               for name, shape in header["layout"])
+                if not (isinstance(meta, dict)
+                        and len({name for name, _ in layout}) == len(layout)
+                        and all(isinstance(name, str)
+                                and all(type(d) is int and d >= 0
+                                        for d in shape)
+                                for name, shape in layout)):
+                    raise ValueError("bad layout or meta")
+            except (ValueError, KeyError, TypeError) as e:
+                raise OSError(f"{path}: malformed header: {e}") from e
+        # a file that stops inside its header is checked against the
+        # header's end, any other against the vector's
         size = sum(math.prod(shape) for _, shape in layout)
-        flat = np.frombuffer(r.take(8 * size), "<f8").astype(np.float64)
-        r.finish(f"{len(layout)} records")
+        end = start + 8 * size
+        if len(buf) < end:
+            raise OSError(f"{path}: truncated at byte {len(buf)} "
+                          f"(needs {end})")
+        if len(buf) > end:
+            raise OSError(f"{path}: {len(buf) - end} trailing bytes "
+                          f"after {len(layout)} records")
         out = cls.__new__(cls)
         out.meta = meta
-        out._adopt(layout, flat)
+        out._adopt(layout, np.frombuffer(buf, "<f8", size, start)
+                   .astype(np.float64))
         return out
 
 

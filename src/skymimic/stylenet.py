@@ -77,19 +77,15 @@ class AttentionTrace:
 
 def init_style_net(cfg: StyleNetConfig, seed: int) -> ParamSet:
     rng = np.random.default_rng(seed)
-    p = ParamSet(meta={"kind": "style-net", "config": asdict(cfg)})
+    arrays = {}
     for name in cfg.branches:
         d_in = cfg.fg_dim if name == "fg" else cfg.bg_dim
-        for k, v in lstm_init(rng, d_in, cfg.hidden, f"{name}_").items():
-            p[k] = v
+        arrays |= lstm_init(rng, d_in, cfg.hidden, f"{name}_")
         if cfg.use_attention:
-            for k, v in mlp_init(rng, [cfg.hidden, cfg.attn_hidden, 1],
-                                 prefix=f"a{name}_").items():
-                p[k] = v
-    for k, v in mlp_init(rng, [cfg.feature_dim, N_CLASSES],
-                         prefix="cls_").items():
-        p[k] = v
-    return p
+            arrays |= mlp_init(rng, [cfg.hidden, cfg.attn_hidden, 1],
+                               prefix=f"a{name}_")
+    arrays |= mlp_init(rng, [cfg.feature_dim, N_CLASSES], prefix="cls_")
+    return ParamSet(arrays, {"kind": "style-net", "config": asdict(cfg)})
 
 
 def _cells(cfg: StyleNetConfig) -> tuple[str, ...]:

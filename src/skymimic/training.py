@@ -175,6 +175,6 @@ def make_live_scene(style: str, rng: np.random.Generator,
     first, = generate_style_trajectory(script, n_frames=1)
     center = first.subject.position[:2]
     cloud = make_point_cloud(rng, center=tuple(center))
-    scene = LiveScene(script.subject, cloud, Intrinsics(focal=cfg.focal),
-                      first.camera, cfg.subject_height)
+    scene = LiveScene(script, cloud, Intrinsics(focal=cfg.focal),
+                      first.camera)
     return scene, script.duration

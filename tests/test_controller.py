@@ -391,7 +391,8 @@ def test_closed_loop_projects_each_pose_once(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_live_scene_matches_first_frame_of_whole_trajectory(style, seed):
     # the live scene builds only frame 0 of its scripted shot; its start
-    # pose and cloud, and the rng after it, equal the whole shot's
+    # pose and cloud, and the rng after it, equal the whole shot's, and
+    # it keeps the script the same rng draws
     rng, ref_rng = (np.random.default_rng(900 + seed) for _ in range(2))
     scene, duration = make_live_scene(style, rng)
     script = random_script(style, ref_rng, (10.0, 14.0), 1.7)
@@ -399,6 +400,12 @@ def test_live_scene_matches_first_frame_of_whole_trajectory(style, seed):
     cloud = make_point_cloud(ref_rng,
                              center=tuple(first.subject.position[:2]))
     assert duration == script.duration
+    got = scene.script
+    assert (got.style, got.duration, got.seed, got.params) == \
+        (script.style, script.duration, script.seed, script.params)
+    assert np.array_equal(got.subject.waypoints, script.subject.waypoints)
+    assert (got.subject.speed, got.subject.body_height) == \
+        (script.subject.speed, script.subject.body_height)
     assert np.array_equal(scene.drone_start.position, first.camera.position)
     assert np.array_equal(scene.drone_start.angles, first.camera.angles)
     assert np.array_equal(scene.cloud, cloud)

@@ -5,10 +5,11 @@ import pytest
 
 from skymimic.features import (CHANNEL_DIMS, WINDOW, _ae_backward, _ae_forward,
                                autoencoder_init)
-from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax_update,
-                         affine, affine_backward, lstm_backward,
-                         lstm_forward, lstm_init, mlp_backward, mlp_forward,
-                         mlp_init, sigmoid, softmax, uniform_init)
+from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax,
+                         adamax_update, affine, affine_backward,
+                         lstm_backward, lstm_forward, lstm_init,
+                         mlp_backward, mlp_forward, mlp_init, sigmoid,
+                         softmax, uniform_init)
 from oracles import grad_check
 
 
@@ -86,12 +87,8 @@ def test_lstm_bptt_vs_finite_differences():
 def test_layer_gradients_randomized(seed):
     """Per-layer analytic gradients match finite differences, 20 seeds."""
     rng = np.random.default_rng(1000 + seed)
-    p = lstm_init(rng, 2, 3)
-    for k in ("W0", "b0", "W1", "b1"):
-        pass
-    mlp = mlp_init(rng, [3, 4, 2], prefix="m_")
-    for k, v in mlp.items():
-        p[k] = v
+    p = ParamSet({**lstm_init(rng, 2, 3),
+                  **mlp_init(rng, [3, 4, 2], prefix="m_")})
     xs = rng.normal(size=(4, 2))
     R = rng.normal(size=2)
 
@@ -421,11 +418,10 @@ def test_autoencoder_init_keeps_the_draws_of_a_full_width_decoder(channel,
     # was full width: enc cell, full-width dec cell, then out_W
     d_in, hidden = CHANNEL_DIMS[channel]
     rng = np.random.default_rng(seed)
-    old = lstm_init(rng, d_in, hidden, "enc_")
-    for k, v in lstm_init(rng, d_in, hidden, "dec_").items():
-        old[k] = v
-    old["out_W"] = uniform_init(rng, hidden, (hidden, d_in))
-    old["out_b"] = np.zeros(d_in)
+    old = {**lstm_init(rng, d_in, hidden, "enc_"),
+           **lstm_init(rng, d_in, hidden, "dec_"),
+           "out_W": uniform_init(rng, hidden, (hidden, d_in)),
+           "out_b": np.zeros(d_in)}
     p = autoencoder_init(channel, seed)
     assert list(p) == list(old)
     assert p["dec_Wx"].shape == (0, 4 * hidden)
@@ -440,13 +436,13 @@ def _cell_stack_params(n_cells, H, T, seed):
     cells' inputs side by side; also each cell's input on its own, as
     a contiguous copy."""
     rng = np.random.default_rng(seed)
-    p, edges = ParamSet(), [0]
+    arrays, edges = {}, [0]
     for k in range(n_cells):
         D = 32 * (k + 1)
-        for name, v in lstm_init(rng, D, H, f"c{k}_").items():
-            p[name] = v
-        p[f"c{k}_b"] = rng.normal(size=4 * H)
+        arrays |= lstm_init(rng, D, H, f"c{k}_")
+        arrays[f"c{k}_b"] = rng.normal(size=4 * H)
         edges.append(edges[-1] + D)
+    p = ParamSet(arrays)
     xs = rng.normal(size=(T, edges[-1]))
     own = tuple(xs[:, a:z].copy() for a, z in zip(edges, edges[1:]))
     return p, tuple(f"c{k}_" for k in range(n_cells)), xs, own, rng
@@ -580,9 +576,8 @@ def test_lstm_backward_out_gives_the_bits_of_a_fresh_call(n_cells):
 def test_lstm_stack_rejects_what_it_cannot_run():
     T = 4
     p, prefixes, xs, own, _ = _cell_stack_params(2, 8, T, 0)
-    q = lstm_init(np.random.default_rng(1), 32, 16, "wide_")
-    for k, v in q.items():
-        p[k] = v
+    p = ParamSet({**p, **lstm_init(np.random.default_rng(1), 32, 16,
+                                   "wide_")})
     with pytest.raises(DimensionError):   # two hidden sizes
         lstm_forward(np.hstack([own[0], own[0]]), p, ("c0_", "wide_"))
     with pytest.raises(DimensionError):   # one cell's input for two cells
@@ -703,7 +698,7 @@ def test_adamax_infinity_norm_nondecreasing():
     prev = st.u["w"].copy()
     for _ in range(100):
         adamax_update(p, ParamSet({"w": rng.normal(size=4)}), st)
-        assert np.all(st.u["w"] >= prev * st.beta2 - 1e-15)
+        assert np.all(st.u["w"] >= prev * adamax.BETA2 - 1e-15)
         assert np.all(st.u["w"] >= 0)
         prev = st.u["w"].copy()
 
@@ -744,7 +739,7 @@ def test_adamax_in_place_bit_identical_to_formula():
         p = make(21)
         st = AdamaxState(p, lr=0.01)
         ref_p, ref_m, ref_u = p.copy(), p.zeros_like(), p.zeros_like()
-        b1, b2, eps = st.beta1, st.beta2, st.eps
+        b1, b2, eps = adamax.BETA1, adamax.BETA2, adamax.EPS
         for step in range(1, 5):
             g = ParamSet({k: rng.normal(size=v.shape) for k, v in p.items()})
             snapshot = p.copy()
@@ -865,7 +860,7 @@ def _per_record_save(p, path):
                                   _imitation_net])
 def test_paramset_save_bytes_equal_per_record_writer(make, tmp_path):
     p = make(5)
-    p["s"] = np.array(2.5)   # a 0-d record too
+    p = ParamSet({**p, "s": np.array(2.5)}, p.meta)   # a 0-d record too
     p.save(tmp_path / "flat.bin")
     _per_record_save(p, tmp_path / "ref.bin")
     assert (tmp_path / "flat.bin").read_bytes() == \
@@ -873,6 +868,69 @@ def test_paramset_save_bytes_equal_per_record_writer(make, tmp_path):
     q = ParamSet.load(tmp_path / "flat.bin")
     assert q.layout == p.layout and np.array_equal(q.flat, p.flat)
     assert q.meta == p.meta
+
+
+def test_paramset_assigning_an_unknown_name_raises_and_keeps_the_layout():
+    p = ParamSet({"W": np.ones((2, 3)), "b": np.zeros(3)})
+    layout, flat, before = p.layout, p.flat, p.flat.copy()
+    with pytest.raises(KeyError):
+        p["c"] = np.zeros(3)
+    assert p.layout is layout and p.flat is flat
+    assert list(p) == ["W", "b"] and np.array_equal(p.flat, before)
+
+
+# sha256 of each fresh net's file at seed 0, as first written: fixes the
+# init functions' draw order, names, shapes and meta
+INIT_DIGESTS = {
+    "autoencoder-fg":
+        "b78fdfb6b73bfca61e9948b1feb07d6be0a5e0e3e129154c42c9730129c085c6",
+    "autoencoder-bg":
+        "0cfc1b82ee9e2e9ad0caf7ccbef3ea139e199b6940ac2792640e2e70ff3129bc",
+    "style-fg-only":
+        "e9d1fc2ec58509669bf9d5bd10f22f942cc48f2a9c99b4a930f66e67dec8fbb8",
+    "style-bg-only":
+        "8f3746e165c963c9a9cd54f23df1d6514732a919bae2ae637ad95664fa838ac1",
+    "style-fg+bg":
+        "40953f88fda09f4a762e16d80f411fb4687afc8826d7cdfbdf18c3ed3d627276",
+    "style-fg+bg+att":
+        "0fb4826d6bd66fde853cd21a33587183cdb15eb71499653df015f1a345b6bec7",
+    "imitation":
+        "f42a66564ba134c646db084a73c065b5a1987e040f80575548267e0147887fa8",
+}
+
+
+def test_fresh_nets_save_the_bytes_of_their_fixed_draw_order(tmp_path):
+    import hashlib
+    from skymimic.imitation import init_imitation_net
+    from skymimic.stylenet import VARIANTS, init_style_net
+    nets = {f"autoencoder-{c}": autoencoder_init(c, 0) for c in ("fg", "bg")}
+    nets |= {f"style-{k}": init_style_net(cfg, 0)
+             for k, cfg in VARIANTS.items()}
+    nets["imitation"] = init_imitation_net(128, 96, 0)
+    assert nets.keys() == INIT_DIGESTS.keys()
+    for name, p in nets.items():
+        p.save(tmp_path / f"{name}.bin")
+        blob = (tmp_path / f"{name}.bin").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == INIT_DIGESTS[name], name
+
+
+def test_paramset_save_is_atomic(tmp_path, monkeypatch):
+    # a file is moved into place whole: when the move fails, save
+    # raises, the old file is intact and no temporary file is left
+    import os
+    path = tmp_path / "params.bin"
+    ParamSet({"w": np.arange(3.0)}, {"v": 1}).save(path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError(f"cannot move {src} onto {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="cannot move"):
+        ParamSet({"w": np.ones(5)}, {"v": 2}).save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["params.bin"]
+    assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_paramset_serialization_roundtrip(tmp_path):
