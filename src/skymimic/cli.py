@@ -69,11 +69,11 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, stage: str):
     write_atomic(path, ("\n".join(body) + "\n").encode())
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]):
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(str(c) for c in row) + "\n")
+def _write_csv(path: Path, rows, cell: str = "{}") -> None:
+    """Write rows (a header row first, if any), each cell formatted by
+    cell, as comma-separated lines moved into place whole."""
+    write_atomic(path, "".join(",".join(cell.format(c) for c in row) + "\n"
+                               for row in rows).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +122,8 @@ def cmd_train(args) -> None:
         (out / "variants").mkdir(exist_ok=True)
         for name, (vp, _, cm) in table.items():
             vp.save(out / "variants" / f"{_slug(name)}.bin")
-            np.savetxt(out / "variants" / f"{_slug(name)}_confusion.csv",
-                       cm, delimiter=",", fmt="%.6f")
+            _write_csv(out / "variants" / f"{_slug(name)}_confusion.csv",
+                       cm, "{:.6f}")
         seg_params, _ = train_segment_stage(records, fg_p, bg_p, cfg)
         seg_params.save(out / "segment_net.bin")
     else:   # imitation or baseline
@@ -171,10 +171,9 @@ def cmd_eval(args) -> None:
         cm, acc = stylenet_mod.confusion_and_accuracy(test_ex, vp,
                                                       VARIANTS[name])
         accuracies.append([name, f"{acc:.4f}"])
-        np.savetxt(out / f"confusion_{_slug(name)}.csv", cm,
-                   delimiter=",", fmt="%.6f")
-    _write_csv(out / "style_accuracy.csv", ["variant", "accuracy"],
-               accuracies)
+        _write_csv(out / f"confusion_{_slug(name)}.csv", cm, "{:.6f}")
+    _write_csv(out / "style_accuracy.csv",
+               [["variant", "accuracy"], *accuracies])
 
     # imitation loss table: dual-objective net vs single-term baseline
     if trained:
@@ -187,8 +186,8 @@ def cmd_eval(args) -> None:
                 rows.append([label, style, f"{errs['omega']:.6f}",
                              f"{errs['v']:.6f}", f"{errs['s']:.6f}"])
         _write_csv(out / "imitation_mse.csv",
-                   ["model", "style", "omega_mse", "dir_angle_rad",
-                    "scale_mse"], rows)
+                   [["model", "style", "omega_mse", "dir_angle_rad",
+                     "scale_mse"], *rows])
 
     # attention traces on the test split
     trace_rows = []
@@ -200,8 +199,8 @@ def cmd_eval(args) -> None:
                 trace_rows.append([rec.video_id, rec.style, branch, t,
                                    f"{b:.6f}"])
     _write_csv(out / "attention_traces.csv",
-               ["video_id", "style", "branch", "snippet", "beta"],
-               trace_rows)
+               [["video_id", "style", "branch", "snippet", "beta"],
+                *trace_rows])
     print(f"evaluation written to {out}")
 
 
@@ -217,7 +216,7 @@ def cmd_segment(args) -> None:
         curve = prob_curve(rec.fg, rec.bg, bundle)
         rows = [[f"{t:.2f}"] + [f"{p:.4f}" for p in row]
                 for t, row in zip(curve.times, curve.probs)]
-        _write_csv(Path(args.curve), ["time_s"] + list(STYLES), rows)
+        _write_csv(Path(args.curve), [["time_s", *STYLES], *rows])
 
 
 def cmd_imitate(args) -> None:
@@ -251,12 +250,11 @@ def cmd_imitate(args) -> None:
         ok, _ = check_style_contract(s.style, run.frames, strict=False)
         verdicts.append([i, s.style, recovered,
                          "ok" if ok and recovered == s.style else "miss"])
-        np.savetxt(out / f"segment_{i}_actions.csv", run.actions,
-                   delimiter=",", fmt="%.6f")
+        _write_csv(out / f"segment_{i}_actions.csv", run.actions, "{:.6f}")
         print(f"segment {i}: wanted {s.style}, recovered {recovered}, "
               f"contract {'ok' if ok else 'violated'}")
     _write_csv(out / "verdicts.csv",
-               ["segment", "wanted", "recovered", "verdict"], verdicts)
+               [["segment", "wanted", "recovered", "verdict"], *verdicts])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .nn import write_atomic
 from .scene import DURATION_MAX, DURATION_MIN
 
 
@@ -82,7 +83,7 @@ class ExperimentConfig:
 
     def save(self, path: str | Path) -> None:
         lines = [f"{k} = {v}" for k, v in asdict(self).items()]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_atomic(path, ("\n".join(lines) + "\n").encode())
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":

@@ -354,6 +354,8 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     subject = scene.script.subject
     body_height = subject.body_height
     n_exec = int(round(duration / DT))
+    if n_exec < 1:
+        raise ValueError(f"duration {duration!r} s has no control step")
     n_total = WINDOW + n_exec
     drone = scene.drone_start
     frames: list[FrameSample] = []

@@ -25,8 +25,8 @@ import numpy as np
 
 from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, fit,
                  lstm_backward, lstm_forward, lstm_init, lstm_input_weights)
-from .nn.layers import (LSTMCache, _lstm_steps, _recurrent_weights,
-                        _step_scratch)
+from .nn.layers import (LSTMCache, TrainingError, _lstm_steps,
+                        _recurrent_weights, _step_scratch)
 from .nn.params import uniform_init
 
 WINDOW = 8
@@ -182,8 +182,10 @@ def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
     temporaries, so the allocator keeps its memory instead of handing it
     back to the system and faulting it in again at every step."""
     tables = [np.asarray(t, dtype=float) for t in tables]
-    if not tables or any(t.ndim != 2 for t in tables):
-        raise ValueError("need a nonempty sequence of (n, D) tables")
+    if not tables:
+        raise TrainingError(f"autoencoder ({channel}) had no training example")
+    if any(t.ndim != 2 for t in tables):
+        raise ValueError("need a sequence of (n, D) tables")
     d_in, hidden = CHANNEL_DIMS[channel]
     if any(t.shape[1] != d_in for t in tables):
         raise ChannelError(

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, fit,
-                 mlp_backward, mlp_forward, mlp_init, sigmoid)
+from .nn import (AdamaxState, NumericError, ParamSet, TrainingError,
+                 adamax_update, fit, mlp_backward, mlp_forward, mlp_init,
+                 sigmoid)
 from .scene import STYLES
 
 ACTION_DIM = 7
@@ -294,8 +295,11 @@ def train_imitation_net(corpus: SnippetCorpus, epochs: int = 20,
 
     dual=False drops the DTW-matched style term, the single-task
     baseline used for the loss comparison. A step whose style has no
-    usable pair is skipped; an epoch with none raises TrainingError.
+    usable pair is skipped; an epoch with none, or no video, raises
+    TrainingError.
     """
+    if not corpus.style_features:
+        raise TrainingError("imitation net had no training example")
     p = init_imitation_net(corpus.style_features[0].shape[0],
                            corpus.embeddings[0].shape[1], seed)
     state = AdamaxState(p, lr=lr)

@@ -1,6 +1,8 @@
 """Forward passes and hand-derived backward passes for the fixed
-architectures used here: affine layers, tanh MLPs, LSTM sequences, and
-softmax. Everything is float64 and batched over the leading axis.
+architectures used here: tanh MLPs (every dense layer but the
+autoencoder's output, which `features._ae_forward` writes into its
+training step's arrays), LSTM sequences, and softmax. Everything is
+float64 and batched over the leading axis.
 
 The LSTM runs a whole sequence as one fused kernel, after Appleyard,
 Kočiský and Blunsom, "Optimizing Performance of Recurrent Neural

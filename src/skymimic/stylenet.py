@@ -1,11 +1,13 @@
 """Style feature extraction and five-way style classification.
 
 Two parallel LSTM branches read the FG and BG halves of the snippet
-embedding sequence; two small attention scorers assign each step a
-sigmoid gate; the style feature is the concatenation of the per-branch
-attention-weighted sums, classified by a linear layer + softmax.  Both
-branches, and every span a `style_forward` call scores, run as one
-stack of cells in one LSTM step loop (see `nn.lstm_forward`).
+embedding sequence; an attention scorer per branch, a one-hidden-layer
+tanh MLP, gives each step a sigmoid gate; the style feature is the
+concatenation of the per-branch attention-weighted sums, classified by
+a linear layer + softmax.  Both branches, and every span a
+`style_forward` call scores, run as one stack of cells in one LSTM step
+loop (see `nn.lstm_forward`); the scorers and the classifier run on
+`nn.mlp_forward`/`mlp_backward`.
 
 The training loss is cross-entropy plus per-branch attention magnitude
 penalties (lambda/T) * sum |beta_t|. Ablation variants drop a branch
@@ -20,9 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .features import BG_EMBED, FG_EMBED
-from .nn import (AdamaxState, ParamSet, adamax_update, affine,
-                 affine_backward, fit, lstm_backward, lstm_forward,
-                 lstm_init, mlp_init, sigmoid, softmax)
+from .nn import (AdamaxState, ParamSet, adamax_update, fit, lstm_backward,
+                 lstm_forward, lstm_init, mlp_backward, mlp_forward,
+                 mlp_init, sigmoid, softmax)
 from .scene import STYLES
 
 N_CLASSES = len(STYLES)
@@ -109,29 +111,26 @@ def _lstm(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig, starts=None):
 def _pooling(cs: np.ndarray, p: ParamSet, cfg: StyleNetConfig, name: str):
     """One branch's pooling weights over its LSTM outputs cs (T, hidden).
 
-    Returns (a1, gate, norm): the run pools to (gate @ cs) / norm. With
-    attention, gate is the sigmoid score beta_t and norm is 1.0; mean
-    pooling has gate 1 and norm T.  a1 is the attention scorer's hidden
-    layer (or None).
+    Returns (acts, gate, norm); the run pools to (gate @ cs) / norm.
+    With attention they are the scorer's mlp_forward cache, the sigmoid
+    scores beta_t and 1.0; mean pooling gives (None, ones, T).
     """
     if cfg.use_attention:
-        a1 = np.tanh(affine(cs, p[f"a{name}_W0"], p[f"a{name}_b0"]))
-        s = affine(a1, p[f"a{name}_W1"], p[f"a{name}_b1"])[:, 0]
-        return a1, sigmoid(s), 1.0
+        s, acts = mlp_forward(cs, p, 2, prefix=f"a{name}_")
+        return acts, sigmoid(s[:, 0]), 1.0
     return None, np.ones(cs.shape[0]), float(cs.shape[0])
 
 
 def _pool(hs: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
-    """One run's branch outputs hs (T, B, hidden) -> (v, trace, and per
-    branch the attention scorer's hidden layer a1 for the backward)."""
-    parts, beta, c, a1s = [], {}, {}, {}
+    """One run's hs (T, B, hidden) -> (v, trace, each scorer's cache)."""
+    parts, beta, c, acts = [], {}, {}, {}
     for b, name in enumerate(cfg.branches):
         cs = hs[:, b]
-        a1s[name], gate, norm = _pooling(cs, p, cfg, name)
+        acts[name], gate, norm = _pooling(cs, p, cfg, name)
         beta[name] = gate / norm
         c[name] = cs
         parts.append(beta[name] @ cs)
-    return np.concatenate(parts), AttentionTrace(beta, c), a1s
+    return np.concatenate(parts), AttentionTrace(beta, c), acts
 
 
 def _check_seq(seq: np.ndarray, who: str) -> np.ndarray:
@@ -142,7 +141,7 @@ def _check_seq(seq: np.ndarray, who: str) -> np.ndarray:
 
 
 def _classify(v: np.ndarray, p: ParamSet) -> np.ndarray:
-    return softmax(affine(v, p["cls_W0"], p["cls_b0"]))
+    return softmax(mlp_forward(v, p, 1, prefix="cls_")[0])
 
 
 def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
@@ -158,8 +157,8 @@ def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
     seq = _check_seq(seq, "style_forward")
     hs, _, _, lstm_cache = _lstm(seq, p, cfg, starts)
     if starts is None:
-        v, trace, a1s = _pool(hs, p, cfg)
-        return v, _classify(v, p), trace, {"lstm": lstm_cache, "a1": a1s}
+        v, trace, acts = _pool(hs, p, cfg)
+        return v, _classify(v, p), trace, {"lstm": lstm_cache, "att": acts}
     runs = [_pool(hs[j:, r], p, cfg) for r, j in enumerate(starts)]
     return (np.array([v for v, _, _ in runs]),
             np.array([_classify(v, p) for v, _, _ in runs]),
@@ -212,9 +211,7 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
     grads = p.zeros_like()
     dlogits = probs.copy()
     dlogits[label] -= 1.0
-    dv, dW, db = affine_backward(dlogits, v, p["cls_W0"])
-    grads["cls_W0"] += dW
-    grads["cls_b0"] += db
+    dv = mlp_backward(dlogits, [v], p, 1, grads, prefix="cls_")
     T = seq.shape[0]
     dhs = np.empty((T, len(cfg.branches), cfg.hidden))
     for b, name in enumerate(cfg.branches):
@@ -225,15 +222,8 @@ def style_loss_and_grad(seq: np.ndarray, label: int, p: ParamSet,
             lam = cfg.lambda_fg if name == "fg" else cfg.lambda_bg
             dbeta = cs @ dv_part + lam / T  # |beta| = beta for sigmoid gates
             ds = dbeta * beta * (1.0 - beta)
-            a1 = cache["a1"][name]
-            da1, dW1, db1 = affine_backward(ds[:, None], a1, p[f"a{name}_W1"])
-            grads[f"a{name}_W1"] += dW1
-            grads[f"a{name}_b1"] += db1
-            dz0 = da1 * (1.0 - a1 * a1)
-            dc_att, dW0, db0 = affine_backward(dz0, cs, p[f"a{name}_W0"])
-            grads[f"a{name}_W0"] += dW0
-            grads[f"a{name}_b0"] += db0
-            dc = dc + dc_att
+            dc = dc + mlp_backward(ds[:, None], cache["att"][name], p, 2,
+                                   grads, prefix=f"a{name}_")
         dhs[:, b] = dc
     lstm_backward(dhs, cache["lstm"], p, grads, prefix=_cells(cfg))
     return loss, grads

@@ -142,6 +142,59 @@ def test_train_divergence_exits_4(workspace, tmp_path, monkeypatch, capsys):
     assert not (out / "fg_encoder.bin").exists()
 
 
+@pytest.fixture(scope="module")
+def no_train_data(tmp_path_factory):
+    """A corpus whose manifest lists only test videos."""
+    from skymimic.dataset import CorpusConfig, make_dataset
+    data = tmp_path_factory.mktemp("test-only") / "data"
+    counts = {"fly-by": 2, "follow": 2}
+    make_dataset(CorpusConfig(counts=counts, test_counts=dict(counts),
+                              duration_range=(8.0, 9.0)), data)
+    return data
+
+
+@pytest.mark.parametrize("stage,loads,what", [
+    ("autoencoder", [], "autoencoder (fg)"),
+    ("style", ["fg_encoder", "bg_encoder"], "style net"),
+    ("imitation", ["fg_encoder", "bg_encoder", "style_net"],
+     "imitation net"),
+    ("baseline", ["fg_encoder", "bg_encoder", "style_net"],
+     "imitation net")])
+def test_train_stage_without_train_video_exits_4(workspace, no_train_data,
+                                                 tmp_path, capsys, stage,
+                                                 loads, what):
+    # each stage finds the nets it loads but no train video to fit: it
+    # exits 4 naming its net, without a traceback, and writes no net
+    art = tmp_path / "art"
+    art.mkdir()
+    for net in loads:
+        shutil.copy(workspace / "art" / f"{net}.bin", art)
+    before = sorted(art.rglob("*"))
+    assert main(["train", "--data", str(no_train_data), "--out", str(art),
+                 "--stage", stage]) == 4
+    assert _one_error_line(capsys).startswith(
+        f"error: {what} had no training example")
+    assert sorted(art.rglob("*")) == before
+
+
+def test_segment_curve_write_is_atomic(workspace, tmp_path, monkeypatch,
+                                       capsys):
+    # the curve is moved into place whole: when the move fails, segment
+    # exits 5, the old curve is intact and no temporary file is left
+    curve = tmp_path / "curve.csv"
+    curve.write_bytes(b"old curve\n")
+
+    def refuse(src, dst):
+        raise OSError(f"cannot move {src} onto {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    argv = _net_argv(workspace, "segment", workspace / "art", None)
+    assert main(argv + ["--curve", str(curve)]) == 5
+    assert _one_error_line(capsys).startswith("error: cannot move")
+    assert curve.read_bytes() == b"old curve\n"
+    assert os.listdir(tmp_path) == ["curve.csv"]
+
+
 def test_segment_truncated_artifact_exits_5(workspace, tmp_path, capsys):
     art = tmp_path / "art"
     shutil.copytree(workspace / "art", art)

@@ -447,3 +447,23 @@ def test_closed_loop_bit_identical_to_raw_row_windows(monkeypatch, style,
     for a, b in zip(fast.frames, slow.frames):
         assert np.array_equal(a.camera.position, b.camera.position)
         assert np.array_equal(a.camera.angles, b.camera.angles)
+
+
+@pytest.mark.parametrize("duration", [0.0, 0.1, -1.0])
+@pytest.mark.parametrize("with_demo", [True, False])
+def test_closed_loop_refuses_duration_with_no_control_step(monkeypatch,
+                                                           duration,
+                                                           with_demo):
+    # round(duration / DT) < 1 leaves no step to fly: refused, naming the
+    # duration, before a stream is built or a pose flown
+    from skymimic import controller
+    bundle, demo, v = _untrained_bundle_and_demo("fly-by")
+    scene, _ = make_live_scene("fly-by", np.random.default_rng(5))
+
+    def no_stream(*args):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(controller, "EncoderStream", no_stream)
+    with pytest.raises(ValueError, match=f"duration {duration!r} s "):
+        closed_loop_run(v, scene, bundle, duration,
+                        demo.actions if with_demo else None)

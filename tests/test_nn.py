@@ -6,10 +6,10 @@ import pytest
 from skymimic.features import (CHANNEL_DIMS, WINDOW, _ae_backward, _ae_forward,
                                autoencoder_init)
 from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax,
-                         adamax_update, affine, affine_backward,
-                         lstm_backward, lstm_forward, lstm_init,
-                         mlp_backward, mlp_forward, mlp_init, sigmoid,
-                         softmax, uniform_init)
+                         adamax_update, lstm_backward, lstm_forward,
+                         lstm_init, mlp_backward, mlp_forward, mlp_init,
+                         sigmoid, softmax, uniform_init)
+from skymimic.nn.layers import affine, affine_backward
 from oracles import grad_check
 
 

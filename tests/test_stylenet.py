@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skymimic.nn import ParamSet, lstm_forward
+from skymimic.nn import ParamSet, lstm_backward, lstm_forward, sigmoid, softmax
+from skymimic.nn.layers import affine, affine_backward
 from oracles import grad_check
 from skymimic.stylenet import (VARIANTS, AttentionTrace, StyleNetConfig,
-                               confusion_and_accuracy, init_style_net,
-                               predict_style, prefix_probs, style_forward,
-                               style_loss, style_loss_and_grad,
+                               _cells, _lstm, confusion_and_accuracy,
+                               init_style_net, predict_style, prefix_probs,
+                               style_forward, style_loss, style_loss_and_grad,
                                train_style_net)
 
 TINY = StyleNetConfig(hidden=6, attn_hidden=4, fg_dim=3, bg_dim=4)
@@ -194,6 +195,109 @@ def test_variant_gradients(name):
     p = init_style_net(cfg, seed=7)
     seq = np.random.default_rng(7).normal(size=(3, 7))
     assert _check_style_gradient(seq, 1, p, cfg) <= 1e-4
+
+
+def _ref_pool(hs, p, cfg):
+    """One run's pooling, each scorer written out as affine layers:
+    (v, beta, c, and per branch the scorer's tanh layer a1)."""
+    parts, beta, c, a1s = [], {}, {}, {}
+    for b, name in enumerate(cfg.branches):
+        cs = hs[:, b]
+        if cfg.use_attention:
+            a1 = np.tanh(affine(cs, p[f"a{name}_W0"], p[f"a{name}_b0"]))
+            s = affine(a1, p[f"a{name}_W1"], p[f"a{name}_b1"])[:, 0]
+            a1s[name], gate, norm = a1, sigmoid(s), 1.0
+        else:
+            a1s[name], gate, norm = None, np.ones(len(cs)), float(len(cs))
+        beta[name], c[name] = gate / norm, cs
+        parts.append(beta[name] @ cs)
+    return np.concatenate(parts), beta, c, a1s
+
+
+def _ref_classify(v, p):
+    return softmax(affine(v, p["cls_W0"], p["cls_b0"]))
+
+
+def _ref_prefix_probs(beta, c, p, cfg):
+    cum = [np.cumsum(beta[name][:, None] * c[name], axis=0)
+           if cfg.use_attention else np.cumsum(c[name], axis=0)
+           / np.arange(1.0, len(c[name]) + 1.0)[:, None]
+           for name in cfg.branches]
+    return _ref_classify(np.concatenate(cum, axis=1), p)
+
+
+def _ref_loss_and_grad(seq, label, p, cfg):
+    """style_loss_and_grad with the classifier's and the scorers'
+    backward written out as affine_backward calls."""
+    hs, _, _, lstm_cache = _lstm(seq, p, cfg)
+    v, beta, c, a1s = _ref_pool(hs, p, cfg)
+    probs = _ref_classify(v, p)
+    loss, _ = style_loss(probs, label, AttentionTrace(beta, c), cfg)
+    grads = p.zeros_like()
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    dv, dW, db = affine_backward(dlogits, v, p["cls_W0"])
+    grads["cls_W0"] += dW
+    grads["cls_b0"] += db
+    T = seq.shape[0]
+    dhs = np.empty((T, len(cfg.branches), cfg.hidden))
+    for b, name in enumerate(cfg.branches):
+        dv_part = dv[b * cfg.hidden:(b + 1) * cfg.hidden]
+        dc = beta[name][:, None] * dv_part[None, :]
+        if cfg.use_attention:
+            lam = cfg.lambda_fg if name == "fg" else cfg.lambda_bg
+            dbeta = c[name] @ dv_part + lam / T
+            ds = dbeta * beta[name] * (1.0 - beta[name])
+            a1 = a1s[name]
+            da1, dW1, db1 = affine_backward(ds[:, None], a1, p[f"a{name}_W1"])
+            grads[f"a{name}_W1"] += dW1
+            grads[f"a{name}_b1"] += db1
+            dz0 = da1 * (1.0 - a1 * a1)
+            dc_att, dW0, db0 = affine_backward(dz0, c[name],
+                                               p[f"a{name}_W0"])
+            grads[f"a{name}_W0"] += dW0
+            grads[f"a{name}_b0"] += db0
+            dc = dc + dc_att
+        dhs[:, b] = dc
+    lstm_backward(dhs, lstm_cache, p, grads, prefix=_cells(cfg))
+    return loss, grads, v, probs, beta
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_scorers_and_classifier_match_affine_reference_bits(name, tiny):
+    # the scorers and the classifier run on nn's MLP layers; written out
+    # as affine layers, forward and backward, they give the same bits
+    cfg = VARIANTS[name]
+    if tiny:
+        cfg = StyleNetConfig(use_fg=cfg.use_fg, use_bg=cfg.use_bg,
+                             use_attention=cfg.use_attention, hidden=6,
+                             attn_hidden=4, fg_dim=3, bg_dim=4)
+    rng = np.random.default_rng(11)
+    p = init_style_net(cfg, seed=11)
+    p.flat[:] = rng.normal(scale=0.3, size=p.flat.size)
+    seq = rng.uniform(-1, 1, size=(9, cfg.fg_dim + cfg.bg_dim))
+    loss, grads = style_loss_and_grad(seq, 2, p, cfg)
+    want_loss, want_grads, want_v, want_probs, want_beta = \
+        _ref_loss_and_grad(seq, 2, p, cfg)
+    v, probs, trace, _ = style_forward(seq, p, cfg)
+    assert np.array_equal(v, want_v)
+    assert np.array_equal(probs, want_probs)
+    for branch in cfg.branches:
+        assert np.array_equal(trace.beta[branch], want_beta[branch])
+    assert loss == want_loss
+    assert list(grads) == list(want_grads)
+    for key in grads:
+        assert np.array_equal(grads[key], want_grads[key]), key
+    starts = [0, 3, 5]
+    v, probs, traces, _ = style_forward(seq, p, cfg, starts=starts)
+    hs = _lstm(seq, p, cfg, starts)[0]
+    for r, j in enumerate(starts):
+        want_v, beta, c, _ = _ref_pool(hs[j:, r], p, cfg)
+        assert np.array_equal(v[r], want_v)
+        assert np.array_equal(probs[r], _ref_classify(want_v, p))
+        assert np.array_equal(prefix_probs(traces[r], p, cfg),
+                              _ref_prefix_probs(beta, c, p, cfg))
 
 
 def _toy_corpus(rng, n_per_class=8, T=6):
