@@ -56,8 +56,11 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, stage: str):
-    """Replace `stage`'s line in out's manifest, keeping the lines of
-    the other stages already there."""
+    """Write cfg to out/config_<stage>.txt, which `--config` reads back
+    and whose config_hash is the stage's manifest line's, then replace
+    `stage`'s line in out's manifest, keeping the lines of the other
+    stages already there."""
+    cfg.save(out / f"config_{stage}.txt")
     path = out / "manifest.txt"
     lines = {stage: f"{stage} config_hash={_config_hash(cfg)} "
                     f"seed={cfg.seed}"}

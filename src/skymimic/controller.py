@@ -334,9 +334,9 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     (`EncoderStream.embed`) then take one more encoder step each. The
     bg window's last field repeats, as in the dataset, until the next
     pose replaces it, so the runs read a row only once the next one is
-    stored. The embeddings equal, to the bit, `embed_batch` on the
-    windows' rows. The returned log's fg and bg are views of these
-    arrays.
+    stored. The embeddings equal, to the bit, `embed_batch` on each
+    window's rows stacked (WINDOW, 1, D). The returned log's fg and bg
+    are views of these arrays.
 
     When the demo's per-frame actions are given, each prediction is
     conditioned on the demo action at the same fraction of elapsed

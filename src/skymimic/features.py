@@ -11,10 +11,12 @@ LSTMs" (ICML 2015): its gates see only the bias and the recurrence.
 Its `dec_Wx` has no rows and it reads an input of no columns, so no
 input GEMM runs forward and its Wx gradient is empty.
 
-Training reads the windows straight from the per-record tables, one
-batch at a time, and every step writes over the arrays of the last:
-its batch, its LSTM caches (lstm_forward's out), its error, its dz
-(lstm_backward's out) and its gradient set.
+Every stack of n windows is (WINDOW, n, D), time-major and C-contiguous
+as the LSTM kernel reads it: `snippet_stack`'s, `embed_batch`'s and each
+training step's batch, which is gathered straight from the per-record
+tables. Every step writes over the arrays of the last: its batch, its
+LSTM caches (lstm_forward's out), its error, its dz (lstm_backward's
+out) and its gradient set.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ def snippet_ends(n: int) -> np.ndarray:
 
 
 def snippet_stack(table: np.ndarray) -> np.ndarray:
-    """C-contiguous (n_snippets, WINDOW, D) stack of the snippet windows
-    of an (n, D) table."""
-    return table[snippet_ends(table.shape[0])[:, None]
-                 + np.arange(-WINDOW, 0)]
+    """C-contiguous (WINDOW, n_snippets, D) stack of the snippet windows
+    of an (n, D) table: window j is [:, j]."""
+    return table[np.arange(-WINDOW, 0)[:, None]
+                 + snippet_ends(table.shape[0])]
 
 
 def autoencoder_init(channel: str, seed: int) -> ParamSet:
@@ -82,7 +84,7 @@ def autoencoder_init(channel: str, seed: int) -> ParamSet:
 
 class _Step(NamedTuple):
     """The arrays an autoencoder step over n windows of T rows writes
-    over: its batch (n, T, D); the encoder's and the decoder's caches,
+    over: its batch (T, n, D); the encoder's and the decoder's caches,
     passed to lstm_forward as out; the error (T, n, D), which becomes
     its own gradient; dz (T, n, 4H), which both LSTM backwards write
     over; and flat, dz's memory as one flat array, whose first elements
@@ -103,36 +105,34 @@ def _step_arrays(T: int, n: int, d_in: int, H: int) -> _Step:
     enc, dec = (LSTMCache(None, *map(np.empty, shapes), None)
                 for _ in range(2))
     dz = np.empty((T, n, 4 * H))
-    return _Step(np.empty((n, T, d_in)), enc, dec, np.empty((T, n, d_in)),
+    return _Step(np.empty((T, n, d_in)), enc, dec, np.empty((T, n, d_in)),
                  dz, dz.reshape(-1))
 
 
 def _head(step: _Step, n: int) -> _Step:
     """The _Step of the first n windows of step's, in views of its
-    arrays."""
+    arrays, each cut on axis 1."""
     batch, enc, dec, err, dz, flat = step
     enc, dec = (LSTMCache(None, *(a[:, :n] for a in c[1:5]), None)
                 for c in (enc, dec))
-    return _Step(batch[:n], enc, dec, err[:, :n], dz[:, :n], flat)
+    return _Step(batch[:, :n], enc, dec, err[:, :n], dz[:, :n], flat)
 
 
 def _ae_forward(batch: np.ndarray, p: ParamSet, step: _Step | None = None):
-    """batch (B, N, D) -> (mse, embeddings (B, H), caches). The arrays
+    """batch (N, B, D) -> (mse, embeddings (B, H), caches). The arrays
     it forms are those of step, the _Step of this batch's shape, which
     are written over; by default a new _Step's."""
-    xs = np.transpose(batch, (1, 0, 2))  # (N, B, D)
     if step is None:
-        step = _step_arrays(*xs.shape, p["enc_Wh"].shape[0])
-    _, h_enc, c_enc, enc_cache = lstm_forward(xs, p, prefix="enc_",
+        step = _step_arrays(*batch.shape, p["enc_Wh"].shape[0])
+    _, h_enc, c_enc, enc_cache = lstm_forward(batch, p, prefix="enc_",
                                               out=step.enc)
-    dec_hs, _, _, dec_cache = lstm_forward(np.empty(xs.shape[:2] + (0,)),
-                                           p, prefix="dec_", h0=h_enc,
-                                           c0=c_enc, out=step.dec)
+    dec_hs, _, _, dec_cache = lstm_forward(
+        batch[..., :0], p, prefix="dec_", h0=h_enc, c0=c_enc, out=step.dec)
     # the reconstruction dec_hs @ out_W + out_b minus the reversed
     # window, formed in one array
     err = np.matmul(dec_hs, p["out_W"], out=step.err)
     err += p["out_b"]
-    err -= xs[::-1]
+    err -= batch[::-1]
     sq = np.square(err, out=step.flat[:err.size].reshape(err.shape))
     mse = float(np.mean(sq))
     return mse, h_enc, (err, dec_hs, enc_cache, dec_cache, step.dz)
@@ -173,7 +173,7 @@ def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
 
     Window j is the j-th snippet of the tables' grids taken in order, so
     an epoch's batches are the windows rng.permutation picks, gathered
-    from the tables into a (B, WINDOW, D) array: no stack of every
+    from the tables into a (WINDOW, B, D) array: no stack of every
     window, which would be twice the tables' size, is formed. Every step
     writes over the arrays of the last one: the _Step of an epoch's
     tail batch is the head of the full batch's, views of its first
@@ -205,10 +205,9 @@ def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
         for ofs in range(0, order.size, batch_size):
             idx = order[ofs:ofs + batch_size]
             step = _head(full, idx.size)
-            np.concatenate([tables[k][a:a + WINDOW] for k, a in
-                            zip(table_of[idx].tolist(),
-                                start_of[idx].tolist())],
-                           out=step.batch.reshape(-1, d_in))
+            np.stack([tables[k][a:a + WINDOW] for k, a in
+                      zip(table_of[idx].tolist(), start_of[idx].tolist())],
+                     axis=1, out=step.batch)
             yield step
 
     # fit gets (mse, cache); the backward runs in update, once fit has
@@ -221,9 +220,8 @@ def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
 
 
 def embed_batch(batch: np.ndarray, p: ParamSet) -> np.ndarray:
-    """Encoder-only pass: (B, N, D) -> (B, H) final hidden states."""
-    xs = np.transpose(np.asarray(batch, float), (1, 0, 2))
-    _, h_enc, _, _ = lstm_forward(xs, p, prefix="enc_")
+    """Encoder-only pass: (N, B, D) -> (B, H) final hidden states."""
+    _, h_enc, _, _ = lstm_forward(batch, p, prefix="enc_")
     return _finite(h_enc)
 
 

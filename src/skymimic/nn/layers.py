@@ -43,10 +43,11 @@ call, not per flop:
   gate block in the recurrent product's own buffer.
 - Cache layout (LSTMCache): each time row holds R = B·N state rows,
   cells outermost, then the N rows of the batch axes; the input
-  xs (T, ..., D) as given; hidden and cell states hs, cs (T+1, R, H),
-  the initial state in row 0; gate activations (T, R, 4H) in i|f|g|o
-  order; tanh(c_t) as tcs (T, R, H); and the batch axes. The backward
-  is given the forward's prefixes, which fix the cell count.
+  xs (T, ..., D) as given, which the backward's dWx GEMM reads as a
+  view when it is C-contiguous, as the time-major window stacks of
+  `features` are; hs, cs (T+1, R, H), the initial state in row 0; gate
+  activations (T, R, 4H) in i|f|g|o order; tanh(c_t) as tcs (T, R, H);
+  and the batch axes. The backward takes the forward's prefixes.
 - Reuse. A training loop runs one shape step after step, and fresh
   arrays per step cost, once freed, the page faults of the allocator
   handing the memory back and taking it again. `lstm_forward(...,

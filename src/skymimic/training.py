@@ -13,6 +13,7 @@ from .dataset import VideoRecord
 from .features import train_autoencoder
 from .geometry import Intrinsics
 from .imitation import SnippetCorpus, train_imitation_net
+from .nn import TrainingError
 from .pipeline import ModelBundle, snippet_action_labels
 from .scene import STYLES, generate_style_trajectory, make_point_cloud, \
     random_script
@@ -101,8 +102,12 @@ def train_style_stage(records: list[VideoRecord], fg_p, bg_p,
     """Train the classifier (and optionally all ablation variants).
 
     Returns (params, config) of the full model plus, when variants is
-    set, the {name: (params, config, test confusion)} table.
+    set, the {name: (params, config, test confusion)} table. A corpus
+    with no train record raises TrainingError before any video is
+    embedded.
     """
+    if not any(r.split == "train" for r in records):
+        raise TrainingError("style net had no training example")
     tr, val = train_val_split(_train_examples(records, fg_p, bg_p))
     if variants:
         # the test split is read only by the variants' confusion tables

@@ -10,7 +10,7 @@ references for `geometry.project_points` and
 through two copies, the reference for `geometry.flip_bg`; and
 `snippet_windows_reference` lists a table's snippet windows start by
 start, the reference for `features.snippet_ends` and
-`features.snippet_stack`."""
+`features.snippet_stack`'s time-major stack."""
 
 from __future__ import annotations
 
@@ -166,8 +166,9 @@ def flip_bg_reference(vec: np.ndarray) -> np.ndarray:
 
 def snippet_windows_reference(table: np.ndarray):
     """(starts, windows) of an (n, D) table: a window starts every
-    STRIDE rows while WINDOW rows remain, and each is np.stack-ed from
-    its row slice.  Raises TooShortError when n < WINDOW."""
+    STRIDE rows while WINDOW rows remain, and each row slice is
+    np.stack-ed on axis 1 of the (WINDOW, n_windows, D) windows.
+    Raises TooShortError when n < WINDOW."""
     n = table.shape[0]
     if n < WINDOW:
         raise TooShortError(f"{n} rows, window {WINDOW}")
@@ -176,4 +177,4 @@ def snippet_windows_reference(table: np.ndarray):
     while s + WINDOW <= n:
         starts.append(s)
         s += STRIDE
-    return starts, np.stack([table[s:s + WINDOW] for s in starts])
+    return starts, np.stack([table[s:s + WINDOW] for s in starts], axis=1)

@@ -161,15 +161,22 @@ def no_train_data(tmp_path_factory):
     ("baseline", ["fg_encoder", "bg_encoder", "style_net"],
      "imitation net")])
 def test_train_stage_without_train_video_exits_4(workspace, no_train_data,
-                                                 tmp_path, capsys, stage,
-                                                 loads, what):
+                                                 tmp_path, monkeypatch,
+                                                 capsys, stage, loads,
+                                                 what):
     # each stage finds the nets it loads but no train video to fit: it
-    # exits 4 naming its net, without a traceback, and writes no net
+    # exits 4 naming its net, without a traceback, before it embeds a
+    # video, and writes no net
     art = tmp_path / "art"
     art.mkdir()
     for net in loads:
         shutil.copy(workspace / "art" / f"{net}.bin", art)
     before = sorted(art.rglob("*"))
+
+    def embed(*args):
+        raise AssertionError("a video was embedded")
+
+    monkeypatch.setattr(features, "embed_video", embed)
     assert main(["train", "--data", str(no_train_data), "--out", str(art),
                  "--stage", stage]) == 4
     assert _one_error_line(capsys).startswith(
@@ -509,6 +516,20 @@ def test_train_manifest_keeps_each_stage_line(workspace, tmp_path):
     assert first.decode().splitlines() == [lines[0], ae_line, style_line]
     train("style", seg_epochs="1")
     assert (art / "manifest.txt").read_bytes() == first
+
+
+def test_each_stage_writes_the_config_it_ran_with(workspace):
+    # the fixture trained every stage with --set overrides: each stage's
+    # config file loads as the config it ran with, whose hash is the
+    # one on its manifest line
+    art = workspace / "art"
+    hashes = dict(line.split(" ")[:2] for line in
+                  (art / "manifest.txt").read_text().splitlines()[1:])
+    for stage in TRAIN_STAGES:
+        cfg = ExperimentConfig.load(art / f"config_{stage}.txt")
+        assert (cfg.autoencoder_epochs, cfg.imitation_steps) == (1, 10)
+        assert hashes[stage] == f"config_hash={_config_hash(cfg)}"
+    assert ExperimentConfig().autoencoder_epochs != 1
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])

@@ -434,7 +434,7 @@ def test_closed_loop_bit_identical_to_raw_row_windows(monkeypatch, style,
         calls.append(channel)
         p = bundle.fg_encoder if channel == "fg" else bundle.bg_encoder
         return features.embed_batch(
-            np.array(stream.rows[None, t - WINDOW + 1:t + 1]), p)[0]
+            np.array(stream.rows[t - WINDOW + 1:t + 1, None]), p)[0]
 
     fast = run()
     monkeypatch.setattr(features.EncoderStream, "embed", raw_rows)

@@ -44,20 +44,22 @@ def test_window_count_formula():
 def test_window_slices():
     fg = np.arange(12 * 5, dtype=float).reshape(12, 5)
     stack = snippet_stack(fg)
-    assert stack.shape == (2, WINDOW, 5)
-    assert np.array_equal(stack[1], fg[4:12])
+    assert stack.shape == (WINDOW, 2, 5)
+    assert np.array_equal(stack[:, 1], fg[4:12])
     # a copy, not a view of the table
     stack[0, 0, 0] = -1.0
     assert fg[0, 0] == 0.0
 
 
-def _recorded_batches(monkeypatch):
-    """Copies of the batches train_autoencoder's forward is given."""
+def _recorded_batches(monkeypatch, batch_size):
+    """Copies of the batches train_autoencoder's forward is given. A
+    full batch is C-contiguous, so the encoder's dWx GEMM reads it as a
+    view; a tail batch is the head of one on axis 1."""
     seen, real = [], features._ae_forward
 
     def record(batch, p, **kw):
         seen.append(batch.copy())
-        assert batch.flags.c_contiguous
+        assert batch.flags.c_contiguous or batch.shape[1] < batch_size
         return real(batch, p, **kw)
 
     monkeypatch.setattr(features, "_ae_forward", record)
@@ -71,27 +73,29 @@ def test_autoencoder_batches_are_the_tables_windows_in_order(monkeypatch):
     rng = np.random.default_rng(22)
     tables = [rng.normal(size=(n, 5)) for n in (8, 13, 30, 11)]
     windows = np.concatenate([snippet_windows_reference(t)[1]
-                              for t in tables])
-    seen = _recorded_batches(monkeypatch)
+                              for t in tables], axis=1)
+    seen = _recorded_batches(monkeypatch, 3)
     train_autoencoder(tables, "fg", epochs=3, seed=4, batch_size=3)
     order_rng = np.random.default_rng(5)
     want = []
     for _ in range(3):
-        order = order_rng.permutation(len(windows))
-        want += [windows[order[a:a + 3]] for a in range(0, len(order), 3)]
+        order = order_rng.permutation(windows.shape[1])
+        want += [windows[:, order[a:a + 3]]
+                 for a in range(0, len(order), 3)]
     assert len(seen) == len(want) == 3 * 4
     for got, w in zip(seen, want):
         assert got.shape == w.shape and np.array_equal(got, w)
 
 
 def test_autoencoder_window_stack_is_one_window_tables():
-    # a (B, WINDOW, D) array trains as B tables of one window each
+    # a (B, WINDOW, D) array, such as a window stack's transpose, trains
+    # as B tables of one window each
     rng = np.random.default_rng(23)
     tables = [rng.normal(size=(n, 5)) for n in (8, 13, 30, 11)]
-    stack = np.concatenate([snippet_stack(t) for t in tables])
+    stack = np.concatenate([snippet_stack(t) for t in tables], axis=1)
     p, log = train_autoencoder(tables, "fg", epochs=2, seed=4, batch_size=4)
-    q, log_q = train_autoencoder(stack, "fg", epochs=2, seed=4,
-                                 batch_size=4)
+    q, log_q = train_autoencoder(stack.transpose(1, 0, 2), "fg", epochs=2,
+                                 seed=4, batch_size=4)
     assert log == log_q
     assert np.array_equal(p.flat, q.flat)
 
@@ -128,7 +132,7 @@ def test_autoencoder_tail_batch_is_the_head_of_the_full_batch(monkeypatch):
 
     monkeypatch.setattr(features, "_ae_forward", record)
     train_autoencoder(tables, "fg", epochs=2, seed=4, batch_size=4)
-    assert [s.batch.shape[0] for s in steps] == [4, 4, 2] * 2
+    assert [s.batch.shape[1] for s in steps] == [4, 4, 2] * 2
     full, tail = steps[0], steps[2]
     arrays = [lambda s: s.batch, lambda s: s.err, lambda s: s.dz,
               lambda s: s.flat] + [
@@ -144,7 +148,7 @@ def test_autoencoder_tail_batch_is_the_head_of_the_full_batch(monkeypatch):
 def test_autoencoder_gradients():
     rng = np.random.default_rng(8)
     p = autoencoder_init("fg", seed=8)
-    batch = rng.normal(size=(2, 4, 5))
+    batch = rng.normal(size=(4, 2, 5))
 
     def loss(ps):
         return _ae_forward(batch, ps)[0]
@@ -211,7 +215,7 @@ def test_embedding_purity_and_channel_separation():
 def test_embeddings_bounded():
     rng = np.random.default_rng(7)
     p = autoencoder_init("bg", 3)
-    emb = embed_batch(rng.normal(scale=10, size=(50, 8, 128)), p)
+    emb = embed_batch(rng.normal(scale=10, size=(8, 50, 128)), p)
     assert np.all(np.abs(emb) < 1.0)
     assert np.all(np.isfinite(emb))
 
@@ -233,7 +237,7 @@ def _stream(channel, n, seed):
 
 
 def _raw_embedding(window_rows, p):
-    return embed_batch(np.stack(list(window_rows))[None], p)[0]
+    return embed_batch(np.stack(list(window_rows))[:, None], p)[0]
 
 
 @pytest.mark.parametrize("channel", ["fg", "bg"])
@@ -311,4 +315,4 @@ def test_stream_embed_rejects_non_finite_embeddings(channel):
     with pytest.raises(NumericError):
         stream.embed(WINDOW)
     with pytest.raises(NumericError):
-        embed_batch(stream.rows[None, 1:WINDOW + 1], p)
+        embed_batch(stream.rows[1:WINDOW + 1, None], p)

@@ -30,6 +30,8 @@ TINY = StyleNetConfig(hidden=6, attn_hidden=4, fg_dim=3, bg_dim=4)
 # the per-net loops fit replaced
 
 def _ref_autoencoder(batch_all, channel, epochs, seed, lr, batch_size):
+    """batch_all is (n, WINDOW, D), gathered batch-major and each batch
+    handed to _ae_forward as its (WINDOW, B, D) transpose."""
     p = autoencoder_init(channel, seed)
     state = AdamaxState(p, lr=lr)
     rng = np.random.default_rng(seed + 1)
@@ -40,7 +42,8 @@ def _ref_autoencoder(batch_all, channel, epochs, seed, lr, batch_size):
         losses = []
         for ofs in range(0, n, batch_size):
             idx = order[ofs:ofs + batch_size]
-            mse, _, cache = _ae_forward(batch_all[idx], p)
+            mse, _, cache = _ae_forward(batch_all[idx].transpose(1, 0, 2),
+                                        p)
             grads = _ae_backward(p, cache)
             adamax_update(p, grads, state)
             losses.append(mse)

@@ -369,14 +369,13 @@ def test_lstm_input_free_run_equals_zero_input(T, lead):
     assert grads["Wx"].shape == (0, 4 * H)
 
 
-def _zero_input_ae_grads(batch, p):
+def _zero_input_ae_grads(xs, p):
     """The autoencoder's loss gradient with the decoder given a
     full-width Wx and run on an all-zero input, and each LSTM through
     the full reference backward: the reference the input-free decoder
     must equal bit for bit. Returns (mse, grads of the full-width set)."""
-    p = ParamSet({k: np.ones((batch.shape[2], v.shape[1]))
+    p = ParamSet({k: np.ones((xs.shape[2], v.shape[1]))
                   if k == "dec_Wx" else v for k, v in p.items()})
-    xs = np.transpose(batch, (1, 0, 2))
     _, h, c, enc = lstm_forward(xs, p, prefix="enc_")
     dec_hs, _, _, dec = lstm_forward(np.zeros_like(xs), p, prefix="dec_",
                                      h0=h, c0=c)
@@ -398,7 +397,7 @@ def test_ae_backward_bit_identical_to_zero_input_reference(channel):
     rng = np.random.default_rng(21)
     p = autoencoder_init(channel, seed=4)
     p.flat[:] = rng.normal(scale=0.3, size=p.flat.size)
-    batch = rng.normal(size=(64, WINDOW, CHANNEL_DIMS[channel][0]))
+    batch = rng.normal(size=(WINDOW, 64, CHANNEL_DIMS[channel][0]))
     mse, _, cache = _ae_forward(batch, p)
     grads = _ae_backward(p, cache)
     want_mse, want = _zero_input_ae_grads(batch, p)
@@ -571,6 +570,27 @@ def test_lstm_backward_out_gives_the_bits_of_a_fresh_call(n_cells):
     assert np.array_equal(g_got.flat, g_want.flat)
     with pytest.raises(DimensionError):
         lstm_backward(dhs, cache, p, g_got, prefix, out=out[:-1])
+
+
+@pytest.mark.parametrize("D,H", [(5, 32), (128, 64)])
+def test_lstm_backward_of_a_transposed_input_gives_the_bits(D, H):
+    # the autoencoder's windows, time-major and C-contiguous, against
+    # the (T, B, D) transpose of a batch-major array of the same values,
+    # which the dWx GEMM reads through a copy
+    rng = np.random.default_rng(D)
+    T, B = WINDOW, 64
+    p = lstm_init(rng, D, H)
+    xs = rng.normal(size=(T, B, D))
+    view = np.ascontiguousarray(xs.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert xs.flags.c_contiguous and not view.flags.c_contiguous
+    dhs = rng.normal(size=(T, B, H))
+    grads = []
+    for x in (xs, view):
+        _, _, _, cache = lstm_forward(x, p)
+        grads.append(p.zeros_like())
+        lstm_backward(dhs, cache, p, grads[-1])
+    for k in p:
+        assert np.array_equal(grads[0][k], grads[1][k]), k
 
 
 def test_lstm_stack_rejects_what_it_cannot_run():
