@@ -83,8 +83,10 @@ def _write_csv(path: Path, rows, cell: str = "{}") -> None:
 # subcommands
 
 def cmd_gen_data(args) -> None:
-    """Write the corpus; a bad argument or config value (exit 2) is
-    refused before --out is made."""
+    """Write the corpus and the config it was made with, to
+    out/config_gen-data.txt; with the styles its manifest names, that
+    file rebuilds the corpus. A bad argument or config value (exit 2)
+    is refused before --out is made."""
     cfg = _load_config(args)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
@@ -103,6 +105,7 @@ def cmd_gen_data(args) -> None:
                               focal=cfg.focal)
     from .dataset import make_dataset
     records = make_dataset(corpus_cfg, out, styles)
+    cfg.save(out / "config_gen-data.txt")
     n_test = sum(r.split == "test" for r in records)
     print(f"wrote {len(records)} videos ({n_test} test) to {out}")
 

@@ -32,7 +32,7 @@ from .geometry import (Intrinsics, OffscreenError, Pose6D,
                        VisibilityError, FgFeature, pixel_to_world,
                        project_foreground, project_points,
                        render_motion_field, wrap_angle)
-from .imitation import DIR_EPS, make_action, predict_action
+from .imitation import ACTION_DIM, DIR_EPS, make_action, predict_action
 from .nn import NumericError
 from .pipeline import ModelBundle, demo_conditioning
 from .scene import DT, FrameSample, ShotScript
@@ -347,6 +347,9 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     demo did.  Without them the loop feeds back its own last
     prediction at the live clock, which drifts on styles whose
     signature is a sustained rate.
+
+    A duration with no control step, or demo actions that are not an
+    (n >= 1, 7) array, raise ValueError before anything is projected.
     """
     if bundle.imitation_params is None:
         raise RuntimeError("bundle has no trained imitation net")
@@ -356,6 +359,11 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     n_exec = int(round(duration / DT))
     if n_exec < 1:
         raise ValueError(f"duration {duration!r} s has no control step")
+    shape = None if demo_actions is None else np.shape(demo_actions)
+    if shape is not None and (len(shape) != 2 or shape[0] < 1
+                              or shape[1] != ACTION_DIM):
+        raise ValueError(f"demo actions of shape {shape} are not "
+                         f"(n >= 1, {ACTION_DIM}) rows")
     n_total = WINDOW + n_exec
     drone = scene.drone_start
     frames: list[FrameSample] = []
@@ -365,7 +373,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
     track = None
     lost = 0.0
     offset0 = drone.position - subject.pose_at(0.0).position
-    actions = np.zeros((n_exec, 7))
+    actions = np.zeros((n_exec, ACTION_DIM))
     kappa = demo_actions.shape[0] / n_exec if demo_actions is not None \
         else 1.0
     executor = None

@@ -156,7 +156,8 @@ def make_dataset(config: CorpusConfig, out_dir: str | Path,
             manifest_lines.append(f"{vid} {style} {split} {rec.seed}")
     write_atomic(
         out / "manifest.txt",
-        (f"# skymimic corpus seed={config.seed} videos={len(records)}\n"
+        (f"# skymimic corpus seed={config.seed} videos={len(records)} "
+         f"styles={','.join(st for st in STYLES if st in wanted)}\n"
          + "".join(line + "\n" for line in manifest_lines)).encode())
     return records
 

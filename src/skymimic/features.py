@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .nn import (AdamaxState, NumericError, ParamSet, adamax_update, fit,
-                 lstm_backward, lstm_forward, lstm_init, lstm_input_weights)
+                 lstm_backward, lstm_forward, lstm_init)
 from .nn.layers import (LSTMCache, TrainingError, _lstm_steps,
                         _recurrent_weights, _step_scratch)
 from .nn.params import uniform_init
@@ -237,7 +237,7 @@ class EncoderStream:
 
     put(t, row) stores row t and projects it once through the encoder's
     input weights, with the (1, D) @ (D, 4H) matmul a batch-1
-    lstm_forward runs for each step, then adds b·s, so a projected row
+    lstm_forward runs for each step, then adds b, so a projected row
     is the pre-activation row every window's step reads; repeat(t)
     copies row t-1 and its projection. embed(t) is the embedding of the
     WINDOW rows that end at row t, to the bit the one embed_batch
@@ -246,8 +246,10 @@ class EncoderStream:
     Each window is a run of the encoder from the zero state, and the
     stream keeps the runs alive instead of re-running every window from
     scratch, after the persistent-RNN advice of Appleyard et al. (see
-    nn.layers); Wh·s is formed once per stream, and the step scratch is
-    the kernel's own (`_step_scratch`). The runs' h and c lie in
+    nn.layers). The stream reads the encoder's enc_Wx, enc_b and enc_Wh
+    in place, so the encoder must not be written while a stream is
+    open; the step scratch is the kernel's own (`_step_scratch`), and
+    the kernel's step applies the gate scale. The runs' h and c lie in
     (WINDOW, 1, 1, H) blocks, the kernel's (S, B, N, H) layout with the
     runs on S, oldest run first: before row d is consumed, slot j holds
     the run that starts at row d - WINDOW + 1 + j, and the last slot
@@ -267,9 +269,9 @@ class EncoderStream:
     """
 
     def __init__(self, p: ParamSet, n: int):
-        self.Wxs, self.bs = lstm_input_weights(p, "enc_")
-        self.rows = np.zeros((n, self.Wxs.shape[0]))
-        self.proj = np.zeros((n, self.Wxs.shape[1]))
+        self.Wx, self.b = p["enc_Wx"], p["enc_b"]
+        self.rows = np.zeros((n, self.Wx.shape[0]))
+        self.proj = np.zeros((n, self.Wx.shape[1]))
         H = p["enc_Wh"].shape[0]
         self._weights = _recurrent_weights(p, ("enc_",), H)
         self._done = 0   # rows consumed by the runs
@@ -287,8 +289,8 @@ class EncoderStream:
     def put(self, t: int, row: np.ndarray) -> None:
         self._open(t)
         self.rows[t] = row
-        np.matmul(self.rows[t:t + 1], self.Wxs, out=self.proj[t:t + 1])
-        self.proj[t] += self.bs
+        np.matmul(self.rows[t:t + 1], self.Wx, out=self.proj[t:t + 1])
+        self.proj[t] += self.b
 
     def repeat(self, t: int) -> None:
         """Row t and its projection become copies of row t-1's."""

@@ -11,18 +11,22 @@ call, not per flop:
 
 - One-tanh gates. With sigmoid(z) = 0.5 * (1 + tanh(z / 2)), all four
   gates of a step are one tanh over the 4H pre-activation block: the
-  block is scaled by s = [1/2, 1/2, 1, 1/2] (per gate i|f|g|o, folded
-  into Wx, Wh and b), passed through tanh, then mapped back by
-  s * y + (1 - s).
+  block is scaled by s = [1/2, 1/2, 1, 1/2] (per gate i|f|g|o), passed
+  through tanh, then mapped back by s * y + (1 - s). The scale is
+  applied to each step's pre-activation sum, not to the weights:
+  halving is exact, so the scaled sum has the bits that Wx·s, Wh·s and
+  b·s would give. No call rescales a weight, and a single cell's are
+  read in place.
 - Forward. xs @ Wx + b for all T steps is one GEMM before the
-  recurrence; each step adds h_{t-1} @ Wh and finishes its gate block
-  in place, with no per-step allocation (batch-1 calls are dominated
-  by per-call overhead). The step itself is `_lstm_steps`, the one copy
-  of the cell math: a caller that keeps runs alive across rows of a
-  stream (`features.EncoderStream`) projects each row once with
-  `lstm_input_weights` and steps its runs through it.
+  recurrence; each step adds h_{t-1} @ Wh, scales the sum and finishes
+  its gate block in place, with no per-step allocation (batch-1 calls
+  are dominated by per-call overhead). The step itself is
+  `_lstm_steps`, the one copy of the cell math and, with `_gate_scale`,
+  the only code that knows the scale: a caller that keeps runs alive
+  across rows of a stream (`features.EncoderStream`) projects each row
+  once with the cell's own Wx and b and steps its runs through it.
   A cell that reads no input, such as the autoencoder's decoder, has a
-  Wx of no rows and is given an input of no columns; its block is b·s
+  Wx of no rows and is given an input of no columns; its block is b
   alone, filled without a matmul.
 - Stacks. Independent runs share the step loop, after the same paper's
   advice to run independent recurrent streams together: a stack of B
@@ -179,8 +183,10 @@ def _active(starts: tuple, T: int) -> list[tuple[int, int, int]]:
 def _gate_scale(H: int) -> tuple[np.ndarray, np.ndarray]:
     """(s, 1 - s) over the 4H gate block, s being 1/2 on i, f, o and 1
     on g, so that s * tanh(s * z) + (1 - s) is sigmoid(z) on i, f, o
-    and tanh(z) on g. Scaling by 1/2 is exact, so it is folded into the
-    weights. Built once per hidden size; both arrays are read-only."""
+    and tanh(z) on g. `_lstm_steps` multiplies each step's pre-activation
+    z by s; halving is exact, so s * z has the bits of the same sum over
+    weights and bias scaled by s. Built once per hidden size; both
+    arrays are read-only."""
     s = np.full(4 * H, 0.5)
     s[2 * H:3 * H] = 1.0
     off = 1.0 - s
@@ -188,23 +194,13 @@ def _gate_scale(H: int) -> tuple[np.ndarray, np.ndarray]:
     return s, off
 
 
-def _gate_scaled(W: np.ndarray, H: int, out=None) -> np.ndarray:
-    """W·s over the last axis, W's 4H gate columns, to the bit: halving
-    is exact and g's columns are copied, at half the cost of a
-    broadcast multiply by s."""
-    out = np.multiply(W, 0.5, out=out)
-    out[..., 2 * H:3 * H] = W[..., 2 * H:3 * H]
-    return out
-
-
 def _recurrent_weights(p: ParamSet, prefixes: tuple, H: int) -> tuple:
-    """(Whs, s, off), the weights `_lstm_steps` takes: each cell's Wh·s
-    in one (B, H, 4H) block, formed without a stacked copy of Wh, and
+    """(Wh, s, off), the weights `_lstm_steps` takes: the cells' Wh,
+    unscaled, in one (B, H, 4H) block, a view of a single cell's, and
     the gate scale pair of `_gate_scale`."""
-    Whs = np.empty((len(prefixes), H, 4 * H))
-    for q, scaled in zip(prefixes, Whs):
-        _gate_scaled(p[q + "Wh"], H, out=scaled)
-    return (Whs, *_gate_scale(H))
+    Wh = [p[q + "Wh"] for q in prefixes]
+    return (Wh[0][None] if len(Wh) == 1 else np.stack(Wh),
+            *_gate_scale(H))
 
 
 def _gate_views(gt: np.ndarray, tc: np.ndarray) -> tuple:
@@ -224,20 +220,23 @@ def _step_scratch(block: tuple, H: int) -> tuple[tuple, tuple]:
             _gate_views(rec, np.empty(block + (H,))))
 
 
-def _lstm_steps(Whs, s, off, rec, ig, steps) -> None:
+def _lstm_steps(Wh, s, off, rec, ig, steps) -> None:
     """Run the cell's steps over an (S, B, N, H) block of state rows, in
     place: the one copy of the cell math. Each step is ((gt, i, f, g, o,
     tc), row, h_prev, c_prev, h, c): the gate block gt, whose views i,
     f, g, o are its four gates, is formed from the input pre-activation
-    row and h_prev @ Whs; then c from c_prev, tc = tanh(c) and h. Whs,
-    s and off are `_recurrent_weights`; rec and ig are scratch of gt's
-    and h's shapes, and gt may be rec itself. Nothing is allocated. The
-    (S, B, N, H) @ (B, H, 4H) matmul is one broadcast call, which NumPy
-    runs slice by slice with the kernel of a 2-D (N, H) @ (H, 4H) call,
-    so each run of each cell gets the bits of a step of its own."""
+    row, x @ Wx + b unscaled, and h_prev @ Wh, their sum scaled by s;
+    then c from c_prev, tc = tanh(c) and h. s is 1/2 or 1, so the scaled
+    sum is exact: its bits are those of weights and bias scaled by s.
+    Wh, s and off are `_recurrent_weights`; rec and ig are scratch of
+    gt's and h's shapes, and gt may be rec itself. Nothing is allocated.
+    The (S, B, N, H) @ (B, H, 4H) matmul is one broadcast call, which
+    NumPy runs slice by slice with the kernel of a 2-D (N, H) @ (H, 4H)
+    call, so each run of each cell gets the bits of a step of its own."""
     for (gt, i, f, g, o, tc), row, h_prev, c_prev, h, c in steps:
-        np.matmul(h_prev, Whs, out=rec)
+        np.matmul(h_prev, Wh, out=rec)
         rec += row   # not into gt: gt may be row itself
+        rec *= s
         np.tanh(rec, out=gt)
         gt *= s
         gt += off
@@ -254,21 +253,6 @@ def lstm_init(rng: np.random.Generator, d_in: int, hidden: int,
         prefix + "Wx": uniform_init(rng, d_in, (d_in, 4 * hidden)),
         prefix + "Wh": uniform_init(rng, hidden, (hidden, 4 * hidden)),
         prefix + "b": np.zeros(4 * hidden)})
-
-
-def lstm_input_weights(p: ParamSet,
-                       prefix: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """(Wx·s, b·s): the input weights and bias with the gate scale
-    folded in, as lstm_forward applies them.
-
-    A batch-1 lstm_forward projects step t as x_t[None] @ (Wx·s), a
-    (1, D) @ (D, 4H) matmul, and adds b·s. A caller that projects each
-    row of a stream that way, once, and adds b·s gets the pre-activation
-    rows lstm_forward would compute for any window of those rows, to the
-    bit. One (T, D) GEMM over the rows does not give the same bits.
-    """
-    H = p[prefix + "Wh"].shape[0]
-    return _gate_scaled(p[prefix + "Wx"], H), _gate_scaled(p[prefix + "b"], H)
 
 
 def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
@@ -370,16 +354,15 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
             state[0] = np.broadcast_to(init, axes + (H,)).reshape(R, H)
     weights = _recurrent_weights(p, prefixes, H)
     # each cell's input projection of every row in one matmul; the runs
-    # of a cell share it. A cell that reads no input gets b·s alone: a
+    # of a cell share it. A cell that reads no input gets b alone: a
     # matmul over no columns and a bias add cost several times the copy
     for b, (x, q) in enumerate(zip(_columns(xs, p, prefixes), prefixes)):
-        Wxs, bs = lstm_input_weights(p, q)
         if x.shape[-1]:
-            np.matmul(x.reshape(T, N, x.shape[-1]), Wxs, out=pre[:, 0, b])
-            pre[:, 0, b] += bs
+            np.matmul(x.reshape(T, N, x.shape[-1]), p[q + "Wx"],
+                      out=pre[:, 0, b])
+            pre[:, 0, b] += p[q + "b"]
         else:
-            pre[:, 0, b] = bs
-    del Wxs, bs  # not held through the loop: 0.25 MB at the bg shape
+            pre[:, 0, b] = p[q + "b"]
     scratch, step = _step_scratch(block, H)
     if starts is None:
         # kept for the backward: each step's gate block is finished in
@@ -469,10 +452,8 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     o_dtc *= o
     o_dtc = o_dtc.reshape((T,) + block + (H,))
     f = f.reshape((T,) + block + (H,))
-    # each cell's Wh.T in the forward's (B, 4H, H) layout: a view of one
-    # cell's (a copy faults in 512 KiB a call at H = 128), a stack of more
-    Wh = [p[q + "Wh"] for q in prefixes]
-    WhT = (Wh[0][None] if B == 1 else np.stack(Wh)).swapaxes(1, 2)
+    # the forward's Wh block, transposed: a view of one cell's
+    WhT = _recurrent_weights(p, prefixes, H)[0].swapaxes(1, 2)
     # the step loop allocates nothing: dh, dc and dct are buffers of
     # this call (the caller's dh_final and dc_final are copied in, never
     # written), and every per-step operand is a view built up front

@@ -83,6 +83,27 @@ def test_gen_data_manifest(workspace):
     assert len(lines) == 1 + 22 + 29
 
 
+def test_corpus_rebuilds_from_its_config_and_manifest(tmp_path):
+    # gen-data records the config it ran with and the manifest names the
+    # style subset: those two files alone rebuild the corpus, byte for
+    # byte
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["gen-data", "--out", str(first), "--styles", "fly-by",
+                 "--set", "duration_max=8"]) == 0
+    header = (first / "manifest.txt").read_text().splitlines()[0]
+    styles = dict(f.split("=", 1) for f in header.split()[3:])["styles"]
+    assert styles == "fly-by"
+    assert main(["gen-data", "--out", str(second), "--config",
+                 str(first / "config_gen-data.txt"),
+                 "--styles", styles]) == 0
+    files = sorted(p.relative_to(first) for p in first.rglob("*"))
+    assert sorted(p.relative_to(second) for p in second.rglob("*")) \
+        == files
+    assert "config_gen-data.txt" in map(str, files)
+    for rel in files:
+        assert (first / rel).read_bytes() == (second / rel).read_bytes()
+
+
 def test_train_missing_dependency(workspace, tmp_path):
     rc = main(["train", "--data", str(workspace / "data"),
                "--out", str(tmp_path / "empty"), "--stage", "style"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -467,3 +469,20 @@ def test_closed_loop_refuses_duration_with_no_control_step(monkeypatch,
     with pytest.raises(ValueError, match=f"duration {duration!r} s "):
         closed_loop_run(v, scene, bundle, duration,
                         demo.actions if with_demo else None)
+
+
+@pytest.mark.parametrize("shape", [(0, 7), (7,), (40, 6)])
+def test_closed_loop_refuses_demo_actions_not_n_by_7(monkeypatch, shape):
+    # demo actions that are not (n >= 1, 7) rows are refused, naming
+    # their shape, before any pose is projected or the warm-up flown
+    from skymimic import controller
+    bundle, _, v = _untrained_bundle_and_demo("fly-by")
+    scene, _ = make_live_scene("fly-by", np.random.default_rng(5))
+
+    def no_projection(*args):
+        raise AssertionError("a pose was projected")
+
+    monkeypatch.setattr(controller, "project_points", no_projection)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"demo actions of shape {shape} ")):
+        closed_loop_run(v, scene, bundle, 4.0, np.zeros(shape))

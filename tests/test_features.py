@@ -284,6 +284,18 @@ def test_stream_embed_of_a_provisional_last_row(channel):
                                   _raw_embedding(window_rows, p)), t
 
 
+def test_stream_holds_views_of_the_encoder_weights():
+    # the stream reads the encoder's arrays in place: every one of
+    # enc_Wx, enc_b and enc_Wh is held as a view, none as a copy
+    p = autoencoder_init("bg", 0)
+    stream = EncoderStream(p, 10)
+    held = [a for v in vars(stream).values()
+            for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray)]
+    for name in ("enc_Wx", "enc_b", "enc_Wh"):
+        assert any(np.shares_memory(a, p[name]) for a in held), name
+
+
 def test_stream_window_needs_full_window():
     stream = EncoderStream(autoencoder_init("fg", 0), 10)
     with pytest.raises(TooShortError):

@@ -9,7 +9,7 @@ from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax,
                          adamax_update, lstm_backward, lstm_forward,
                          lstm_init, mlp_backward, mlp_forward, mlp_init,
                          sigmoid, softmax, uniform_init)
-from skymimic.nn.layers import affine, affine_backward
+from skymimic.nn.layers import _recurrent_weights, affine, affine_backward
 from oracles import grad_check
 
 
@@ -255,6 +255,16 @@ def test_lstm_forward_loop_bit_identical_to_reference(T, lead, D,
         got = (cache.hs, cache.cs, cache.gates, cache.tcs)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_single_cell_recurrent_block_is_a_view_of_its_wh():
+    # the kernel scales each step's pre-activation, not the weights: a
+    # single cell's (1, H, 4H) Wh block is its Wh, unscaled and uncopied
+    p = lstm_init(np.random.default_rng(0), 5, 8)
+    Wh = _recurrent_weights(p, ("",), 8)[0]
+    assert Wh.shape == (1, 8, 32)
+    assert np.shares_memory(Wh, p["Wh"])
+    assert np.array_equal(Wh[0], p["Wh"])
 
 
 def _loop_lstm_backward(dhs, cache, p, grads, dh_final=None,
