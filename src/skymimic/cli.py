@@ -28,7 +28,8 @@ from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
 from .dataset import CorpusConfig, DependencyError, load_corpus, load_video
 from .nn import NumericError, write_atomic
-from .pipeline import ModelBundle, load_encoders, load_net
+from .pipeline import (STAGES, VARIANT_FILES, ModelBundle, load_encoders,
+                       load_net, save_stage)
 from .scene import DT, STYLES, GeneratorError, check_style_contract
 from .segmenter import prob_curve, segment as segment_video
 from .stylenet import VARIANTS
@@ -40,8 +41,6 @@ from .training import (build_snippet_corpus, make_live_scene,
 # that returns exits 0
 EXIT_CODES = {ConfigError: 2, GeneratorError: 2, DependencyError: 3,
               NumericError: 4, FloatingPointError: 4, OSError: 5}
-
-TRAIN_STAGES = ("autoencoder", "style", "imitation", "baseline")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -68,7 +67,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, stage: str):
         for line in path.read_text().splitlines():
             lines.setdefault(line.split(" ", 1)[0], line)
     body = [f"# skymimic artifacts version={__version__}"] \
-        + [lines[s] for s in TRAIN_STAGES if s in lines]
+        + [lines[s] for s in STAGES if s in lines]
     write_atomic(path, ("\n".join(body) + "\n").encode())
 
 
@@ -114,37 +113,27 @@ def cmd_train(args) -> None:
     cfg = _load_config(args)
     records = load_corpus(args.data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_recs = [r for r in records if r.split == "train"]
-
+    # a stage's nets are written together once all of them are trained
     if args.stage == "autoencoder":
-        fg_p, bg_p = train_encoders(train_recs, cfg)
-        fg_p.save(out / "fg_encoder.bin")
-        bg_p.save(out / "bg_encoder.bin")
+        save_stage(out, "autoencoder", train_encoders(
+            [r for r in records if r.split == "train"], cfg))
     elif args.stage == "style":
         fg_p, bg_p = load_encoders(out)
         params, _, table = train_style_stage(records, fg_p, bg_p, cfg)
-        params.save(out / "style_net.bin")
-        (out / "variants").mkdir(exist_ok=True)
-        for name, (vp, _, cm) in table.items():
-            vp.save(out / "variants" / f"{_slug(name)}.bin")
-            _write_csv(out / "variants" / f"{_slug(name)}_confusion.csv",
-                       cm, "{:.6f}")
         seg_params, _ = train_segment_stage(records, fg_p, bg_p, cfg)
-        seg_params.save(out / "segment_net.bin")
+        save_stage(out, "style", (params, seg_params,
+                                  *(table[name][0] for name in VARIANTS)))
+        for name, file in VARIANT_FILES.items():
+            _write_csv(out / f"{Path(file).with_suffix('')}_confusion.csv",
+                       table[name][2], "{:.6f}")
     else:   # imitation or baseline
         bundle = ModelBundle.load(out)
-        dual = args.stage == "imitation"
-        params, _ = train_imitation_stage(records, bundle, cfg, dual=dual)
-        name = "imitation_net.bin" if dual else "imitation_baseline.bin"
-        params.save(out / name)
+        params, _ = train_imitation_stage(records, bundle, cfg,
+                                          dual=args.stage == "imitation")
+        save_stage(out, args.stage, (params,))
 
     _write_manifest(out, cfg, args.stage)
     print(f"stage {args.stage}: artifacts written to {out}")
-
-
-def _slug(name: str) -> str:
-    return name.replace("+", "_")
 
 
 def cmd_eval(args) -> None:
@@ -152,15 +141,15 @@ def cmd_eval(args) -> None:
     # every net is loaded before the report directory is made
     art = Path(args.artifacts)
     variants = {
-        name: load_net(art / "variants" / f"{_slug(name)}.bin",
+        name: load_net(art, VARIANT_FILES[name],
                        lambda _, c=c: stylenet_mod.init_style_net(c, 0))
         for name, c in VARIANTS.items()}
     trained = {}
     if bundle.imitation_params is not None:
         trained["dual"] = bundle.imitation_params
-        if (art / "imitation_baseline.bin").exists():
-            trained["baseline"] = bundle.load_imitation_net(
-                art / "imitation_baseline.bin")
+        (baseline,) = STAGES["baseline"][1]
+        if (art / baseline).exists():
+            trained["baseline"] = bundle.load_imitation_net(art, baseline)
     records = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,7 +166,8 @@ def cmd_eval(args) -> None:
         cm, acc = stylenet_mod.confusion_and_accuracy(test_ex, vp,
                                                       VARIANTS[name])
         accuracies.append([name, f"{acc:.4f}"])
-        _write_csv(out / f"confusion_{_slug(name)}.csv", cm, "{:.6f}")
+        _write_csv(out / f"confusion_{Path(VARIANT_FILES[name]).stem}.csv",
+                   cm, "{:.6f}")
     _write_csv(out / "style_accuracy.csv",
                [["variant", "accuracy"], *accuracies])
 
@@ -296,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(t)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--stage", required=True, choices=TRAIN_STAGES)
+    t.add_argument("--stage", required=True, choices=STAGES)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="write evaluation tables")

@@ -1,14 +1,13 @@
 """Trained-artifact bundle shared by the segmenter, the closed-loop
 controller, and the CLI: feature encoders, style net, imitation net,
-with save/load against a directory of ParamSet files.
-
-Every net file is read through `load_net`, which checks it against the
-net its user runs: the encoders against `autoencoder_init` of their
-channel, the style net against `init_style_net` of the StyleNetConfig
-in its meta, the segment net against the style net's, and an imitation
-net against `init_imitation_net` of the bundle's style feature size.
-`skymimic eval` checks each ablation variant against its own config in
-`stylenet.VARIANTS`."""
+in a directory of ParamSet files laid out by `STAGES`. `save_stage`
+writes every net file, and `load_net` reads each one, checking it
+against the net its user runs: the encoders against `autoencoder_init`
+of their channel, the style net against `init_style_net` of the
+StyleNetConfig in its meta, the segment net against the style net's,
+and an imitation net against `init_imitation_net` of the bundle's style
+feature size. `skymimic eval` checks each ablation variant against its
+own config in `stylenet.VARIANTS`."""
 
 from __future__ import annotations
 
@@ -23,18 +22,39 @@ from .features import (EMBED_DIM, autoencoder_init, embed_video,
                        snippet_ends)
 from .imitation import init_imitation_net
 from .nn import ParamSet
-from .stylenet import StyleNetConfig, init_style_net, style_forward
+from .stylenet import (VARIANTS, StyleNetConfig, init_style_net,
+                       style_forward)
 
 
-def load_net(path: str | Path,
+# each train stage, in train order: (the artifact files it reads, the
+# nets it writes, in the order it trains them, ablation variants last)
+_ENCODERS = ("fg_encoder.bin", "bg_encoder.bin")
+VARIANT_FILES = {v: f"variants/{v.replace('+', '_')}.bin" for v in VARIANTS}
+STAGES = {
+    "autoencoder": ((), _ENCODERS),
+    "style": (_ENCODERS, ("style_net.bin", "segment_net.bin",
+                          *VARIANT_FILES.values())),
+    "imitation": (_ENCODERS + ("style_net.bin",), ("imitation_net.bin",)),
+    "baseline": (_ENCODERS + ("style_net.bin",), ("imitation_baseline.bin",)),
+}
+
+
+def save_stage(art_dir: str | Path, stage: str, nets) -> None:
+    """Write `stage`'s nets, in STAGES order, to their files in art_dir."""
+    for name, net in zip(STAGES[stage][1], nets, strict=True):
+        (Path(art_dir) / name).parent.mkdir(parents=True, exist_ok=True)
+        net.save(Path(art_dir) / name)
+
+
+def load_net(art_dir: str | Path, name: str,
              build: Callable[[dict], ParamSet]) -> ParamSet:
-    """Read the net file at `path` and check it against `build(meta)`,
+    """Read the net file art_dir/name and check it against `build(meta)`,
     a fresh net of the kind its user runs, built from the file's meta.
 
     Raises DependencyError when the file is missing, and OSError when
     it is damaged, when its meta builds no net, or when its meta or
     parameter layout differ from the built net's."""
-    path = Path(path)
+    path = Path(art_dir) / name
     if not path.exists():
         raise DependencyError(f"missing artifact {path}; run the training "
                               f"stage that writes it first")
@@ -53,9 +73,9 @@ def load_net(path: str | Path,
 def load_encoders(art_dir: str | Path) -> tuple[ParamSet, ParamSet]:
     """The fg and bg encoders of an artifact directory, each checked
     against its channel's net, so a swapped pair fails on load."""
-    return tuple(load_net(Path(art_dir) / f"{ch}_encoder.bin",
+    return tuple(load_net(art_dir, name,
                           lambda _, ch=ch: autoencoder_init(ch, 0))
-                 for ch in ("fg", "bg"))
+                 for ch, name in zip(("fg", "bg"), _ENCODERS))
 
 
 @dataclass
@@ -128,38 +148,28 @@ class ModelBundle:
         _, probs, _ = self.style_feature(fg, bg)
         return int(np.argmax(probs))
 
-    def load_imitation_net(self, path: str | Path) -> ParamSet:
+    def load_imitation_net(self, art_dir: str | Path, name: str) -> ParamSet:
         """An imitation net file (dual or baseline), checked against
         the net this bundle's style feature feeds."""
-        return load_net(path, lambda _: init_imitation_net(
+        return load_net(art_dir, name, lambda _: init_imitation_net(
             self.style_cfg.feature_dim, EMBED_DIM, 0))
-
-    def save(self, out_dir: str | Path) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        self.fg_encoder.save(out / "fg_encoder.bin")
-        self.bg_encoder.save(out / "bg_encoder.bin")
-        self.style_params.save(out / "style_net.bin")
-        if self.imitation_params is not None:
-            self.imitation_params.save(out / "imitation_net.bin")
-        if self.segment_params is not None:
-            self.segment_params.save(out / "segment_net.bin")
 
     @classmethod
     def load(cls, art_dir: str | Path,
              need_imitation: bool = False) -> "ModelBundle":
         art = Path(art_dir)
         fg, bg = load_encoders(art)
-        style = load_net(art / "style_net.bin", lambda meta: init_style_net(
+        style_name, segment_name = STAGES["style"][1][:2]
+        style = load_net(art, style_name, lambda meta: init_style_net(
             StyleNetConfig(**meta["config"]), 0))
         cfg = StyleNetConfig(**style.meta["config"])
         bundle = cls(fg, bg, style, cfg)
-        if need_imitation or (art / "imitation_net.bin").exists():
-            bundle.imitation_params = bundle.load_imitation_net(
-                art / "imitation_net.bin")
-        if (art / "segment_net.bin").exists():
+        (dual,) = STAGES["imitation"][1]
+        if need_imitation or (art / dual).exists():
+            bundle.imitation_params = bundle.load_imitation_net(art, dual)
+        if (art / segment_name).exists():
             # the segmenter runs the segment net with the style net's config
-            bundle.segment_params = load_net(art / "segment_net.bin",
+            bundle.segment_params = load_net(art, segment_name,
                                              lambda _: init_style_net(cfg, 0))
         return bundle
 

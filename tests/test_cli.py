@@ -6,10 +6,11 @@ import pytest
 
 import skymimic
 from skymimic import features
-from skymimic.cli import TRAIN_STAGES, _config_hash, build_parser, main
+from skymimic.cli import _config_hash, build_parser, main
 from skymimic.config import ExperimentConfig
 from skymimic.imitation import init_imitation_net
 from skymimic.nn import ParamSet
+from skymimic.pipeline import STAGES, VARIANT_FILES
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ def workspace(tmp_path_factory):
             "--set", "imitation_epochs=1", "--set", "imitation_steps=10"]
     assert main(["gen-data", "--out", str(data),
                  "--styles", "fly-by,orbiting", "--set", "seed=5"]) == 0
-    for stage in ("autoencoder", "style", "imitation", "baseline"):
+    for stage in STAGES:
         assert main(["train", "--data", str(data), "--out", str(art),
                      "--stage", stage] + fast) == 0
     return root
@@ -516,7 +517,7 @@ def test_train_manifest_keeps_each_stage_line(workspace, tmp_path):
     # the fixture ran every stage, in order
     lines = (workspace / "art" / "manifest.txt").read_text().splitlines()
     assert lines[0] == f"# skymimic artifacts version={skymimic.__version__}"
-    assert [line.split(" ")[0] for line in lines[1:]] == list(TRAIN_STAGES)
+    assert [line.split(" ")[0] for line in lines[1:]] == list(STAGES)
 
     art = tmp_path / "art"
 
@@ -539,6 +540,19 @@ def test_train_manifest_keeps_each_stage_line(workspace, tmp_path):
     assert (art / "manifest.txt").read_bytes() == first
 
 
+def test_artifact_directory_holds_the_table_nets(workspace):
+    # every stage has run: the directory holds each net the table
+    # lists, the manifest, each stage's config and each variant's
+    # confusion CSV, and no other file
+    art = workspace / "art"
+    want = {net for _, writes in STAGES.values() for net in writes}
+    want |= {"manifest.txt", *(f"config_{s}.txt" for s in STAGES)}
+    want |= {f.replace(".bin", "_confusion.csv")
+             for f in VARIANT_FILES.values()}
+    assert {p.relative_to(art).as_posix() for p in art.rglob("*")
+            if p.is_file()} == want
+
+
 def test_each_stage_writes_the_config_it_ran_with(workspace):
     # the fixture trained every stage with --set overrides: each stage's
     # config file loads as the config it ran with, whose hash is the
@@ -546,7 +560,7 @@ def test_each_stage_writes_the_config_it_ran_with(workspace):
     art = workspace / "art"
     hashes = dict(line.split(" ")[:2] for line in
                   (art / "manifest.txt").read_text().splitlines()[1:])
-    for stage in TRAIN_STAGES:
+    for stage in STAGES:
         cfg = ExperimentConfig.load(art / f"config_{stage}.txt")
         assert (cfg.autoencoder_epochs, cfg.imitation_steps) == (1, 10)
         assert hashes[stage] == f"config_hash={_config_hash(cfg)}"

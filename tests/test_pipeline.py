@@ -9,7 +9,8 @@ from skymimic.geometry import Intrinsics
 from skymimic.imitation import init_imitation_net
 from skymimic.nn import ParamSet
 from skymimic.pipeline import (DependencyError, ModelBundle,
-                               demo_conditioning, snippet_action_labels)
+                               demo_conditioning, save_stage,
+                               snippet_action_labels)
 from skymimic.stylenet import VARIANTS, StyleNetConfig, init_style_net
 
 
@@ -22,9 +23,22 @@ def _fresh_bundle(seed=7, with_imitation=False):
                        init_style_net(cfg, seed + 2), cfg, imitation)
 
 
+def _save(bundle, art):
+    """Write a bundle's nets through the stage writer, as `train` does;
+    the segment net is the style net when the bundle has none, and each
+    ablation variant is a fresh net of its config."""
+    segment = bundle.segment_params if bundle.segment_params is not None \
+        else bundle.style_params
+    save_stage(art, "autoencoder", (bundle.fg_encoder, bundle.bg_encoder))
+    save_stage(art, "style", (bundle.style_params, segment, *(
+        init_style_net(cfg, 0) for cfg in VARIANTS.values())))
+    if bundle.imitation_params is not None:
+        save_stage(art, "imitation", (bundle.imitation_params,))
+
+
 def test_bundle_save_load_roundtrip(tmp_path):
     bundle = _fresh_bundle(with_imitation=True)
-    bundle.save(tmp_path)
+    _save(bundle, tmp_path)
     loaded = ModelBundle.load(tmp_path, need_imitation=True)
     rec = build_video("v0", "fly-by", "train", 11, Intrinsics())
     emb = bundle.embed(rec.fg, rec.bg)
@@ -43,7 +57,7 @@ def test_bundle_restores_a_non_default_style_config(tmp_path):
                          segment_params=init_style_net(cfg, 4))
     metas = [dict(bundle.style_params.meta),
              dict(bundle.segment_params.meta)]
-    bundle.save(tmp_path)
+    _save(bundle, tmp_path)
     # save writes the config into the files, not into the caller's sets
     assert [bundle.style_params.meta, bundle.segment_params.meta] == metas
     loaded = ModelBundle.load(tmp_path)
@@ -65,9 +79,9 @@ def test_bundle_restores_a_non_default_style_config(tmp_path):
 def test_bundle_load_rejects_a_config_that_does_not_fit(tmp_path, net,
                                                         config):
     cfg = VARIANTS["fg+bg+att"]
-    ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
-                init_style_net(cfg, 9), cfg,
-                segment_params=init_style_net(cfg, 10)).save(tmp_path)
+    _save(ModelBundle(autoencoder_init("fg", 7), autoencoder_init("bg", 8),
+                      init_style_net(cfg, 9), cfg,
+                      segment_params=init_style_net(cfg, 10)), tmp_path)
     path = tmp_path / f"{net}.bin"
     p = ParamSet.load(path)
     p.meta["config"].update(config)
@@ -78,7 +92,7 @@ def test_bundle_load_rejects_a_config_that_does_not_fit(tmp_path, net,
 
 def test_bundle_load_rejects_a_style_net_without_config(tmp_path):
     bundle = _fresh_bundle()
-    bundle.save(tmp_path)
+    _save(bundle, tmp_path)
     # init_style_net writes the config; a net saved without one
     p = bundle.style_params.copy()
     del p.meta["config"]
@@ -95,7 +109,7 @@ def test_init_style_net_stores_its_config(name):
 
 
 def test_bundle_load_rejects_swapped_encoders(tmp_path):
-    _fresh_bundle().save(tmp_path)
+    _save(_fresh_bundle(), tmp_path)
     fg, bg = tmp_path / "fg_encoder.bin", tmp_path / "bg_encoder.bin"
     blob = fg.read_bytes()
     fg.write_bytes(bg.read_bytes())
@@ -108,14 +122,14 @@ def test_bundle_load_rejects_an_imitation_net_of_another_size(tmp_path):
     # the style net's feature is 128 wide
     bundle = _fresh_bundle()
     bundle.imitation_params = init_imitation_net(64, 96, 0)
-    bundle.save(tmp_path)
+    _save(bundle, tmp_path)
     with pytest.raises(OSError, match="does not match"):
         ModelBundle.load(tmp_path)
 
 
 def test_bundle_load_missing_artifact(tmp_path):
     bundle = _fresh_bundle()
-    bundle.save(tmp_path)
+    _save(bundle, tmp_path)
     (tmp_path / "style_net.bin").unlink()
     with pytest.raises(DependencyError):
         ModelBundle.load(tmp_path)
@@ -123,7 +137,7 @@ def test_bundle_load_missing_artifact(tmp_path):
 
 def test_bundle_load_missing_imitation(tmp_path):
     bundle = _fresh_bundle(with_imitation=False)
-    bundle.save(tmp_path)
+    _save(bundle, tmp_path)
     loaded = ModelBundle.load(tmp_path)
     assert loaded.imitation_params is None
     with pytest.raises(DependencyError):
