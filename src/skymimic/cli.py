@@ -14,7 +14,6 @@ dependency, 4 numeric failure, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -26,10 +25,11 @@ from . import imitation as imitation_mod
 from . import stylenet as stylenet_mod
 from .config import ConfigError, ExperimentConfig, parse_overrides
 from .controller import SubjectLostError, closed_loop_run
-from .dataset import CorpusConfig, DependencyError, load_corpus, load_video
+from .dataset import (CorpusConfig, DependencyError, listed_ids,
+                      load_corpus, load_video, video_path)
 from .nn import NumericError, write_atomic
-from .pipeline import (STAGES, VARIANT_FILES, ModelBundle, load_encoders,
-                       load_net, save_stage)
+from .pipeline import (STAGES, VARIANT_FILES, ModelBundle, digest,
+                       load_encoders, load_net, save_stage, stage_inputs)
 from .scene import DT, STYLES, GeneratorError, check_style_contract
 from .segmenter import prob_curve, segment as segment_video
 from .stylenet import VARIANTS
@@ -50,8 +50,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(cfg.__dict__, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return digest(json.dumps(cfg.__dict__, sort_keys=True).encode())
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, stage: str):
@@ -85,7 +84,8 @@ def cmd_gen_data(args) -> None:
     """Write the corpus and the config it was made with, to
     out/config_gen-data.txt; with the styles its manifest names, that
     file rebuilds the corpus. A bad argument or config value (exit 2)
-    is refused before --out is made."""
+    is refused before --out is made. Over a corpus (--force), the old
+    manifest's videos that the new one does not list are removed."""
     cfg = _load_config(args)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
@@ -103,7 +103,10 @@ def cmd_gen_data(args) -> None:
                               subject_height=cfg.subject_height,
                               focal=cfg.focal)
     from .dataset import make_dataset
+    old = listed_ids(out) if (out / "manifest.txt").exists() else []
     records = make_dataset(corpus_cfg, out, styles)
+    for vid in set(old) - {r.video_id for r in records}:
+        video_path(out, vid).unlink(missing_ok=True)
     cfg.save(out / "config_gen-data.txt")
     n_test = sum(r.split == "test" for r in records)
     print(f"wrote {len(records)} videos ({n_test} test) to {out}")
@@ -113,24 +116,27 @@ def cmd_train(args) -> None:
     cfg = _load_config(args)
     records = load_corpus(args.data)
     out = Path(args.out)
-    # a stage's nets are written together once all of them are trained
+    # a stage's nets are written together once all of them are trained,
+    # each recording the digests its inputs had before training
+    inputs = stage_inputs(out, args.stage)
     if args.stage == "autoencoder":
         save_stage(out, "autoencoder", train_encoders(
-            [r for r in records if r.split == "train"], cfg))
+            [r for r in records if r.split == "train"], cfg), inputs)
     elif args.stage == "style":
         fg_p, bg_p = load_encoders(out)
         params, _, table = train_style_stage(records, fg_p, bg_p, cfg)
         seg_params, _ = train_segment_stage(records, fg_p, bg_p, cfg)
         save_stage(out, "style", (params, seg_params,
-                                  *(table[name][0] for name in VARIANTS)))
+                                  *(table[name][0] for name in VARIANTS)),
+                   inputs)
         for name, file in VARIANT_FILES.items():
             _write_csv(out / f"{Path(file).with_suffix('')}_confusion.csv",
                        table[name][2], "{:.6f}")
     else:   # imitation or baseline
-        bundle = ModelBundle.load(out)
+        bundle = ModelBundle.load(out, style_only=True)
         params, _ = train_imitation_stage(records, bundle, cfg,
                                           dual=args.stage == "imitation")
-        save_stage(out, args.stage, (params,))
+        save_stage(out, args.stage, (params,), inputs)
 
     _write_manifest(out, cfg, args.stage)
     print(f"stage {args.stage}: artifacts written to {out}")

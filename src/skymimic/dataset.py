@@ -206,18 +206,18 @@ def load_video(root: Path, video_id: str) -> VideoRecord:
             from e
 
 
+def listed_ids(root: str | Path) -> list[str]:
+    """The video ids root's manifest.txt lists, in order. Raises
+    DependencyError when the manifest is missing."""
+    path = Path(root) / "manifest.txt"
+    if not path.exists():
+        raise DependencyError(f"no manifest.txt in {root}")
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return [line.split()[0] for line in lines
+            if line and not line.startswith("#")]
+
+
 def load_corpus(root: str | Path) -> list[VideoRecord]:
     """Every video listed in root's manifest.txt. Raises DependencyError
     when the manifest or a listed video is missing."""
-    root = Path(root)
-    if not (root / "manifest.txt").exists():
-        raise DependencyError(f"no manifest.txt in {root}")
-    records = []
-    with open(root / "manifest.txt") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vid = line.split()[0]
-            records.append(load_video(root, vid))
-    return records
+    return [load_video(Path(root), vid) for vid in listed_ids(root)]

@@ -1,7 +1,9 @@
 """Trained-artifact bundle shared by the segmenter, the closed-loop
 controller, and the CLI: feature encoders, style net, imitation net,
 in a directory of ParamSet files laid out by `STAGES`. `save_stage`
-writes every net file, and `load_net` reads each one, checking it
+writes every net file, recording in its meta the digest of each file
+its stage read, and `load_net` reads each one. It refuses a net whose
+recorded inputs are not the files beside it, then checks the net
 against the net its user runs: the encoders against `autoencoder_init`
 of their channel, the style net against `init_style_net` of the
 StyleNetConfig in its meta, the segment net against the style net's,
@@ -11,6 +13,7 @@ own config in `stylenet.VARIANTS`."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -39,9 +42,41 @@ STAGES = {
 }
 
 
-def save_stage(art_dir: str | Path, stage: str, nets) -> None:
-    """Write `stage`'s nets, in STAGES order, to their files in art_dir."""
+def digest(blob: bytes) -> str:
+    """The 16-hex sha256 prefix that names a config or a file's bytes."""
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _writer(name: str) -> str:
+    """The train stage that writes the net file `name`."""
+    return next(s for s, (_, writes) in STAGES.items() if name in writes)
+
+
+def _existing(art_dir: str | Path, name: str) -> Path:
+    """art_dir/name; raises DependencyError, naming the stage that
+    writes it, when it is missing."""
+    path = Path(art_dir) / name
+    if not path.exists():
+        raise DependencyError(f"missing artifact {path}; run `skymimic "
+                              f"train --stage {_writer(name)}` first")
+    return path
+
+
+def stage_inputs(art_dir: str | Path, stage: str) -> dict[str, str]:
+    """The digest of each file `stage` reads from art_dir, by name."""
+    return {name: digest(_existing(art_dir, name).read_bytes())
+            for name in STAGES[stage][0]}
+
+
+def save_stage(art_dir: str | Path, stage: str, nets,
+               inputs: dict[str, str]) -> None:
+    """Write `stage`'s nets, in STAGES order, to their files in art_dir.
+    When the stage reads files, each net's meta records `inputs`: their
+    `stage_inputs`, taken before the stage trained."""
     for name, net in zip(STAGES[stage][1], nets, strict=True):
+        if inputs:
+            net = net.copy()
+            net.meta["inputs"] = inputs
         (Path(art_dir) / name).parent.mkdir(parents=True, exist_ok=True)
         net.save(Path(art_dir) / name)
 
@@ -51,19 +86,27 @@ def load_net(art_dir: str | Path, name: str,
     """Read the net file art_dir/name and check it against `build(meta)`,
     a fresh net of the kind its user runs, built from the file's meta.
 
-    Raises DependencyError when the file is missing, and OSError when
-    it is damaged, when its meta builds no net, or when its meta or
+    Raises DependencyError when the file or a file its stage reads is
+    missing, or when its meta records another digest for such a file
+    than the file's; and OSError when it is damaged, when its meta
+    builds no net, or when its meta (with the recorded inputs) or
     parameter layout differ from the built net's."""
-    path = Path(art_dir) / name
-    if not path.exists():
-        raise DependencyError(f"missing artifact {path}; run the training "
-                              f"stage that writes it first")
+    path = _existing(art_dir, name)
     params = ParamSet.load(path)
+    inputs = stage_inputs(art_dir, _writer(name))
+    recorded = params.meta.get("inputs")
+    for dep, have in inputs.items():
+        if isinstance(recorded, dict) and recorded.get(dep, have) != have:
+            raise DependencyError(
+                f"{path} was trained on another {dep} than the one beside "
+                f"it; rerun `skymimic train --stage {_writer(name)}`")
     try:
         want = build(params.meta)
     except (KeyError, TypeError, ValueError) as e:
         raise OSError(f"{path}: meta {params.meta} builds no net "
                       f"({e!r})") from e
+    if inputs:
+        want.meta["inputs"] = inputs
     if params.meta != want.meta or params.layout != want.layout:
         raise OSError(f"{path}: meta or parameter layout does not match "
                       f"the net it is loaded as ({want.meta})")
@@ -155,8 +198,12 @@ class ModelBundle:
             self.style_cfg.feature_dim, EMBED_DIM, 0))
 
     @classmethod
-    def load(cls, art_dir: str | Path,
-             need_imitation: bool = False) -> "ModelBundle":
+    def load(cls, art_dir: str | Path, need_imitation: bool = False,
+             style_only: bool = False) -> "ModelBundle":
+        """The bundle of an artifact directory: its encoders, style and
+        segment nets, and its imitation net when present or needed;
+        with style_only, only the encoders and the style net, the files
+        the imitation stages read."""
         art = Path(art_dir)
         fg, bg = load_encoders(art)
         style_name, segment_name = STAGES["style"][1][:2]
@@ -164,13 +211,14 @@ class ModelBundle:
             StyleNetConfig(**meta["config"]), 0))
         cfg = StyleNetConfig(**style.meta["config"])
         bundle = cls(fg, bg, style, cfg)
+        if style_only:
+            return bundle
+        # the segmenter runs the segment net with the style net's config
+        bundle.segment_params = load_net(art, segment_name,
+                                         lambda _: init_style_net(cfg, 0))
         (dual,) = STAGES["imitation"][1]
         if need_imitation or (art / dual).exists():
             bundle.imitation_params = bundle.load_imitation_net(art, dual)
-        if (art / segment_name).exists():
-            # the segmenter runs the segment net with the style net's config
-            bundle.segment_params = load_net(art, segment_name,
-                                             lambda _: init_style_net(cfg, 0))
         return bundle
 
 

@@ -13,18 +13,21 @@ from skymimic.nn import ParamSet
 from skymimic.pipeline import STAGES, VARIANT_FILES
 
 
+# the smoke settings the workspace fixture trains every stage with
+FAST = ["--set", "autoencoder_epochs=1", "--set", "style_epochs=1",
+        "--set", "imitation_epochs=1", "--set", "imitation_steps=10"]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A tiny two-style corpus trained end to end at smoke settings."""
     root = tmp_path_factory.mktemp("cli")
     data, art = root / "data", root / "art"
-    fast = ["--set", "autoencoder_epochs=1", "--set", "style_epochs=1",
-            "--set", "imitation_epochs=1", "--set", "imitation_steps=10"]
     assert main(["gen-data", "--out", str(data),
                  "--styles", "fly-by,orbiting", "--set", "seed=5"]) == 0
     for stage in STAGES:
         assert main(["train", "--data", str(data), "--out", str(art),
-                     "--stage", stage] + fast) == 0
+                     "--stage", stage] + FAST) == 0
     return root
 
 
@@ -84,6 +87,15 @@ def test_gen_data_manifest(workspace):
     assert len(lines) == 1 + 22 + 29
 
 
+def _assert_same_files(first, second):
+    """first and second hold the same file names with the same bytes."""
+    files = sorted(p.relative_to(first) for p in first.rglob("*"))
+    assert sorted(p.relative_to(second) for p in second.rglob("*")) \
+        == files
+    for rel in files:
+        assert (first / rel).read_bytes() == (second / rel).read_bytes()
+
+
 def test_corpus_rebuilds_from_its_config_and_manifest(tmp_path):
     # gen-data records the config it ran with and the manifest names the
     # style subset: those two files alone rebuild the corpus, byte for
@@ -97,12 +109,55 @@ def test_corpus_rebuilds_from_its_config_and_manifest(tmp_path):
     assert main(["gen-data", "--out", str(second), "--config",
                  str(first / "config_gen-data.txt"),
                  "--styles", styles]) == 0
-    files = sorted(p.relative_to(first) for p in first.rglob("*"))
-    assert sorted(p.relative_to(second) for p in second.rglob("*")) \
-        == files
-    assert "config_gen-data.txt" in map(str, files)
-    for rel in files:
-        assert (first / rel).read_bytes() == (second / rel).read_bytes()
+    assert (first / "config_gen-data.txt").exists()
+    _assert_same_files(first, second)
+
+
+def test_forced_corpus_over_another_equals_a_fresh_one(tmp_path):
+    # --force over another style's corpus removes the videos the old
+    # manifest lists and the new one does not, and no other file
+    forced, fresh = tmp_path / "forced", tmp_path / "fresh"
+    short = ["--set", "duration_max=8"]
+    assert main(["gen-data", "--out", str(forced), "--styles", "fly-by"]
+                + short) == 0
+    (forced / "unlisted.bin").write_bytes(b"not a listed video")
+    assert main(["gen-data", "--out", str(forced), "--force",
+                 "--styles", "orbiting"] + short) == 0
+    assert main(["gen-data", "--out", str(fresh), "--styles", "orbiting"]
+                + short) == 0
+    (forced / "unlisted.bin").unlink()
+    _assert_same_files(forced, fresh)
+
+
+def test_net_trained_on_other_artifacts_exits_3(workspace, tmp_path,
+                                               capsys):
+    # each net records the digests of the files its stage read: after a
+    # stage is rerun, every later net that read its files is refused,
+    # naming the stage to rerun, until that stage is rerun too
+    art, out = tmp_path / "art", tmp_path / "out"
+    shutil.copytree(workspace / "art", art)
+
+    def train(stage, *sets):
+        assert main(_net_argv(workspace, "train", art, None)
+                    + ["--stage", stage, *FAST, *sets]) == 0
+        capsys.readouterr()
+
+    def refused(command, stage):
+        dry = ["--dry-run"] if command == "imitate" else []
+        assert main(_net_argv(workspace, command, art, out) + dry) == 3
+        err = _one_error_line(capsys)
+        assert "trained on another" in err
+        assert err.endswith(f"`skymimic train --stage {stage}`")
+        assert not out.exists()
+
+    train("autoencoder", "--set", "seed=9")
+    for command in ("eval", "segment", "imitate"):
+        refused(command, "style")
+    train("style")
+    refused("eval", "imitation")
+    train("imitation")
+    train("baseline")
+    assert main(_net_argv(workspace, "eval", art, out)) == 0
 
 
 def test_train_missing_dependency(workspace, tmp_path):
@@ -268,6 +323,7 @@ def _net_argv(workspace, command, art, out):
                     "--video", "fly-by_000", "--out", str(out)],
         "eval": ["eval", "--data", data, "--artifacts", str(art),
                  "--out", str(out)],
+        "train": ["train", "--data", data, "--out", str(art)],
         "style": ["train", "--data", data, "--out", str(art),
                   "--stage", "style"],
         "imitation": ["train", "--data", data, "--out", str(art),

@@ -10,7 +10,7 @@ from skymimic.imitation import init_imitation_net
 from skymimic.nn import ParamSet
 from skymimic.pipeline import (DependencyError, ModelBundle,
                                demo_conditioning, save_stage,
-                               snippet_action_labels)
+                               snippet_action_labels, stage_inputs)
 from skymimic.stylenet import VARIANTS, StyleNetConfig, init_style_net
 
 
@@ -29,11 +29,14 @@ def _save(bundle, art):
     ablation variant is a fresh net of its config."""
     segment = bundle.segment_params if bundle.segment_params is not None \
         else bundle.style_params
-    save_stage(art, "autoencoder", (bundle.fg_encoder, bundle.bg_encoder))
-    save_stage(art, "style", (bundle.style_params, segment, *(
-        init_style_net(cfg, 0) for cfg in VARIANTS.values())))
+    def save(stage, nets):
+        save_stage(art, stage, nets, stage_inputs(art, stage))
+
+    save("autoencoder", (bundle.fg_encoder, bundle.bg_encoder))
+    save("style", (bundle.style_params, segment,
+                   *(init_style_net(cfg, 0) for cfg in VARIANTS.values())))
     if bundle.imitation_params is not None:
-        save_stage(art, "imitation", (bundle.imitation_params,))
+        save("imitation", (bundle.imitation_params,))
 
 
 def test_bundle_save_load_roundtrip(tmp_path):
