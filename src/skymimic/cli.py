@@ -28,8 +28,9 @@ from .controller import SubjectLostError, closed_loop_run
 from .dataset import (CorpusConfig, DependencyError, listed_ids,
                       load_corpus, load_video, video_path)
 from .nn import NumericError, write_atomic
-from .pipeline import (STAGES, VARIANT_FILES, ModelBundle, digest,
-                       load_encoders, load_net, save_stage, stage_inputs)
+from .pipeline import (BASELINE_NET, IMITATION_NET, STAGES, VARIANT_FILES,
+                       ModelBundle, digest, load_encoders, load_net,
+                       save_stage, stage_inputs)
 from .scene import DT, STYLES, GeneratorError, check_style_contract
 from .segmenter import prob_curve, segment as segment_video
 from .stylenet import VARIANTS
@@ -106,7 +107,9 @@ def cmd_gen_data(args) -> None:
     old = listed_ids(out) if (out / "manifest.txt").exists() else []
     records = make_dataset(corpus_cfg, out, styles)
     for vid in set(old) - {r.video_id for r in records}:
-        video_path(out, vid).unlink(missing_ok=True)
+        # an id that names a path outside out is no video of this corpus
+        if video_path(out, vid).parent == out:
+            video_path(out, vid).unlink(missing_ok=True)
     cfg.save(out / "config_gen-data.txt")
     n_test = sum(r.split == "test" for r in records)
     print(f"wrote {len(records)} videos ({n_test} test) to {out}")
@@ -133,7 +136,7 @@ def cmd_train(args) -> None:
             _write_csv(out / f"{Path(file).with_suffix('')}_confusion.csv",
                        table[name][2], "{:.6f}")
     else:   # imitation or baseline
-        bundle = ModelBundle.load(out, style_only=True)
+        bundle = ModelBundle.load(out)
         params, _ = train_imitation_stage(records, bundle, cfg,
                                           dual=args.stage == "imitation")
         save_stage(out, args.stage, (params,), inputs)
@@ -150,12 +153,10 @@ def cmd_eval(args) -> None:
         name: load_net(art, VARIANT_FILES[name],
                        lambda _, c=c: stylenet_mod.init_style_net(c, 0))
         for name, c in VARIANTS.items()}
-    trained = {}
-    if bundle.imitation_params is not None:
-        trained["dual"] = bundle.imitation_params
-        (baseline,) = STAGES["baseline"][1]
-        if (art / baseline).exists():
-            trained["baseline"] = bundle.load_imitation_net(art, baseline)
+    trained = {label: bundle.load_imitation_net(art, name)
+               for label, name in (("dual", IMITATION_NET),
+                                   ("baseline", BASELINE_NET))
+               if (art / name).exists()}
     records = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

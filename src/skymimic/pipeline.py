@@ -32,13 +32,14 @@ from .stylenet import (VARIANTS, StyleNetConfig, init_style_net,
 # each train stage, in train order: (the artifact files it reads, the
 # nets it writes, in the order it trains them, ablation variants last)
 _ENCODERS = ("fg_encoder.bin", "bg_encoder.bin")
+STYLE_NET, SEGMENT_NET = "style_net.bin", "segment_net.bin"
+IMITATION_NET, BASELINE_NET = "imitation_net.bin", "imitation_baseline.bin"
 VARIANT_FILES = {v: f"variants/{v.replace('+', '_')}.bin" for v in VARIANTS}
 STAGES = {
     "autoencoder": ((), _ENCODERS),
-    "style": (_ENCODERS, ("style_net.bin", "segment_net.bin",
-                          *VARIANT_FILES.values())),
-    "imitation": (_ENCODERS + ("style_net.bin",), ("imitation_net.bin",)),
-    "baseline": (_ENCODERS + ("style_net.bin",), ("imitation_baseline.bin",)),
+    "style": (_ENCODERS, (STYLE_NET, SEGMENT_NET, *VARIANT_FILES.values())),
+    "imitation": (_ENCODERS + (STYLE_NET,), (IMITATION_NET,)),
+    "baseline": (_ENCODERS + (STYLE_NET,), (BASELINE_NET,)),
 }
 
 
@@ -198,27 +199,24 @@ class ModelBundle:
             self.style_cfg.feature_dim, EMBED_DIM, 0))
 
     @classmethod
-    def load(cls, art_dir: str | Path, need_imitation: bool = False,
-             style_only: bool = False) -> "ModelBundle":
-        """The bundle of an artifact directory: its encoders, style and
-        segment nets, and its imitation net when present or needed;
-        with style_only, only the encoders and the style net, the files
-        the imitation stages read."""
+    def load(cls, art_dir: str | Path,
+             need_imitation: bool = False) -> "ModelBundle":
+        """The bundle of an artifact directory: its encoders, its style
+        net, its segment net when present, and, with need_imitation, its
+        imitation net; no other file is read."""
         art = Path(art_dir)
         fg, bg = load_encoders(art)
-        style_name, segment_name = STAGES["style"][1][:2]
-        style = load_net(art, style_name, lambda meta: init_style_net(
+        style = load_net(art, STYLE_NET, lambda meta: init_style_net(
             StyleNetConfig(**meta["config"]), 0))
         cfg = StyleNetConfig(**style.meta["config"])
         bundle = cls(fg, bg, style, cfg)
-        if style_only:
-            return bundle
-        # the segmenter runs the segment net with the style net's config
-        bundle.segment_params = load_net(art, segment_name,
-                                         lambda _: init_style_net(cfg, 0))
-        (dual,) = STAGES["imitation"][1]
-        if need_imitation or (art / dual).exists():
-            bundle.imitation_params = bundle.load_imitation_net(art, dual)
+        if (art / SEGMENT_NET).exists():
+            # the segmenter runs the segment net with the style net's config
+            bundle.segment_params = load_net(art, SEGMENT_NET,
+                                             lambda _: init_style_net(cfg, 0))
+        if need_imitation:
+            bundle.imitation_params = bundle.load_imitation_net(
+                art, IMITATION_NET)
         return bundle
 
 

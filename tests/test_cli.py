@@ -121,8 +121,13 @@ def test_forced_corpus_over_another_equals_a_fresh_one(tmp_path):
     assert main(["gen-data", "--out", str(forced), "--styles", "fly-by"]
                 + short) == 0
     (forced / "unlisted.bin").write_bytes(b"not a listed video")
+    # an id naming a path outside the corpus directory is not removed
+    (tmp_path / "keep.bin").write_bytes(b"outside the corpus")
+    with open(forced / "manifest.txt", "a") as f:
+        f.write("../keep\n")
     assert main(["gen-data", "--out", str(forced), "--force",
                  "--styles", "orbiting"] + short) == 0
+    assert (tmp_path / "keep.bin").read_bytes() == b"outside the corpus"
     assert main(["gen-data", "--out", str(fresh), "--styles", "orbiting"]
                 + short) == 0
     (forced / "unlisted.bin").unlink()
@@ -154,6 +159,9 @@ def test_net_trained_on_other_artifacts_exits_3(workspace, tmp_path,
     for command in ("eval", "segment", "imitate"):
         refused(command, "style")
     train("style")
+    # segment reads no imitation net, so a stale one does not stop it
+    assert main(_net_argv(workspace, "segment", art, out)) == 0
+    capsys.readouterr()
     refused("eval", "imitation")
     train("imitation")
     train("baseline")

@@ -127,7 +127,7 @@ def test_bundle_load_rejects_an_imitation_net_of_another_size(tmp_path):
     bundle.imitation_params = init_imitation_net(64, 96, 0)
     _save(bundle, tmp_path)
     with pytest.raises(OSError, match="does not match"):
-        ModelBundle.load(tmp_path)
+        ModelBundle.load(tmp_path, need_imitation=True)
 
 
 def test_bundle_load_missing_artifact(tmp_path):
