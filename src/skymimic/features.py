@@ -17,6 +17,12 @@ training step's batch, which is gathered straight from the per-record
 tables. Every step writes over the arrays of the last: its batch, its
 LSTM caches (lstm_forward's out), its error, its dz (lstm_backward's
 out) and its gradient set.
+
+The embedding of a video projects each frame once: a frame lies in up
+to WINDOW / STRIDE = 2 windows, and `embed_video` forms a table's input
+projection in one GEMM over its frames, then steps every window through
+the kernel's `_lstm_steps` with one step's scratch and no cache, to the
+bit the per-window `embed_batch` gives.
 """
 
 from __future__ import annotations
@@ -273,7 +279,7 @@ class EncoderStream:
         self.rows = np.zeros((n, self.Wx.shape[0]))
         self.proj = np.zeros((n, self.Wx.shape[1]))
         H = p["enc_Wh"].shape[0]
-        self._weights = _recurrent_weights(p, ("enc_",), H)
+        self._Wh = _recurrent_weights(p, ("enc_",))
         self._done = 0   # rows consumed by the runs
         # two (h, c) pairs of (WINDOW, 1, 1, H) state blocks
         self._pairs = np.zeros((2, 2, WINDOW, 1, 1, H))
@@ -306,14 +312,14 @@ class EncoderStream:
         self._open(t)
         (scratch, gates), pairs = self._runs, self._pairs
         # row d steps the runs from pair d % 2 into the other, a slot down
-        _lstm_steps(*self._weights, *scratch,
+        _lstm_steps(self._Wh, *scratch,
                     ((gates, self.proj[d], *pairs[d % 2, :, 1:],
                       *pairs[1 - d % 2, :, :-1])
                      for d in range(self._done, t)))
         self._done = t
         (scratch, gates), (h, c) = self._last, pairs[t % 2, :, :1]
         out = np.empty_like(h)
-        _lstm_steps(*self._weights, *scratch,
+        _lstm_steps(self._Wh, *scratch,
                     [(gates, self.proj[t], h, c, out, np.empty_like(c))])
         return _finite(out)[0, 0, 0]
 
@@ -324,6 +330,34 @@ def embed_video(fg: np.ndarray, bg: np.ndarray, fg_params: ParamSet,
     if fg_params.meta.get("channel") != "fg" \
             or bg_params.meta.get("channel") != "bg":
         raise ChannelError("encoder channel tags do not match fg/bg")
-    fge = embed_batch(snippet_stack(fg), fg_params)
-    bge = embed_batch(snippet_stack(bg), bg_params)
-    return np.concatenate([fge, bge], axis=1)
+    return np.concatenate([_embed_table(fg, fg_params),
+                           _embed_table(bg, bg_params)], axis=1)
+
+
+def _embed_table(table: np.ndarray, p: ParamSet) -> np.ndarray:
+    """(K, H) embeddings of the K snippet windows of an (n, D) table, to
+    the bit `embed_batch(snippet_stack(table), p)`'s.
+
+    Each frame is projected once: table @ enc_Wx + enc_b is one (n, D)
+    GEMM, whose rows have the bits of the same rows of the (K, D) GEMM
+    embed_batch runs per time row, for K >= 2 (the BLAS property
+    test_nn.py::test_gemm_rows_do_not_depend_on_the_row_count checks).
+    Its rows are gathered on the snippet grid into the windows' (WINDOW,
+    K, 4H) pre-activations and stepped on a (1, 1, K) block through one
+    step's scratch, as a forward with starts keeps no cache. A table of
+    one window is projected row by row with a gemv there, so it takes
+    embed_batch itself."""
+    K = snippet_ends(table.shape[0]).size
+    if K == 1:
+        return embed_batch(snippet_stack(table), p)
+    proj = table @ p["enc_Wx"]
+    proj += p["enc_b"]
+    pre = snippet_stack(proj)
+    H = p["enc_Wh"].shape[0]
+    scratch, gates = _step_scratch((1, 1, K), H)
+    h, c = np.zeros((2, 1, 1, K, H))
+    # each step reads h and c before it writes them: h_prev @ Wh goes
+    # to scratch first, and c and h are formed elementwise
+    _lstm_steps(_recurrent_weights(p, ("enc_",)), *scratch,
+                ((gates, row, h, c, h, c) for row in pre))
+    return _finite(h[0, 0])

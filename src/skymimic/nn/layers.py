@@ -15,16 +15,22 @@ call, not per flop:
   through tanh, then mapped back by s * y + (1 - s). The scale is
   applied to each step's pre-activation sum, not to the weights:
   halving is exact, so the scaled sum has the bits that Wx·s, Wh·s and
-  b·s would give. No call rescales a weight, and a single cell's are
-  read in place.
+  b·s would give. s and 1 - s are read at the step block's own shape,
+  so their multiplies run without a broadcast: views of one read-only
+  buffer per hidden size (`_gate_scale`), grown to the largest block
+  seen, so no call tiles or allocates a scale. No call rescales or
+  copies a weight: a single cell's Wh, and a stack's whose Wh lie side
+  by side in its ParamSet (the style net's), are read in place.
 - Forward. xs @ Wx + b for all T steps is one GEMM before the
   recurrence; each step adds h_{t-1} @ Wh, scales the sum and finishes
   its gate block in place, with no per-step allocation (batch-1 calls
   are dominated by per-call overhead). The step itself is
   `_lstm_steps`, the one copy of the cell math and, with `_gate_scale`,
-  the only code that knows the scale: a caller that keeps runs alive
-  across rows of a stream (`features.EncoderStream`) projects each row
-  once with the cell's own Wx and b and steps its runs through it.
+  the only code that knows the scale: a caller whose runs share rows
+  projects each row once with the cell's own Wx and b and steps its runs
+  through it, as the closed loop's stream of windows
+  (`features.EncoderStream`) and the embedding of a table's overlapping
+  windows (`features.embed_video`) do.
   A cell that reads no input, such as the autoencoder's decoder, has a
   Wx of no rows and is given an input of no columns; its block is b
   alone, filled without a matmul.
@@ -43,8 +49,10 @@ call, not per flop:
   of each cell gets the bits of its own call on the rows it reads.
   Late runs are for forward-only callers (the segmenter's spans): a
   forward with starts keeps no cache, and its runs finish every row's
-  gate block and tanh(c) in one step's scratch (`_step_scratch`), the
-  gate block in the recurrent product's own buffer.
+  gate block and tanh(c) in one step's scratch, the gate block in the
+  recurrent product's own buffer. `_step_scratch` gives every step
+  loop its block's operands, that scratch and the gate scale views,
+  and the first k runs' are their [:k].
 - Cache layout (LSTMCache): each time row holds R = B·N state rows,
   cells outermost, then the N rows of the batch axes; the input
   xs (T, ..., D) as given, which the backward's dWx GEMM reads as a
@@ -74,7 +82,7 @@ call, not per flop:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import mmap
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
@@ -179,28 +187,44 @@ def _active(starts: tuple, T: int) -> list[tuple[int, int, int]]:
             if a < z]
 
 
-@lru_cache(maxsize=8)
-def _gate_scale(H: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s, 1 - s) over the 4H gate block, s being 1/2 on i, f, o and 1
-    on g, so that s * tanh(s * z) + (1 - s) is sigmoid(z) on i, f, o
-    and tanh(z) on g. `_lstm_steps` multiplies each step's pre-activation
-    z by s; halving is exact, so s * z has the bits of the same sum over
-    weights and bias scaled by s. Built once per hidden size; both
-    arrays are read-only."""
-    s = np.full(4 * H, 0.5)
-    s[2 * H:3 * H] = 1.0
-    off = 1.0 - s
-    s.flags.writeable = off.flags.writeable = False
-    return s, off
+# per hidden size, the (s, 1 - s) buffer whose views `_gate_scale` gives
+_SCALES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _recurrent_weights(p: ParamSet, prefixes: tuple, H: int) -> tuple:
-    """(Wh, s, off), the weights `_lstm_steps` takes: the cells' Wh,
-    unscaled, in one (B, H, 4H) block, a view of a single cell's, and
-    the gate scale pair of `_gate_scale`."""
-    Wh = [p[q + "Wh"] for q in prefixes]
-    return (Wh[0][None] if len(Wh) == 1 else np.stack(Wh),
-            *_gate_scale(H))
+def _gate_scale(block: tuple, H: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, 1 - s) at the shape block + (4H,) of an (S, B, N) block's gate
+    rows, s being 1/2 on i, f, o and 1 on g, so that s * tanh(s * z) +
+    (1 - s) is sigmoid(z) on i, f, o and tanh(z) on g. `_lstm_steps`
+    multiplies each step's pre-activation z by s; halving is exact, so
+    s * z has the bits of the same sum over weights and bias scaled by
+    s. At the block's own shape the multiply runs without a broadcast.
+
+    Both are views of the first rows of one read-only buffer per hidden
+    size in `_SCALES`, which a block of more rows than any before
+    replaces with one of its size: a call allocates no scale once its
+    block's size has been seen, and the first k runs' rows are the
+    views' [:k]. The buffer is an anonymous mapping of its own: a heap
+    block made during a training loop and kept after it holds the heap
+    memory freed under it resident (1.6 MB more after the fg
+    autoencoder's training, measured)."""
+    rows = math.prod(block)
+    if H not in _SCALES or len(_SCALES[H][0]) < rows:
+        s, off = np.frombuffer(mmap.mmap(-1, 2 * rows * 4 * H * 8)
+                               ).reshape(2, rows, 4 * H)
+        s.fill(0.5)
+        s[:, 2 * H:3 * H] = 1.0
+        np.subtract(1.0, s, out=off)
+        s.flags.writeable = off.flags.writeable = False
+        _SCALES[H] = s, off
+    return tuple(a[:rows].reshape(block + (4 * H,)) for a in _SCALES[H])
+
+
+def _recurrent_weights(p: ParamSet, prefixes: tuple) -> np.ndarray:
+    """The cells' Wh, unscaled, in one (B, H, 4H) block, the recurrent
+    weights `_lstm_steps` takes: a view of p's vector, in which a
+    stack's Wh lie side by side in prefix order (DimensionError if
+    not)."""
+    return p.stacked([q + "Wh" for q in prefixes])
 
 
 def _gate_views(gt: np.ndarray, tc: np.ndarray) -> tuple:
@@ -211,12 +235,15 @@ def _gate_views(gt: np.ndarray, tc: np.ndarray) -> tuple:
 
 
 def _step_scratch(block: tuple, H: int) -> tuple[tuple, tuple]:
-    """Scratch for `_lstm_steps` on (block, H) states: its rec and ig,
-    and the gates of a step that keeps none of them, whose gate block
-    is rec itself. A step loop that keeps nothing repeats these gates
-    at every row, so it allocates one step's worth."""
+    """The block operands of `_lstm_steps` on (block, H) states, (s, off,
+    rec, ig): the gate scale of `_gate_scale`, read-only views shared by
+    every block of this hidden size, and scratch for rec and ig; and the
+    gates of a step that keeps none of them, whose gate block is rec
+    itself. A step loop that keeps nothing repeats these gates at every
+    row, so it allocates one step's worth. The first k runs' operands
+    are each one's [:k]."""
     rec = np.empty(block + (4 * H,))
-    return ((rec, np.empty(block + (H,))),
+    return ((*_gate_scale(block, H), rec, np.empty(block + (H,))),
             _gate_views(rec, np.empty(block + (H,))))
 
 
@@ -228,8 +255,9 @@ def _lstm_steps(Wh, s, off, rec, ig, steps) -> None:
     row, x @ Wx + b unscaled, and h_prev @ Wh, their sum scaled by s;
     then c from c_prev, tc = tanh(c) and h. s is 1/2 or 1, so the scaled
     sum is exact: its bits are those of weights and bias scaled by s.
-    Wh, s and off are `_recurrent_weights`; rec and ig are scratch of
-    gt's and h's shapes, and gt may be rec itself. Nothing is allocated.
+    Wh is `_recurrent_weights`; s, off, rec and ig are `_step_scratch`'s
+    block operands, s and off at gt's shape and rec and ig scratch of
+    gt's and h's, and gt may be rec itself. Nothing is allocated.
     The (S, B, N, H) @ (B, H, 4H) matmul is one broadcast call, which
     NumPy runs slice by slice with the kernel of a 2-D (N, H) @ (H, 4H)
     call, so each run of each cell gets the bits of a step of its own."""
@@ -266,18 +294,19 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     all-zero input, and its Wx gradient has no elements.
 
     A stack of B cells of one hidden size runs in the same step loop:
-    prefix is then a tuple of their parameter prefixes, and xs holds
-    their inputs side by side, cell b reading the D_b columns after
-    those of cells 0..b-1 (D_b being the rows of its Wx). starts,
-    ascending rows of the input, makes S runs of every cell: run s joins
-    the loop at row starts[s] from the zero state and reads the rows
-    from there on. Each run of each cell gets the bits of a call of its
-    own on the rows it reads of its columns: it shares its rows' input
-    projections, which the projection's matmul forms row by row whatever
-    the span, and its recurrent matmul is a slice of one broadcast
-    matmul over the stack, which NumPy runs per slice with the kernel of
-    a 2-D call. Late runs are for scoring: the cache is then None, since
-    lstm_backward takes one run.
+    prefix is then a tuple of their parameter prefixes, whose Wh lie
+    side by side in p's layout in that order, so that their recurrent
+    block is a view; and xs holds their inputs side by side, cell b
+    reading the D_b columns after those of cells 0..b-1 (D_b being the
+    rows of its Wx). starts, ascending rows of the input, makes S runs
+    of every cell: run s joins the loop at row starts[s] from the zero
+    state and reads the rows from there on. Each run of each cell gets
+    the bits of a call of its own on the rows it reads of its columns:
+    it shares its rows' input projections, which the projection's matmul
+    forms row by row whatever the span, and its recurrent matmul is a
+    slice of one broadcast matmul over the stack, which NumPy runs per
+    slice with the kernel of a 2-D call. Late runs are for scoring: the
+    cache is then None, since lstm_backward takes one run.
 
     h0 and c0, the initial state of a call of one run, broadcast against
     the final state; with starts they raise ValueError.
@@ -299,12 +328,12 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     """
     prefixes, cell_axis = _cells(prefix)
     B = len(prefixes)
-    Wh = [p[q + "Wh"] for q in prefixes]
-    H = Wh[0].shape[0]
-    if any(W.shape[0] != H for W in Wh[1:]):
+    hidden = [p[q + "Wh"].shape[0] for q in prefixes]
+    H = hidden[0]
+    if any(h != H for h in hidden[1:]):
         raise DimensionError(
             f"lstm_forward: a stack of cells needs one hidden size, got "
-            f"{[W.shape[0] for W in Wh]}")
+            f"{hidden}")
     xs = np.asarray(xs, float)
     if xs.ndim < 2 or xs.shape[-1] != sum(
             p[q + "Wx"].shape[0] for q in prefixes):
@@ -352,7 +381,7 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
                     f"lstm_forward: initial state shape {init.shape} vs "
                     f"hidden {H}")
             state[0] = np.broadcast_to(init, axes + (H,)).reshape(R, H)
-    weights = _recurrent_weights(p, prefixes, H)
+    Wh = _recurrent_weights(p, prefixes)
     # each cell's input projection of every row in one matmul; the runs
     # of a cell share it. A cell that reads no input gets b alone: a
     # matmul over no columns and a bias add cost several times the copy
@@ -373,12 +402,13 @@ def lstm_forward(xs, p: ParamSet, prefix: str | tuple = "",
     hs_b = hs.reshape((T + 1,) + block + (H,))
     cs_b = cs.reshape(hs_b.shape)
     # the step loop allocates nothing: every per-step operand is a view
-    # of the cache or of one step's scratch; each op covers every run
-    # and cell in the loop at that row, the first k runs
+    # of the cache, of one step's scratch or of the shared gate scale;
+    # each op covers every run and cell in the loop at that row, the
+    # first k runs
     for k, a, z in _active(runs, T):
         gates = zip(*kept) if starts is None else repeat(
             tuple(v[:k] for v in step))
-        _lstm_steps(*weights, *(v[:k] for v in scratch),
+        _lstm_steps(Wh, *(v[:k] for v in scratch),
                     zip(gates, pre[a:z], hs_b[a:z, :k], cs_b[a:z, :k],
                         hs_b[a + 1:z + 1, :k], cs_b[a + 1:z + 1, :k]))
     hs_out = hs[1:].reshape((T,) + axes + (H,))
@@ -452,8 +482,9 @@ def lstm_backward(dhs, cache: LSTMCache, p: ParamSet, grads: ParamSet,
     o_dtc *= o
     o_dtc = o_dtc.reshape((T,) + block + (H,))
     f = f.reshape((T,) + block + (H,))
-    # the forward's Wh block, transposed: a view of one cell's
-    WhT = _recurrent_weights(p, prefixes, H)[0].swapaxes(1, 2)
+    # the forward's Wh block, transposed: a view of one cell's or of
+    # a side-by-side stack's
+    WhT = _recurrent_weights(p, prefixes).swapaxes(1, 2)
     # the step loop allocates nothing: dh, dc and dct are buffers of
     # this call (the caller's dh_final and dc_final are copied in, never
     # written), and every per-step operand is a view built up front

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import struct
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +56,11 @@ def write_atomic(path: str | Path, *chunks) -> None:
         raise
 
 
-def _views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
-    out, ofs = {}, 0
-    for name, shape in layout:
-        n = math.prod(shape)
-        out[name] = flat[ofs:ofs + n].reshape(shape)
-        ofs += n
-    return out
+def _offsets(layout) -> dict[str, int]:
+    """Each name's first element in the flat vector."""
+    return dict(zip((name for name, _ in layout),
+                    accumulate((math.prod(shape) for _, shape in layout),
+                               initial=0)))
 
 
 class ParamSet:
@@ -85,7 +84,10 @@ class ParamSet:
     def _adopt(self, layout, flat: np.ndarray) -> None:
         self.layout = layout
         self.flat = flat
-        self._arrays = _views(flat, layout)
+        self._offsets = _offsets(layout)
+        self._arrays = {
+            name: flat[ofs:ofs + math.prod(shape)].reshape(shape)
+            for (name, shape), ofs in zip(layout, self._offsets.values())}
 
     def _like(self, flat: np.ndarray) -> "ParamSet":
         out = ParamSet.__new__(ParamSet)
@@ -124,6 +126,21 @@ class ParamSet:
 
     def values(self):
         return self._arrays.values()
+
+    def stacked(self, names) -> np.ndarray:
+        """The named arrays as one (len(names), *shape) view of flat.
+        They must be of one shape and lie side by side in the layout, in
+        this order; otherwise DimensionError."""
+        first = self._arrays[names[0]]
+        ofs = self._offsets[names[0]]
+        if any(self._offsets[k] != ofs + j * first.size
+               or self._arrays[k].shape != first.shape
+               for j, k in enumerate(names)):
+            raise DimensionError(
+                f"parameters {list(names)} do not lie side by side in "
+                f"the layout with one shape")
+        return self.flat[ofs:ofs + len(names) * first.size].reshape(
+            (len(names),) + first.shape)
 
     def copy(self) -> "ParamSet":
         return self._like(self.flat.copy())

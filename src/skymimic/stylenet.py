@@ -87,7 +87,11 @@ def init_style_net(cfg: StyleNetConfig, seed: int) -> ParamSet:
             arrays |= mlp_init(rng, [cfg.hidden, cfg.attn_hidden, 1],
                                prefix=f"a{name}_")
     arrays |= mlp_init(rng, [cfg.feature_dim, N_CLASSES], prefix="cls_")
-    return ParamSet(arrays, {"kind": "style-net", "config": asdict(cfg)})
+    # drawn in the order above; the branches' Wh lead the layout side by
+    # side, so their stacked recurrent block is a view of the vector
+    wh = {q + "Wh": arrays[q + "Wh"] for q in _cells(cfg)}
+    return ParamSet(wh | arrays,
+                    {"kind": "style-net", "config": asdict(cfg)})
 
 
 def _cells(cfg: StyleNetConfig) -> tuple[str, ...]:

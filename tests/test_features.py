@@ -229,6 +229,26 @@ def test_embed_video_shape():
     assert emb.shape == (4, 96)
 
 
+def test_embed_video_is_embed_batch_of_each_snippet_stack():
+    # each frame is projected once, over the whole table, instead of
+    # once per window that holds it: the embeddings keep the bits of the
+    # per-window pass on both channels, from one window (8-11 frames,
+    # which keep that pass) to K = 62
+    rng = np.random.default_rng(13)
+    fgp, bgp = autoencoder_init("fg", 3), autoencoder_init("bg", 4)
+    fg = rng.normal(scale=0.5, size=(252, 5))
+    bg = rng.normal(scale=0.5, size=(252, 128))
+    counts = set()
+    for n in sorted({*range(8, 253, 3), 12, 252}):
+        got = embed_video(fg[:n], bg[:n], fgp, bgp)
+        want = np.concatenate([embed_batch(snippet_stack(fg[:n]), fgp),
+                               embed_batch(snippet_stack(bg[:n]), bgp)],
+                              axis=1)
+        assert np.array_equal(got, want), n
+        counts.add(len(got))
+    assert counts == set(range(1, 63))
+
+
 def _stream(channel, n, seed):
     p = autoencoder_init(channel, seed)
     rows = np.random.default_rng(seed + 1).normal(

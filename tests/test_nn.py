@@ -9,6 +9,7 @@ from skymimic.nn import (AdamaxState, DimensionError, ParamSet, adamax,
                          adamax_update, lstm_backward, lstm_forward,
                          lstm_init, mlp_backward, mlp_forward, mlp_init,
                          sigmoid, softmax, uniform_init)
+from skymimic.nn import layers
 from skymimic.nn.layers import _recurrent_weights, affine, affine_backward
 from oracles import grad_check
 
@@ -261,7 +262,7 @@ def test_single_cell_recurrent_block_is_a_view_of_its_wh():
     # the kernel scales each step's pre-activation, not the weights: a
     # single cell's (1, H, 4H) Wh block is its Wh, unscaled and uncopied
     p = lstm_init(np.random.default_rng(0), 5, 8)
-    Wh = _recurrent_weights(p, ("",), 8)[0]
+    Wh = _recurrent_weights(p, ("",))
     assert Wh.shape == (1, 8, 32)
     assert np.shares_memory(Wh, p["Wh"])
     assert np.array_equal(Wh[0], p["Wh"])
@@ -441,9 +442,10 @@ def test_autoencoder_init_keeps_the_draws_of_a_full_width_decoder(channel,
 
 def _cell_stack_params(n_cells, H, T, seed):
     """One LSTM cell per input width 32, 64, ... with prefixes c0_,
-    c1_, ..., a random bias, and a (T, 32 + 64 + ...) input holding the
-    cells' inputs side by side; also each cell's input on its own, as
-    a contiguous copy."""
+    c1_, ..., a random bias and the cells' Wh side by side at the head
+    of the layout, as a stack needs; and a (T, 32 + 64 + ...) input
+    holding the cells' inputs side by side; also each cell's input on
+    its own, as a contiguous copy."""
     rng = np.random.default_rng(seed)
     arrays, edges = {}, [0]
     for k in range(n_cells):
@@ -451,7 +453,8 @@ def _cell_stack_params(n_cells, H, T, seed):
         arrays |= lstm_init(rng, D, H, f"c{k}_")
         arrays[f"c{k}_b"] = rng.normal(size=4 * H)
         edges.append(edges[-1] + D)
-    p = ParamSet(arrays)
+    p = ParamSet({f"c{k}_Wh": arrays[f"c{k}_Wh"] for k in range(n_cells)}
+                 | arrays)
     xs = rng.normal(size=(T, edges[-1]))
     own = tuple(xs[:, a:z].copy() for a, z in zip(edges, edges[1:]))
     return p, tuple(f"c{k}_" for k in range(n_cells)), xs, own, rng
@@ -612,6 +615,9 @@ def test_lstm_stack_rejects_what_it_cannot_run():
         lstm_forward(np.hstack([own[0], own[0]]), p, ("c0_", "wide_"))
     with pytest.raises(DimensionError):   # one cell's input for two cells
         lstm_forward(own[1], p, prefixes)
+    with pytest.raises(DimensionError):   # Wh not side by side in order
+        lstm_forward(xs, ParamSet(dict(reversed(list(p.items())))),
+                     prefixes)
     for starts in [(), (2, 1), (-1, 2), (0, T)]:
         with pytest.raises(ValueError):
             lstm_forward(xs, p, prefixes, starts=starts)
@@ -653,6 +659,92 @@ def test_broadcast_matmul_slices_equal_2d_calls(H, k):
         got = np.empty((1, 1, N, 4 * H))
         np.matmul(h[None, None], W[None], out=got)
         assert np.array_equal(got[0, 0], h @ W)
+
+
+@pytest.mark.parametrize("D, H", [(5, 32), (128, 64)])
+def test_gemm_rows_do_not_depend_on_the_row_count(D, H):
+    # features.embed_video projects an (n, D) table in one GEMM and reads
+    # each window's rows from it, where embed_batch projects the K
+    # windows' rows of one time step in a (K, D) GEMM: the two agree only
+    # while a GEMM row's bits do not depend on how many rows the GEMM
+    # has, two or more (one row goes to a gemv). A BLAS build that splits
+    # the rows' sums by the row count fails here
+    rng = np.random.default_rng(D)
+    W = rng.normal(size=(D, 4 * H))
+    x = rng.normal(size=(481, D))
+    for n in (12, 13, 97, 250, 481):
+        full = x[:n] @ W
+        grid = (n - WINDOW) // 4 + 1   # the table's snippet count
+        for K in sorted({2, min(3, grid), grid}):
+            for t in (0, WINDOW - 1):
+                rows = t + 4 * np.arange(K)   # a snippet grid's time row
+                assert np.array_equal(x[rows] @ W, full[rows]), (n, K, t)
+            assert np.array_equal(x[n - K:n] @ W, full[n - K:])
+
+
+def _scale_spy(monkeypatch):
+    """Empties the gate scale buffers and records the (s, off, rec) that
+    every `_lstm_steps` call receives."""
+    monkeypatch.setattr(layers, "_SCALES", {})
+    seen, real = [], layers._lstm_steps
+
+    def spy(Wh, s, off, rec, *rest):
+        seen.append((s, off, rec))
+        return real(Wh, s, off, rec, *rest)
+
+    monkeypatch.setattr(layers, "_lstm_steps", spy)
+    return seen
+
+
+def test_gate_scale_is_read_only_views_at_the_block_shape(monkeypatch):
+    seen = _scale_spy(monkeypatch)
+    rng = np.random.default_rng(3)
+    p = lstm_init(rng, 5, 8)
+    xs = rng.normal(size=(6, 4, 5))
+    lstm_forward(xs, p)                            # one (1, 1, 4) block
+    lstm_forward(xs[:, 0], p, starts=(0, 2, 2, 4))   # (4, 1, 1), cut [:k]
+    lstm_forward(xs[:, :3], p)                     # a (1, 1, 3) block
+    assert len(seen) == 1 + 3 + 1
+    for s, off, rec in seen:
+        assert s.shape == off.shape == rec.shape
+        assert not s.flags.writeable and not off.flags.writeable
+        assert np.all(s[..., 16:24] == 1.0) and np.all(s[..., :16] == 0.5)
+        assert np.all(s[..., 24:] == 0.5) and np.array_equal(off, 1.0 - s)
+    # every call reads views of one buffer: once the hidden size's
+    # largest block has been seen, no call allocates a scale
+    assert all(np.shares_memory(s, seen[0][0]) for s, _, _ in seen)
+    assert all(np.shares_memory(off, seen[0][1]) for _, off, _ in seen)
+
+
+def test_gate_scale_holds_one_buffer_per_hidden_size(monkeypatch):
+    seen = _scale_spy(monkeypatch)
+    rng = np.random.default_rng(4)
+    small, wide = lstm_init(rng, 5, 8), lstm_init(rng, 5, 16)
+    for p, rows in ((small, 2), (wide, 3), (small, 5), (small, 1)):
+        lstm_forward(rng.normal(size=(3, rows, 5)), p)
+    # one (s, off) pair per hidden size, as large as its largest block:
+    # a larger block replaces the buffer, a smaller one reads its head
+    assert {H: [a.shape for a in pair]
+            for H, pair in layers._SCALES.items()} == {
+        8: [(5, 32)] * 2, 16: [(3, 64)] * 2}
+    s8 = layers._SCALES[8][0]
+    assert np.shares_memory(seen[-1][0], s8)
+    assert np.shares_memory(seen[-2][0], s8)
+    assert not np.shares_memory(seen[0][0], s8)
+
+
+def test_paramset_stacks_side_by_side_arrays_as_a_view():
+    rng = np.random.default_rng(6)
+    p = ParamSet({k: rng.normal(size=(2, 3)) for k in "abc"}
+                 | {"d": rng.normal(size=6)})
+    ab = p.stacked(["a", "b"])
+    assert ab.shape == (2, 2, 3) and np.shares_memory(ab, p.flat)
+    assert np.array_equal(ab, np.stack([p["a"], p["b"]]))
+    assert np.shares_memory(p.stacked(["c"]), p["c"])
+    # out of layout order, apart, or of another shape: no view exists
+    for names in (["b", "a"], ["a", "c"], ["c", "d"]):
+        with pytest.raises(DimensionError):
+            p.stacked(names)
 
 
 def test_sigmoid_matches_logistic_without_overflow():
@@ -909,21 +1001,22 @@ def test_paramset_assigning_an_unknown_name_raises_and_keeps_the_layout():
     assert list(p) == ["W", "b"] and np.array_equal(p.flat, before)
 
 
-# sha256 of each fresh net's file at seed 0, as first written: fixes the
-# init functions' draw order, names, shapes and meta
+# sha256 of each fresh net's file at seed 0: fixes the init functions'
+# draw order, names, shapes, layout order and meta. The style-type nets'
+# are those of the layout whose branches' Wh lead, side by side
 INIT_DIGESTS = {
     "autoencoder-fg":
         "b78fdfb6b73bfca61e9948b1feb07d6be0a5e0e3e129154c42c9730129c085c6",
     "autoencoder-bg":
         "0cfc1b82ee9e2e9ad0caf7ccbef3ea139e199b6940ac2792640e2e70ff3129bc",
     "style-fg-only":
-        "e9d1fc2ec58509669bf9d5bd10f22f942cc48f2a9c99b4a930f66e67dec8fbb8",
+        "ef9bca9b6100773ac55c78c98adec4239fc0e3c8092231891af044943d3469f5",
     "style-bg-only":
-        "8f3746e165c963c9a9cd54f23df1d6514732a919bae2ae637ad95664fa838ac1",
+        "90a27a897450f2f97c1182bc3ba0a3a3564ef130bdf5cb3e17854af578b74d9b",
     "style-fg+bg":
-        "40953f88fda09f4a762e16d80f411fb4687afc8826d7cdfbdf18c3ed3d627276",
+        "304da0f4fbc095ab55b005135e971a3cc79893111bf52c2d10fbbc8328cdff09",
     "style-fg+bg+att":
-        "0fb4826d6bd66fde853cd21a33587183cdb15eb71499653df015f1a345b6bec7",
+        "b360e482500b6b30fdd5f54a303f6de42845235ad8bb3e7fadbff9c18a75c4bc",
     "imitation":
         "f42a66564ba134c646db084a73c065b5a1987e040f80575548267e0147887fa8",
 }

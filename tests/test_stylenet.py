@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skymimic.nn import ParamSet, lstm_backward, lstm_forward, sigmoid, softmax
-from skymimic.nn.layers import affine, affine_backward
+from skymimic.nn import (ParamSet, lstm_backward, lstm_forward, lstm_init,
+                         mlp_init, sigmoid, softmax)
+from skymimic.nn.layers import _recurrent_weights, affine, affine_backward
 from oracles import grad_check
-from skymimic.stylenet import (VARIANTS, AttentionTrace, StyleNetConfig,
-                               _cells, _lstm, confusion_and_accuracy,
-                               init_style_net, predict_style, prefix_probs,
+from skymimic.stylenet import (N_CLASSES, VARIANTS, AttentionTrace,
+                               StyleNetConfig, _cells, _lstm,
+                               confusion_and_accuracy, init_style_net,
+                               predict_style, prefix_probs,
                                style_forward, style_loss, style_loss_and_grad,
                                train_style_net)
 
@@ -354,3 +356,37 @@ def test_increasing_lambda_decreases_mean_beta():
             vals.append(trace.beta["fg"].mean())
         betas[lam] = np.mean(vals)
     assert betas[1.0] < betas[0.01]
+
+
+@pytest.mark.parametrize("name", ["fg+bg+att", "fg+bg"])
+def test_stacked_branches_read_their_wh_as_a_view(name):
+    # the branches' Wh lie side by side in the net's vector, so the
+    # stacked forward and backward read their (2, H, 4H) block in place
+    cfg = VARIANTS[name]
+    p = init_style_net(cfg, 0)
+    Wh = _recurrent_weights(p, _cells(cfg))
+    assert Wh.shape == (2, cfg.hidden, 4 * cfg.hidden)
+    assert np.shares_memory(Wh, p.flat)
+    assert np.array_equal(Wh[0], p["fg_Wh"])
+    assert np.array_equal(Wh[1], p["bg_Wh"])
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_style_net_init_keeps_each_arrays_draw(name):
+    # the layout puts the Wh first, but every array is drawn in the
+    # order branch by branch (LSTM, then scorer), then the classifier
+    cfg = VARIANTS[name]
+    for seed in (0, 7):
+        rng = np.random.default_rng(seed)
+        want = {}
+        for branch in cfg.branches:
+            d_in = cfg.fg_dim if branch == "fg" else cfg.bg_dim
+            want |= lstm_init(rng, d_in, cfg.hidden, f"{branch}_")
+            if cfg.use_attention:
+                want |= mlp_init(rng, [cfg.hidden, cfg.attn_hidden, 1],
+                                 prefix=f"a{branch}_")
+        want |= mlp_init(rng, [cfg.feature_dim, N_CLASSES], prefix="cls_")
+        p = init_style_net(cfg, seed)
+        assert sorted(p) == sorted(want)
+        for k, v in want.items():
+            assert np.array_equal(p[k], v), (seed, k)
