@@ -19,6 +19,7 @@ the demo schedule is applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -177,7 +178,7 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
         subject_next = subject
     omega, target_scale = action[:3], float(action[6])
     r = drone.position - np.asarray(subject, float)
-    rho = max(float(np.linalg.norm(r)), 1e-6)
+    rho = max(math.sqrt(r @ r), 1e-6)
     az = float(np.arctan2(r[1], r[0]))
     el = float(np.arcsin(_clip(r[2] / rho, 1.0)))
     rho_target = K.focal * subject_height \
@@ -188,22 +189,24 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
     if heading is None:
         az += turn[1]
         el = float(_clip(el + turn[2], 1.5))
-        offset = rho_new * np.array([np.cos(el) * np.cos(az),
-                                     np.cos(el) * np.sin(az), np.sin(el)])
+        ce = math.cos(el)
+        offset = np.array([rho_new * (ce * math.cos(az)),
+                           rho_new * (ce * math.sin(az)),
+                           rho_new * math.sin(el)])
     else:
         h = np.array([heading[0], heading[1], 0.0])
-        h /= np.linalg.norm(h)
-        rh = float(np.hypot(r[0], r[1])) * rho_new / rho
-        level = np.array([rh * np.cos(az + turn[1]),
-                          rh * np.sin(az + turn[1]), r[2]])
-        sweep = np.hypot(r[0], r[1]) * turn[1] \
-            * np.array([-np.sin(az), np.cos(az), 0.0])
+        h /= math.sqrt(h @ h)
+        hyp = np.hypot(r[0], r[1])
+        rh = float(hyp) * rho_new / rho
+        az1 = az + turn[1]
+        level = np.array([rh * math.cos(az1), rh * math.sin(az1), r[2]])
+        sweep = hyp * turn[1] * np.array([-math.sin(az), math.cos(az), 0.0])
         along = max(float((level - r) @ h), float(sweep @ h), 0.0)
         offset = r + min(along, MAX_SPEED * DT) * h
         # the subject's bearing and elevation, as swept by the step
         swept = np.array([np.arctan2(offset[1], offset[0]) - az,
                           np.arcsin(_clip(offset[2]
-                                          / np.linalg.norm(offset),
+                                          / math.sqrt(offset @ offset),
                                           1.0)) - el])
         if hold_aim:
             turn[1:] = wrap_angle(swept)
@@ -213,8 +216,9 @@ def next_waypoint(drone: Pose6D, action: np.ndarray,
                                                  el - drone.pitch))
             keep = FRAME_KEEP * np.arctan(np.array([K.cx, K.cy]) / K.focal)
             turn[1:] += off - np.clip(off, -keep, keep)
+    # each angle takes wrap_angle's float path
     return Pose6D(np.asarray(subject_next, float) + offset,
-                  *wrap_angle(drone.angles + turn))
+                  *map(wrap_angle, drone.angles + turn))
 
 
 class Executor:
@@ -256,27 +260,31 @@ class Executor:
     def step(self, drone: Pose6D, predicted: np.ndarray,
              subject: np.ndarray, subject_next: np.ndarray, K: Intrinsics,
              subject_height: float) -> Pose6D:
-        if self.smoothed is None:
-            self.smoothed = predicted.copy()
+        smoothed = self.smoothed
+        if smoothed is None:
+            smoothed = self.smoothed = predicted.copy()
             self.scale_ref = self.scale0 / predicted[6]
         else:
-            self.smoothed = self.smoothed + ACTION_SMOOTHING \
-                * (predicted - self.smoothed)
-            self.smoothed[3:6] /= max(np.linalg.norm(self.smoothed[3:6]),
-                                      DIR_EPS)
-        executed = self.smoothed.copy()
+            # in place: smoothed + ACTION_SMOOTHING * (predicted - smoothed)
+            step = predicted - smoothed
+            step *= ACTION_SMOOTHING
+            smoothed += step
+            d = smoothed[3:6]
+            d /= max(math.sqrt(d @ d), DIR_EPS)
+        executed = smoothed.copy()
         for i in range(3):
             executed[i] = (0.0 if abs(executed[i]) < RATE_DEADBAND
                            else executed[i]) * self.kappa
         executed[6] = min(executed[6] * self.scale_ref, 1.0)
 
-        world = executed[3:6] @ np.array(drone.camera_axes())
+        world = executed[3:6] @ drone.axes
         bearing = float(np.arctan2(world[1], world[0]))
         if self.last is not None:
-            self.turned += float(wrap_angle(drone.yaw - self.last[0]))
-            self.moved += float(wrap_angle(bearing - self.last[1]))
+            self.turned += wrap_angle(drone.yaw - self.last[0])
+            self.moved += wrap_angle(bearing - self.last[1])
         self.last = (drone.yaw, bearing)
-        co_turning = self.moved * np.sign(self.turned) \
+        sign = (self.turned > 0.0) - (self.turned < 0.0)
+        co_turning = self.moved * sign \
             >= CO_TURN * max(abs(self.turned), MIN_TURN)
         if co_turning or np.hypot(world[0], world[1]) < DIR_EPS:
             self.heading = None

@@ -232,7 +232,7 @@ def embed_batch(batch: np.ndarray, p: ParamSet) -> np.ndarray:
 
 
 def _finite(h: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NumericError("embedding produced non-finite values")
     return h
 
@@ -267,7 +267,10 @@ class EncoderStream:
     call, so each run keeps the bits of its own call.
 
     embed(t) consumes the rows before t, then steps the window's run, the
-    oldest, through row t alone, into scratch. Row t is not consumed,
+    oldest, through row t alone, into an (h, c) pair the stream holds, so
+    the embedding it returns is a view that the next embed writes over.
+    No state or scratch array is allocated per call: the slot views of
+    both block pairs are built with the stream. Row t is not consumed,
     since a row may be rewritten until a later row is stored, as the
     closed loop's bg field is. So put and repeat on a consumed row, and
     embed(t) for a window whose run has moved on, raise ValueError; embed
@@ -281,10 +284,17 @@ class EncoderStream:
         H = p["enc_Wh"].shape[0]
         self._Wh = _recurrent_weights(p, ("enc_",))
         self._done = 0   # rows consumed by the runs
-        # two (h, c) pairs of (WINDOW, 1, 1, H) state blocks
-        self._pairs = np.zeros((2, 2, WINDOW, 1, 1, H))
+        # two (h, c) pairs of (WINDOW, 1, 1, H) state blocks; row d steps
+        # the runs from pair d % 2 into the other, a slot down, and the
+        # window that ends at row t starts from the oldest run of pair
+        # t % 2: the views of both, by parity, built once
+        pairs = np.zeros((2, 2, WINDOW, 1, 1, H))
+        self._slots = [(*pairs[q, :, 1:], *pairs[1 - q, :, :-1])
+                       for q in (0, 1)]
+        self._oldest = [tuple(pairs[q, :, :1]) for q in (0, 1)]
         self._runs = _step_scratch((WINDOW - 1, 1, 1), H)
         self._last = _step_scratch((1, 1, 1), H)
+        self._end = tuple(np.zeros((2, 1, 1, 1, H)))  # the window's (h, c)
 
     def _open(self, t: int) -> None:
         if t < self._done:
@@ -310,18 +320,16 @@ class EncoderStream:
             raise TooShortError(f"no window of {WINDOW} rows ends at row "
                                 f"{t}")
         self._open(t)
-        (scratch, gates), pairs = self._runs, self._pairs
-        # row d steps the runs from pair d % 2 into the other, a slot down
+        (scratch, gates), slots = self._runs, self._slots
         _lstm_steps(self._Wh, *scratch,
-                    ((gates, self.proj[d], *pairs[d % 2, :, 1:],
-                      *pairs[1 - d % 2, :, :-1])
+                    ((gates, self.proj[d], *slots[d % 2])
                      for d in range(self._done, t)))
         self._done = t
-        (scratch, gates), (h, c) = self._last, pairs[t % 2, :, :1]
-        out = np.empty_like(h)
+        (scratch, gates), h = self._last, self._end[0]
         _lstm_steps(self._Wh, *scratch,
-                    [(gates, self.proj[t], h, c, out, np.empty_like(c))])
-        return _finite(out)[0, 0, 0]
+                    [(gates, self.proj[t], *self._oldest[t % 2], h,
+                      self._end[1])])
+        return _finite(h)[0, 0, 0]
 
 
 def embed_video(fg: np.ndarray, bg: np.ndarray, fg_params: ParamSet,

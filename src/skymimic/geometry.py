@@ -62,25 +62,29 @@ class Pose6D:
         return np.array([self.roll, self.yaw, self.pitch])
 
     def camera_axes(self):
-        """(right, down, forward) unit vectors in world coordinates, from
-        the columns of the body-to-world rotation R: -R[:, 1], -R[:, 2]
-        and R[:, 0]. Read-only and built once: no pose field changes
+        """(right, down, forward) unit vectors in world coordinates, the
+        rows of `axes`. Read-only and built once: no pose field changes
         after `__post_init__`."""
-        return self._axes
+        return self._rows
 
     @cached_property
-    def _axes(self):
-        cr, sr = np.cos(self.roll), np.sin(self.roll)
-        cy, sy = np.cos(self.yaw), np.sin(self.yaw)
-        cp, sp = np.cos(self.pitch), np.sin(self.pitch)
+    def axes(self) -> np.ndarray:
+        """Read-only (3, 3) array of the rows (right, down, forward):
+        -R[:, 1], -R[:, 2] and R[:, 0] of the body-to-world rotation R."""
+        cr, sr = math.cos(self.roll), math.sin(self.roll)
+        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
+        cp, sp = math.cos(self.pitch), math.sin(self.pitch)
         Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
         Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
         Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
         R = Rz @ Ry @ Rx
-        axes = (-R[:, 1], -R[:, 2], R[:, 0])
-        for a in axes:
-            a.setflags(write=False)
+        axes = np.array([-R[:, 1], -R[:, 2], R[:, 0]])
+        axes.setflags(write=False)
         return axes
+
+    @cached_property
+    def _rows(self):
+        return tuple(self.axes)
 
 
 @dataclass
@@ -231,12 +235,13 @@ def render_motion_field(prev: Projection, cur: Projection,
     gx = np.minimum((u0 / K.width * GRID).astype(int), GRID - 1)
     gy = np.minimum((v0 / K.height * GRID).astype(int), GRID - 1)
     cell = gy * GRID + gx
-    counts = np.bincount(cell, minlength=GRID * GRID).astype(float)
+    counts = np.bincount(cell, minlength=GRID * GRID)
     # bincount adds each cell's weights in point order, as np.add.at does
-    sums = np.stack([np.bincount(cell, weights=w, minlength=GRID * GRID)
-                     for w in (du, dv)], axis=1)
-    nonzero = counts > 0
-    sums[nonzero] /= counts[nonzero, None]
+    sums = np.empty((GRID * GRID, 2))
+    for col, w in zip(sums.T, (du, dv)):
+        col[:] = np.bincount(cell, weights=w, minlength=GRID * GRID)
+    # an empty cell's sums, +0.0, are divided by 1
+    sums /= np.maximum(counts, 1.0)[:, None]
     return sums.ravel()
 
 

@@ -136,17 +136,20 @@ def _head_forward(ctx, a, p):
 
 
 def _postprocess(raw: np.ndarray, prev_action: np.ndarray):
-    """Raw 7-vector -> valid action + cache for backward."""
-    omega = prev_action[:3] + raw[:3]
+    """Raw 7-vector -> valid action + cache for backward. Each block is
+    written into the one new action; the direction's norm is
+    sqrt(d @ d), the bits of np.linalg.norm(d)."""
+    pred = np.empty(ACTION_DIM)
+    np.add(prev_action[:3], raw[:3], out=pred[:3])
     d = raw[3:6]
-    norm = np.linalg.norm(d)
+    direction = pred[3:6]
+    norm = math.sqrt(d @ d)
     if norm < DIR_EPS:
-        direction = prev_action[3:6].copy()
+        direction[:] = prev_action[3:6]
         norm = 0.0
     else:
-        direction = d / norm
-    scale = sigmoid(raw[6:7])[0]
-    pred = np.concatenate([omega, direction, [scale]])
+        np.divide(d, norm, out=direction)
+    scale = pred[6] = sigmoid(raw[6:7])[0]
     return pred, (d, norm, direction, scale)
 
 
@@ -167,7 +170,7 @@ def predict_action(v: np.ndarray, o: np.ndarray, a: np.ndarray,
     ctx, _ = _context_forward(v, o, p)
     raw, _ = _head_forward(ctx, a, p)
     pred, _ = _postprocess(raw, a)
-    if not np.all(np.isfinite(pred)):
+    if not np.isfinite(pred).all():
         raise NumericError("predict_action: non-finite output")
     return pred
 

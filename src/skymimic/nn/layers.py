@@ -109,7 +109,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 # affine
 
 def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x, W, b = np.asarray(x, float), np.asarray(W, float), np.asarray(b, float)
+    """x @ W + b on float arrays; the shapes are checked, not converted."""
     if x.shape[-1] != W.shape[0]:
         raise DimensionError(
             f"affine: x shape {x.shape} does not conform with W shape "

@@ -255,8 +255,7 @@ def action_labels(frames: list[FrameSample], K: Intrinsics) -> np.ndarray:
         if t < n - 1:
             nxt = frames[t + 1].camera
             omega = wrap_angle(nxt.angles - cam.angles) / DT
-            delta = np.array(cam.camera_axes()) @ (nxt.position
-                                                   - cam.position)
+            delta = cam.axes @ (nxt.position - cam.position)
             norm = np.linalg.norm(delta)
             if norm > 1e-12:
                 direction = delta / norm

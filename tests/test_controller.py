@@ -3,15 +3,17 @@ import re
 import numpy as np
 import pytest
 
-from skymimic.controller import (FRAME_KEEP, MEASUREMENT_NOISE,
-                                 PROCESS_NOISE, Executor, SubjectTrack,
+from skymimic.controller import (ACTION_SMOOTHING, CO_TURN, DIR_EPS,
+                                 FRAME_KEEP, MAX_SPEED, MEASUREMENT_NOISE,
+                                 MIN_BOX_HEIGHT, MIN_TURN, PROCESS_NOISE,
+                                 RATE_DEADBAND, Executor, SubjectTrack, _clip,
                                  _kalman_gain, closed_loop_run, kalman_step,
                                  localize_subject, next_waypoint)
 from skymimic.dataset import build_video
 from skymimic.features import FG_DIM, WINDOW, autoencoder_init
 from skymimic.geometry import (Intrinsics, Pose6D, look_at,
                                project_foreground, project_points,
-                               render_motion_field)
+                               render_motion_field, wrap_angle)
 from skymimic.imitation import init_imitation_net, make_action
 from skymimic.nn import NumericError
 from skymimic.pipeline import ModelBundle
@@ -298,6 +300,157 @@ def test_waypoint_line_keeps_subject_framed():
     assert free.yaw == pytest.approx(0.5)
 
 
+def _next_waypoint_by_arrays(drone, action, subject, K, subject_height,
+                             subject_next=None, heading=None,
+                             hold_aim=False):
+    """next_waypoint with NumPy on every scalar: np.linalg.norm for each
+    norm, np.cos and np.sin on floats, and the new angles wrapped as one
+    array."""
+    if subject_next is None:
+        subject_next = subject
+    omega, target_scale = action[:3], float(action[6])
+    r = drone.position - np.asarray(subject, float)
+    rho = max(float(np.linalg.norm(r)), 1e-6)
+    az = float(np.arctan2(r[1], r[0]))
+    el = float(np.arcsin(_clip(r[2] / rho, 1.0)))
+    rho_target = K.focal * subject_height \
+        / (max(target_scale, MIN_BOX_HEIGHT) * K.height)
+    rho_new = rho + float(_clip(rho_target - rho, MAX_SPEED * DT))
+    rho_new = max(rho_new, 1.0)
+    turn = omega * DT
+    if heading is None:
+        az += turn[1]
+        el = float(_clip(el + turn[2], 1.5))
+        offset = rho_new * np.array([np.cos(el) * np.cos(az),
+                                     np.cos(el) * np.sin(az), np.sin(el)])
+    else:
+        h = np.array([heading[0], heading[1], 0.0])
+        h /= np.linalg.norm(h)
+        rh = float(np.hypot(r[0], r[1])) * rho_new / rho
+        level = np.array([rh * np.cos(az + turn[1]),
+                          rh * np.sin(az + turn[1]), r[2]])
+        sweep = np.hypot(r[0], r[1]) * turn[1] \
+            * np.array([-np.sin(az), np.cos(az), 0.0])
+        along = max(float((level - r) @ h), float(sweep @ h), 0.0)
+        offset = r + min(along, MAX_SPEED * DT) * h
+        swept = np.array([np.arctan2(offset[1], offset[0]) - az,
+                          np.arcsin(_clip(offset[2]
+                                          / np.linalg.norm(offset),
+                                          1.0)) - el])
+        if hold_aim:
+            turn[1:] = wrap_angle(swept)
+        else:
+            off = wrap_angle(swept - turn[1:] + (az + np.pi - drone.yaw,
+                                                 el - drone.pitch))
+            keep = FRAME_KEEP * np.arctan(np.array([K.cx, K.cy]) / K.focal)
+            turn[1:] += off - np.clip(off, -keep, keep)
+    return Pose6D(np.asarray(subject_next, float) + offset,
+                  *wrap_angle(drone.angles + turn))
+
+
+class _ExecutorByArrays(Executor):
+    """Executor.step with a new smoothed action per step, np.linalg.norm,
+    np.sign, the camera axes stacked by np.array at every step, and
+    `_next_waypoint_by_arrays`."""
+
+    def step(self, drone, predicted, subject, subject_next, K,
+             subject_height):
+        if self.smoothed is None:
+            self.smoothed = predicted.copy()
+            self.scale_ref = self.scale0 / predicted[6]
+        else:
+            self.smoothed = self.smoothed + ACTION_SMOOTHING \
+                * (predicted - self.smoothed)
+            self.smoothed[3:6] /= max(np.linalg.norm(self.smoothed[3:6]),
+                                      DIR_EPS)
+        executed = self.smoothed.copy()
+        for i in range(3):
+            executed[i] = (0.0 if abs(executed[i]) < RATE_DEADBAND
+                           else executed[i]) * self.kappa
+        executed[6] = min(executed[6] * self.scale_ref, 1.0)
+        world = executed[3:6] @ np.array(drone.camera_axes())
+        bearing = float(np.arctan2(world[1], world[0]))
+        if self.last is not None:
+            self.turned += float(wrap_angle(drone.yaw - self.last[0]))
+            self.moved += float(wrap_angle(bearing - self.last[1]))
+        self.last = (drone.yaw, bearing)
+        co_turning = self.moved * np.sign(self.turned) \
+            >= CO_TURN * max(abs(self.turned), MIN_TURN)
+        if co_turning or np.hypot(world[0], world[1]) < DIR_EPS:
+            self.heading = None
+        elif self.heading is None:
+            self.heading = world[:2]
+        hold_aim = executed[1] != 0.0 or abs(self.turned) >= MIN_TURN
+        return _next_waypoint_by_arrays(
+            drone, executed, subject, K, subject_height,
+            subject_next=subject_next, heading=self.heading,
+            hold_aim=hold_aim)
+
+
+def _pose_bytes(pose):
+    return pose.position.tobytes() + np.array(
+        [pose.roll, pose.yaw, pose.pitch]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["spherical", "hold aim", "keep framed"])
+def test_waypoint_bytes_match_numpy_scalars(mode):
+    # random subjects and actions, seen from cameras aimed near them; the
+    # line's turns that keep the subject framed include ones the
+    # FRAME_KEEP clip cuts and ones it does not
+    rng = np.random.default_rng({"spherical": 61, "hold aim": 62,
+                                 "keep framed": 63}[mode])
+    K = Intrinsics()
+    clipped = 0
+    for _ in range(400):
+        subj = rng.normal(0, 10, 3)
+        aim = look_at(subj + rng.normal(0, 8, 3),
+                      subj + rng.normal(0, 2, 3))
+        drone = Pose6D(aim.position, rng.normal(0, 0.1), aim.yaw,
+                       aim.pitch)
+        action = make_action(rng.normal(0, 1.5, 3), rng.normal(size=3),
+                             rng.uniform(0.01, 0.6))
+        kw = dict(subject_next=subj + rng.normal(0, 0.3, 3))
+        if mode != "spherical":
+            kw.update(heading=rng.normal(size=2),
+                      hold_aim=mode == "hold aim")
+        got = next_waypoint(drone, action, subj, K, 1.7, **kw)
+        want = _next_waypoint_by_arrays(drone, action, subj, K, 1.7, **kw)
+        assert _pose_bytes(got) == _pose_bytes(want)
+        clipped += abs(wrap_angle(got.yaw - drone.yaw
+                                  - action[1] * DT)) > 1e-9
+    assert mode != "keep framed" or 100 < clipped < 300
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_executor_bytes_match_numpy_scalars(style):
+    # a scripted shot's own next-frame labels, noised so that the rates
+    # cross the deadband and the direction swings, flown from its start
+    # pose by both executors; every pose and executor state must match
+    K = Intrinsics()
+    rng = np.random.default_rng(70)
+    shot = generate_style_trajectory(
+        random_script(style, np.random.default_rng(71)))
+    labels = action_labels(shot, K)
+    noisy = labels + rng.normal(0, 0.05, labels.shape) * [1, 1, 1, 3, 3, 3, 0]
+    ex, ref = Executor(labels[0, 6], 1.3), _ExecutorByArrays(labels[0, 6], 1.3)
+    drone = want = shot[0].camera
+    headings = 0
+    for t in range(len(shot) - 1):
+        args = (shot[t].subject.position, shot[t + 1].subject.position, K,
+                shot[t].subject_height)
+        drone = ex.step(drone, noisy[t + 1], *args)
+        want = ref.step(want, noisy[t + 1], *args)
+        assert _pose_bytes(drone) == _pose_bytes(want), t
+        assert ex.smoothed.tobytes() == ref.smoothed.tobytes()
+        assert np.array([ex.turned, ex.moved, *ex.last]).tobytes() == \
+            np.array([ref.turned, ref.moved, *ref.last]).tobytes()
+        assert (ex.heading is None) == (ref.heading is None)
+        if ex.heading is not None:
+            assert ex.heading.tobytes() == ref.heading.tobytes()
+            headings += 1
+    assert style in ("orbiting", "follow") or headings > 0
+
+
 def test_executor_scales_rates_and_takes_scale_relative():
     K = Intrinsics()
     subj = np.array([10.0, 0.0, 0.0])
@@ -387,6 +540,41 @@ def test_closed_loop_projects_each_pose_once(monkeypatch):
     assert len(calls) == WINDOW + round(duration / DT)
     assert [c.position.tolist() for c in calls[WINDOW:]] == \
         [f.camera.position.tolist() for f in run.frames]
+
+
+@pytest.mark.parametrize("style", ["fly-by", "orbiting"])
+def test_closed_loop_calls_traced_sites_through_module_bindings(
+        monkeypatch, style):
+    # the benchmark traces these sites by wrapping controller's bindings;
+    # a run that never loses its subject projects the box at every pose,
+    # fields every pair of poses, localizes at every pose but the last,
+    # starts the track at the first, and predicts and flies every step
+    from skymimic import controller
+    sites = ("predict_action", "next_waypoint", "render_motion_field",
+             "project_foreground", "localize_subject", "kalman_step")
+    calls = dict.fromkeys(sites, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in sites:
+        monkeypatch.setattr(controller, name,
+                            counting(name, getattr(controller, name)))
+    bundle, demo, v = _untrained_bundle_and_demo(style)
+    scene, _ = make_live_scene(style, np.random.default_rng(5))
+    duration = 4.0
+    run = closed_loop_run(v, scene, bundle, duration, demo.actions)
+    n_exec = round(duration / DT)
+    n_poses = WINDOW + n_exec
+    assert len(run.actions) == n_exec
+    assert calls == {"predict_action": n_exec, "next_waypoint": n_exec,
+                     "render_motion_field": n_poses - 1,
+                     "project_foreground": n_poses,
+                     "localize_subject": n_poses - 1,
+                     "kalman_step": n_poses - 2}
 
 
 @pytest.mark.parametrize("style", STYLES)

@@ -283,7 +283,10 @@ def test_stream_windows_bit_identical_to_embed_batch(channel):
             assert got.shape == (p["enc_Wh"].shape[0],)
             assert np.array_equal(got, _raw_embedding(
                 stored[t - WINDOW + 1:t + 1], p))
-            assert np.array_equal(stream.embed(t), got)   # asked again
+            kept = got.copy()
+            again = stream.embed(t)   # asked again, into the held pair
+            assert np.shares_memory(again, got)
+            assert np.array_equal(again, kept)
             checked.append(t)
     assert checked == sorted(embedded)
 

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import (flip_bg_reference, motion_field_reference,
                      project_points_reference)
-from skymimic.geometry import (BODY_WIDTH_RATIO, Intrinsics, Pose6D,
+from skymimic.geometry import (BODY_WIDTH_RATIO, GRID, Intrinsics, Pose6D,
                                VisibilityError, flip_bg,
                                flip_fg, look_at, pixel_to_world,
                                project_foreground, project_points,
@@ -49,6 +51,43 @@ def test_scalar_wrap_matches_array_path():
                               np.asarray(ref).view(np.int64))
     with pytest.warns(RuntimeWarning):
         wrap_angle(np.inf)
+
+
+def test_sqrt_dot_matches_norm_on_3_vectors():
+    # canary: the control step takes a 3-vector's norm as
+    # math.sqrt(x @ x), which must give np.linalg.norm(x)'s bits
+    rng = np.random.default_rng(45)
+    n = 100000
+    xs = np.concatenate([
+        rng.normal(size=(n, 3)), rng.uniform(-1e-3, 1e-3, (n // 10, 3)),
+        rng.normal(size=(n // 10, 3)) * 10.0 ** rng.uniform(
+            -150, 150, (n // 10, 1)),
+        [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-9, 0.0, 0.0],
+         [5e-324, -5e-324, 0.0], [1e150, -1e150, 1e150]]])
+    got = np.array([math.sqrt(x @ x) for x in xs])
+    want = np.array([np.linalg.norm(x) for x in xs])
+    assert got.tobytes() == want.tobytes()
+    # an unaligned slice of a wider row, as an action's direction block
+    rows = np.zeros((2000, 7))
+    rows[:, 3:6] = xs[:2000]
+    got = np.array([math.sqrt(r[3:6] @ r[3:6]) for r in rows])
+    assert got.tobytes() == want[:2000].tobytes()
+
+
+@pytest.mark.parametrize("name", ["cos", "sin"])
+def test_math_trig_matches_numpy_on_floats(name):
+    # canary: the control step and the pose's rotation call math.cos and
+    # math.sin on floats, which must give np.cos and np.sin's bits
+    rng = np.random.default_rng(46)
+    values = np.concatenate([
+        [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 2 * np.pi,
+         np.nextafter(np.pi, 4.0), 5e-324, -5e-324, 1e-300, 1e16, 1e300],
+        rng.uniform(-np.pi, np.pi, 60000), rng.uniform(-50.0, 50.0, 30000),
+        rng.normal(0.0, 1e3, 10000)]).tolist()
+    scalar, array = getattr(math, name), getattr(np, name)
+    got = np.array([scalar(v) for v in values])
+    want = np.array([array(v) for v in values])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_intrinsics_validation():
@@ -274,6 +313,67 @@ def test_motion_field_no_valid_point():
         velocity, valid = _reference_field(cam0, cam1, K, cloud)
         assert f.shape == (128,) and not f.any()
         assert np.array_equal(f, velocity.ravel()) and not valid.any()
+
+
+def _field_by_masked_division(prev, cur, K):
+    """render_motion_field with its two weight columns joined by np.stack
+    and only the cells that hold points divided by their counts, through
+    a boolean-mask fancy index."""
+    idx = np.flatnonzero(prev.seen & cur.front)
+    if not idx.size:
+        return np.zeros(GRID * GRID * 2)
+    u0, v0 = prev.u.take(idx), prev.v.take(idx)
+    u1, v1 = cur.u.take(idx), cur.v.take(idx)
+    if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
+        raise FloatingPointError("non-finite projection")
+    du = (u1 - u0) / K.width
+    dv = (v1 - v0) / K.height
+    gx = np.minimum((u0 / K.width * GRID).astype(int), GRID - 1)
+    gy = np.minimum((v0 / K.height * GRID).astype(int), GRID - 1)
+    cell = gy * GRID + gx
+    counts = np.bincount(cell, minlength=GRID * GRID).astype(float)
+    sums = np.stack([np.bincount(cell, weights=w, minlength=GRID * GRID)
+                     for w in (du, dv)], axis=1)
+    nonzero = counts > 0
+    sums[nonzero] /= counts[nonzero, None]
+    return sums.ravel()
+
+
+def test_motion_field_bytes_match_masked_division():
+    # every cell is divided by max(count, 1): an empty cell's +0.0 sums
+    # stay +0.0, and a filled cell's quotient is the masked division's;
+    # a ground cloud below a level camera leaves the sky cells empty
+    rng = np.random.default_rng(48)
+    K = Intrinsics()
+    ground = np.column_stack([rng.uniform(5, 80, 4000),
+                              rng.uniform(-40, 40, 4000),
+                              rng.uniform(-0.5, 0.0, 4000)])
+    empty = filled = 0
+    for trial in range(300):
+        n = (3, 40, 3000)[trial % 3]
+        cloud = ground if trial % 2 else \
+            rng.uniform(-30, 30, size=(n, 3)) + [40.0, 0, 0]
+        cam0 = Pose6D(rng.normal(0, 2, 3) + [0.0, 0.0, 3.0],
+                      rng.uniform(-0.2, 0.2), rng.uniform(-0.6, 0.6),
+                      rng.uniform(-0.3, 0.3))
+        cam1 = Pose6D(cam0.position + rng.normal(0, 0.5, 3),
+                      cam0.roll + rng.normal(0, 0.05),
+                      cam0.yaw + rng.normal(0, 0.05),
+                      cam0.pitch + rng.normal(0, 0.05))
+        prev, cur = (project_points(c, K, cloud) for c in (cam0, cam1))
+        f = render_motion_field(prev, cur, K)
+        assert f.tobytes() == _field_by_masked_division(prev, cur, K).tobytes()
+        idx = np.flatnonzero(prev.seen & cur.front)
+        counts = np.bincount(
+            np.minimum((prev.v[idx] / K.height * GRID).astype(int),
+                       GRID - 1) * GRID
+            + np.minimum((prev.u[idx] / K.width * GRID).astype(int),
+                         GRID - 1), minlength=GRID * GRID)
+        cells = f.reshape(-1, 2)
+        assert not np.signbit(cells[counts == 0]).any()
+        empty += int((counts == 0).any() and idx.size > 0)
+        filled += int((counts > 0).all())
+    assert empty > 100 and filled > 0
 
 
 # A camera at the origin with every angle 0 has right = -y, down = -z

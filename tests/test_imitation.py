@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from skymimic.imitation import (SamplingError, SnippetCorpus, dtw_align,
+from skymimic.imitation import (DIR_EPS, SamplingError, SnippetCorpus,
+                                _context_forward, _head_forward, dtw_align,
                                 direction_angle, imitation_loss_and_grad,
                                 init_imitation_net, make_action, median_matches,
                                 predict_action, sample_training_pair,
                                 train_imitation_net)
-from skymimic.nn import TrainingError
+from skymimic.nn import NumericError, TrainingError, sigmoid
 from oracles import dtw_brute_force, grad_check, imitation_loss
 
 
@@ -140,6 +141,44 @@ def test_predict_action_purity_and_validity():
     assert np.array_equal(a1, a2)
     assert abs(np.linalg.norm(a1[3:6]) - 1.0) < 1e-9
     assert 0.0 <= a1[6] <= 1.0
+
+
+def _predict_action_by_concatenation(v, o, a, p):
+    """predict_action with the action joined from its three blocks by
+    np.concatenate and the direction's norm from np.linalg.norm."""
+    ctx, _ = _context_forward(v, o, p)
+    raw, _ = _head_forward(ctx, a, p)
+    omega = a[:3] + raw[:3]
+    d = raw[3:6]
+    norm = np.linalg.norm(d)
+    if norm < DIR_EPS:
+        direction = a[3:6].copy()
+    else:
+        direction = d / norm
+    scale = sigmoid(raw[6:7])[0]
+    pred = np.concatenate([omega, direction, [scale]])
+    if not np.all(np.isfinite(pred)):
+        raise NumericError("non-finite output")
+    return pred
+
+
+def test_predict_action_bytes_match_concatenation():
+    # random nets and inputs, and nets whose direction head is zero or
+    # below DIR_EPS, which fall back to the current action's direction
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        p = init_imitation_net(8, 6, seed=trial, hidden1=12, hidden2=10)
+        if trial % 3:
+            p["m2_W1"][:, 3:6] *= (0.0, 1e-12)[trial % 3 - 1]
+            p["m2_b1"][3:6] = 0.0
+        v, o = rng.normal(size=8), rng.normal(size=6)
+        a = make_action(rng.normal(size=3), rng.normal(size=3),
+                        rng.uniform())
+        got = predict_action(v, o, a, p)
+        assert got.tobytes() == \
+            _predict_action_by_concatenation(v, o, a, p).tobytes()
+        if trial % 3:
+            assert got[3:6].tobytes() == a[3:6].tobytes()
 
 
 def test_imitation_loss_values():
