@@ -210,8 +210,7 @@ def cmd_eval(args) -> None:
 def cmd_segment(args) -> None:
     bundle = ModelBundle.load(args.artifacts)
     rec = load_video(Path(args.data), args.video)
-    segs = segment_video(rec.fg, rec.bg, bundle, threshold=args.threshold,
-                         mode=args.mode)
+    segs = segment_video(rec.fg, rec.bg, bundle, threshold=args.threshold)
     for s in segs:
         print(f"{s.start:7.2f}s  {s.end:7.2f}s  {s.style:12s} "
               f"peak={s.peak_prob:.3f}")
@@ -308,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--video", required=True)
     s.add_argument("--threshold", type=fraction, default=0.6,
                    help="cut confidence in [0, 1]")
-    s.add_argument("--mode", choices=("relative", "absolute"),
-                   default="relative")
     s.add_argument("--curve", help="also write the probability curve CSV")
     s.set_defaults(func=cmd_segment)
 

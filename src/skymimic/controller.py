@@ -433,7 +433,7 @@ def closed_loop_run(style_feature: np.ndarray, scene: LiveScene,
 
         if prev_action is None and fg is not None:
             prev_action = make_action(
-                np.zeros(3), drone.camera_axes()[2], fg.h)
+                np.zeros(3), drone.axes[2], fg.h)
 
         if t >= WINDOW - 1 and prev_action is not None:
             obs = np.concatenate([fg_obs.embed(t), bg_obs.embed(t)])

@@ -61,16 +61,12 @@ class Pose6D:
     def angles(self) -> np.ndarray:
         return np.array([self.roll, self.yaw, self.pitch])
 
-    def camera_axes(self):
-        """(right, down, forward) unit vectors in world coordinates, the
-        rows of `axes`. Read-only and built once: no pose field changes
-        after `__post_init__`."""
-        return self._rows
-
     @cached_property
     def axes(self) -> np.ndarray:
-        """Read-only (3, 3) array of the rows (right, down, forward):
-        -R[:, 1], -R[:, 2] and R[:, 0] of the body-to-world rotation R."""
+        """Read-only (3, 3) array of the rows (right, down, forward), the
+        camera's unit vectors in world coordinates: -R[:, 1], -R[:, 2]
+        and R[:, 0] of the body-to-world rotation R. Built once: no pose
+        field changes after `__post_init__`."""
         cr, sr = math.cos(self.roll), math.sin(self.roll)
         cy, sy = math.cos(self.yaw), math.sin(self.yaw)
         cp, sp = math.cos(self.pitch), math.sin(self.pitch)
@@ -81,10 +77,6 @@ class Pose6D:
         axes = np.array([-R[:, 1], -R[:, 2], R[:, 0]])
         axes.setflags(write=False)
         return axes
-
-    @cached_property
-    def _rows(self):
-        return tuple(self.axes)
 
 
 @dataclass
@@ -134,7 +126,7 @@ def project_points(cam: Pose6D, K: Intrinsics,
     pose and `front` of the second, so each pose is projected, and its
     masks formed, once.
     """
-    right, down, forward = cam.camera_axes()
+    right, down, forward = cam.axes
     points = np.atleast_2d(points)
     # column by column: broadcasting the (3,) position over (N, 3) rows
     # costs about half the projection
@@ -161,7 +153,7 @@ def project_points(cam: Pose6D, K: Intrinsics,
 def pixel_to_world(cam: Pose6D, K: Intrinsics, u: float, v: float,
                    depth: float) -> np.ndarray:
     """Inverse of project_points for one pixel at a known depth."""
-    right, down, forward = cam.camera_axes()
+    right, down, forward = cam.axes
     x = (u - K.cx) / K.focal * depth
     y = (v - K.cy) / K.focal * depth
     return cam.position + x * right + y * down + depth * forward
@@ -190,7 +182,7 @@ def project_foreground(cam: Pose6D, K: Intrinsics, subject: Pose6D,
     values: a (1, 3) row through one gemv per camera axis, then the
     pixel math on floats, after the depth check.
     """
-    right, down, forward = cam.camera_axes()
+    right, down, forward = cam.axes
     d = (subject.position - cam.position)[None, :]
     depth = float((d @ forward)[0])
     if depth <= 0:

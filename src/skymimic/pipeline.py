@@ -147,9 +147,9 @@ class ModelBundle:
         in place once they are in a bundle: assign new ParamSets to
         `fg_encoder`/`bg_encoder` instead. The entry also keeps the
         segmenter's span table of the embedding (`derived`), keyed by
-        the span classifier by identity, so the span classifier must not
-        be written in place either: assign a new ParamSet to
-        `segment_params`/`style_params` instead.
+        `segment_params` by identity, so the segment net must not be
+        written in place either: assign a new ParamSet to
+        `segment_params` instead.
         """
         m = self._memo
         if (m is not None and m[0] is self.fg_encoder
@@ -175,13 +175,6 @@ class ModelBundle:
             self._memo = m[:5] + (key, product)
         return product
 
-    def span_classifier(self) -> ParamSet:
-        """Net used to label sub-spans: the crop-trained segment net
-        when present, otherwise the whole-video classifier."""
-        if self.segment_params is not None:
-            return self.segment_params
-        return self.style_params
-
     def style_feature(self, fg: np.ndarray, bg: np.ndarray):
         emb = self.embed(fg, bg)
         v, probs, trace, _ = style_forward(emb, self.style_params,
@@ -202,8 +195,9 @@ class ModelBundle:
     def load(cls, art_dir: str | Path,
              need_imitation: bool = False) -> "ModelBundle":
         """The bundle of an artifact directory: its encoders, its style
-        net, its segment net when present, and, with need_imitation, its
-        imitation net; no other file is read."""
+        net, its segment net when present (the segmenter refuses a
+        bundle without one), and, with need_imitation, its imitation
+        net; no other file is read."""
         art = Path(art_dir)
         fg, bg = load_encoders(art)
         style = load_net(art, STYLE_NET, lambda meta: init_style_net(

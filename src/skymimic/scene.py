@@ -394,7 +394,7 @@ def check_style_contract(style: str, frames: list[FrameSample],
         along = np.einsum("ij,ij->i", disp[:, :2], headings)
         metrics["min_lead"] = float(along.min())
         vel = np.diff(cams, axis=0)
-        fwd = np.array([f.camera.camera_axes()[2] for f in frames[:-1]])
+        fwd = np.array([f.camera.axes[2] for f in frames[:-1]])
         back = np.einsum("ij,ij->i", vel, fwd)
         metrics["max_forward_component"] = float(back.max()) if len(back) \
             else -1.0

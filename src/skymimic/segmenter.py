@@ -7,7 +7,7 @@ Instead the cut is localized geometrically and verified by the
 classifier: a style change moves the subject's on-screen box
 discontinuously, so the largest foreground-feature frame-to-frame jumps
 are taken as candidate cut points, and each candidate is scored by how
-confidently the span classifier labels the two sides with two different
+confidently the segment net labels the two sides with two different
 styles.  The best-scoring candidate becomes the cut when its weaker
 side clears the confidence threshold; otherwise the video is one
 segment.
@@ -20,16 +20,14 @@ The right sides ride in the same pass: given the cuts' rows as
 end in the stacked LSTM step loop, with the bits a pass of its own
 would give.  `_span_table` makes that one call per demo and keeps its
 threshold-free product in the bundle's memo entry, next to the
-embedding it was scored from, keyed by the span classifier: `segment`
+embedding it was scored from, keyed by the segment net: `segment`
 selects a cut from the table and `prob_curve` returns its prefix rows.
 So in any order and repetition of the two (`skymimic segment --curve`)
 a demo is embedded and scored once, and the curve shows the
 probabilities the cuts read.
 
-Threshold semantics (default relative): the weaker side's peak
-probability must reach threshold * the stronger side's.  The absolute
-reading (weaker side's probability above threshold outright) is
-available via mode.
+Threshold: a cut holds when the weaker side's peak probability reaches
+threshold * the stronger side's.
 """
 
 from __future__ import annotations
@@ -38,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DependencyError
 from .features import STRIDE, snippet_ends
-from .pipeline import ModelBundle
+from .pipeline import SEGMENT_NET, ModelBundle
 from .scene import DT, STYLES
 from .stylenet import PROB_FLOOR, prefix_probs, style_forward
 
@@ -64,7 +63,7 @@ class Segment:
 
 def prob_curve(fg: np.ndarray, bg: np.ndarray,
                bundle: ModelBundle) -> ProbCurve:
-    """The span classifier's probabilities over the growing prefix, the
+    """The segment net's probabilities over the growing prefix, the
     rows `segment` reads for the whole video and each cut's left side.
 
     They are the prefix rows of the demo's span table, so before or
@@ -100,10 +99,14 @@ def _candidate_cuts(d: np.ndarray, lo: int, hi: int) -> list[int]:
 def _span_table(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle):
     """(prefix, cuts): row k of prefix (read-only) labels the span [0, k],
     and cuts holds (frame, box jump, left-side probs, right-side probs)
-    per candidate cut.  One stacked pass scores it per demo and span
-    classifier; the bundle's memo entry keeps it."""
+    per candidate cut.  One stacked pass scores it per demo and segment
+    net; the bundle's memo entry keeps it.  Raises DependencyError when
+    the bundle has no segment net."""
+    net, cfg = bundle.segment_params, bundle.style_cfg
+    if net is None:
+        raise DependencyError(f"no segment net ({SEGMENT_NET}); run "
+                              "`skymimic train --stage style` first")
     emb = bundle.embed(fg, bg)
-    net, cfg = bundle.span_classifier(), bundle.style_cfg
 
     def score():
         n, n_frames = emb.shape[0], fg.shape[0]
@@ -126,14 +129,12 @@ def _span_table(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle):
 
 
 def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
-            threshold: float = 0.6, mode: str = "relative") -> list[Segment]:
+            threshold: float = 0.6) -> list[Segment]:
     """Cut the video at the best candidate of its span table that
-    passes the threshold in the given mode, or return it whole.
+    passes the threshold, or return it whole.
 
     threshold must lie in [0, 1]; NaN is refused, since no comparison
     with it holds and it would pass every cut."""
-    if mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown threshold mode {mode!r}")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold!r} is not in [0, 1]")
     prefix, cuts = _span_table(fg, bg, bundle)
@@ -146,7 +147,7 @@ def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
         if int(np.argmax(p1)) == int(np.argmax(p2)):
             continue
         weak, strong = sorted([float(p1.max()), float(p2.max())])
-        if weak < (threshold * strong if mode == "relative" else threshold):
+        if weak < threshold * strong:
             continue
         score = (np.log(p1.max() + PROB_FLOOR)
                  + np.log(p2.max() + PROB_FLOOR)

@@ -110,7 +110,7 @@ def project_points_reference(cam, K, points):
     """World points (N, 3) to (pixels (N, 2), depths (N,)): the camera
     position subtracted column by column, one gemv per camera axis,
     then focal * x / z + c, the pixels stacked into rows."""
-    right, down, forward = cam.camera_axes()
+    right, down, forward = cam.axes
     points = np.atleast_2d(points)
     d = np.empty(points.shape)
     for col, p, out in zip(points.T, cam.position, d.T):

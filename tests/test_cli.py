@@ -168,6 +168,23 @@ def test_net_trained_on_other_artifacts_exits_3(workspace, tmp_path,
     assert main(_net_argv(workspace, "eval", art, out)) == 0
 
 
+def test_missing_segment_net_exits_3_where_it_is_run(workspace, tmp_path,
+                                                    capsys):
+    # the segment net is the only span classifier: without it, segment
+    # and imitate exit 3 naming the stage that writes it, while eval and
+    # the imitation stage, which never run it, succeed
+    art, out = tmp_path / "art", tmp_path / "out"
+    shutil.copytree(workspace / "art", art)
+    (art / "segment_net.bin").unlink()
+    for command, extra in (("segment", []), ("imitate", ["--dry-run"])):
+        assert main(_net_argv(workspace, command, art, out) + extra) == 3
+        err = _one_error_line(capsys)
+        assert err.endswith("`skymimic train --stage style` first")
+        assert not out.exists()
+    assert main(_net_argv(workspace, "imitation", art, None) + FAST) == 0
+    assert main(_net_argv(workspace, "eval", art, out)) == 0
+
+
 def test_train_missing_dependency(workspace, tmp_path):
     rc = main(["train", "--data", str(workspace / "data"),
                "--out", str(tmp_path / "empty"), "--stage", "style"])

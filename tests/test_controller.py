@@ -278,7 +278,7 @@ def test_waypoint_heading_flies_straight_and_level():
     held = next_waypoint(drone, action, subj, K, 1.7, heading=heading,
                          hold_aim=True)
     # the subject stays on the optical axis
-    assert np.allclose(held.camera_axes()[2],
+    assert np.allclose(held.axes[2],
                        -held.position / np.linalg.norm(held.position),
                        atol=1e-9)
 
@@ -368,7 +368,7 @@ class _ExecutorByArrays(Executor):
             executed[i] = (0.0 if abs(executed[i]) < RATE_DEADBAND
                            else executed[i]) * self.kappa
         executed[6] = min(executed[6] * self.scale_ref, 1.0)
-        world = executed[3:6] @ np.array(drone.camera_axes())
+        world = executed[3:6] @ drone.axes
         bearing = float(np.arctan2(world[1], world[0]))
         if self.last is not None:
             self.turned += float(wrap_angle(drone.yaw - self.last[0]))

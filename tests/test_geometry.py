@@ -112,7 +112,7 @@ def test_pixel_to_world_inverts_projection():
     for _ in range(100):
         cam = Pose6D(rng.normal(0, 5, 3), rng.uniform(-0.2, 0.2),
                      rng.uniform(-np.pi, np.pi), rng.uniform(-0.5, 0.5))
-        pt = cam.position + rng.uniform(3, 30) * cam.camera_axes()[2] \
+        pt = cam.position + rng.uniform(3, 30) * cam.axes[2] \
             + rng.normal(0, 1.0, 3)
         u, v, z, _, _ = project_points(cam, K, pt[None, :])
         if z[0] <= 0.1:
@@ -445,12 +445,13 @@ def test_pose_axes_cached_and_read_only():
         R = (np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
              @ np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
              @ np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]]))
-        right, down, forward = cam.camera_axes()
+        axes = cam.axes
+        right, down, forward = axes
         assert np.array_equal(right, -R[:, 1])
         assert np.array_equal(down, -R[:, 2])
         assert np.array_equal(forward, R[:, 0])
-        assert cam.camera_axes()[0] is right
-    for a in cam.camera_axes():
+        assert cam.axes is axes
+    for a in cam.axes:
         with pytest.raises(ValueError):
             a[0] = 1.0
 
@@ -464,7 +465,7 @@ def test_project_points_matches_broadcast_subtract(n_points):
         points = rng.uniform(-40, 40, size=(n_points, 3))
         inputs = [points] + ([points[0]] if n_points == 1 else [])
         for pts in inputs:   # a single (3,) point is one row
-            right, down, forward = cam.camera_axes()
+            right, down, forward = cam.axes
             d = np.atleast_2d(pts) - cam.position
             x, y, z = d @ right, d @ down, d @ forward
             with np.errstate(divide="ignore", invalid="ignore"):

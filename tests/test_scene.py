@@ -77,7 +77,7 @@ def test_action_labels_self_consistent(style, seed):
         dang = wrap_angle(nxt.angles - cam.angles)
         assert np.max(np.abs(labels[t, :3] * DT - dang)) < 1e-6
         # direction is in the camera frame of frame t
-        delta = np.array(cam.camera_axes()) @ (nxt.position - cam.position)
+        delta = cam.axes @ (nxt.position - cam.position)
         n = np.linalg.norm(delta)
         if n > 1e-12:
             assert np.max(np.abs(labels[t, 3:6] - delta / n)) < 1e-9

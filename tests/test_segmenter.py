@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skymimic.dataset import build_video
+from skymimic.dataset import DependencyError, build_video
 from skymimic.features import STRIDE, TooShortError, autoencoder_init
 from skymimic.geometry import Intrinsics
 from skymimic import pipeline, stylenet
@@ -14,13 +14,15 @@ from skymimic.stylenet import PROB_FLOOR, VARIANTS, init_style_net, \
 
 
 def _new_bundle(seg_seed=None):
-    """seg_seed, when given, adds a segment net of that seed, so the
-    span classifier differs from the style net."""
+    """seg_seed, when given, makes the segment net one of that seed, so
+    it differs from the style net; otherwise the segment net is the
+    style net's ParamSet itself."""
     cfg = VARIANTS["fg+bg+att"]
-    seg = None if seg_seed is None else init_style_net(cfg, seg_seed)
+    style = init_style_net(cfg, 42)
+    seg = style if seg_seed is None else init_style_net(cfg, seg_seed)
     return ModelBundle(autoencoder_init("fg", 40),
                        autoencoder_init("bg", 41),
-                       init_style_net(cfg, 42), cfg, segment_params=seg)
+                       style, cfg, segment_params=seg)
 
 
 @pytest.fixture(scope="module")
@@ -66,20 +68,19 @@ def _candidates(fg, n):
 
 
 def _reference_curve(fg, bg, bundle):
-    """Per-prefix loop: one span-classifier pass for every prefix."""
+    """Per-prefix loop: one segment-net pass for every prefix."""
     emb = bundle.embed(fg, bg)
-    return np.array([_span_probs(emb, bundle.span_classifier(),
+    return np.array([_span_probs(emb, bundle.segment_params,
                                  bundle.style_cfg, 0, k + 1)
                      for k in range(emb.shape[0])])
 
 
-def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative",
-                       left=None):
+def _reference_segment(fg, bg, bundle, threshold=0.6, left=None):
     """segment() with one style-net pass per span: (cut frame or None,
     [(style index, peak prob) per segment]). left(emb, net, cfg, j),
     when given, scores each span [0, j) in place of a pass of its own."""
     emb = bundle.embed(fg, bg)
-    net, cfg = bundle.span_classifier(), bundle.style_cfg
+    net, cfg = bundle.segment_params, bundle.style_cfg
     n = emb.shape[0]
     if left is None:
         def left(emb, net, cfg, j):
@@ -94,7 +95,7 @@ def _reference_segment(fg, bg, bundle, threshold=0.6, mode="relative",
         if int(np.argmax(p1)) == int(np.argmax(p2)):
             continue
         weak, strong = sorted([float(p1.max()), float(p2.max())])
-        if weak < (threshold * strong if mode == "relative" else threshold):
+        if weak < threshold * strong:
             continue
         score = (np.log(p1.max() + PROB_FLOOR) + np.log(p2.max() + PROB_FLOOR)
                  + 0.5 * np.log(d[fcut - 1] + 1e-12))
@@ -138,25 +139,21 @@ def test_segments_respect_min_length(bundle, record):
             assert 0.0 < s.peak_prob <= 1.0
 
 
-def test_segment_absolute_mode(bundle, record):
-    segs = segment(record.fg, record.bg, bundle, threshold=0.05,
-                   mode="absolute")
-    assert segs[-1].end == pytest.approx(record.n_frames * DT)
-
-
-def test_segment_rejects_bad_mode(bundle, record):
-    with pytest.raises(ValueError):
-        segment(record.fg, record.bg, bundle, mode="sideways")
-
-
 def test_segment_rejects_threshold_outside_unit_interval(bundle, record):
     for threshold in (float("nan"), -0.1, 1.1):
         with pytest.raises(ValueError):
             segment(record.fg, record.bg, bundle, threshold=threshold)
     for threshold in (0.0, 1.0):
-        for mode in ("relative", "absolute"):
-            assert segment(record.fg, record.bg, bundle, threshold=threshold,
-                           mode=mode)
+        assert segment(record.fg, record.bg, bundle, threshold=threshold)
+
+
+def test_bundle_without_segment_net_is_refused(record):
+    # the segment net is the only span classifier: no other net stands in
+    b = _new_bundle()
+    b.segment_params = None
+    for call in (segment, prob_curve):
+        with pytest.raises(DependencyError, match="--stage style"):
+            call(record.fg, record.bg, b)
 
 
 @pytest.mark.parametrize("which", ["record", "two_style"])
@@ -171,9 +168,10 @@ def test_prob_curve_matches_per_prefix_reference(bundle, seg_bundle, record,
 
 
 def _used_bundles(record, two_style):
-    """(seg seed, fg, bg, bundle) per demo, with and without a segment
-    net. Each bundle has already drawn the demo's curve and cut it at
-    another threshold, so the span table it keeps is reused."""
+    """(seg seed, fg, bg, bundle) per demo, with the style net and with
+    another net as the segment net. Each bundle has already drawn the
+    demo's curve and cut it at another threshold, so the span table it
+    keeps is reused."""
     for seed in (None, 43):
         for fg, bg in ((record.fg, record.bg), two_style):
             b = _new_bundle(seed)
@@ -185,8 +183,7 @@ def _used_bundles(record, two_style):
 def test_segment_matches_per_span_reference(record, two_style):
     cuts = 0
     for seed, fg, bg, b in _used_bundles(record, two_style):
-        for kw in ({}, {"threshold": 0.95},
-                   {"threshold": 0.05, "mode": "absolute"}):
+        for kw in ({}, {"threshold": 0.95}, {"threshold": 0.0}):
             segs = segment(fg, bg, b, **kw)
             assert segs == segment(fg, bg, _new_bundle(seed), **kw)
             fcut, want = _reference_segment(fg, bg, b, **kw)
@@ -210,8 +207,7 @@ def test_segment_equals_per_span_passes_exactly(record, two_style):
 
     cuts = 0
     for seed, fg, bg, b in _used_bundles(record, two_style):
-        for kw in ({}, {"threshold": 0.95},
-                   {"threshold": 0.05, "mode": "absolute"}):
+        for kw in ({}, {"threshold": 0.95}, {"threshold": 0.0}):
             segs = segment(fg, bg, b, **kw)
             assert segs == segment(fg, bg, _new_bundle(seed), **kw)
             fcut, want = _reference_segment(fg, bg, b, left=prefix_row,
@@ -247,7 +243,7 @@ def _stacked_starts(fg, bg, b):
 def test_segment_runs_the_style_net_step_loop_once(two_style, lstm_calls):
     # the whole-video prefix and every candidate right side share one
     # stacked LSTM call, and in any order and repetition, at any
-    # threshold or mode, segment and the curve read that call's table
+    # threshold, segment and the curve read that call's table
     fg, bg = two_style
 
     def curve(b):
@@ -259,8 +255,7 @@ def test_segment_runs_the_style_net_step_loop_once(two_style, lstm_calls):
     starts = _stacked_starts(fg, bg, _new_bundle(43))
     assert len(starts) > 1
     for calls in ([curve, cut()],
-                  [cut(), cut(threshold=0.95),
-                   cut(threshold=0.05, mode="absolute")],
+                  [cut(), cut(threshold=0.95), cut(threshold=0.0)],
                   [cut(), curve]):
         b = _new_bundle(43)
         lstm_calls.clear()
@@ -306,7 +301,7 @@ def test_curve_memo_misses_on_new_demo_net_or_encoder(two_style, record,
         assert lstm_calls == [_stacked_starts(fg, bg, b)]
         emb = b.embed(fg, bg)
         assert np.array_equal(
-            got, _prefix_rows(emb, b.span_classifier(), b.style_cfg))
+            got, _prefix_rows(emb, b.segment_params, b.style_cfg))
         lstm_calls.clear()
         assert prob_curve(fg, bg, b).probs is got   # kept for the next call
         segment(fg, bg, b)
@@ -319,15 +314,13 @@ def test_curve_memo_misses_on_new_demo_net_or_encoder(two_style, record,
     fg2[3, 0] += 1.0
     fresh_pass(fg2, record.bg)                    # new fg content
     old = fresh_pass(fg2, record.bg + 1.0)        # new bg content
-    b.segment_params = init_style_net(cfg, 44)    # a replaced span classifier
+    b.segment_params = init_style_net(cfg, 44)    # a replaced segment net
     assert not np.array_equal(fresh_pass(fg2, record.bg + 1.0,
                                          curve_first=False), old)
     b.fg_encoder = b.fg_encoder.copy()            # a replaced encoder
     fresh_pass(fg2, record.bg + 1.0)
     b.bg_encoder = b.bg_encoder.copy()
     fresh_pass(fg2, record.bg + 1.0, curve_first=False)
-    b.segment_params = None                       # back to the style net
-    fresh_pass(fg2, record.bg + 1.0)
 
 
 def test_curve_before_segment_leaves_the_cuts(two_style, record):
@@ -351,8 +344,8 @@ def test_curve_probs_are_read_only(two_style):
 
 
 def test_curve_without_segment_net_is_the_style_net_pass(two_style, record):
-    # the span classifier is the style net: the curve has the bits of
-    # one plain style-net prefix pass, before and after segment
+    # the segment net is the style net's ParamSet: the curve has the
+    # bits of one plain style-net prefix pass, before and after segment
     for fg, bg in (two_style, (record.fg, record.bg)):
         b = _new_bundle()
         want = _prefix_rows(b.embed(fg, bg), b.style_params, b.style_cfg)
