@@ -31,8 +31,8 @@ from .features import WINDOW
 from .geometry import (Intrinsics, flip_bg, flip_fg, project_foreground,
                        project_points, render_motion_field)
 from .nn import ParamSet, write_atomic
-from .scene import (STYLES, FrameSample, action_labels,
-                    generate_style_trajectory, make_point_cloud, random_script)
+from .scene import (STYLES, FrameSample, action_labels, draw_scene,
+                    generate_style_trajectory)
 
 # Tab.1-proportioned default corpus, scaled to 150 videos (the four
 # extras go to the first four styles), with a fixed 49-video test split.
@@ -103,10 +103,8 @@ def build_video(video_id: str, style: str, split: str, seed: int,
                 K: Intrinsics, duration_range=(8.0, 20.0),
                 subject_height: float = 1.7) -> VideoRecord:
     rng = np.random.default_rng(seed)
-    script = random_script(style, rng, duration_range, subject_height)
+    script, cloud = draw_scene(style, rng, duration_range, subject_height)
     frames = generate_style_trajectory(script)
-    center = frames[0].subject.position[:2]
-    cloud = make_point_cloud(rng, center=tuple(center))
     fg, bg = features_for_frames(frames, K, cloud)
     actions = action_labels(frames, K)
     table = np.zeros((len(frames), 13))

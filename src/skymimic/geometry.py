@@ -133,7 +133,10 @@ def project_points(cam: Pose6D, K: Intrinsics,
     d = np.empty(points.shape)
     for col, p, out in zip(points.T, cam.position, d.T):
         np.subtract(col, p, out=out)
-    # whole-cloud gemvs: gathering rows first would change the bits
+    # whole-cloud gemvs: a row's bits do not depend on the other rows,
+    # but each projection serves two motion fields over the same points,
+    # and a frustum cull timed slower (76 against 71 us a pose, medians,
+    # on a 2-core Xeon with NumPy 2.4.6 and 1 BLAS thread)
     u = d @ right
     v = d @ down
     z = d @ forward

@@ -309,6 +309,16 @@ def make_point_cloud(rng: np.random.Generator, center=(0.0, 0.0),
     return pts
 
 
+def draw_scene(style: str, rng: np.random.Generator,
+               duration_range=(8.0, 20.0),
+               body_height: float = 1.7) -> tuple[ShotScript, np.ndarray]:
+    """(script, cloud): a shot's script, then the static world around
+    its subject's start, drawn from rng in that order."""
+    script = random_script(style, rng, duration_range, body_height)
+    center = script.subject.pose_at(0.0).position[:2]
+    return script, make_point_cloud(rng, center=tuple(center))
+
+
 # ---------------------------------------------------------------------------
 # style contract checkers
 

@@ -12,19 +12,19 @@ styles.  The best-scoring candidate becomes the cut when its weaker
 side clears the confidence threshold; otherwise the video is one
 segment.
 
-The style net is causal and pools with per-step weights, so one forward
-pass over the video scores every prefix span at once
-(`stylenet.prefix_probs`), the whole video and each cut's left side.
-The right sides ride in the same pass: given the cuts' rows as
-`starts`, `stylenet.style_forward` runs the span from each cut to the
-end in the stacked LSTM step loop, with the bits a pass of its own
-would give.  `_span_table` makes that one call per demo and keeps its
-threshold-free product in the bundle's memo entry, next to the
-embedding it was scored from, keyed by the segment net: `segment`
-selects a cut from the table and `prob_curve` returns its prefix rows.
-So in any order and repetition of the two (`skymimic segment --curve`)
-a demo is embedded and scored once, and the curve shows the
-probabilities the cuts read.
+The segment net is causal and pools with per-step weights, so a run
+from snippet row j scores every span starting there by running sums:
+given start rows, `stylenet.style_forward` steps one run per start in
+one stacked LSTM loop and returns each run's running-probability table.
+Every span the segmenter reads is a row of one: the whole video and
+each cut's left side are rows of run 0's table (the prefix rows), each
+cut's right side the last row of its run's.  `_span_table` makes that
+one call per demo and keeps its threshold-free product in the bundle's
+memo entry, next to the embedding it was scored from, keyed by the
+segment net: `segment` selects a cut from it and `prob_curve` returns
+the prefix rows.  So in any order and repetition of the two (`skymimic
+segment --curve`) a demo is embedded and scored once, and the curve
+shows the probabilities the cuts read.
 
 Threshold: a cut holds when the weaker side's peak probability reaches
 threshold * the stronger side's.
@@ -40,7 +40,7 @@ from .dataset import DependencyError
 from .features import STRIDE, snippet_ends
 from .pipeline import SEGMENT_NET, ModelBundle
 from .scene import DT, STYLES
-from .stylenet import PROB_FLOOR, prefix_probs, style_forward
+from .stylenet import PROB_FLOOR, style_forward
 
 MIN_SEGMENT_SECONDS = 2.0
 N_CANDIDATES = 3   # discontinuity peaks scored per video
@@ -99,9 +99,9 @@ def _candidate_cuts(d: np.ndarray, lo: int, hi: int) -> list[int]:
 def _span_table(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle):
     """(prefix, cuts): row k of prefix (read-only) labels the span [0, k],
     and cuts holds (frame, box jump, left-side probs, right-side probs)
-    per candidate cut.  One stacked pass scores it per demo and segment
-    net; the bundle's memo entry keeps it.  Raises DependencyError when
-    the bundle has no segment net."""
+    per candidate cut, each side a row of one stacked call's tables.
+    The bundle's memo entry keeps it per demo and segment net.  Raises
+    DependencyError when the bundle has no segment net."""
     net, cfg = bundle.segment_params, bundle.style_cfg
     if net is None:
         raise DependencyError(f"no segment net ({SEGMENT_NET}); run "
@@ -115,14 +115,13 @@ def _span_table(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle):
         fcuts = (_candidate_cuts(d, min_part, n_frames - min_part)
                  if n >= 4 and n_frames >= 2 * min_part else [])
         rows = [min(max(int(round(f / STRIDE)), 2), n - 2) for f in fcuts]
-        # one pass: its run from row 0 labels every span [0, k] (row k of
-        # prefix), the run from each cut's row the span from there on
+        # one table per run: run 0's is the prefix, and the last row of
+        # each cut's run is its right side
         runs = sorted({0, *rows})
-        _, probs, traces, _ = style_forward(emb, net, cfg, starts=runs)
-        prefix = prefix_probs(traces[0], net, cfg)
+        tables = dict(zip(runs, style_forward(emb, net, cfg, starts=runs)))
+        prefix = tables[0]
         prefix.flags.writeable = False
-        right = dict(zip(runs, probs))
-        return prefix, [(f, d[f - 1], prefix[j - 1], right[j])
+        return prefix, [(f, d[f - 1], prefix[j - 1], tables[j][-1])
                         for f, j in zip(fcuts, rows)]
 
     return bundle.derived(emb, net, score)

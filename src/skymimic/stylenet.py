@@ -152,41 +152,32 @@ def style_forward(seq: np.ndarray, p: ParamSet, cfg: StyleNetConfig,
                   starts=None):
     """seq (T, fg_dim+bg_dim) -> (v, probs, trace, cache).
 
-    starts, ascending rows of seq, scores the span seq[j:] from each
-    start j instead, all in one stacked step loop: v and probs then
-    have a row per start and trace is a list with an AttentionTrace per
-    start, each with the bits of style_forward(seq[j:]); there is no
-    cache (None), since only a single run has a backward.
+    starts, ascending rows of seq, scores every span from each start j
+    instead, all runs in one stacked step loop: the call returns a list
+    with one (T - j, 5) running-probability table per start, whose row k
+    is style_forward(seq[j:j+k+1])'s probs up to rounding (`_span_rows`).
     """
     seq = _check_seq(seq, "style_forward")
     hs, _, _, lstm_cache = _lstm(seq, p, cfg, starts)
     if starts is None:
         v, trace, acts = _pool(hs, p, cfg)
         return v, _classify(v, p), trace, {"lstm": lstm_cache, "att": acts}
-    runs = [_pool(hs[j:, r], p, cfg) for r, j in enumerate(starts)]
-    return (np.array([v for v, _, _ in runs]),
-            np.array([_classify(v, p) for v, _, _ in runs]),
-            [trace for _, trace, _ in runs], None)
+    return [_span_rows(hs[j:, r], p, cfg) for r, j in enumerate(starts)]
 
 
-def prefix_probs(trace: AttentionTrace, p: ParamSet,
-                 cfg: StyleNetConfig) -> np.ndarray:
-    """(T, 5) probs of every prefix of a pass: row k is
-    style_forward(seq[:k+1])'s probs, where trace is that of
-    style_forward(seq) or of a stacked call's run from row 0.
-
-    The LSTM is causal and each pooling weight depends only on its own
-    step, so the trace of one pass over seq gives every prefix's
-    feature as a running sum: of the gated outputs with attention (the
-    trace's beta, whose norm is 1), and with mean pooling of the outputs
-    over the prefix's own step count k + 1, where `_pooling`'s norm is
-    the whole run's T.
-    """
+def _span_rows(hs: np.ndarray, p: ParamSet, cfg: StyleNetConfig):
+    """One run's hs (T, B, hidden) -> (T, 5): row k is the probs of its
+    first k + 1 steps.  The LSTM is causal and each pooling weight
+    depends only on its own step, so each span's feature is a running
+    sum: of the gated outputs with attention, and with mean pooling of
+    the outputs over the span's step count k + 1 (`_pooling` divides by
+    the whole run's T)."""
     cum = []
-    for name in cfg.branches:
-        cs = trace.c[name]
+    for b, name in enumerate(cfg.branches):
+        cs = hs[:, b]
         if cfg.use_attention:
-            cum.append(np.cumsum(trace.beta[name][:, None] * cs, axis=0))
+            gate = _pooling(cs, p, cfg, name)[1]
+            cum.append(np.cumsum(gate[:, None] * cs, axis=0))
         else:
             cum.append(np.cumsum(cs, axis=0)
                        / np.arange(1.0, len(cs) + 1.0)[:, None])

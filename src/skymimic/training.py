@@ -15,8 +15,7 @@ from .geometry import Intrinsics
 from .imitation import SnippetCorpus, train_imitation_net
 from .nn import TrainingError
 from .pipeline import ModelBundle, snippet_action_labels
-from .scene import STYLES, generate_style_trajectory, make_point_cloud, \
-    random_script
+from .scene import STYLES, draw_scene, generate_style_trajectory
 from .stylenet import VARIANTS, style_forward, train_ablation_variants, \
     train_segment_net, train_style_net
 from .controller import LiveScene
@@ -176,10 +175,9 @@ def make_live_scene(style: str, rng: np.random.Generator,
     drone start pose with valid initial geometry for the style: the
     first frame of a scripted shot, the only one built."""
     cfg = cfg or ExperimentConfig()
-    script = random_script(style, rng, duration_range, cfg.subject_height)
+    script, cloud = draw_scene(style, rng, duration_range,
+                               cfg.subject_height)
     first, = generate_style_trajectory(script, n_frames=1)
-    center = first.subject.position[:2]
-    cloud = make_point_cloud(rng, center=tuple(center))
     scene = LiveScene(script, cloud, Intrinsics(focal=cfg.focal),
                       first.camera)
     return scene, script.duration

@@ -10,7 +10,10 @@ references for `geometry.project_points` and
 through two copies, the reference for `geometry.flip_bg`; and
 `snippet_windows_reference` lists a table's snippet windows start by
 start, the reference for `features.snippet_ends` and
-`features.snippet_stack`'s time-major stack."""
+`features.snippet_stack`'s time-major stack; and
+`span_rows_reference` sums one style-net pass's pooled outputs step by
+step and classifies each prefix with an affine layer, the reference for
+the running-probability tables of a stacked `stylenet.style_forward`."""
 
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ import numpy as np
 from skymimic.features import STRIDE, WINDOW, TooShortError
 from skymimic.geometry import GRID
 from skymimic.imitation import WarpingPath
-from skymimic.nn import NumericError, ParamSet
+from skymimic.nn import NumericError, ParamSet, softmax
+from skymimic.nn.layers import affine
 
 
 def dtw_brute_force(seq_a: np.ndarray, seq_b: np.ndarray) -> WarpingPath:
@@ -178,3 +182,16 @@ def snippet_windows_reference(table: np.ndarray):
         starts.append(s)
         s += STRIDE
     return starts, np.stack([table[s:s + WINDOW] for s in starts], axis=1)
+
+
+def span_rows_reference(beta: dict, c: dict, p: ParamSet, cfg) -> np.ndarray:
+    """(T, 5) probs of every prefix of one style-net pass, from its
+    per-branch pooling weights beta (T,) and outputs c (T, hidden): row
+    k pools steps 0..k, by the gated sum with attention and by the mean
+    over k + 1 steps without."""
+    cum = [np.cumsum(beta[name][:, None] * c[name], axis=0)
+           if cfg.use_attention else np.cumsum(c[name], axis=0)
+           / np.arange(1.0, len(c[name]) + 1.0)[:, None]
+           for name in cfg.branches]
+    return softmax(affine(np.concatenate(cum, axis=1), p["cls_W0"],
+                          p["cls_b0"]))

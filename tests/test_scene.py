@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import motion_field_reference, project_points_reference
+from skymimic import dataset, training
 from skymimic.dataset import (CorpusConfig, build_video,
                               features_for_frames, load_corpus, load_video,
                               make_dataset, save_video)
@@ -10,8 +11,9 @@ from skymimic.geometry import (Intrinsics, project_foreground,
                                wrap_angle)
 from skymimic.scene import (DT, STYLES, GeneratorError, ShotScript,
                             SubjectPath, action_labels,
-                            check_style_contract, generate_style_trajectory,
-                            make_point_cloud, random_script)
+                            check_style_contract, draw_scene,
+                            generate_style_trajectory, make_point_cloud,
+                            random_script)
 
 
 def _script(style, seed):
@@ -275,6 +277,43 @@ def test_point_cloud_bit_identical_to_reference(kwargs):
         assert np.array_equal(cloud, _reference_point_cloud(ref_rng,
                                                             **kwargs))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_corpus_video_and_live_scene_draw_one_scene(style, monkeypatch):
+    # build_video and make_live_scene both draw through draw_scene: from
+    # equal generators they get the same script and cloud, the cloud
+    # centred on the subject's first frame, and leave the generators in
+    # the same state
+    draws = []
+
+    def spy(style, rng, *args):
+        script, cloud = draw_scene(style, rng, *args)
+        draws.append((script, cloud, rng.bit_generator.state))
+        return script, cloud
+
+    monkeypatch.setattr(dataset, "draw_scene", spy)
+    monkeypatch.setattr(training, "draw_scene", spy)
+    rec = build_video("v", style, "train", 77, Intrinsics(), (10.0, 14.0))
+    live, duration = training.make_live_scene(
+        style, np.random.default_rng(77), duration_range=(10.0, 14.0))
+    (s1, c1, state1), (s2, c2, state2) = draws
+    assert (s1.style, s1.duration, s1.seed, s1.params) == \
+        (s2.style, s2.duration, s2.seed, s2.params)
+    assert np.array_equal(s1.subject.waypoints, s2.subject.waypoints)
+    assert (s1.subject.speed, s1.subject.body_height) == \
+        (s2.subject.speed, s2.subject.body_height)
+    assert np.array_equal(c1, c2) and state1 == state2
+    assert live.script is s2 and live.cloud is c2
+    assert rec.duration == duration == s1.duration
+    # the draw order: the script, then the cloud around the subject's
+    # position in the first frame of the shot
+    rng = np.random.default_rng(77)
+    first, = generate_style_trajectory(random_script(style, rng,
+                                                     (10.0, 14.0)), 1)
+    cloud = make_point_cloud(rng, center=tuple(first.subject.position[:2]))
+    assert np.array_equal(c1, cloud)
+    assert rng.bit_generator.state == state1
 
 
 @pytest.mark.parametrize("style", STYLES)

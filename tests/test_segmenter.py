@@ -10,7 +10,8 @@ from skymimic.scene import DT, STYLES
 from skymimic.segmenter import (MIN_SEGMENT_SECONDS, _candidate_cuts,
                                 _discontinuity, prob_curve, segment)
 from skymimic.stylenet import PROB_FLOOR, VARIANTS, init_style_net, \
-    prefix_probs, style_forward
+    style_forward
+from oracles import span_rows_reference
 
 
 def _new_bundle(seg_seed=None):
@@ -52,8 +53,10 @@ def _span_probs(emb, net, cfg, lo, hi):
 
 
 def _prefix_rows(emb, net, cfg):
-    """The prefix rows of one plain pass of net over emb."""
-    return prefix_probs(style_forward(emb, net, cfg)[2], net, cfg)
+    """The prefix rows of one plain pass of net over emb: running sums
+    of its pooled outputs."""
+    trace = style_forward(emb, net, cfg)[2]
+    return span_rows_reference(trace.beta, trace.c, net, cfg)
 
 
 def _candidates(fg, n):
@@ -75,23 +78,28 @@ def _reference_curve(fg, bg, bundle):
                      for k in range(emb.shape[0])])
 
 
-def _reference_segment(fg, bg, bundle, threshold=0.6, left=None):
+def _reference_segment(fg, bg, bundle, threshold=0.6, left=None,
+                       right=None):
     """segment() with one style-net pass per span: (cut frame or None,
-    [(style index, peak prob) per segment]). left(emb, net, cfg, j),
-    when given, scores each span [0, j) in place of a pass of its own."""
+    [(style index, peak prob) per segment]). left(emb, net, cfg, j) and
+    right(emb, net, cfg, j), when given, score each span [0, j) and
+    [j, n) in place of a pass of its own."""
     emb = bundle.embed(fg, bg)
     net, cfg = bundle.segment_params, bundle.style_cfg
     n = emb.shape[0]
     if left is None:
         def left(emb, net, cfg, j):
             return _span_probs(emb, net, cfg, 0, j)
+    if right is None:
+        def right(emb, net, cfg, j):
+            return _span_probs(emb, net, cfg, j, n)
     full = left(emb, net, cfg, n)
     whole = (None, [(int(np.argmax(full)), float(np.max(full)))])
     d = _discontinuity(fg)
     best = None
     for fcut, jc in _candidates(fg, n):
         p1 = left(emb, net, cfg, jc)
-        p2 = _span_probs(emb, net, cfg, jc, n)
+        p2 = right(emb, net, cfg, jc)
         if int(np.argmax(p1)) == int(np.argmax(p2)):
             continue
         weak, strong = sorted([float(p1.max()), float(p2.max())])
@@ -199,11 +207,15 @@ def test_segment_matches_per_span_reference(record, two_style):
 
 
 def test_segment_equals_per_span_passes_exactly(record, two_style):
-    # the right side of every cut gets the bits of its own style-net
-    # pass, the whole video and each left side those of the prefix
-    # pass's row
+    # every span is a row of a running-probability table: the whole
+    # video and each left side get the bits of the prefix pass's row,
+    # the right side of every cut those of the last row of its span's
+    # own pass
     def prefix_row(emb, net, cfg, j):
         return _prefix_rows(emb, net, cfg)[j - 1]
+
+    def last_row(emb, net, cfg, j):
+        return _prefix_rows(emb[j:], net, cfg)[-1]
 
     cuts = 0
     for seed, fg, bg, b in _used_bundles(record, two_style):
@@ -211,7 +223,7 @@ def test_segment_equals_per_span_passes_exactly(record, two_style):
             segs = segment(fg, bg, b, **kw)
             assert segs == segment(fg, bg, _new_bundle(seed), **kw)
             fcut, want = _reference_segment(fg, bg, b, left=prefix_row,
-                                            **kw)
+                                            right=last_row, **kw)
             assert [(s.style, s.peak_prob) for s in segs] == [
                 (STYLES[style], peak) for style, peak in want]
             if fcut is not None:

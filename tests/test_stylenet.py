@@ -6,13 +6,12 @@ import pytest
 from skymimic.nn import (ParamSet, lstm_backward, lstm_forward, lstm_init,
                          mlp_init, sigmoid, softmax)
 from skymimic.nn.layers import _recurrent_weights, affine, affine_backward
-from oracles import grad_check
+from oracles import grad_check, span_rows_reference
 from skymimic.stylenet import (N_CLASSES, VARIANTS, AttentionTrace,
                                StyleNetConfig, _cells, _lstm,
                                confusion_and_accuracy, init_style_net,
-                               predict_style, prefix_probs,
-                               style_forward, style_loss, style_loss_and_grad,
-                               train_style_net)
+                               predict_style, style_forward, style_loss,
+                               style_loss_and_grad, train_style_net)
 
 TINY = StyleNetConfig(hidden=6, attn_hidden=4, fg_dim=3, bg_dim=4)
 
@@ -61,20 +60,26 @@ def test_forward_empty_sequence():
 @pytest.mark.parametrize("T", [1, 2, 13])
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_prefix_probs_match_per_prefix_forward(name, T):
+    # row k of start j's table scores seq[j:j+k+1] as a pass of its own
     cfg = VARIANTS[name]
     p = init_style_net(cfg, seed=6)
     seq = np.random.default_rng(6).uniform(-1, 1, size=(T, 96))
-    got = prefix_probs(style_forward(seq, p, cfg)[2], p, cfg)
-    assert got.shape == (T, 5)
-    for k in range(T):
-        _, want, _, _ = style_forward(seq[:k + 1], p, cfg)
-        assert np.max(np.abs(got[k] - want)) <= 1e-12
+    starts = [0, 0, T // 2, T - 1]
+    tables = style_forward(seq, p, cfg, starts=starts)
+    assert len(tables) == len(starts)
+    for j, table in zip(starts, tables):
+        assert table.shape == (T - j, 5)
+        for k in range(T - j):
+            _, want, _, _ = style_forward(seq[j:j + k + 1], p, cfg)
+            assert np.max(np.abs(table[k] - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_style_forward_starts_equal_per_span_forward(name):
-    # one stacked pass gives each span [j, T) the bits of a pass over
-    # seq[j:], with a duplicate start, the first and the last row
+    # one stacked pass gives each start j the table a stacked call over
+    # seq[j:] gives from row 0, and the running sums of the rows of a
+    # plain pass over seq[j:], bit for bit: with a duplicate start, the
+    # first and the last row
     cfg = VARIANTS[name]
     rng = np.random.default_rng(9)
     p = init_style_net(cfg, seed=9)
@@ -82,21 +87,15 @@ def test_style_forward_starts_equal_per_span_forward(name):
     T = 13
     seq = rng.uniform(-1, 1, size=(T, 96))
     starts = [0, 2, 5, 5, 9, T - 1]
-    v, probs, traces, _ = style_forward(seq, p, cfg, starts=starts)
-    assert v.shape == (len(starts), cfg.feature_dim)
-    assert probs.shape == (len(starts), 5)
-    assert len(traces) == len(starts)
-    for m, j in enumerate(starts):
-        want_v, want_probs, want_trace, _ = style_forward(seq[j:], p, cfg)
-        assert np.array_equal(v[m], want_v)
-        assert np.array_equal(probs[m], want_probs)
-        for branch in cfg.branches:
-            assert np.array_equal(traces[m].beta[branch],
-                                  want_trace.beta[branch])
-            assert np.array_equal(traces[m].c[branch], want_trace.c[branch])
-    # the run from row 0 gives every prefix the bits of a pass of its own
-    assert np.array_equal(prefix_probs(traces[0], p, cfg),
-                          prefix_probs(style_forward(seq, p, cfg)[2], p, cfg))
+    tables = style_forward(seq, p, cfg, starts=starts)
+    assert len(tables) == len(starts)
+    for j, table in zip(starts, tables):
+        assert table.shape == (T - j, 5)
+        own, = style_forward(seq[j:], p, cfg, starts=[0])
+        assert np.array_equal(table, own)
+        trace = style_forward(seq[j:], p, cfg)[2]
+        assert np.array_equal(table,
+                              span_rows_reference(trace.beta, trace.c, p, cfg))
     for bad in ([5, 2], [], [-1], [T]):
         with pytest.raises(ValueError):
             style_forward(seq, p, cfg, starts=bad)
@@ -220,14 +219,6 @@ def _ref_classify(v, p):
     return softmax(affine(v, p["cls_W0"], p["cls_b0"]))
 
 
-def _ref_prefix_probs(beta, c, p, cfg):
-    cum = [np.cumsum(beta[name][:, None] * c[name], axis=0)
-           if cfg.use_attention else np.cumsum(c[name], axis=0)
-           / np.arange(1.0, len(c[name]) + 1.0)[:, None]
-           for name in cfg.branches]
-    return _ref_classify(np.concatenate(cum, axis=1), p)
-
-
 def _ref_loss_and_grad(seq, label, p, cfg):
     """style_loss_and_grad with the classifier's and the scorers'
     backward written out as affine_backward calls."""
@@ -292,14 +283,11 @@ def test_scorers_and_classifier_match_affine_reference_bits(name, tiny):
     for key in grads:
         assert np.array_equal(grads[key], want_grads[key]), key
     starts = [0, 3, 5]
-    v, probs, traces, _ = style_forward(seq, p, cfg, starts=starts)
+    tables = style_forward(seq, p, cfg, starts=starts)
     hs = _lstm(seq, p, cfg, starts)[0]
     for r, j in enumerate(starts):
-        want_v, beta, c, _ = _ref_pool(hs[j:, r], p, cfg)
-        assert np.array_equal(v[r], want_v)
-        assert np.array_equal(probs[r], _ref_classify(want_v, p))
-        assert np.array_equal(prefix_probs(traces[r], p, cfg),
-                              _ref_prefix_probs(beta, c, p, cfg))
+        _, beta, c, _ = _ref_pool(hs[j:, r], p, cfg)
+        assert np.array_equal(tables[r], span_rows_reference(beta, c, p, cfg))
 
 
 def _toy_corpus(rng, n_per_class=8, T=6):
