@@ -28,11 +28,11 @@ from .controller import SubjectLostError, closed_loop_run
 from .dataset import (CorpusConfig, DependencyError, listed_ids,
                       load_corpus, load_video, video_path)
 from .nn import NumericError, write_atomic
-from .pipeline import (BASELINE_NET, IMITATION_NET, STAGES, VARIANT_FILES,
-                       ModelBundle, digest, load_encoders, load_net,
-                       save_stage, stage_inputs)
+from .pipeline import (BASELINE_NET, IMITATION_NET, SEGMENT_NET, STAGES,
+                       VARIANT_FILES, VARIANT_TAGS, ModelBundle, digest,
+                       load_encoders, load_net, save_stage, stage_inputs)
 from .scene import DT, STYLES, GeneratorError, check_style_contract
-from .segmenter import prob_curve, segment as segment_video
+from .segmenter import CUT_THRESHOLD, prob_curve, segment as segment_video
 from .stylenet import VARIANTS
 from .training import (build_snippet_corpus, make_live_scene,
                        train_encoders, train_imitation_stage,
@@ -127,13 +127,15 @@ def cmd_train(args) -> None:
             [r for r in records if r.split == "train"], cfg), inputs)
     elif args.stage == "style":
         fg_p, bg_p = load_encoders(out)
-        params, _, table = train_style_stage(records, fg_p, bg_p, cfg)
+        _, _, table = train_style_stage(records, fg_p, bg_p, cfg)
         seg_params, _ = train_segment_stage(records, fg_p, bg_p, cfg)
-        save_stage(out, "style", (params, seg_params,
-                                  *(table[name][0] for name in VARIANTS)),
+        # the full variant's file is the style net's
+        nets = {VARIANT_FILES[name]: table[name][0] for name in VARIANTS}
+        nets[SEGMENT_NET] = seg_params
+        save_stage(out, "style", [nets[f] for f in STAGES["style"][1]],
                    inputs)
-        for name, file in VARIANT_FILES.items():
-            _write_csv(out / f"{Path(file).with_suffix('')}_confusion.csv",
+        for name, tag in VARIANT_TAGS.items():
+            _write_csv(out / "variants" / f"{tag}_confusion.csv",
                        table[name][2], "{:.6f}")
     else:   # imitation or baseline
         bundle = ModelBundle.load(out)
@@ -173,8 +175,8 @@ def cmd_eval(args) -> None:
         cm, acc = stylenet_mod.confusion_and_accuracy(test_ex, vp,
                                                       VARIANTS[name])
         accuracies.append([name, f"{acc:.4f}"])
-        _write_csv(out / f"confusion_{Path(VARIANT_FILES[name]).stem}.csv",
-                   cm, "{:.6f}")
+        _write_csv(out / f"confusion_{VARIANT_TAGS[name]}.csv", cm,
+                   "{:.6f}")
     _write_csv(out / "style_accuracy.csv",
                [["variant", "accuracy"], *accuracies])
 
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", required=True)
     s.add_argument("--artifacts", required=True)
     s.add_argument("--video", required=True)
-    s.add_argument("--threshold", type=fraction, default=0.6,
+    s.add_argument("--threshold", type=fraction, default=CUT_THRESHOLD,
                    help="cut confidence in [0, 1]")
     s.add_argument("--curve", help="also write the probability curve CSV")
     s.set_defaults(func=cmd_segment)

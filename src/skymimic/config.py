@@ -1,10 +1,14 @@
 """Flat key=value experiment configuration.
 
-Every tunable a run may change lives here with its default, and every
-key is read, so a run is fully described by one small text file.  The
-format is intentionally plain: one `key = value` pair per line, `#`
-comments, no sections. Every value is checked against its range in
-`RANGES` whenever a config is made, so no stage starts on a bad one.
+Every tunable a run may change lives here, and every key is read, so a
+run is fully described by one small text file. Each default is defined
+once: a training key's here, which the trainers take as a required
+argument, and a data-generation key's beside the generators that read
+it (`dataset.CORPUS_SEED`, `scene.DURATION_RANGE`, `scene.BODY_HEIGHT`,
+`geometry.FOCAL`). The format is intentionally plain: one `key = value`
+pair per line, `#` comments, no sections. Every value is checked
+against its range in `RANGES` whenever a config is made, so no stage
+starts on a bad one.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .dataset import CORPUS_SEED
+from .geometry import FOCAL
 from .nn import write_atomic
-from .scene import DURATION_MAX, DURATION_MIN
+from .scene import BODY_HEIGHT, DURATION_MAX, DURATION_MIN, DURATION_RANGE
 
 
 class ConfigError(ValueError):
@@ -41,11 +47,11 @@ RANGES = {
 @dataclass
 class ExperimentConfig:
     # data generation
-    seed: int = 20240601
-    duration_min: float = 8.0
-    duration_max: float = 20.0
-    subject_height: float = 1.7
-    focal: float = 600.0
+    seed: int = CORPUS_SEED
+    duration_min: float = DURATION_RANGE[0]
+    duration_max: float = DURATION_RANGE[1]
+    subject_height: float = BODY_HEIGHT
+    focal: float = FOCAL
 
     # encoders
     autoencoder_epochs: int = 60

@@ -28,11 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .features import WINDOW
-from .geometry import (Intrinsics, flip_bg, flip_fg, project_foreground,
-                       project_points, render_motion_field)
+from .geometry import (FOCAL, Intrinsics, flip_bg, flip_fg,
+                       project_foreground, project_points,
+                       render_motion_field)
 from .nn import ParamSet, write_atomic
-from .scene import (STYLES, FrameSample, action_labels, draw_scene,
-                    generate_style_trajectory)
+from .scene import (BODY_HEIGHT, DURATION_RANGE, STYLES, FrameSample,
+                    action_labels, draw_scene, generate_style_trajectory)
 
 # Tab.1-proportioned default corpus, scaled to 150 videos (the four
 # extras go to the first four styles), with a fixed 49-video test split.
@@ -40,6 +41,11 @@ DEFAULT_COUNTS = {"fly-by": 22, "fly-through": 43, "follow": 31,
                   "orbiting": 29, "super-dolly": 25}
 DEFAULT_TEST_COUNTS = {"fly-by": 7, "fly-through": 14, "follow": 10,
                        "orbiting": 10, "super-dolly": 8}
+CORPUS_SEED = 20240601
+
+# a left-right mirror turns the roll and yaw rates (action columns 0 and
+# 1) and the direction's right component (column 3) the other way
+MIRROR_SIGNS = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
 
 
 class DependencyError(RuntimeError):
@@ -66,11 +72,12 @@ class VideoRecord:
         return self.frames.shape[0]
 
     def flipped(self) -> "VideoRecord":
-        """Horizontal mirror of the observation streams (labels keep)."""
+        """Horizontal mirror of the observation streams and the action
+        labels; the frames table keeps the un-mirrored world poses."""
         return VideoRecord(self.video_id + "~flip", self.style, self.split,
                            self.seed, self.duration, self.subject_height,
                            self.intrinsics, self.frames, flip_fg(self.fg),
-                           flip_bg(self.bg), self.actions)
+                           flip_bg(self.bg), self.actions * MIRROR_SIGNS)
 
 
 def features_for_frames(frames: list[FrameSample], K: Intrinsics,
@@ -100,8 +107,8 @@ def features_for_frames(frames: list[FrameSample], K: Intrinsics,
 
 
 def build_video(video_id: str, style: str, split: str, seed: int,
-                K: Intrinsics, duration_range=(8.0, 20.0),
-                subject_height: float = 1.7) -> VideoRecord:
+                K: Intrinsics, duration_range=DURATION_RANGE,
+                subject_height: float = BODY_HEIGHT) -> VideoRecord:
     rng = np.random.default_rng(seed)
     script, cloud = draw_scene(style, rng, duration_range, subject_height)
     frames = generate_style_trajectory(script)
@@ -122,10 +129,10 @@ def build_video(video_id: str, style: str, split: str, seed: int,
 class CorpusConfig:
     counts: dict = field(default_factory=lambda: dict(DEFAULT_COUNTS))
     test_counts: dict = field(default_factory=lambda: dict(DEFAULT_TEST_COUNTS))
-    seed: int = 20240601
-    duration_range: tuple = (8.0, 20.0)
-    subject_height: float = 1.7
-    focal: float = 600.0
+    seed: int = CORPUS_SEED
+    duration_range: tuple = DURATION_RANGE
+    subject_height: float = BODY_HEIGHT
+    focal: float = FOCAL
 
 
 def make_dataset(config: CorpusConfig, out_dir: str | Path,

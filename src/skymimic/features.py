@@ -169,8 +169,8 @@ def _ae_backward(p: ParamSet, cache, grads: ParamSet | None = None
     return grads
 
 
-def train_autoencoder(tables, channel: str, epochs: int = 60, seed: int = 0,
-                      lr: float = 0.001,
+def train_autoencoder(tables, channel: str, *, epochs: int, seed: int,
+                      lr: float,
                       batch_size: int = 64) -> tuple[ParamSet, list[dict]]:
     """Train one channel's autoencoder on the snippet windows of
     `tables`, a sequence of (n, D) per-record tables; a (B, WINDOW, D)

@@ -19,6 +19,7 @@ import numpy as np
 
 GRID = 8  # motion-field cells per image axis
 BODY_WIDTH_RATIO = 0.35  # subject box width as a fraction of body height
+FOCAL = 600.0  # pixels, the default camera's focal length
 _TWO_PI = 2.0 * np.pi
 
 
@@ -81,7 +82,7 @@ class Pose6D:
 
 @dataclass
 class Intrinsics:
-    focal: float = 600.0  # pixels
+    focal: float = FOCAL
     width: int = 640
     height: int = 480
     cx: float = 320.0

@@ -176,7 +176,7 @@ def predict_action(v: np.ndarray, o: np.ndarray, a: np.ndarray,
 
 
 def imitation_loss_and_grad(v, o, a_c, label_c, a_s=None, label_s=None,
-                            lam: float = 0.7, *, p: ParamSet):
+                            *, lam: float, p: ParamSet):
     """Loss and parameter gradients for one (content[, style]) pair.
 
     Both prediction terms share the context built from (v, o); they
@@ -290,10 +290,9 @@ def sample_training_pair(corpus: SnippetCorpus, style: str,
     }
 
 
-def train_imitation_net(corpus: SnippetCorpus, epochs: int = 20,
-                        steps_per_epoch: int = 200, seed: int = 0,
-                        lr: float = 0.001, lam: float = 0.7,
-                        dual: bool = True):
+def train_imitation_net(corpus: SnippetCorpus, *, epochs: int,
+                        steps_per_epoch: int, seed: int, lr: float,
+                        lam: float, dual: bool = True):
     """Returns (params, per-epoch log of mean loss, as nn.fit writes it).
 
     dual=False drops the DTW-matched style term, the single-task

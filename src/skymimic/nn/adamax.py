@@ -18,7 +18,7 @@ class AdamaxState:
     """Per-parameter first-moment and infinity-norm accumulators, plus
     two chunk-sized scratch buffers for the update."""
 
-    def __init__(self, params: ParamSet, lr: float = 0.001):
+    def __init__(self, params: ParamSet, lr: float):
         self.lr = lr
         self.step = 0
         self.m = params.zeros_like()

@@ -34,10 +34,16 @@ from .stylenet import (VARIANTS, StyleNetConfig, init_style_net,
 _ENCODERS = ("fg_encoder.bin", "bg_encoder.bin")
 STYLE_NET, SEGMENT_NET = "style_net.bin", "segment_net.bin"
 IMITATION_NET, BASELINE_NET = "imitation_net.bin", "imitation_baseline.bin"
-VARIANT_FILES = {v: f"variants/{v.replace('+', '_')}.bin" for v in VARIANTS}
+# each variant's tag, which names its confusion CSVs, and its net file:
+# the full variant is the style net, so it has no file of its own
+VARIANT_TAGS = {v: v.replace("+", "_") for v in VARIANTS}
+VARIANT_FILES = {v: STYLE_NET if v == "fg+bg+att" else f"variants/{tag}.bin"
+                 for v, tag in VARIANT_TAGS.items()}
 STAGES = {
     "autoencoder": ((), _ENCODERS),
-    "style": (_ENCODERS, (STYLE_NET, SEGMENT_NET, *VARIANT_FILES.values())),
+    "style": (_ENCODERS, (STYLE_NET, SEGMENT_NET,
+                          *(f for f in VARIANT_FILES.values()
+                            if f != STYLE_NET))),
     "imitation": (_ENCODERS + (STYLE_NET,), (IMITATION_NET,)),
     "baseline": (_ENCODERS + (STYLE_NET,), (BASELINE_NET,)),
 }

@@ -24,6 +24,9 @@ STYLES = ["fly-through", "fly-by", "follow", "orbiting", "super-dolly"]
 
 DURATION_MIN = 5.0
 DURATION_MAX = 50.0
+# a corpus shot's default length range (s) and its subject's height (m)
+DURATION_RANGE = (8.0, 20.0)
+BODY_HEIGHT = 1.7
 
 # Randomization ranges, sized to keep the subject on screen. Speeds in
 # m/s, distances in meters, rates in rad/s.
@@ -51,7 +54,7 @@ class SubjectPath:
 
     waypoints: np.ndarray  # (K, 2) ground positions
     speed: float           # m/s; 0 means stationary at waypoints[0]
-    body_height: float = 1.7
+    body_height: float = BODY_HEIGHT
 
     def __post_init__(self):
         self.waypoints = np.atleast_2d(np.asarray(self.waypoints, float))
@@ -111,8 +114,8 @@ def _sample(rng, lohi):
 
 
 def random_script(style: str, rng: np.random.Generator,
-                  duration_range=(8.0, 20.0),
-                  body_height: float = 1.7) -> ShotScript:
+                  duration_range=DURATION_RANGE,
+                  body_height: float = BODY_HEIGHT) -> ShotScript:
     """Draw a ShotScript with parameters inside the documented ranges."""
     duration = _sample(rng, duration_range)
     ranges = STYLE_RANGES[style]
@@ -310,8 +313,9 @@ def make_point_cloud(rng: np.random.Generator, center=(0.0, 0.0),
 
 
 def draw_scene(style: str, rng: np.random.Generator,
-               duration_range=(8.0, 20.0),
-               body_height: float = 1.7) -> tuple[ShotScript, np.ndarray]:
+               duration_range=DURATION_RANGE,
+               body_height: float = BODY_HEIGHT
+               ) -> tuple[ShotScript, np.ndarray]:
     """(script, cloud): a shot's script, then the static world around
     its subject's start, drawn from rng in that order."""
     script = random_script(style, rng, duration_range, body_height)

@@ -27,7 +27,8 @@ segment --curve`) a demo is embedded and scored once, and the curve
 shows the probabilities the cuts read.
 
 Threshold: a cut holds when the weaker side's peak probability reaches
-threshold * the stronger side's.
+threshold * the stronger side's; `CUT_THRESHOLD` by default, which
+`skymimic segment --threshold` reads too.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .scene import DT, STYLES
 from .stylenet import PROB_FLOOR, style_forward
 
 MIN_SEGMENT_SECONDS = 2.0
+CUT_THRESHOLD = 0.6
 N_CANDIDATES = 3   # discontinuity peaks scored per video
 PEAK_SPACING = 4   # frames of non-max suppression between candidates
 
@@ -128,7 +130,7 @@ def _span_table(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle):
 
 
 def segment(fg: np.ndarray, bg: np.ndarray, bundle: ModelBundle,
-            threshold: float = 0.6) -> list[Segment]:
+            threshold: float = CUT_THRESHOLD) -> list[Segment]:
     """Cut the video at the best candidate of its span table that
     passes the threshold, or return it whole.
 

@@ -246,8 +246,8 @@ def confusion_and_accuracy(videos, p: ParamSet,
     return counts / rows, float(acc)
 
 
-def train_style_net(train, val, cfg: StyleNetConfig, epochs: int = 30,
-                    seed: int = 0, lr: float = 0.001):
+def train_style_net(train, val, cfg: StyleNetConfig, *, epochs: int,
+                    seed: int, lr: float):
     """train/val: lists of (embedding sequence, label index).
 
     Returns (params of the best-validation-accuracy epoch, log), where
@@ -256,9 +256,9 @@ def train_style_net(train, val, cfg: StyleNetConfig, epochs: int = 30,
     return _train_classifier(train, val, cfg, epochs, seed, lr, "style net")
 
 
-def train_segment_net(train, val, cfg: StyleNetConfig, epochs: int = 60,
-                      seed: int = 0, lr: float = 0.001,
-                      crop_prob: float = 0.7, min_crop: int = 5):
+def train_segment_net(train, val, cfg: StyleNetConfig, *, epochs: int,
+                      seed: int, lr: float, crop_prob: float,
+                      min_crop: int):
     """Classifier trained for the segmenter's short-span queries.
 
     Same architecture and data as train_style_net, but each example is
@@ -296,8 +296,8 @@ def _train_classifier(train, val, cfg: StyleNetConfig, epochs: int,
                validate=lambda q: accuracy(val, q, cfg))
 
 
-def train_ablation_variants(train, val, test, epochs: int = 30,
-                            seed: int = 0, lr: float = 0.001):
+def train_ablation_variants(train, val, test, *, epochs: int, seed: int,
+                            lr: float):
     """Train all four baselines on identical data and seeds.
 
     Returns {variant: (params, config, confusion matrix on test)}.

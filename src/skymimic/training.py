@@ -31,11 +31,11 @@ def train_encoders(records: list[VideoRecord], cfg: ExperimentConfig):
     records' tables and their mirrors'."""
     recs = augmented(records)
     fg_p, _ = train_autoencoder([r.fg for r in recs], "fg",
-                                cfg.autoencoder_epochs, seed=cfg.seed,
+                                epochs=cfg.autoencoder_epochs, seed=cfg.seed,
                                 lr=cfg.autoencoder_lr)
     bg_p, _ = train_autoencoder([r.bg for r in recs], "bg",
-                                cfg.autoencoder_epochs, seed=cfg.seed + 1,
-                                lr=cfg.autoencoder_lr)
+                                epochs=cfg.autoencoder_epochs,
+                                seed=cfg.seed + 1, lr=cfg.autoencoder_lr)
     return fg_p, bg_p
 
 

@@ -10,7 +10,7 @@ from skymimic.cli import _config_hash, build_parser, main
 from skymimic.config import ExperimentConfig
 from skymimic.imitation import init_imitation_net
 from skymimic.nn import ParamSet
-from skymimic.pipeline import STAGES, VARIANT_FILES
+from skymimic.pipeline import STAGES, VARIANT_FILES, VARIANT_TAGS
 
 
 # the smoke settings the workspace fixture trains every stage with
@@ -390,7 +390,7 @@ def test_imitation_net_for_another_style_size_exits_5(workspace, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("net", ["variants/fg_bg_att.bin",
+@pytest.mark.parametrize("net", ["variants/fg_bg.bin",
                                  "imitation_baseline.bin"])
 def test_eval_damaged_net_exits_5_and_writes_nothing(workspace, tmp_path,
                                                      capsys, net):
@@ -498,8 +498,7 @@ def test_eval_variant_under_another_name_exits_5(workspace, tmp_path,
     # eval runs fg-only.bin as the fg-only variant
     art, out = tmp_path / "art", tmp_path / "report"
     shutil.copytree(workspace / "art", art)
-    shutil.copyfile(art / "variants" / "fg_bg_att.bin",
-                    art / "variants" / "fg-only.bin")
+    shutil.copyfile(art / "style_net.bin", art / "variants" / "fg-only.bin")
     assert main(_net_argv(workspace, "eval", art, out)) == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: {art / 'variants' / 'fg-only.bin'}")
@@ -507,7 +506,7 @@ def test_eval_variant_under_another_name_exits_5(workspace, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("missing", ["variants", "variants/fg_bg_att.bin"])
+@pytest.mark.parametrize("missing", ["variants", "variants/fg_bg.bin"])
 def test_eval_missing_variant_exits_3_and_writes_nothing(workspace, tmp_path,
                                                          capsys, missing):
     art, out = tmp_path / "art", tmp_path / "report"
@@ -624,14 +623,15 @@ def test_train_manifest_keeps_each_stage_line(workspace, tmp_path):
 def test_artifact_directory_holds_the_table_nets(workspace):
     # every stage has run: the directory holds each net the table
     # lists, the manifest, each stage's config and each variant's
-    # confusion CSV, and no other file
+    # confusion CSV, and no other file; the full variant's net is the
+    # style net, written once
     art = workspace / "art"
     want = {net for _, writes in STAGES.values() for net in writes}
     want |= {"manifest.txt", *(f"config_{s}.txt" for s in STAGES)}
-    want |= {f.replace(".bin", "_confusion.csv")
-             for f in VARIANT_FILES.values()}
+    want |= {f"variants/{tag}_confusion.csv" for tag in VARIANT_TAGS.values()}
     assert {p.relative_to(art).as_posix() for p in art.rglob("*")
             if p.is_file()} == want
+    assert VARIANT_FILES["fg+bg+att"] == "style_net.bin"
 
 
 def test_each_stage_writes_the_config_it_ran_with(workspace):

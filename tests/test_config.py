@@ -6,9 +6,29 @@ from pathlib import Path
 import pytest
 
 import skymimic
-from skymimic import controller, features, segmenter
+from skymimic import controller, features, imitation, segmenter, stylenet
+from skymimic.cli import build_parser
 from skymimic.config import (ConfigError, ExperimentConfig, parse_overrides)
+from skymimic.dataset import CORPUS_SEED, CorpusConfig, build_video
+from skymimic.geometry import FOCAL, Intrinsics
+from skymimic.nn import AdamaxState
+from skymimic.scene import (BODY_HEIGHT, DURATION_RANGE, SubjectPath,
+                            draw_scene, random_script)
 from skymimic.stylenet import StyleNetConfig
+
+# each trainer and the arguments it is handed a config value by: its
+# stage driver's `cfg.<key>`, or a trainer's own such argument passed on
+CONFIG_FED = {
+    features.train_autoencoder: {"epochs", "seed", "lr"},
+    stylenet.train_style_net: {"epochs", "seed", "lr"},
+    stylenet.train_segment_net: {"epochs", "seed", "lr", "crop_prob",
+                                 "min_crop"},
+    stylenet.train_ablation_variants: {"epochs", "seed", "lr"},
+    imitation.train_imitation_net: {"epochs", "steps_per_epoch", "seed",
+                                    "lr", "lam"},
+    imitation.imitation_loss_and_grad: {"lam"},
+    AdamaxState: {"lr"},
+}
 
 
 def test_defaults():
@@ -49,6 +69,86 @@ def test_every_key_is_read():
                 read.add(node.attr)
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert keys - read == set()
+
+
+def _config_fed_arguments() -> set[tuple[str, str]]:
+    """(callee, argument) of each call in the package to a CONFIG_FED
+    callee whose argument reads an ExperimentConfig key as `cfg.<key>`,
+    or, within a CONFIG_FED callee, one of its listed arguments."""
+    callees = {fn.__name__: fn for fn in CONFIG_FED}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    found = set()
+    for path in Path(skymimic.__file__).parent.rglob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            own = CONFIG_FED.get(callees.get(func.name), set())
+
+            def fed(node):
+                return any(
+                    isinstance(n, ast.Attribute) and n.attr in keys
+                    and isinstance(n.value, ast.Name) and n.value.id == "cfg"
+                    or isinstance(n, ast.Name) and n.id in own
+                    for n in ast.walk(node))
+
+            for call in ast.walk(func):
+                name = getattr(getattr(call, "func", None), "id", None)
+                if not isinstance(call, ast.Call) or name not in callees:
+                    continue
+                bound = inspect.signature(callees[name]).bind_partial(
+                    *map(fed, call.args),
+                    **{k.arg: fed(k.value) for k in call.keywords})
+                found |= {(name, arg) for arg, is_fed
+                          in bound.arguments.items() if is_fed}
+    return found
+
+
+def test_config_fed_trainer_arguments_have_no_default():
+    """A trainer argument that its stage driver hands a config value
+    has no default of its own to drift from the config's."""
+    assert _config_fed_arguments() == {
+        (fn.__name__, arg) for fn, args in CONFIG_FED.items()
+        for arg in args}
+    for fn, args in CONFIG_FED.items():
+        params = inspect.signature(fn).parameters
+        assert {a for a in args if params[a].default
+                is not inspect.Parameter.empty} == set(), fn.__name__
+
+
+def test_each_data_default_is_its_one_definition():
+    """The corpus seed, duration range, body height and focal, and the
+    cut threshold, are defined once; every default that carries one is
+    that very object."""
+    def arg(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    def field(cls, name):
+        return next(f.default for f in dataclasses.fields(cls)
+                    if f.name == name)
+
+    for default, definition in [
+            (field(ExperimentConfig, "seed"), CORPUS_SEED),
+            (field(CorpusConfig, "seed"), CORPUS_SEED),
+            (field(ExperimentConfig, "duration_min"), DURATION_RANGE[0]),
+            (field(ExperimentConfig, "duration_max"), DURATION_RANGE[1]),
+            (field(CorpusConfig, "duration_range"), DURATION_RANGE),
+            (arg(build_video, "duration_range"), DURATION_RANGE),
+            (arg(random_script, "duration_range"), DURATION_RANGE),
+            (arg(draw_scene, "duration_range"), DURATION_RANGE),
+            (field(ExperimentConfig, "subject_height"), BODY_HEIGHT),
+            (field(CorpusConfig, "subject_height"), BODY_HEIGHT),
+            (arg(build_video, "subject_height"), BODY_HEIGHT),
+            (arg(random_script, "body_height"), BODY_HEIGHT),
+            (arg(draw_scene, "body_height"), BODY_HEIGHT),
+            (field(SubjectPath, "body_height"), BODY_HEIGHT),
+            (field(ExperimentConfig, "focal"), FOCAL),
+            (field(CorpusConfig, "focal"), FOCAL),
+            (field(Intrinsics, "focal"), FOCAL),
+            (arg(segmenter.segment, "threshold"), segmenter.CUT_THRESHOLD),
+            (build_parser().parse_args(
+                ["segment", "--data", "d", "--artifacts", "a",
+                 "--video", "v"]).threshold, segmenter.CUT_THRESHOLD)]:
+        assert default is definition
 
 
 def test_load_with_comments_and_blanks(tmp_path):

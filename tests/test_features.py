@@ -75,7 +75,8 @@ def test_autoencoder_batches_are_the_tables_windows_in_order(monkeypatch):
     windows = np.concatenate([snippet_windows_reference(t)[1]
                               for t in tables], axis=1)
     seen = _recorded_batches(monkeypatch, 3)
-    train_autoencoder(tables, "fg", epochs=3, seed=4, batch_size=3)
+    train_autoencoder(tables, "fg", epochs=3, seed=4, lr=0.001,
+                      batch_size=3)
     order_rng = np.random.default_rng(5)
     want = []
     for _ in range(3):
@@ -93,9 +94,10 @@ def test_autoencoder_window_stack_is_one_window_tables():
     rng = np.random.default_rng(23)
     tables = [rng.normal(size=(n, 5)) for n in (8, 13, 30, 11)]
     stack = np.concatenate([snippet_stack(t) for t in tables], axis=1)
-    p, log = train_autoencoder(tables, "fg", epochs=2, seed=4, batch_size=4)
+    p, log = train_autoencoder(tables, "fg", epochs=2, seed=4, lr=0.001,
+                               batch_size=4)
     q, log_q = train_autoencoder(stack.transpose(1, 0, 2), "fg", epochs=2,
-                                 seed=4, batch_size=4)
+                                 seed=4, lr=0.001, batch_size=4)
     assert log == log_q
     assert np.array_equal(p.flat, q.flat)
 
@@ -111,7 +113,7 @@ def test_autoencoder_epoch_memory_guard():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train_autoencoder(tables, "bg", epochs=1, seed=3)
+        train_autoencoder(tables, "bg", epochs=1, seed=3, lr=0.001)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -131,7 +133,8 @@ def test_autoencoder_tail_batch_is_the_head_of_the_full_batch(monkeypatch):
         return real(batch, p, step=step)
 
     monkeypatch.setattr(features, "_ae_forward", record)
-    train_autoencoder(tables, "fg", epochs=2, seed=4, batch_size=4)
+    train_autoencoder(tables, "fg", epochs=2, seed=4, lr=0.001,
+                      batch_size=4)
     assert [s.batch.shape[1] for s in steps] == [4, 4, 2] * 2
     full, tail = steps[0], steps[2]
     arrays = [lambda s: s.batch, lambda s: s.err, lambda s: s.dz,
@@ -176,8 +179,8 @@ def test_autoencoder_constant_sequences():
 def test_autoencoder_determinism():
     rng = np.random.default_rng(5)
     sns = rng.normal(size=(6, 8, 5))
-    p1, h1 = train_autoencoder(sns, "fg", epochs=5, seed=9)
-    p2, h2 = train_autoencoder(sns, "fg", epochs=5, seed=9)
+    p1, h1 = train_autoencoder(sns, "fg", epochs=5, seed=9, lr=0.001)
+    p2, h2 = train_autoencoder(sns, "fg", epochs=5, seed=9, lr=0.001)
     assert h1 == h2
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
@@ -188,7 +191,8 @@ def test_channel_guards():
         autoencoder_init("sideways", 0)
     rng = np.random.default_rng(0)
     with pytest.raises(ChannelError):
-        train_autoencoder(rng.normal(size=(2, 8, 7)), "fg", epochs=1)
+        train_autoencoder(rng.normal(size=(2, 8, 7)), "fg", epochs=1,
+                          seed=0, lr=0.001)
     fgp = autoencoder_init("fg", 0)
     bgp = autoencoder_init("bg", 0)
     with pytest.raises(ChannelError):

@@ -102,7 +102,7 @@ def _ref_imitation(corpus, epochs, steps_per_epoch, seed, lr, lam, dual):
             else:
                 loss, grads = imitation_loss_and_grad(
                     pair["style_feature"], pair["obs"], pair["action_c"],
-                    pair["label_c"], p=p)
+                    pair["label_c"], lam=lam, p=p)
             adamax_update(p, grads, state)
             losses.append(loss)
         log.append(float(np.mean(losses)))
@@ -220,7 +220,7 @@ def test_autoencoder_divergence_raises(monkeypatch):
     batch = np.random.default_rng(0).normal(size=(4, 8, 5))
     with pytest.raises(TrainingError,
                        match=r"^autoencoder \(fg\) diverged at epoch 0$"):
-        train_autoencoder(batch, "fg", epochs=2)
+        train_autoencoder(batch, "fg", epochs=2, seed=0, lr=0.001)
     assert calls == []
 
 
@@ -232,8 +232,10 @@ def test_classifier_divergence_raises(monkeypatch, trainer, what):
     monkeypatch.setattr(stylenet, "style_loss_and_grad",
                         _nan_loss(stylenet.style_loss_and_grad))
     data = _style_data(np.random.default_rng(0), 1)
+    crop = {"crop_prob": 0.7, "min_crop": 5} \
+        if trainer is train_segment_net else {}
     with pytest.raises(TrainingError, match=f"^{what} diverged at epoch 0$"):
-        trainer(data, data, TINY, epochs=2)
+        trainer(data, data, TINY, epochs=2, seed=0, lr=0.001, **crop)
     assert calls == []
 
 
@@ -244,7 +246,8 @@ def test_imitation_divergence_raises(monkeypatch):
     corpus = _imitation_corpus(np.random.default_rng(0))
     with pytest.raises(TrainingError,
                        match="^imitation net diverged at epoch 0$"):
-        train_imitation_net(corpus, epochs=2, steps_per_epoch=5)
+        train_imitation_net(corpus, epochs=2, steps_per_epoch=5, seed=0,
+                            lr=0.001, lam=0.7)
     assert calls == []
 
 

@@ -205,7 +205,7 @@ def test_imitation_gradient(seed):
         return imitation_loss(predict_action(v, o, a_c, ps), l_c,
                               predict_action(v, o, a_s, ps), l_s)
 
-    _, g = imitation_loss_and_grad(v, o, a_c, l_c, a_s, l_s, p=p)
+    _, g = imitation_loss_and_grad(v, o, a_c, l_c, a_s, l_s, lam=0.7, p=p)
     assert grad_check(loss, p, g, eps=1e-5) <= 1e-4
 
 
@@ -310,16 +310,17 @@ def test_training_without_a_usable_pair_raises():
     corpus = _toy_corpus(np.random.default_rng(5), n_videos=1)
     with pytest.raises(TrainingError, match="imitation net had no "
                                             "training example at epoch 0"):
-        train_imitation_net(corpus, epochs=2, steps_per_epoch=10, seed=7)
+        train_imitation_net(corpus, epochs=2, steps_per_epoch=10, seed=7,
+                            lr=0.001, lam=0.7)
 
 
 def test_training_reduces_loss_and_is_deterministic():
     rng = np.random.default_rng(6)
     corpus = _toy_corpus(rng, n_videos=3)
     p1, log1 = train_imitation_net(corpus, epochs=5, steps_per_epoch=40,
-                                   seed=7)
+                                   seed=7, lr=0.001, lam=0.7)
     p2, log2 = train_imitation_net(corpus, epochs=5, steps_per_epoch=40,
-                                   seed=7)
+                                   seed=7, lr=0.001, lam=0.7)
     assert log1 == log2
     for k in p1:
         assert np.array_equal(p1[k], p2[k])

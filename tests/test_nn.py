@@ -787,7 +787,7 @@ def test_softmax_empty():
 
 def test_adamax_zero_gradient_is_noop():
     p = ParamSet({"w": np.array([1.0, -2.0])})
-    st = AdamaxState(p)
+    st = AdamaxState(p, lr=0.001)
     adamax_update(p, p.zeros_like(), st)
     assert np.allclose(p["w"], [1.0, -2.0])
     assert st.step == 1
@@ -816,7 +816,7 @@ def test_adamax_quadratic_bowl():
 def test_adamax_infinity_norm_nondecreasing():
     rng = np.random.default_rng(9)
     p = ParamSet({"w": rng.normal(size=4)})
-    st = AdamaxState(p)
+    st = AdamaxState(p, lr=0.001)
     prev = st.u["w"].copy()
     for _ in range(100):
         adamax_update(p, ParamSet({"w": rng.normal(size=4)}), st)
@@ -827,7 +827,7 @@ def test_adamax_infinity_norm_nondecreasing():
 
 def test_adamax_shape_mismatch():
     p = ParamSet({"w": np.zeros(3)})
-    st = AdamaxState(p)
+    st = AdamaxState(p, lr=0.001)
     with pytest.raises(DimensionError):
         adamax_update(p, ParamSet({"w": np.zeros(2)}), st)
 

@@ -26,7 +26,8 @@ def _fresh_bundle(seed=7, with_imitation=False):
 def _save(bundle, art):
     """Write a bundle's nets through the stage writer, as `train` does;
     the segment net is the style net when the bundle has none, and each
-    ablation variant is a fresh net of its config."""
+    ablation variant but the full one, whose file is the style net's, is
+    a fresh net of its config."""
     segment = bundle.segment_params if bundle.segment_params is not None \
         else bundle.style_params
     def save(stage, nets):
@@ -34,7 +35,8 @@ def _save(bundle, art):
 
     save("autoencoder", (bundle.fg_encoder, bundle.bg_encoder))
     save("style", (bundle.style_params, segment,
-                   *(init_style_net(cfg, 0) for cfg in VARIANTS.values())))
+                   *(init_style_net(cfg, 0) for name, cfg in VARIANTS.items()
+                     if name != "fg+bg+att")))
     if bundle.imitation_params is not None:
         save("imitation", (bundle.imitation_params,))
 

@@ -194,6 +194,21 @@ def test_flip_keeps_label_and_mirrors_features():
     assert fl.video_id.endswith("~flip")
 
 
+def test_flip_mirrors_the_turning_action_labels():
+    # the roll and yaw rates and the direction's right component change
+    # sign; the pitch rate, the down and forward components and the
+    # scale keep their bits, and the record itself is not changed
+    rec = build_video("v0", "follow", "train", 9, Intrinsics(),
+                      duration_range=(8.0, 9.0))
+    rec.actions = np.random.default_rng(3).normal(size=rec.actions.shape)
+    before = rec.actions.copy()
+    fl = rec.flipped()
+    assert np.array_equal(fl.actions[:, [0, 1, 3]], -before[:, [0, 1, 3]])
+    assert fl.actions[:, [2, 4, 5, 6]].tobytes() \
+        == before[:, [2, 4, 5, 6]].tobytes()
+    assert rec.actions.tobytes() == before.tobytes()
+
+
 def test_determinism_of_build():
     a = build_video("v", "orbiting", "train", 77, Intrinsics(),
                     duration_range=(8.0, 9.0))

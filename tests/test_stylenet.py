@@ -308,8 +308,10 @@ def test_training_learns_and_is_deterministic():
     rng = np.random.default_rng(11)
     train = _toy_corpus(rng)
     val = _toy_corpus(rng, n_per_class=3)
-    p1, log1 = train_style_net(train, val, TINY, epochs=12, seed=3)
-    p2, log2 = train_style_net(train, val, TINY, epochs=12, seed=3)
+    p1, log1 = train_style_net(train, val, TINY, epochs=12, seed=3,
+                               lr=0.001)
+    p2, log2 = train_style_net(train, val, TINY, epochs=12, seed=3,
+                               lr=0.001)
     assert log1 == log2
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
@@ -337,7 +339,7 @@ def test_increasing_lambda_decreases_mean_beta():
     for lam in (0.01, 1.0):
         cfg = StyleNetConfig(hidden=6, attn_hidden=4, fg_dim=3, bg_dim=4,
                              lambda_fg=lam, lambda_bg=lam)
-        p, _ = train_style_net(train, val, cfg, epochs=10, seed=5)
+        p, _ = train_style_net(train, val, cfg, epochs=10, seed=5, lr=0.001)
         vals = []
         for seq, _label in val:
             _, _, trace, _ = style_forward(seq, p, cfg)
